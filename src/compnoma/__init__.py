@@ -33,7 +33,6 @@ from .core import (
     comp_user_rate_jt,
     noncomp_user_rate,
     sic_feasible,
-    sic_margins,
     sum_rate_single_cell,
     user_rate_single_cell,
 )
@@ -41,9 +40,8 @@ from .errors import (
     ConditionViolation,
     ConfigError,
     DomainError,
-    InfeasibleGuarantee,
-    NonConvergence,
     ParseError,
+    SweepError,
     ValidationError,
 )
 from .harness import SweepResult, SweepRow, run_sweep, substream, sweep_values
@@ -71,7 +69,7 @@ from .schemes import (
     reject_cb,
     validate_jt_conditions,
 )
-from .units import db_to_linear, dbm_to_mw, mw_to_dbm
+from .units import dbm_to_mw
 
 __version__ = "0.1.0"
 
@@ -79,17 +77,17 @@ __all__ = [
     "AllocationProblem", "Band", "Cell", "ChannelRealization", "CompSet",
     "ConditionViolation", "ConfigError", "CsBandPlan", "DomainError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
-    "InfeasibleGuarantee", "NomaCluster", "NonConvergence", "OracleResult",
+    "NomaCluster", "OracleResult",
     "PRESETS", "ParseError", "PlacementSpec", "PowerAllocation",
     "REFERENCE_RADIO", "RadioParams", "SCHEMES", "ScenarioTopology",
-    "SweepResult", "SweepRow", "TrialResult", "UserEquipment",
+    "SweepError", "SweepResult", "SweepRow", "TrialResult", "UserEquipment",
     "ValidationError", "allocate_jt", "allocate_single_cell",
     "brute_force_oracle", "build_cs_band_plan", "build_scenario",
     "comp_user_rate_jt", "config_from_dict", "config_to_dict",
-    "cs_oma_rates", "db_to_linear", "dbm_to_mw", "dps_select_cell",
-    "draw_realization", "emit_defaults", "mw_to_dbm", "noncomp_user_rate",
+    "cs_oma_rates", "dbm_to_mw", "dps_select_cell",
+    "draw_realization", "emit_defaults", "noncomp_user_rate",
     "normalized_gain", "oma_rates", "parse_config", "reject_cb", "run_sweep",
-    "run_trial", "sic_feasible", "sic_margins", "substream",
+    "run_trial", "sic_feasible", "substream",
     "sum_rate_single_cell", "sweep_values", "user_rate_single_cell",
     "validate_jt_conditions", "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA",
     "JT_OMA",

@@ -1,5 +1,5 @@
-"""Power allocation: closed-form single-cell solve, coordinated fixed point,
-and a brute-force grid oracle for cross-checking.
+"""Power allocation: closed-form single-cell solve, one-pass coordinated
+solve, and a brute-force grid oracle for cross-checking.
 
 The single-cell solve walks the decode order front to back.  At each non-head
 position the remaining budget P_rem will be spent entirely on this signal and
@@ -15,6 +15,13 @@ where the decoders of position k are every member at position >= k, g_min is
 their smallest effective gain, and X_d is any fixed external interference at
 decoder d (zero unless cross-cell terms are modeled).  Sizing against the
 worst decoder keeps the signal decodable everywhere it must be cancelled.
+
+Both solvers are array kernels: every input is a list with one (n,) array per
+decode position, so n independent instances are solved at once by a Python
+loop over positions only.  ``allocate_single_cell`` and ``allocate_jt`` are
+their one-instance wrappers over the dict-based problem objects.  Each kernel
+reports a small integer reason code per instance (0 = feasible) and the
+decode position (and cell) that set it.
 """
 
 from __future__ import annotations
@@ -25,21 +32,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    NomaCluster,
-    PowerAllocation,
-    comp_user_rate_jt,
-    noncomp_user_rate,
-    sic_feasible,
-    user_rate_single_cell,
-)
-from .channel import ChannelRealization
+from .core import NomaCluster, PowerAllocation, later_sums, rates, seq_sum
 from .errors import ConditionViolation, DomainError
 
 EQUAL_RECEIVED = "equal_received"
 EQUAL_TRANSMIT = "equal_transmit"
 
-_REL_SLACK = 1e-9  # guarantee re-check slack, matches the per-trial audit
+REL_SLACK = 1e-9  # relative slack of every guarantee re-check
+
+# reason codes: why an instance is infeasible (0 = it is not)
+FEASIBLE = 0
+RATE_SHORT = 1  # a position's requirement exceeds the remaining budget
+HEAD_SHORT = 2  # the residual left to the head misses its optional guarantee
+SHORTFALL = 3  # the audit's recomputed rate misses a guarantee
+SIC_GAP = 4  # the audit finds a signal below the decodability gap
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,69 @@ class AllocationProblem:
                 raise DomainError(f"negative gain for user {u}")
 
 
-def _demand_over(num: float, gain: float) -> float:
-    """num/gain with a zero-gain decoder treated as an unservable demand."""
-    if gain > 0.0:
-        return num / gain
-    return math.inf if num > 0.0 else 0.0
+def _over(num, gain):
+    """num/gain elementwise, with a zero-gain decoder an unservable demand."""
+    return np.where(gain > 0.0, num / gain, np.where(num > 0.0, np.inf, 0.0))
+
+
+def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
+    """Record code at decode position k (of cell ci) where bad and no earlier
+    code is set: the first failure in solve order is the one reported."""
+    new = bad & (reason == FEASIBLE)
+    reason[new] = code
+    np.copyto(pos, k, where=new)
+    if cell is not None:
+        cell[new] = ci
+
+
+@np.errstate(all="ignore")
+def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
+    """Closed-form forward solve of n clusters of K members.
+
+    g, x and r hold, per decode position, the effective gain, the fixed
+    external interference and the rate guarantee; r[-1] is an optional head
+    guarantee (0 = none), checked against the residual.  Returns
+    (powers per position, reason, position); infeasible instances get zero
+    powers.
+    """
+    n = len(g[0])
+    reason = np.zeros(n, np.int8)
+    pos = np.zeros(n, np.int8)
+    rem = np.broadcast_to(np.asarray(budget, float), (n,))
+    powers = []
+    if len(g) > 1:
+        gains = np.column_stack(g)
+        demand = _over(np.column_stack([np.broadcast_to(v, (n,)) for v in x]) + 1.0, gains)
+        for k in range(len(g) - 1):
+            t = np.exp2(r[k] / width) - 1.0
+            p_rate = np.where(t > 0.0, t / (1.0 + t) * (rem + demand[:, k:].max(axis=1)), 0.0)
+            p = np.maximum(p_rate, 0.5 * (rem + _over(p_tol, gains[:, k:].min(axis=1))))
+            _flag(reason, pos, None, ~(p <= rem), RATE_SHORT, k)
+            powers.append(p)
+            rem = rem - p
+    powers.append(rem)
+    head_r = np.broadcast_to(r[-1], (n,))
+    if head_r.any():
+        head_rate = rates(width, rem * g[-1], x[-1] + 1.0)
+        _flag(reason, pos, None, head_rate < head_r * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
+    if reason.any():
+        powers = [np.where(reason == FEASIBLE, p, 0.0) for p in powers]
+    return powers, reason, pos
+
+
+def _one(value) -> np.ndarray:
+    return np.full(1, value, dtype=float)
+
+
+def _diagnostic(code: int, k: int, user: int, cell_id: int | None = None) -> str:
+    at = "" if cell_id is None else f" cell={cell_id}"
+    if code == RATE_SHORT:
+        return f"infeasible_guarantee position={k} user={user}{at}"
+    if code == HEAD_SHORT:
+        return f"infeasible_guarantee position={k} user={user} head_residual"
+    if code == SHORTFALL:
+        return f"guarantee_shortfall user={user}{at}"
+    return f"sic_gap{at}"
 
 
 def allocate_single_cell(problem: AllocationProblem) -> PowerAllocation:
@@ -95,43 +159,23 @@ def allocate_single_cell(problem: AllocationProblem) -> PowerAllocation:
     position's requirement exceeds the remaining budget, or when an optional
     head guarantee is not met by the residual.
     """
-    cluster = problem.cluster
-    order = cluster.decode_order
-    n = len(order)
-    width = problem.band_width_hz
-    g = [problem.gains[u] for u in order]
-    x = [problem.external_interference.get(u, 0.0) for u in order]
-    guarantees = cluster.rate_guarantees
-
-    powers: dict[int, float] = {}
-    p_rem = problem.budget_mw
-    for k in range(n - 1):
-        user = order[k]
-        t = 2.0 ** (guarantees[user] / width) - 1.0
-        demand = max(_demand_over(x[d] + 1.0, g[d]) for d in range(k, n))
-        p_rate = t / (1.0 + t) * (p_rem + demand) if t > 0.0 else 0.0
-        g_min = min(g[k:])
-        p_sic = 0.5 * (p_rem + _demand_over(problem.p_tol, g_min))
-        p = max(p_rate, p_sic)
-        if p > p_rem or not math.isfinite(p):
-            return PowerAllocation(
-                powers={u: 0.0 for u in order},
-                feasible=False,
-                diagnostics=(f"infeasible_guarantee position={k} user={user}",),
-            )
-        powers[user] = p
-        p_rem -= p
-    head = order[-1]
-    powers[head] = p_rem
-
-    diagnostics: tuple[str, ...] = ()
-    feasible = True
-    if head in guarantees and guarantees[head] > 0.0:
-        head_rate = width * math.log2(1.0 + powers[head] * g[-1] / (x[-1] + 1.0))
-        if head_rate < guarantees[head] * (1.0 - _REL_SLACK):
-            feasible = False
-            diagnostics = (f"infeasible_guarantee position={n - 1} user={head} head_residual",)
-    return PowerAllocation(powers=powers, feasible=feasible, diagnostics=diagnostics)
+    order = problem.cluster.decode_order
+    guarantees = problem.cluster.rate_guarantees
+    powers, reason, pos = solve_single_cell(
+        [_one(problem.gains[u]) for u in order],
+        [_one(problem.external_interference.get(u, 0.0)) for u in order],
+        [_one(guarantees.get(u, 0.0)) for u in order],
+        problem.budget_mw,
+        problem.p_tol,
+        problem.band_width_hz,
+    )
+    alloc = {u: float(p[0]) for u, p in zip(order, powers)}
+    if reason[0] == FEASIBLE:
+        return PowerAllocation(powers=alloc)
+    k = int(pos[0])
+    return PowerAllocation(
+        powers=alloc, feasible=False, diagnostics=(_diagnostic(int(reason[0]), k, order[k]),)
+    )
 
 
 # --- coordinated (joint-transmission) allocation ---------------------------
@@ -155,14 +199,127 @@ def _shared_prefix(clusters: Sequence[NomaCluster]) -> tuple[int, ...]:
     return prefix
 
 
+@np.errstate(all="ignore")
+def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split: str, full: bool):
+    """One forward pass over a coordination set of n instances, then an audit.
+
+    Per cell ci: raw[ci][k] is the cell's gain to the shared member at
+    position k (the shared prefix is common to all cells), tails[ci] the gains
+    of its single-cell members, r[ci] and x[ci] every position's guarantee and
+    fixed external interference, and cross[ci][j][oc] the gain from cell oc to
+    tail member j (read only when ``full``).  Returns (powers per cell and
+    position, reason, position, cell, rates per cell and position).
+    """
+    m, q = len(raw), len(raw[0])
+    n = len((raw[0] or tails[0])[0])
+    sizes = [q + len(t) for t in tails]
+    reason = np.zeros(n, np.int8)
+    pos = np.zeros(n, np.int8)
+    cell = np.zeros(n, np.int8)
+    if split == EQUAL_RECEIVED:
+        default = [[m * raw[ci][k] for k in range(q)] for ci in range(m)]
+    else:
+        default = [[seq_sum(raw[mi][k] for mi in range(m)) for k in range(q)]] * m
+    # while the pass runs, a member not yet sized decodes at its split-default
+    # gain; that is the gain every decodability floor below is sized against
+    sizing = [np.column_stack(default[ci] + list(tails[ci])) for ci in range(m)]
+    rem = [np.broadcast_to(np.asarray(b, float), (n,)) for b in budgets]
+    pw = [[None] * sizes[ci] for ci in range(m)]
+
+    # Heads absorb their cell's residual, so whatever a cell transmits after
+    # position k totals exactly its remaining budget there: each requirement
+    # is closed-form in the remaining budgets, and one forward pass sizes it.
+    for k in range(q):
+        heads = [ci for ci in range(m) if sizes[ci] == k + 1]
+        nonheads = [ci for ci in range(m) if sizes[ci] != k + 1]
+        need = 0.0
+        if nonheads:
+            # the guarantee is taken from the first cell the member does not head
+            rk = r[nonheads[0]][k]
+            t = np.exp2(rk / width) - 1.0
+            total = seq_sum(raw[ci][k] * rem[ci] for ci in range(m))
+            delivered = seq_sum(raw[hi][k] * rem[hi] for hi in heads)
+            need = t * (1.0 + x[0][k] + total) / (1.0 + t) - delivered
+            need = np.where((rk > 0.0) & (need > 0.0), need, 0.0)
+        for ci in range(m):
+            if ci in heads:
+                p = rem[ci]
+            else:
+                if split == EQUAL_RECEIVED:
+                    share = _over(need / len(nonheads), raw[ci][k])
+                else:
+                    share = _over(need, seq_sum(raw[mi][k] for mi in nonheads))
+                floor = 0.5 * (rem[ci] + _over(p_tol, sizing[ci][:, k:].min(axis=1)))
+                p = np.maximum(share, floor)
+                bad = ~(p <= rem[ci])
+                _flag(reason, pos, cell, bad, RATE_SHORT, k, ci)
+                p = np.where(bad, rem[ci], p)
+            pw[ci][k] = p
+            rem[ci] = rem[ci] - p
+
+    # each cell's remaining budget is its single-cell traffic from here on, so
+    # the cross-cell interference its tail sees in full mode is already fixed
+    nonshared = list(rem)
+    for ci in range(m):
+        if sizes[ci] == q:
+            continue
+        tail_x = []
+        for j in range(sizes[ci] - q):
+            xj = x[ci][q + j]
+            if full:
+                for oc in range(m):
+                    if oc != ci:
+                        xj = xj + nonshared[oc] * cross[ci][j][oc]
+            tail_x.append(xj)
+        tail_r = list(r[ci][q:-1]) + [0.0]
+        powers, tail_reason, tail_pos = solve_single_cell(
+            tails[ci], tail_x, tail_r, rem[ci], p_tol, width
+        )
+        _flag(reason, pos, cell, tail_reason != FEASIBLE, RATE_SHORT, tail_pos + q, ci)
+        pw[ci][q:] = powers
+
+    # audit: every rate recomputed with the final powers, every guarantee and
+    # decodability gap re-checked at the gains the members actually see
+    later = [later_sums(pw[ci]) for ci in range(m)]
+    out = [[None] * sizes[ci] for ci in range(m)]
+    received = []
+    for k in range(q):
+        received.append(seq_sum(pw[ci][k] * raw[ci][k] for ci in range(m)))
+        noise = seq_sum([1.0] + [raw[ci][k] * later[ci][k] for ci in range(m)])
+        joint = rates(width, received[k], noise)
+        for ci in range(m):
+            out[ci][k] = joint
+    for ci in range(m):
+        for j, g in enumerate(tails[ci]):
+            noise = 1.0 + g * later[ci][q + j]
+            if full:
+                for oc in range(m):
+                    if oc != ci:
+                        for p in pw[oc][q:]:
+                            noise = noise + p * cross[ci][j][oc]
+            out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
+    for ci in range(m):
+        for k in range(sizes[ci]):
+            short = out[ci][k] < r[ci][k] * (1.0 - REL_SLACK)
+            _flag(reason, pos, cell, short & (r[ci][k] > 0.0), SHORTFALL, k, ci)
+        seen = [
+            np.where((pw[ci][k] > 0.0) & (received[k] > 0.0), received[k] / pw[ci][k], default[ci][k])
+            for k in range(q)
+        ]
+        seen = np.column_stack(seen + list(tails[ci]))
+        for i in range(sizes[ci] - 1):
+            gap = pw[ci][i] - later[ci][i]
+            bad = (gap[:, None] * seen[:, i:] < p_tol).any(axis=1)
+            _flag(reason, pos, cell, bad, SIC_GAP, i, ci)
+    return pw, reason, pos, cell, out
+
+
 def allocate_jt(
     problems: Sequence[AllocationProblem],
     split: str = EQUAL_TRANSMIT,
     interference_mode: str = "negligible",
-    max_iterations: int = 100,
-    convergence_tol: float = 1e-12,
 ) -> list[PowerAllocation]:
-    """Allocation across the cells of a coordination set.
+    """Allocation across the cells of a coordination set, in one forward pass.
 
     Walks the shared decode prefix position by position: sizes each shared
     member's required combined received power from its guarantee, net of what
@@ -170,21 +327,13 @@ def allocate_jt(
     over the non-head cells (equal received shares by default), and applies
     the same per-position decodability floors as the single-cell solve; each
     cell's single-cell tail is then solved with the shared prefix pinned.
-    Because heads absorb the residual, each cell's total later-decoded power
-    at any position equals its remaining budget, which makes every step
-    closed-form: the pass lands on the fixed point in one sweep (so the
-    convergence controls are interface compatibility, a repeat sweep cannot
-    move the result).  The result is re-audited (guarantees, decodability,
-    budgets) before being reported feasible.
+    The result is re-audited (guarantees, decodability) before being reported
+    feasible.
     """
     if split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
         raise DomainError(f"unknown split policy {split!r}")
     if interference_mode not in ("full", "negligible"):
         raise DomainError(f"unknown interference mode {interference_mode!r}")
-    if max_iterations < 1:
-        raise DomainError("max_iterations must be at least 1")
-    if convergence_tol <= 0.0:
-        raise DomainError("convergence_tol must be positive")
     if not problems:
         raise DomainError("allocate_jt needs at least one problem")
     if len(problems) == 1:
@@ -200,212 +349,49 @@ def allocate_jt(
             raise DomainError("p_tol must match across a coordination set")
 
     comp = _shared_prefix(clusters)
-    q = len(comp)
-    m_cells = len(problems)
+    m = len(problems)
     cell_ids = [c.cell_id for c in clusters]
     orders = [c.decode_order for c in clusters]
-    sizes = [len(o) for o in orders]
-
-    # raw per-cell gains of shared members; effective gains fall back to the
-    # equal-received convention when no raw table was provided
-    raw = [[0.0] * q for _ in range(m_cells)]
+    raw = []
     for ci, problem in enumerate(problems):
-        for k, u in enumerate(comp):
+        row = []
+        for u in comp:
             table = problem.comp_cell_gains.get(u, {})
             if cell_ids[ci] in table:
-                raw[ci][k] = table[cell_ids[ci]]
+                row.append(_one(table[cell_ids[ci]]))
             elif split == EQUAL_RECEIVED:
-                raw[ci][k] = problem.gains[u] / m_cells
+                row.append(_one(problem.gains[u] / m))
             else:
                 raise LookupError(f"raw per-cell gain required for user {u} under {split}")
-
-    # guarantee of each shared member, taken from any cluster where it is not
-    # the head (None when it heads every cluster)
-    comp_guarantee: list[float | None] = []
-    for k, u in enumerate(comp):
-        value = None
-        for c in clusters:
-            if c.cluster_head != u and u in c.rate_guarantees:
-                value = c.rate_guarantees[u]
-                break
-        comp_guarantee.append(value)
-    head_cells = [
-        [ci for ci in range(m_cells) if orders[ci][-1] == u] for u in comp
-    ]
-    nonhead_cells = [
-        [ci for ci in range(m_cells) if ci not in head_cells[k]] for k in range(q)
-    ]
-
-    tail_gain = [
-        [problems[ci].gains[u] for u in orders[ci][q:]] for ci in range(m_cells)
-    ]
-    tail_t = [
+        raw.append(row)
+    tail_users = [o[len(comp):] for o in orders]
+    pw, reason, pos, cell, _ = solve_jt(
+        raw,
+        [[_one(p.gains[u]) for u in t] for p, t in zip(problems, tail_users)],
+        [[_one(c.rate_guarantees.get(u, 0.0)) for u in c.decode_order] for c in clusters],
+        [[_one(p.external_interference.get(u, 0.0)) for u in o] for p, o in zip(problems, orders)],
         [
-            2.0 ** (clusters[ci].rate_guarantees.get(u, 0.0) / width) - 1.0
-            for u in orders[ci][q:]
-        ]
-        for ci in range(m_cells)
-    ]
-    static_x = [
-        [problems[ci].external_interference.get(u, 0.0) for u in orders[ci]]
-        for ci in range(m_cells)
-    ]
-    cross_gamma = [
-        [
-            {
-                oc: problems[ci].cross_cell_gains.get(u, {}).get(cell_ids[oc], 0.0)
-                for oc in range(m_cells)
-                if oc != ci
-            }
-            for u in orders[ci][q:]
-        ]
-        for ci in range(m_cells)
-    ]
-
-    pw = [[0.0] * sizes[ci] for ci in range(m_cells)]
-    breach: str | None = None
-
-    def effective_gain(ci: int, pos: int) -> float:
-        """Per-unit-local-power received gain of a member, current pattern."""
-        if pos >= q:
-            return tail_gain[ci][pos - q]
-        local = pw[ci][pos]
-        combined = sum(pw[mi][pos] * raw[mi][pos] for mi in range(m_cells))
-        if local > 0.0 and combined > 0.0:
-            return combined / local
-        if split == EQUAL_RECEIVED:
-            return m_cells * raw[ci][pos]
-        return sum(raw[mi][pos] for mi in range(m_cells))
-
-    # Heads absorb their cell's residual, so whatever a cell transmits after
-    # position k totals exactly its remaining budget there.  Each position's
-    # requirement is therefore closed-form in the remaining budgets and one
-    # forward pass lands on the fixed point; a repeat pass reproduces it
-    # unchanged, so convergence is declared at the first sweep.
-    rem = [problems[ci].budget_mw for ci in range(m_cells)]
-    for k in range(q):
-        u = comp[k]
-        r = comp_guarantee[k]
-        heads = head_cells[k]
-        nonheads = nonhead_cells[k]
-        need = 0.0
-        if r is not None and r > 0.0:
-            t = 2.0 ** (r / width) - 1.0
-            # combined received power over all cells if non-head cells sent
-            # nothing here, and what the residual-absorbing heads contribute
-            total_weighted = math.fsum(raw[ci][k] * rem[ci] for ci in range(m_cells))
-            head_delivery = math.fsum(raw[hi][k] * rem[hi] for hi in heads)
-            need = max(
-                0.0,
-                t * (1.0 + static_x[0][k] + total_weighted) / (1.0 + t) - head_delivery,
-            )
-        if need > 0.0 and not nonheads:
-            breach = f"infeasible_guarantee position={k} user={u} no_covering_cell"
-            need = 0.0
-        for ci in range(m_cells):
-            n = sizes[ci]
-            if ci in heads:
-                p = rem[ci]
-            else:
-                if split == EQUAL_RECEIVED:
-                    share = _demand_over(need / len(nonheads), raw[ci][k])
-                else:
-                    share = _demand_over(
-                        need, math.fsum(raw[mi][k] for mi in nonheads)
-                    )
-                g_min = min(effective_gain(ci, d) for d in range(k, n))
-                floor = 0.5 * (rem[ci] + _demand_over(p_tol, g_min))
-                p = max(share, floor)
-                if p > rem[ci] or not math.isfinite(p):
-                    if breach is None:
-                        breach = (
-                            f"infeasible_guarantee position={k} user={u} "
-                            f"cell={cell_ids[ci]}"
-                        )
-                    p = rem[ci]
-            pw[ci][k] = p
-            rem[ci] -= p
-
-    # every cell's remaining budget is non-shared traffic from here on: the
-    # cross-cell interference tail users see in full mode is already fixed
-    nonshared = list(rem)
-    for ci in range(m_cells):
-        n = sizes[ci]
-        for k in range(q, n):
-            u = orders[ci][k]
-            if k == n - 1:
-                pw[ci][k] = rem[ci]
-                rem[ci] = 0.0
-                continue
-            ti = k - q
-            t = tail_t[ci][ti]
-            demand = 0.0
-            for d in range(k, n):
-                x_d = static_x[ci][d]
-                if interference_mode == "full":
-                    for oc, gx in cross_gamma[ci][d - q].items():
-                        x_d += nonshared[oc] * gx
-                demand = max(demand, _demand_over(x_d + 1.0, tail_gain[ci][d - q]))
-            p_rate = t / (1.0 + t) * (rem[ci] + demand) if t > 0.0 else 0.0
-            g_min = min(tail_gain[ci][ti:])
-            floor = 0.5 * (rem[ci] + _demand_over(p_tol, g_min))
-            p = max(p_rate, floor)
-            if p > rem[ci] or not math.isfinite(p):
-                if breach is None:
-                    breach = f"infeasible_guarantee position={k} user={u} cell={cell_ids[ci]}"
-                p = rem[ci]
-            pw[ci][k] = p
-            rem[ci] -= p
-
-    allocs = [
+            [[_one(p.cross_cell_gains.get(u, {}).get(oc, 0.0)) for oc in cell_ids] for u in t]
+            for p, t in zip(problems, tail_users)
+        ],
+        [p.budget_mw for p in problems],
+        p_tol,
+        width,
+        split,
+        interference_mode == "full",
+    )
+    diagnostics: tuple[str, ...] = ()
+    if reason[0] != FEASIBLE:
+        ci, k = int(cell[0]), int(pos[0])
+        diagnostics = (_diagnostic(int(reason[0]), k, orders[ci][k], cell_ids[ci]),)
+    return [
         PowerAllocation(
-            powers={orders[ci][k]: pw[ci][k] for k in range(sizes[ci])},
-            feasible=True,
-            diagnostics=("converged iterations=1",),
+            powers={u: float(p[0]) for u, p in zip(orders[ci], pw[ci])},
+            feasible=not diagnostics,
+            diagnostics=diagnostics,
         )
-        for ci in range(m_cells)
+        for ci in range(m)
     ]
-
-    def fail(code: str) -> list[PowerAllocation]:
-        return [
-            PowerAllocation(powers=a.powers, feasible=False, diagnostics=(code,))
-            for a in allocs
-        ]
-
-    if breach is not None:
-        return fail(breach)
-
-    # post-hoc audit: recompute every guaranteed rate with the converged
-    # powers and the same rate formulas the trial evaluation uses
-    table: dict[tuple[int, int], float] = {}
-    for ci in range(m_cells):
-        for k, u in enumerate(comp):
-            table[(cell_ids[ci], u)] = raw[ci][k]
-        for k, u in enumerate(orders[ci][q:]):
-            table[(cell_ids[ci], u)] = tail_gain[ci][k]
-            for oc_id, gx in problems[ci].cross_cell_gains.get(u, {}).items():
-                table[(oc_id, u)] = gx
-    realization = ChannelRealization(table)
-    for ci in range(m_cells):
-        cluster, alloc = clusters[ci], allocs[ci]
-        others = [(clusters[mi], allocs[mi]) for mi in range(m_cells) if mi != ci]
-        for u, r in cluster.rate_guarantees.items():
-            if r <= 0.0:
-                continue
-            if u in comp:
-                rate = comp_user_rate_jt(clusters, allocs, realization, u)
-            else:
-                rate = noncomp_user_rate(
-                    cluster, alloc, realization, u, interference_mode, others
-                )
-            if rate < r * (1.0 - _REL_SLACK):
-                return fail(f"guarantee_shortfall user={u} cell={cell_ids[ci]}")
-        eff_map = {
-            orders[ci][k]: effective_gain(ci, k) for k in range(sizes[ci])
-        }
-        if not sic_feasible(cluster, alloc, eff_map, p_tol):
-            return fail(f"sic_gap cell={cell_ids[ci]}")
-    return allocs
 
 
 # --- brute-force oracle -----------------------------------------------------

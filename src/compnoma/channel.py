@@ -8,6 +8,7 @@ full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
 from __future__ import annotations
 
 import math
+from math import log
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -79,26 +80,45 @@ class ChannelRealization:
         return key in self.gains
 
 
+def fading_draws(rng, links: int) -> list[float]:
+    """Squared Rayleigh envelopes, Exp(1) (unit-variance complex Gaussian
+    amplitude), one per link in the caller's link order.  Each draw is
+    random.Random.expovariate(1.0) inlined: -log(1 - U) / 1.0."""
+    random = rng.random
+    return [-log(1.0 - random()) for _ in range(links)]
+
+
+def gain_array(fading, distance_terms, params: RadioParams):
+    """Noise-normalized gains, elementwise: fading * d^(-alpha) / noise, the
+    same operation order as normalized_gain.  Works on floats and arrays."""
+    return fading * distance_terms / params.noise_power_mw
+
+
+def distance_term(a: tuple[float, float], b: tuple[float, float], alpha: float) -> float:
+    """d^(-alpha) between two positions; computed with math, not numpy, so it
+    is bit-identical wherever it is evaluated."""
+    d = math.hypot(a[0] - b[0], a[1] - b[1])
+    if d <= 0.0:
+        raise DomainError(f"user at {a} is on top of a cell at {b}")
+    return d ** (-alpha)
+
+
 def draw_realization(topology, rng) -> ChannelRealization:
     """Draw one i.i.d. Rayleigh realization for every (cell, user) link.
 
-    The squared envelope is Exp(1) (unit-variance complex Gaussian amplitude).
     Links are drawn in (cell_id, user_id) sorted order so a given stream state
     always produces the same table.
     """
     params = topology.radio
-    noise = params.noise_power_mw
-    alpha = params.pathloss_exponent
-    expovariate = rng.expovariate
-    gains: dict[tuple[int, int], float] = {}
-    for cell in topology.cells:
-        cx, cy = cell.position
-        for user in topology.users:
-            ux, uy = user.position
-            d = math.hypot(ux - cx, uy - cy)
-            if d <= 0.0:
-                raise DomainError(f"user {user.user_id} is on top of cell {cell.cell_id}")
-            gains[(cell.cell_id, user.user_id)] = (
-                expovariate(1.0) * d ** (-alpha) / noise
-            )
-    return ChannelRealization(gains)
+    links = [(cell, user) for cell in topology.cells for user in topology.users]
+    terms = [
+        distance_term(user.position, cell.position, params.pathloss_exponent)
+        for cell, user in links
+    ]
+    fading = fading_draws(rng, len(links))
+    return ChannelRealization(
+        {
+            (cell.cell_id, user.user_id): gain_array(f, d, params)
+            for (cell, user), f, d in zip(links, fading, terms)
+        }
+    )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import RadioParams
 from .errors import ParseError, ValidationError
-from .harness import sweep_values
 from .scenarios import REFERENCE_RADIO, DISC, RING, PlacementSpec
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, reject_cb
 from .units import dbm_to_mw
@@ -54,9 +53,6 @@ class ExperimentConfig:
     radio: RadioParams = REFERENCE_RADIO
     placement: PlacementSpec = PlacementSpec()
     output_path: str | None = None
-
-    def sweep_points(self) -> tuple[float, ...]:
-        return sweep_values(self.sweep_start, self.sweep_stop, self.sweep_step)
 
 
 def _reject_unknown(d: dict, known: tuple[str, ...], where: str) -> None:
@@ -161,7 +157,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     normalized = tuple(str(s).upper() for s in schemes)
     for s in normalized:
         if s in _REJECTED_SCHEMES:
-            reject_cb(data)
+            reject_cb()
         if s not in ALLOWED_SCHEMES[scenario]:
             raise ValidationError(
                 f"scheme {s!r} not available in scenario {scenario}; "

@@ -1,5 +1,9 @@
 """Domain objects and per-user rate/decodability math for one coordination set.
 
+The scalar formulas below take one cluster and a dict of powers; they are the
+reference the array kernels (``later_sums``/``rates`` here, the solvers in
+``allocation``) are tested against, and the sweep never calls them.
+
 Decode-order convention: ``NomaCluster.decode_order`` lists users in the order
 their signals are decoded.  Position 0 is decoded first by everyone; the last
 position is the cluster head, which cancels all other in-cluster signals and
@@ -10,8 +14,10 @@ interference is therefore the total power of signals decoded *after* it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ConditionViolation, DomainError
@@ -53,13 +59,10 @@ class Cell:
     cell_id: int
     position: tuple[float, float]
     power_budget_mw: float
-    bandwidth_share: float = 1.0  # fraction of the system band this cell's plan uses
 
     def __post_init__(self) -> None:
         if self.power_budget_mw <= 0.0:
             raise DomainError(f"cell {self.cell_id}: power budget must be positive")
-        if not 0.0 < self.bandwidth_share <= 1.0:
-            raise DomainError(f"cell {self.cell_id}: bandwidth share outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,6 @@ class PowerAllocation:
         for u, p in self.powers.items():
             if p < 0.0:
                 raise DomainError(f"negative power {p} for user {u}")
-
-    def total(self) -> float:
-        return math.fsum(self.powers.values())
 
 
 def _gain_of(gains, cell_id: int, user_id: int) -> float:
@@ -226,27 +226,6 @@ def noncomp_user_rate(
     return cluster.band.width_hz * math.log2(1.0 + num / den)
 
 
-def sic_margins(
-    cluster: NomaCluster, alloc: PowerAllocation, gains, p_tol: float
-) -> dict[int, float]:
-    """Worst-decoder gap margin per non-head position.
-
-    margin[i] = min over receivers k at position >= i of
-    (p_i - sum_{j>i} p_j) * g_k - p_tol.  Non-negative everywhere iff the
-    superposition is decodable at the configured tolerance.
-    """
-    order = cluster.decode_order
-    powers = [alloc.powers[u] for u in order]
-    eff = [_gain_of(gains, cluster.cell_id, u) for u in order]
-    n = len(order)
-    margins: dict[int, float] = {}
-    for i in range(n - 1):
-        gap = powers[i] - sum(powers[i + 1:])
-        worst = min(gap * eff[k] for k in range(i, n))
-        margins[i] = worst - p_tol
-    return margins
-
-
 def sic_feasible(cluster: NomaCluster, alloc: PowerAllocation, gains, p_tol: float) -> bool:
     """True iff every signal clears the received-power gap at every decoder.
 
@@ -273,3 +252,31 @@ def sum_rate_single_cell(cluster: NomaCluster, alloc: PowerAllocation, gains) ->
     return math.fsum(
         user_rate_single_cell(cluster, alloc, gains, u) for u in cluster.decode_order
     )
+
+
+# --- array kernels: one (n,) array per decode position, n trials at once ---
+
+
+def seq_sum(terms):
+    """Left-to-right sum from 0.0, the order of the scalar formulas.
+
+    The order matters: with a zero decodability tolerance the gap
+    p_i - (p_i+1 + p_i+2 + ...) of a floor-sized position is exactly 0.0, and
+    a reordered sum can make it -1 ULP and flip a feasible verdict.  For the
+    one or two cells of a coordination set it also equals math.fsum.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def later_sums(powers: Sequence) -> list:
+    """later[i] = powers[i+1] + powers[i+2] + ..., summed left to right."""
+    return [seq_sum(powers[i + 1:]) for i in range(len(powers))]
+
+
+def rates(width: float, num, den) -> np.ndarray:
+    """width * log2(1 + num/den), elementwise: a rate in bits/s from received
+    signal power and noise-plus-interference, both noise-normalized."""
+    return width * np.log2(1.0 + num / den)

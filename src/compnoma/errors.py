@@ -37,9 +37,7 @@ class ConditionViolation(DomainError):
         super().__init__(msg)
 
 
-class InfeasibleGuarantee(RuntimeError):
-    """Raised by callers that escalate an infeasible allocation result."""
-
-
-class NonConvergence(RuntimeError):
-    """Raised by callers that escalate a non-converged iterative solve."""
+class SweepError(RuntimeError):
+    """A failure inside a sweep, re-raised with what reproduces it: the master
+    seed, the sweep index, the trial index (or a kernel's trial range) and the
+    series label."""

@@ -15,17 +15,20 @@ import math
 import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import draw_realization
-from .scenarios import build_scenario, run_trial
+import numpy as np
+
+from .errors import SweepError
+from .scenarios import SweepPoint, evaluate, orthogonal_rates
 from .schemes import JT_NOMA
 
 log = logging.getLogger("compnoma")
 
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.96  # two-sided 95% normal quantile
+_BLOCK = 512  # trials per kernel call, so memory does not grow with trials
 
 
 def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Random:
@@ -66,37 +69,48 @@ def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
     return tuple(rows)
 
 
-def run_chunk(
-    config, sweep_index: int, sweep_value: float, start: int, stop: int
-) -> list[tuple[tuple[float, bool, bool], ...]]:
+def run_chunk(config, sweep_index: int, sweep_value: float, start: int, stop: int):
     """Evaluate trials [start, stop) at one sweep point under every series.
 
-    Module-level so process pools can pickle it.  Returns, per trial, one
-    (spectral efficiency, feasible, guarantees met) triple per series.
+    The point's fixed geometry is built once.  Trials are drawn one by one
+    from their own substreams, a block at a time, and every series is then
+    evaluated on the block's (trials, cells, users) gain array at once.
+    Module-level so process pools can pickle it.  Returns (spectral
+    efficiency, feasible, guarantees met), each of shape (trials, series).
     """
     rows = scheme_rows(config)
-    base_case = rows[0][2]
-    out: list[tuple[tuple[float, bool, bool], ...]] = []
-    for t in range(start, stop):
-        rng = substream(config.seed, sweep_index, t)
-        topology = build_scenario(
-            config.scenario_id,
-            sweep_value,
-            base_case,
-            rng,
-            radio=config.radio,
-            placement=config.placement,
-        )
-        gains = draw_realization(topology, rng)
-        per_row = []
-        for _, scheme, case in rows:
-            topo = topology if case == topology.decode_case else replace(topology, decode_case=case)
-            res = run_trial(
-                topo, gains, scheme, config.interference_mode, config.jt_split
-            )
-            per_row.append((res.spectral_efficiency, res.feasible, res.guarantees_met))
-        out.append(tuple(per_row))
-    return out
+    where = f"seed={config.seed} sweep_index={sweep_index}"
+    try:
+        point = SweepPoint(config.scenario_id, sweep_value, config.radio, config.placement)
+    except Exception as e:
+        raise SweepError(f"{where} value={sweep_value}: {type(e).__name__}: {e}") from e
+    shape = (stop - start, len(rows))
+    se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+    for b0 in range(start, stop, _BLOCK):
+        b1 = min(b0 + _BLOCK, stop)
+        draws = []
+        for t in range(b0, b1):
+            try:
+                draws.append(point.draw(substream(config.seed, sweep_index, t)))
+            except Exception as e:
+                raise SweepError(f"{where} trial={t}: {type(e).__name__}: {e}") from e
+        label = "orthogonal baseline"
+        try:
+            gains = point.gains(draws)
+            base = orthogonal_rates(point.layout, gains)
+            for r_i, (label, scheme, case) in enumerate(rows):
+                out, ok, good, _ = evaluate(
+                    point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
+                )
+                block = slice(b0 - start, b1 - start)
+                se[block, r_i] = [math.fsum(r) for r in out.tolist()]
+                feasible[block, r_i] = ok
+                met[block, r_i] = good
+        except Exception as e:
+            raise SweepError(
+                f"{where} trials=[{b0}, {b1}) series={label}: {type(e).__name__}: {e}"
+            ) from e
+    return se / config.radio.bandwidth_hz, feasible, met
 
 
 @dataclass(frozen=True)
@@ -152,32 +166,46 @@ def _reduce_point(
 
 
 def run_sweep(config, workers: int = 1) -> SweepResult:
-    """Run the configured sweep; identical output for any worker count."""
+    """Run the configured sweep; identical output for any worker count.
+
+    With workers > 1 one process pool serves the whole sweep: every point is
+    cut into contiguous trial ranges, and each point is reduced in trial
+    order as soon as its ranges are back.
+    """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    rows = scheme_rows(config)
     trials = config.trials
+    if workers <= 1:
+        return _reduce(config, values, (run_chunk(config, i, v, 0, trials) for i, v in enumerate(values)))
+    span = -(-trials // workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            [pool.submit(run_chunk, config, i, v, t0, min(t0 + span, trials)) for t0 in range(0, trials, span)]
+            for i, v in enumerate(values)
+        ]
+        try:
+            chunks = (
+                tuple(np.concatenate(parts) for parts in zip(*(f.result() for f in point)))
+                for point in futures
+            )
+            return _reduce(config, values, chunks)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _reduce(config, values, chunks) -> SweepResult:
+    rows = scheme_rows(config)
     out_rows: list[SweepRow] = []
-
-    for s_i, value in enumerate(values):
-        per_trial: list[tuple[tuple[float, bool, bool], ...] | None] = [None] * trials
-        if workers <= 1:
-            chunk = run_chunk(config, s_i, value, 0, trials)
-            per_trial[:] = chunk
-        else:
-            span = max(1, -(-trials // (workers * 4)))
-            ranges = [(t0, min(t0 + span, trials)) for t0 in range(0, trials, span)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run_chunk, config, s_i, value, t0, t1): (t0, t1)
-                    for t0, t1 in ranges
-                }
-                for fut, (t0, t1) in futures.items():
-                    per_trial[t0:t1] = fut.result()
+    for value, (se, feasible, met) in zip(values, chunks):
         for r_i, (label, _, _) in enumerate(rows):
-            ses = [per_trial[t][r_i][0] for t in range(trials)]
-            infeasible = sum(1 for t in range(trials) if not per_trial[t][r_i][1])
-            violations = sum(1 for t in range(trials) if not per_trial[t][r_i][2])
-            out_rows.append(_reduce_point(value, label, ses, infeasible, violations))
-        log.info("sweep point %g done (%d trials, %d series)", value, trials, len(rows))
-
+            out_rows.append(
+                _reduce_point(
+                    value,
+                    label,
+                    se[:, r_i].tolist(),
+                    int((~feasible[:, r_i]).sum()),
+                    int((~met[:, r_i]).sum()),
+                )
+            )
+        log.info("sweep point %g done (%d trials, %d series)", value, len(se), len(rows))
     return SweepResult(tuple(out_rows))

@@ -1,5 +1,5 @@
 """Two-cell evaluation scenarios: geometry builders, orthogonal-access
-baselines, and the per-trial scheme dispatcher.
+baselines, and the scheme kernels every trial is evaluated with.
 
 Three layouts are modeled, all with base stations 1 km apart:
 
@@ -13,6 +13,10 @@ Three layouts are modeled, all with base stations 1 km apart:
 Single-cell users sit on the ray pointing away from the opposite base station
 so their geometry is deterministic; edge users are drawn uniformly from a disc
 at the midpoint, rejecting draws inside either cell's coverage radius.
+
+Schemes are evaluated on a (trials, cells, users) gain array whose user
+columns are the user ids in ascending order (see ``Layout``); ``run_trial``,
+``oma_rates`` and ``cs_oma_rates`` are the one-trial wrappers.
 """
 
 from __future__ import annotations
@@ -21,37 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .allocation import (
-    EQUAL_RECEIVED,
-    EQUAL_TRANSMIT,
-    AllocationProblem,
-    allocate_jt,
-    allocate_single_cell,
-)
-from .channel import ChannelRealization, RadioParams, draw_realization
-from .core import (
-    COMP,
-    NONCOMP,
-    Band,
-    Cell,
-    NomaCluster,
-    PowerAllocation,
-    UserEquipment,
-    comp_user_rate_jt,
-    noncomp_user_rate,
-)
+import numpy as np
+
+from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt, solve_single_cell
+from .channel import RadioParams, distance_term, fading_draws, gain_array
+from .core import COMP, NONCOMP, Cell, UserEquipment, later_sums, rates, seq_sum
 from .errors import ConfigError, DomainError
-from .schemes import (
-    CS_NOMA,
-    CS_OMA,
-    DPS_NOMA,
-    JT_NOMA,
-    JT_OMA,
-    CompSet,
-    build_cs_band_plan,
-    dps_select_cell,
-    validate_jt_conditions,
-)
+from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, CompSet, build_cs_band_plan
 from .units import dbm_to_mw
 
 # Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
@@ -71,7 +51,6 @@ RING = "ring"
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order
 CASE_EDGE_ORDER_CELL1 = "case2"  # edge users decoded in cell-1 gain order
 
-_GUARANTEE_SLACK = 1e-9
 _MAX_PLACEMENT_DRAWS = 100_000
 
 
@@ -104,7 +83,6 @@ class ScenarioTopology:
     cells: tuple[Cell, ...]
     users: tuple[UserEquipment, ...]
     comp_set: CompSet
-    decode_case: str = CASE_EDGE_ORDER_CELL2
     sweep_value: float = 0.0
 
     def user(self, user_id: int) -> UserEquipment:
@@ -126,39 +104,31 @@ class ScenarioTopology:
 
 
 def _draw_edge_position(
-    rng, radius: float, law: str, cells: Sequence[Cell], coverage: float
+    rng, radius: float, law: str, sites: Sequence[tuple[float, float]], coverage: float
 ) -> tuple[float, float]:
     """Uniform point in the midpoint disc (or on its rim), rejected while it
-    falls inside either cell's coverage disc."""
+    falls inside either cell's coverage disc.  The test uses math, not numpy:
+    it decides how many draws a trial consumes."""
+    random, hypot, ring = rng.random, math.hypot, law == RING
     for _ in range(_MAX_PLACEMENT_DRAWS):
-        theta = 2.0 * math.pi * rng.random()
-        r = radius if law == RING else radius * math.sqrt(rng.random())
+        theta = 2.0 * math.pi * random()
+        r = radius if ring else radius * math.sqrt(random())
         x, y = r * math.cos(theta), r * math.sin(theta)
-        if all(math.hypot(x - c.position[0], y - c.position[1]) > coverage for c in cells):
+        for cx, cy in sites:
+            if not hypot(x - cx, y - cy) > coverage:
+                break
+        else:
             return (x, y)
     raise DomainError(
         "edge-user placement rejected too often; region outside coverage is empty"
     )
 
 
-def build_scenario(
-    scenario_id: int,
-    sweep_value: float,
-    decode_case: str,
-    rng,
-    radio: RadioParams = REFERENCE_RADIO,
-    placement: PlacementSpec | None = None,
-) -> ScenarioTopology:
-    """Instantiate one trial's topology at one sweep point.
-
-    The sweep parameter is the swept single-cell user distance (scenario 1) or
-    the edge-region radius (scenarios 2 and 3).  Consumes randomness only for
-    edge-user positions, in ascending user-id order.
-    """
+def _geometry(scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None):
+    """A sweep point's fixed part: cells, jointly served user ids, single-cell
+    users, and the edge region (radius, law, coverage)."""
     if scenario_id not in (1, 2, 3):
         raise ConfigError(f"unknown scenario {scenario_id}")
-    if decode_case not in (CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1):
-        raise ConfigError(f"unknown decode case {decode_case!r}")
     if sweep_value <= 0.0:
         raise DomainError("sweep value must be positive")
     spec = placement or PlacementSpec()
@@ -168,7 +138,6 @@ def build_scenario(
         Cell(cell_id=1, position=(-half, 0.0), power_budget_mw=radio.tx_power_mw),
         Cell(cell_id=2, position=(half, 0.0), power_budget_mw=radio.tx_power_mw),
     )
-
     if scenario_id == 1:
         edge_radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else 200.0
         primary = sweep_value
@@ -182,29 +151,42 @@ def build_scenario(
             f"single-cell user distance {primary} exceeds coverage {spec.coverage_m}"
         )
 
-    users: list[UserEquipment] = []
-    for uid in comp_ids:
-        pos = _draw_edge_position(rng, edge_radius, spec.edge_region_law, cells, spec.coverage_m)
-        users.append(UserEquipment(uid, pos, COMP, (1, 2)))
-
     def away(cell: Cell, dist: float) -> tuple[float, float]:
         # on the ray from the opposite site through this one, dist beyond it
         sign = -1.0 if cell.position[0] < 0.0 else 1.0
         return (cell.position[0] + sign * dist, 0.0)
 
-    if scenario_id == 1:
-        for cell in cells:
-            base = cell.cell_id * 10
-            users.append(UserEquipment(base + 1, away(cell, primary), NONCOMP, (cell.cell_id,)))
-            users.append(
+    fixed: list[UserEquipment] = []
+    for cell in cells if scenario_id != 3 else cells[:1]:
+        base = cell.cell_id * 10
+        fixed.append(UserEquipment(base + 1, away(cell, primary), NONCOMP, (cell.cell_id,)))
+        if scenario_id == 1:
+            fixed.append(
                 UserEquipment(base + 2, away(cell, spec.secondary_distance_m), NONCOMP, (cell.cell_id,))
             )
-    elif scenario_id == 2:
-        for cell in cells:
-            users.append(UserEquipment(cell.cell_id * 10 + 1, away(cell, primary), NONCOMP, (cell.cell_id,)))
-    else:
-        users.append(UserEquipment(11, away(cells[0], primary), NONCOMP, (1,)))
+    return cells, comp_ids, tuple(fixed), (edge_radius, spec.edge_region_law, spec.coverage_m)
 
+
+def build_scenario(
+    scenario_id: int,
+    sweep_value: float,
+    rng,
+    radio: RadioParams = REFERENCE_RADIO,
+    placement: PlacementSpec | None = None,
+) -> ScenarioTopology:
+    """Instantiate one trial's topology at one sweep point.
+
+    The sweep parameter is the swept single-cell user distance (scenario 1) or
+    the edge-region radius (scenarios 2 and 3).  Consumes randomness only for
+    edge-user positions, in ascending user-id order.
+    """
+    cells, comp_ids, fixed, (radius, law, coverage) = _geometry(scenario_id, sweep_value, radio, placement)
+    sites = [c.position for c in cells]
+    users = [
+        UserEquipment(uid, _draw_edge_position(rng, radius, law, sites, coverage), COMP, (1, 2))
+        for uid in comp_ids
+    ]
+    users.extend(fixed)
     users.sort(key=lambda u: u.user_id)
     return ScenarioTopology(
         scenario_id=scenario_id,
@@ -212,9 +194,82 @@ def build_scenario(
         cells=cells,
         users=tuple(users),
         comp_set=CompSet(cell_ids=(1, 2), comp_user_ids=comp_ids),
-        decode_case=decode_case,
         sweep_value=sweep_value,
     )
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How a scenario maps onto a (trials, cells, users) gain array.
+
+    Axis 1 holds cells 1 and 2; axis 2 holds user_ids, ascending.  comp are the
+    columns of the jointly served users, tails[ci] those of cell ci's
+    single-cell users.
+    """
+
+    scenario_id: int
+    user_ids: tuple[int, ...]
+    comp: tuple[int, ...]
+    tails: tuple[tuple[int, ...], tuple[int, ...]]
+    power_mw: float
+    bandwidth_hz: float
+    p_tol: float
+
+
+def _layout(scenario_id, users, comp_ids, radio: RadioParams) -> Layout:
+    ids = tuple(sorted(u.user_id for u in users))
+    tails = tuple(
+        tuple(ids.index(u.user_id) for u in sorted(users, key=lambda u: u.user_id)
+              if u.role == NONCOMP and u.serving_cells[0] == cell_id)
+        for cell_id in (1, 2)
+    )
+    return Layout(
+        scenario_id, ids, tuple(ids.index(u) for u in comp_ids), tails,
+        radio.tx_power_mw, radio.bandwidth_hz, radio.sic_tolerance,
+    )
+
+
+class SweepPoint:
+    """One sweep point: its fixed geometry, built once, and each trial's draw.
+
+    A trial's draw consumes its RNG exactly as build_scenario followed by
+    draw_realization does, so both give bit-identical gains.
+    """
+
+    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None):
+        cells, self.comp_ids, fixed, self.edge_region = _geometry(scenario_id, sweep_value, radio, placement)
+        self.radio = radio
+        self.sites = [c.position for c in cells]
+        placeholder = [UserEquipment(u, (0.0, 0.0), COMP, (1, 2)) for u in self.comp_ids]
+        self.layout = _layout(scenario_id, placeholder + list(fixed), self.comp_ids, radio)
+        alpha = radio.pathloss_exponent
+        by_id = {u.user_id: u for u in fixed}
+        # d^(-alpha) per (cell, user); edge-user columns are filled per trial
+        self.terms = np.array(
+            [[distance_term(by_id[u].position, site, alpha) if u in by_id else 0.0
+              for u in self.layout.user_ids] for site in self.sites]
+        )
+        self.links = self.terms.size
+
+    def draw(self, rng) -> list[float]:
+        """Edge-user distance terms (per user: cell 1, cell 2), then one fading
+        draw per (cell, user) link."""
+        radius, law, coverage = self.edge_region
+        alpha = self.radio.pathloss_exponent
+        out = []
+        for _ in self.comp_ids:
+            x, y = _draw_edge_position(rng, radius, law, self.sites, coverage)
+            # distance_term inlined; an accepted position is outside coverage
+            out += [math.hypot(x - cx, y - cy) ** (-alpha) for cx, cy in self.sites]
+        return out + fading_draws(rng, self.links)
+
+    def gains(self, draws: Sequence[list[float]]) -> np.ndarray:
+        """(trials, cells, users) gain array from a block of trial draws."""
+        a = np.array(draws, dtype=float)
+        n, q = len(a), len(self.comp_ids)
+        terms = np.repeat(self.terms[None], n, axis=0)
+        terms[:, :, self.layout.comp] = a[:, : 2 * q].reshape(n, q, 2).transpose(0, 2, 1)
+        return gain_array(a[:, 2 * q:].reshape(terms.shape), terms, self.radio)
 
 
 @dataclass(frozen=True)
@@ -228,339 +283,251 @@ class TrialResult:
     guarantees_met: bool
 
 
-def oma_rates(topology: ScenarioTopology, gains: ChannelRealization) -> dict[int, float]:
-    """Orthogonal baseline: each cell splits its band evenly over its served
-    set; jointly served users get the aligned share from both cells plus any
-    leftover share from the cell serving fewer users.
+def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:
+    """cols in ascending gain per trial (g is (trials, users)); the sort is
+    stable, so ties keep the given order, as sorted() does."""
+    if len(cols) < 2:
+        return list(cols)
+    return list(np.asarray(cols)[np.argsort(g[:, cols], axis=1, kind="stable")].T)
+
+
+def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
+    """Orthogonal baseline of every user, (trials, users): each cell splits
+    its band evenly over its served set; jointly served users get the aligned
+    share from both cells plus any leftover share from the cell serving fewer
+    users.
 
     With power proportional to band share, in-band SNR equals full-band power
     times the full-band gain (p/B_share times gain*B_share/w cancels), so the
     budget-times-gain product is used directly.
     """
-    p = topology.radio.tx_power_mw
-    b = topology.radio.bandwidth_hz
-    served: dict[int, list[int]] = {c.cell_id: [] for c in topology.cells}
-    for u in topology.users:
-        for c in u.serving_cells:
-            served[c].append(u.user_id)
-    width = {c: b / len(ids) for c, ids in served.items() if ids}
-
-    rates: dict[int, float] = {}
-    for u in topology.users:
-        if u.role == NONCOMP:
-            c = u.serving_cells[0]
-            rates[u.user_id] = width[c] * math.log2(1.0 + p * gains[(c, u.user_id)])
-        else:
-            aligned = min(width[c] for c in u.serving_cells)
-            snr_joint = sum(p * gains[(c, u.user_id)] for c in u.serving_cells)
-            rate = aligned * math.log2(1.0 + snr_joint)
-            for c in u.serving_cells:
-                extra = width[c] - aligned
-                if extra > 0.0:
-                    rate += extra * math.log2(1.0 + p * gains[(c, u.user_id)])
-            rates[u.user_id] = rate
-    return rates
+    p = lay.power_mw
+    width = [lay.bandwidth_hz / (len(lay.tails[ci]) + len(lay.comp)) for ci in (0, 1)]
+    out = np.empty((len(g), len(lay.user_ids)))
+    cells = [ci for ci in (0, 1) for _ in lay.tails[ci]]
+    cols = [c for ci in (0, 1) for c in lay.tails[ci]]
+    out[:, cols] = np.array([width[ci] for ci in cells]) * np.log2(1.0 + p * g[:, cells, cols])
+    aligned = min(width)
+    edge = list(lay.comp)
+    rate = aligned * np.log2(1.0 + (p * g[:, 0, edge] + p * g[:, 1, edge]))
+    for ci in (0, 1):
+        extra = width[ci] - aligned
+        if extra > 0.0:
+            rate = rate + extra * np.log2(1.0 + p * g[:, ci, edge])
+    out[:, edge] = rate
+    return out
 
 
-def _cs_pairing(topology: ScenarioTopology) -> list[tuple[int, int]]:
-    """Edge user to cell pairing for orthogonal coordination: sorted zip."""
-    return list(zip(sorted(topology.comp_set.cell_ids), sorted(topology.comp_ids)))
-
-
-def cs_oma_rates(topology: ScenarioTopology, gains: ChannelRealization) -> dict[int, float]:
+def _cs_oma(lay: Layout, g: np.ndarray) -> np.ndarray:
     """Fully orthogonal halves: each cell serves its edge user and its own
     single-cell user on separate half-bands at proportional power."""
-    p = topology.radio.tx_power_mw
-    half = topology.radio.bandwidth_hz / 2.0
-    rates: dict[int, float] = {}
-    for cell_id, edge in _cs_pairing(topology):
-        inner = topology.noncomp_in_cell(cell_id)[0]
-        for uid in (edge, inner):
-            rates[uid] = half * math.log2(1.0 + p * gains[(cell_id, uid)])
-    return rates
+    pairs = [(ci, c) for ci, edge in enumerate(lay.comp) for c in (edge, lay.tails[ci][0])]
+    cells, cols = [ci for ci, _ in pairs], [c for _, c in pairs]
+    out = np.zeros((len(g), len(lay.user_ids)))
+    out[:, cols] = lay.bandwidth_hz / 2.0 * np.log2(1.0 + lay.power_mw * g[:, cells, cols])
+    return out
 
 
-def _edge_decode_order(topology: ScenarioTopology, gains: ChannelRealization) -> tuple[int, ...]:
+def _edge_order(lay: Layout, g: np.ndarray, decode_case: str) -> list:
     """Shared decode order of the jointly served users: ascending realized
     gain in the reference cell (cell 2 in the first decode case of the
     asymmetric scenario, cell 1 otherwise)."""
-    ref = 1
-    if topology.scenario_id == 3 and topology.decode_case == CASE_EDGE_ORDER_CELL2:
-        ref = 2
-    return tuple(sorted(topology.comp_ids, key=lambda u: gains[(ref, u)]))
+    ref = 1 if lay.scenario_id == 3 and decode_case == CASE_EDGE_ORDER_CELL2 else 0
+    return _by_gain(g[:, ref], lay.comp)
 
 
-def _feasible(allocs: Sequence[PowerAllocation]) -> bool:
-    return all(a.feasible for a in allocs)
-
-
-def _jt_trial(
-    topology: ScenarioTopology,
-    gains: ChannelRealization,
-    baseline: dict[int, float],
-    interference_mode: str,
-    jt_split: str,
-) -> tuple[dict[int, float], bool]:
-    radio = topology.radio
-    band = Band(0, radio.bandwidth_hz)
-    edge_order = _edge_decode_order(topology, gains)
-    m = len(topology.comp_set.cell_ids)
-
-    clusters: list[NomaCluster] = []
-    problems: list[AllocationProblem] = []
-    for cell in topology.cells:
-        c = cell.cell_id
-        tail = sorted(topology.noncomp_in_cell(c), key=lambda u: gains[(c, u)])
-        order = edge_order + tuple(tail)
-        guarantees = {u: baseline[u] for u in order[:-1]}
-        cluster = NomaCluster(c, band, order, guarantees)
-        clusters.append(cluster)
-
-        eff: dict[int, float] = {}
-        comp_cell: dict[int, dict[int, float]] = {}
-        cross: dict[int, dict[int, float]] = {}
-        for u in edge_order:
-            per_cell = {cc: gains[(cc, u)] for cc in topology.comp_set.cell_ids}
-            comp_cell[u] = per_cell
-            if jt_split == EQUAL_RECEIVED:
-                eff[u] = m * gains[(c, u)]
-            else:
-                eff[u] = sum(per_cell.values())
-        for u in tail:
-            eff[u] = gains[(c, u)]
-            if interference_mode == "full":
-                cross[u] = {
-                    cc: gains[(cc, u)] for cc in topology.comp_set.cell_ids if cc != c
-                }
-        problems.append(
-            AllocationProblem(
-                cluster=cluster,
-                gains=eff,
-                budget_mw=cell.power_budget_mw,
-                p_tol=radio.sic_tolerance,
-                external_interference={},
-                comp_cell_gains=comp_cell,
-                cross_cell_gains=cross,
-            )
-        )
-
-    validate_jt_conditions(clusters, topology.comp_ids)
-    allocs = allocate_jt(problems, split=jt_split, interference_mode=interference_mode)
-    if not _feasible(allocs):
-        return dict(baseline), False
-
-    rates: dict[int, float] = {}
-    for u in topology.comp_ids:
-        rates[u] = comp_user_rate_jt(clusters, allocs, gains, u)
-    for i, cluster in enumerate(clusters):
-        others = [
-            (clusters[j], allocs[j]) for j in range(len(clusters)) if j != i
-        ] if interference_mode == "full" else ()
-        for u in cluster.decode_order:
-            if u in rates:
-                continue
-            rates[u] = noncomp_user_rate(
-                cluster, allocs[i], gains, u, interference_mode, others
-            )
-    return rates, True
-
-
-def _dps_trial(
-    topology: ScenarioTopology,
-    gains: ChannelRealization,
-    baseline: dict[int, float],
-    interference_mode: str,
-) -> tuple[dict[int, float], bool]:
-    radio = topology.radio
-    band = Band(0, radio.bandwidth_hz)
-    members: dict[int, list[int]] = {c.cell_id: list(topology.noncomp_in_cell(c.cell_id)) for c in topology.cells}
-    for u in topology.comp_ids:
-        members[dps_select_cell(u, gains, topology.cells)].append(u)
-
-    budgets = {c.cell_id: c.power_budget_mw for c in topology.cells}
-    active = [c for c, ids in members.items() if ids]
-    clusters: dict[int, NomaCluster] = {}
-    allocs: dict[int, PowerAllocation] = {}
-    for c in active:
-        order = tuple(sorted(members[c], key=lambda u: gains[(c, u)]))
-        guarantees = {u: baseline[u] for u in order[:-1]}
-        cluster = NomaCluster(c, band, order, guarantees)
-        external: dict[int, float] = {}
-        if interference_mode == "full":
-            for u in order:
-                external[u] = sum(
-                    budgets[o] * gains[(o, u)] for o in active if o != c
-                )
-        problem = AllocationProblem(
-            cluster=cluster,
-            gains={u: gains[(c, u)] for u in order},
-            budget_mw=budgets[c],
-            p_tol=radio.sic_tolerance,
-            external_interference=external,
-        )
-        clusters[c] = cluster
-        allocs[c] = allocate_single_cell(problem)
-
-    if not _feasible(list(allocs.values())):
-        return dict(baseline), False
-
-    rates: dict[int, float] = {}
-    for c in active:
-        others = [
-            (clusters[o], allocs[o]) for o in active if o != c
-        ] if interference_mode == "full" else ()
-        for u in clusters[c].decode_order:
-            rates[u] = noncomp_user_rate(
-                clusters[c], allocs[c], gains, u, interference_mode, others
-            )
-    return rates, True
-
-
-def _cs_trial(
-    topology: ScenarioTopology,
-    gains: ChannelRealization,
-    baseline: dict[int, float],
-    interference_mode: str,
-) -> tuple[dict[int, float], bool]:
-    radio = topology.radio
-    plan = build_cs_band_plan(
-        topology.comp_set,
-        {c.cell_id: topology.noncomp_in_cell(c.cell_id) for c in topology.cells},
+def _jt_noma(lay, g, base, full, split, decode_case):
+    rows = np.arange(len(g))
+    edge = _edge_order(lay, g, decode_case)
+    orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
+    q = len(edge)
+    _, reason, _, _, pos_rates = solve_jt(
+        [[g[rows, ci, c] for c in edge] for ci in (0, 1)],
+        [[g[rows, ci, c] for c in orders[ci][q:]] for ci in (0, 1)],
+        [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
+        [[0.0] * len(order) for order in orders],
+        [[[g[rows, oc, c] for oc in (0, 1)] for c in orders[ci][q:]] for ci in (0, 1)] if full else None,
+        [lay.power_mw] * 2,
+        lay.p_tol,
+        lay.bandwidth_hz,
+        split,
+        full,
     )
-    bands = {a.band_id: Band(a.band_id, a.fraction * radio.bandwidth_hz) for a in plan.assignments}
-    budgets = {c.cell_id: c.power_budget_mw for c in topology.cells}
+    out = np.empty_like(base)
+    nonhead = np.zeros(base.shape, bool)
+    for ci, order in enumerate(orders):
+        for c, r in zip(order, pos_rates[ci]):
+            out[rows, c] = r
+        for c in order[:-1]:
+            nonhead[rows, c] = True
+    return out, reason, nonhead
 
-    # band-effective gains: in-band noise shrinks with the band, so the
-    # normalized gain scales by 1/fraction
-    eff_table = {
-        (c.cell_id, u.user_id): gains[(c.cell_id, u.user_id)] / 0.5
-        for c in topology.cells
-        for u in topology.users
-    }
-    eff = ChannelRealization(eff_table)
 
-    built: list[tuple[NomaCluster, PowerAllocation, int]] = []
-    for a in plan.assignments:
-        order = tuple(sorted(a.members, key=lambda u: gains[(a.cell_id, u)]))
-        guarantees = {u: baseline[u] for u in order[:-1]}
-        cluster = NomaCluster(a.cell_id, bands[a.band_id], order, guarantees)
-        external: dict[int, float] = {}
-        if interference_mode == "full":
-            for other in plan.assignments:
-                if other.band_id != a.band_id or other.cell_id == a.cell_id:
-                    continue
-                for u in order:
-                    external[u] = external.get(u, 0.0) + (
-                        budgets[other.cell_id] * other.fraction * eff[(other.cell_id, u)]
-                    )
-        problem = AllocationProblem(
-            cluster=cluster,
-            gains={u: eff[(a.cell_id, u)] for u in order},
-            budget_mw=budgets[a.cell_id] * a.fraction,
-            p_tol=radio.sic_tolerance,
-            external_interference=external,
+def _single_cell_clusters(eff, base, clusters, p_tol, full):
+    """Solve single-cell clusters side by side and evaluate their members.
+
+    eff is the (trials, cells, users) gain array at the clusters' band
+    scaling; clusters lists (cell, member columns, budget, band width, band
+    id), and clusters on one band id interfere with each other in full mode.
+    Returns (rates summed over clusters, reason of the first infeasible
+    cluster, non-head mask).
+    """
+    rows = np.arange(len(eff))
+    reason = np.zeros(len(eff), np.int8)
+    solved = []
+    for ci, cols, budget, width, band in clusters:
+        order = _by_gain(eff[:, ci], cols)
+        x = [0.0] * len(order)
+        if full:
+            x = [
+                seq_sum(ob_budget * eff[rows, oc, c] for oc, _, ob_budget, _, ob in clusters if ob == band and oc != ci)
+                for c in order
+            ]
+        powers, cluster_reason, _ = solve_single_cell(
+            [eff[rows, ci, c] for c in order],
+            x,
+            [base[rows, c] for c in order[:-1]] + [0.0],
+            budget,
+            p_tol,
+            width,
         )
-        built.append((cluster, allocate_single_cell(problem), a.band_id))
-
-    if not _feasible([alloc for _, alloc, _ in built]):
-        return dict(baseline), False
-
-    rates: dict[int, float] = {u.user_id: 0.0 for u in topology.users}
-    for cluster, alloc, band_id in built:
-        others = [
-            (oc, oa)
-            for oc, oa, ob in built
-            if ob == band_id and oc.cell_id != cluster.cell_id
-        ] if interference_mode == "full" else ()
-        for u in cluster.decode_order:
-            rates[u] += noncomp_user_rate(cluster, alloc, eff, u, interference_mode, others)
-    return rates, True
-
-
-def _noma_non_heads(topology: ScenarioTopology, gains: ChannelRealization, scheme: str) -> set[int]:
-    """Users holding a rate guarantee under the given scheme this trial."""
-    if scheme == JT_NOMA:
-        non_heads: set[int] = set()
-        edge_order = _edge_decode_order(topology, gains)
-        for cell in topology.cells:
-            c = cell.cell_id
-            tail = sorted(topology.noncomp_in_cell(c), key=lambda u: gains[(c, u)])
-            order = edge_order + tuple(tail)
-            non_heads.update(order[:-1])
-        return non_heads
-    if scheme == DPS_NOMA:
-        members = {c.cell_id: list(topology.noncomp_in_cell(c.cell_id)) for c in topology.cells}
-        for u in topology.comp_ids:
-            members[dps_select_cell(u, gains, topology.cells)].append(u)
-        non_heads = set()
-        for c, ids in members.items():
-            if ids:
-                order = sorted(ids, key=lambda u: gains[(c, u)])
-                non_heads.update(order[:-1])
-        return non_heads
-    if scheme == CS_NOMA:
-        non_heads = set()
-        for cell_id, edge in _cs_pairing(topology):
-            inner = topology.noncomp_in_cell(cell_id)[0]
-            order = sorted((edge, inner), key=lambda u: gains[(cell_id, u)])
-            non_heads.update(order[:-1])
-        return non_heads
-    return set()
+        reason = np.where(reason == FEASIBLE, cluster_reason, reason)
+        solved.append((ci, order, powers, width, band))
+    out = np.zeros(base.shape)
+    nonhead = np.zeros(base.shape, bool)
+    for ci, order, powers, width, band in solved:
+        later = later_sums(powers)
+        for k, c in enumerate(order):
+            gain = eff[rows, ci, c]
+            noise = 1.0 + gain * later[k]
+            if full:
+                for oc, _, o_powers, _, ob in solved:
+                    if ob == band and oc != ci:
+                        for p in o_powers:
+                            noise = noise + p * eff[rows, oc, c]
+            out[rows, c] += rates(width, powers[k] * gain, noise)
+        for c in order[:-1]:
+            nonhead[rows, c] = True
+    return out, reason, nonhead
 
 
-def run_trial(
-    topology: ScenarioTopology,
-    gains: ChannelRealization,
-    scheme: str,
-    interference_mode: str = "negligible",
-    jt_split: str = EQUAL_TRANSMIT,
-) -> TrialResult:
-    """Evaluate one channel realization under one scheme.
+def _dps_noma(lay, g, base, full):
+    """Each jointly served user joins the cell with the larger realized gain
+    (cell 1 on ties).  Trials are grouped by that choice, so every group has
+    fixed cluster sizes."""
+    out = np.empty_like(base)
+    nonhead = np.empty(base.shape, bool)
+    reason = np.empty(len(g), np.int8)
+    moved = sum((g[:, 1, c] > g[:, 0, c]).astype(int) << j for j, c in enumerate(lay.comp))
+    for choice in range(1 << len(lay.comp)):
+        idx = np.flatnonzero(moved == choice)
+        if not len(idx):
+            continue
+        members = [
+            list(lay.tails[ci]) + [c for j, c in enumerate(lay.comp) if ((choice >> j) & 1) == ci]
+            for ci in (0, 1)
+        ]
+        clusters = [(ci, members[ci], lay.power_mw, lay.bandwidth_hz, 0) for ci in (0, 1) if members[ci]]
+        out[idx], reason[idx], nonhead[idx] = _single_cell_clusters(g[idx], base[idx], clusters, lay.p_tol, full)
+    return out, reason, nonhead
 
-    The orthogonal baseline is always computed: it supplies the non-head rate
-    guarantees and the fallback rates when superposed access is infeasible.
+
+def _cs_noma(lay, g, base, full):
+    """The orthogonal 50/50 band plan, one superposed cluster per band share;
+    in-band noise shrinks with the band, so gains scale by 1/fraction."""
+    plan = build_cs_band_plan(CompSet(cell_ids=(0, 1), comp_user_ids=lay.comp), dict(enumerate(lay.tails)))
+    clusters = [
+        (a.cell_id, list(a.members), lay.power_mw * a.fraction, a.fraction * lay.bandwidth_hz, a.band_id)
+        for a in plan.assignments
+    ]
+    return _single_cell_clusters(g / 0.5, base, clusters, lay.p_tol, full)
+
+
+def evaluate(lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str, interference_mode: str, jt_split: str, decode_case: str):
+    """One scheme on a block of trials: (rates, feasible, guarantees met,
+    reason code), each with a leading trials axis.
+
+    base is the orthogonal baseline: it supplies the non-head rate
+    guarantees and the fallback rates of infeasible trials.
     """
     if interference_mode not in ("full", "negligible"):
         raise DomainError(f"unknown interference mode {interference_mode!r}")
-    baseline = oma_rates(topology, gains)
-    b = topology.radio.bandwidth_hz
-
-    if scheme == JT_OMA:
-        rates, feasible = dict(baseline), True
-    elif scheme == CS_OMA:
-        _require_cs_shape(topology)
-        rates, feasible = cs_oma_rates(topology, gains), True
-    elif scheme == JT_NOMA:
-        rates, feasible = _jt_trial(topology, gains, baseline, interference_mode, jt_split)
-    elif scheme == DPS_NOMA:
-        rates, feasible = _dps_trial(topology, gains, baseline, interference_mode)
-    elif scheme == CS_NOMA:
-        _require_cs_shape(topology)
-        rates, feasible = _cs_trial(topology, gains, baseline, interference_mode)
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-
-    guarantees_met = True
-    if feasible and scheme in (JT_NOMA, DPS_NOMA, CS_NOMA):
-        for u in _noma_non_heads(topology, gains, scheme):
-            if rates[u] < baseline[u] * (1.0 - _GUARANTEE_SLACK):
-                guarantees_met = False
-                break
-
-    return TrialResult(
-        scheme=scheme,
-        rates_bps=rates,
-        baseline_rates_bps=baseline,
-        spectral_efficiency=math.fsum(rates.values()) / b,
-        baseline_spectral_efficiency=math.fsum(baseline.values()) / b,
-        feasible=feasible,
-        guarantees_met=guarantees_met,
-    )
-
-
-def _require_cs_shape(topology: ScenarioTopology) -> None:
-    if topology.scenario_id != 2:
+    if decode_case not in (CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1):
+        raise ConfigError(f"unknown decode case {decode_case!r}")
+    if scheme in (CS_OMA, CS_NOMA) and lay.scenario_id != 2:
         raise ConfigError(
             "orthogonal coordination needs two cells with one edge user and one "
             "single-cell user each"
         )
+    n = len(g)
+    full = interference_mode == "full"
+    if scheme == JT_OMA:
+        return base, np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
+    if scheme == CS_OMA:
+        return _cs_oma(lay, g), np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
+    if scheme == JT_NOMA:
+        if jt_split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
+            raise DomainError(f"unknown split policy {jt_split!r}")
+        out, reason, nonhead = _jt_noma(lay, g, base, full, jt_split, decode_case)
+    elif scheme == DPS_NOMA:
+        out, reason, nonhead = _dps_noma(lay, g, base, full)
+    elif scheme == CS_NOMA:
+        out, reason, nonhead = _cs_noma(lay, g, base, full)
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    feasible = reason == FEASIBLE
+    out = np.where(feasible[:, None], out, base)
+    met = ~(feasible & (nonhead & (out < base * (1.0 - REL_SLACK))).any(axis=1))
+    return out, feasible, met, reason
+
+
+# --- one-trial wrappers over a topology and a ChannelRealization ------------
+
+
+def _one_trial(topology: ScenarioTopology, gains) -> tuple[Layout, np.ndarray]:
+    lay = _layout(topology.scenario_id, topology.users, topology.comp_ids, topology.radio)
+    g = np.array([[[gains[(c.cell_id, u)] for u in lay.user_ids] for c in topology.cells]])
+    return lay, g
+
+
+def oma_rates(topology: ScenarioTopology, gains) -> dict[int, float]:
+    """One trial's orthogonal baseline per user; see orthogonal_rates."""
+    lay, g = _one_trial(topology, gains)
+    return dict(zip(lay.user_ids, orthogonal_rates(lay, g)[0].tolist()))
+
+
+def cs_oma_rates(topology: ScenarioTopology, gains) -> dict[int, float]:
+    """One trial's orthogonal half-band rates per user; see _cs_oma."""
+    lay, g = _one_trial(topology, gains)
+    return dict(zip(lay.user_ids, _cs_oma(lay, g)[0].tolist()))
+
+
+def _edge_decode_order(topology: ScenarioTopology, gains, decode_case: str) -> tuple[int, ...]:
+    lay, g = _one_trial(topology, gains)
+    return tuple(lay.user_ids[int(np.ravel(c)[0])] for c in _edge_order(lay, g, decode_case))
+
+
+def run_trial(
+    topology: ScenarioTopology,
+    gains,
+    scheme: str,
+    interference_mode: str = "negligible",
+    jt_split: str = EQUAL_TRANSMIT,
+    decode_case: str = CASE_EDGE_ORDER_CELL2,
+) -> TrialResult:
+    """Evaluate one channel realization under one scheme (see evaluate)."""
+    lay, g = _one_trial(topology, gains)
+    base = orthogonal_rates(lay, g)
+    out, feasible, met, _ = evaluate(lay, g, base, scheme, interference_mode, jt_split, decode_case)
+    rates_bps = dict(zip(lay.user_ids, out[0].tolist()))
+    baseline = dict(zip(lay.user_ids, base[0].tolist()))
+    b = lay.bandwidth_hz
+    return TrialResult(
+        scheme=scheme,
+        rates_bps=rates_bps,
+        baseline_rates_bps=baseline,
+        spectral_efficiency=math.fsum(rates_bps.values()) / b,
+        baseline_spectral_efficiency=math.fsum(baseline.values()) / b,
+        feasible=bool(feasible[0]),
+        guarantees_met=bool(met[0]),
+    )

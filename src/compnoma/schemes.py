@@ -23,11 +23,10 @@ SCHEMES = (JT_NOMA, CS_NOMA, DPS_NOMA, JT_OMA, CS_OMA)
 
 @dataclass(frozen=True)
 class CompSet:
-    """The coordinating cells, the users they jointly serve, and the scheme."""
+    """The coordinating cells and the users they jointly serve."""
 
     cell_ids: tuple[int, ...]
     comp_user_ids: tuple[int, ...]
-    scheme: str = JT_NOMA
 
     def __post_init__(self) -> None:
         if len(self.cell_ids) < 2:
@@ -147,7 +146,7 @@ def build_cs_band_plan(
     return CsBandPlan(tuple(assignments))
 
 
-def reject_cb(config=None) -> None:
+def reject_cb() -> None:
     """Coordinated beamforming is never runnable in this system; say why."""
     raise ConfigError(
         "coordinated beamforming rejected: single-antenna cells have no spatial "

@@ -10,14 +10,3 @@ from __future__ import annotations
 def dbm_to_mw(value_dbm: float) -> float:
     return 10.0 ** (value_dbm / 10.0)
 
-
-def mw_to_dbm(value_mw: float) -> float:
-    import math
-
-    if value_mw <= 0.0:
-        raise ValueError(f"cannot express {value_mw} mW in dBm")
-    return 10.0 * math.log10(value_mw)
-
-
-def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)

@@ -95,9 +95,11 @@ def trial_rows(name: str):
 
     config = golden_config(*TRIAL_CONFIGS[name], trials=TRIALS_PER_POINT)
     for s_i, value in TRIAL_POINTS:
-        chunk = run_chunk(config, s_i, value, 0, TRIALS_PER_POINT)
+        se, feasible, met = run_chunk(config, s_i, value, 0, TRIALS_PER_POINT)
         for t in range(TRIALS_PER_POINT):
-            yield s_i, t, tuple((float(se), bool(f), bool(m)) for se, f, m in chunk[t])
+            yield s_i, t, tuple(
+                (float(v), bool(f), bool(m)) for v, f, m in zip(se[t], feasible[t], met[t])
+            )
 
 
 def trial_records(name: str) -> str:

@@ -209,7 +209,7 @@ def test_jt_symmetric_two_cells_split_half_half():
         )
         allocs = allocate_jt(problems, split=split)
         assert all(a.feasible for a in allocs)
-        assert allocs[0].diagnostics == ("converged iterations=1",)
+        assert allocs[0].diagnostics == ()
         assert allocs[0].powers[1] == pytest.approx(allocs[1].powers[1], rel=1e-12)
         received = allocs[0].powers[1] * 1.0 + allocs[1].powers[1] * 1.0
         assert allocs[0].powers[1] * 1.0 == pytest.approx(received / 2.0, rel=1e-12)
@@ -294,10 +294,6 @@ def test_jt_validation_errors():
         allocate_jt(problems, split="thirds")
     with pytest.raises(DomainError):
         allocate_jt(problems, interference_mode="kinda")
-    with pytest.raises(DomainError):
-        allocate_jt(problems, max_iterations=0)
-    with pytest.raises(DomainError):
-        allocate_jt(problems, convergence_tol=0.0)
     with pytest.raises(DomainError):
         allocate_jt([])
     mismatched = [problems[0], replace(problems[1], p_tol=5.0)]

@@ -88,7 +88,7 @@ def test_dbm_conversion_round_trip():
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
-    topo = build_scenario(1, 100.0, "case1", substream(7, 0, 0))
+    topo = build_scenario(1, 100.0, substream(7, 0, 0))
     table_a = draw_realization(topo, substream(7, 0, 1))
     table_b = draw_realization(topo, substream(7, 0, 1))
     assert table_a.gains == table_b.gains
@@ -102,7 +102,7 @@ def test_realization_covers_every_link_and_is_seed_deterministic():
 
 def test_fading_sample_mean_is_unit():
     # back out the fading factor from the gains of one fixed link
-    topo = build_scenario(1, 100.0, "case1", substream(3, 0, 0))
+    topo = build_scenario(1, 100.0, substream(3, 0, 0))
     cell = topo.cells[0]
     user = topo.user(12)
     d = math.hypot(user.position[0] - cell.position[0], user.position[1] - cell.position[1])
@@ -117,7 +117,7 @@ def test_fading_sample_mean_is_unit():
 
 def test_fading_distribution_matches_unit_exponential():
     # one-sample KS statistic against 1 - exp(-x), 10^4 draws
-    topo = build_scenario(1, 100.0, "case1", substream(5, 0, 0))
+    topo = build_scenario(1, 100.0, substream(5, 0, 0))
     cell = topo.cells[0]
     user = topo.user(12)
     d = math.hypot(user.position[0] - cell.position[0], user.position[1] - cell.position[1])

@@ -9,6 +9,7 @@ import pytest
 from compnoma import (
     PRESETS,
     ExperimentConfig,
+    SweepError,
     build_scenario,
     config_from_dict,
     draw_realization,
@@ -17,6 +18,7 @@ from compnoma import (
 )
 from compnoma.cli import format_csv
 from compnoma.config import _figure_radio
+from compnoma import harness, scenarios
 from compnoma.harness import run_chunk, scheme_rows, substream, sweep_values
 
 
@@ -82,7 +84,7 @@ def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
     rng = substream(config.seed, 0, 0)
-    topo = build_scenario(1, 200.0, "case1", rng, radio=config.radio, placement=config.placement)
+    topo = build_scenario(1, 200.0, rng, radio=config.radio, placement=config.placement)
     gains = draw_realization(topo, rng)
     direct = {
         scheme: run_trial(topo, gains, scheme, config.interference_mode, config.jt_split)
@@ -107,9 +109,9 @@ def test_worker_count_does_not_change_output():
 def test_mean_is_exact_sum_over_trials():
     config = small_config(trials=32, sweep_stop=100.0)
     result = run_sweep(config)
-    chunk = run_chunk(config, 0, 100.0, 0, 32)
+    se, _, _ = run_chunk(config, 0, 100.0, 0, 32)
     for r_i, row in enumerate(result.rows):
-        ses = [chunk[t][r_i][0] for t in range(32)]
+        ses = se[:, r_i].tolist()
         assert row.mean_se_bps_hz == math.fsum(ses) / 32
 
 
@@ -150,3 +152,34 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
     assert jt.infeasible_frac == 1.0
     # fallback rates are the orthogonal baseline, so means still exist
     assert jt.mean_se_bps_hz > 0.0
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
+    # a kernel failure names the block's trial range and the series label,
+    # also when it is raised in a pool worker
+    def broken(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(scenarios, "_jt_noma", broken)
+    config = small_config(trials=40, sweep_stop=100.0)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=workers)
+    span = "[0, 40)" if workers == 1 else "[0, 20)"
+    assert str(err.value) == (
+        f"seed=2026 sweep_index=0 trials={span} series=JT-NOMA: FloatingPointError: injected"
+    )
+
+    # a failure while drawing a trial names that trial
+    monkeypatch.undo()
+    real = harness.substream
+
+    def flaky(seed, sweep_index, trial):
+        if (sweep_index, trial) == (1, 7):
+            raise ValueError("bad stream")
+        return real(seed, sweep_index, trial)
+
+    monkeypatch.setattr(harness, "substream", flaky)
+    with pytest.raises(SweepError) as err:
+        run_sweep(small_config(trials=40), workers=workers)
+    assert str(err.value) == "seed=2026 sweep_index=1 trial=7: ValueError: bad stream"

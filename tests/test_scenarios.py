@@ -25,8 +25,8 @@ from compnoma.scenarios import (
     REFERENCE_RADIO,
     RING,
     _edge_decode_order,
-    _noma_non_heads,
 )
+from compnoma.schemes import dps_select_cell
 
 # unit band and unit gains make rate identities exact by hand
 UNIT_RADIO = RadioParams(
@@ -47,7 +47,7 @@ def all_ones_gains(topology: ScenarioTopology) -> ChannelRealization:
 
 def test_scenario_1_shape():
     rng = random.Random(5)
-    topo = build_scenario(1, 350.0, CASE_EDGE_ORDER_CELL2, rng)
+    topo = build_scenario(1, 350.0, rng)
     assert {u.user_id for u in topo.users} == {1, 11, 12, 21, 22}
     assert topo.comp_ids == (1,)
     assert topo.user(11).position == (-850.0, 0.0)
@@ -65,12 +65,12 @@ def test_scenario_1_shape():
 
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
-    s2 = build_scenario(2, 120.0, CASE_EDGE_ORDER_CELL2, rng)
+    s2 = build_scenario(2, 120.0, rng)
     assert {u.user_id for u in s2.users} == {1, 2, 11, 21}
     assert s2.comp_ids == (1, 2)
     assert s2.user(11).position == (-750.0, 0.0)
     assert s2.user(21).position == (750.0, 0.0)
-    s3 = build_scenario(3, 120.0, CASE_EDGE_ORDER_CELL2, rng)
+    s3 = build_scenario(3, 120.0, rng)
     assert {u.user_id for u in s3.users} == {1, 2, 11}
     assert s3.noncomp_in_cell(2) == ()
     for topo in (s2, s3):
@@ -82,13 +82,13 @@ def test_scenario_2_and_3_shapes():
 def test_edge_region_laws():
     rng = random.Random(7)
     for sweep in (50.0, 175.0, 400.0):
-        topo = build_scenario(2, sweep, CASE_EDGE_ORDER_CELL2, rng)
+        topo = build_scenario(2, sweep, rng)
         for uid in (1, 2):
             x, y = topo.user(uid).position
             assert math.hypot(x, y) <= sweep + 1e-9
     ring = PlacementSpec(edge_region_law=RING)
     for sweep in (50.0, 300.0):
-        topo = build_scenario(2, sweep, CASE_EDGE_ORDER_CELL2, rng, placement=ring)
+        topo = build_scenario(2, sweep, rng, placement=ring)
         for uid in (1, 2):
             x, y = topo.user(uid).position
             assert math.hypot(x, y) == pytest.approx(sweep, rel=1e-12)
@@ -99,17 +99,17 @@ def test_edge_region_laws():
 def test_builder_validation():
     rng = random.Random(8)
     with pytest.raises(ConfigError):
-        build_scenario(4, 100.0, CASE_EDGE_ORDER_CELL2, rng)
+        build_scenario(4, 100.0, rng)
     with pytest.raises(ConfigError):
-        build_scenario(1, 100.0, "caseX", rng)
+        run_trial(build_scenario(1, 100.0, rng), all_ones_gains(build_scenario(1, 100.0, rng)), "JT-NOMA", decode_case="caseX")
     with pytest.raises(DomainError):
-        build_scenario(1, 0.0, CASE_EDGE_ORDER_CELL2, rng)
+        build_scenario(1, 0.0, rng)
     with pytest.raises(DomainError):
-        build_scenario(1, -5.0, CASE_EDGE_ORDER_CELL2, rng)
+        build_scenario(1, -5.0, rng)
     # swept single-cell distance is capped by the coverage radius, inclusive
-    build_scenario(1, 400.0, CASE_EDGE_ORDER_CELL2, rng)
+    build_scenario(1, 400.0, rng)
     with pytest.raises(DomainError):
-        build_scenario(1, 400.0001, CASE_EDGE_ORDER_CELL2, rng)
+        build_scenario(1, 400.0001, rng)
     with pytest.raises(DomainError):
         PlacementSpec(inter_site_m=700.0, coverage_m=400.0)
     with pytest.raises(DomainError):
@@ -118,7 +118,7 @@ def test_builder_validation():
 
 def test_oma_identities_scenario_1():
     rng = random.Random(9)
-    topo = build_scenario(1, 350.0, CASE_EDGE_ORDER_CELL2, rng, radio=UNIT_RADIO)
+    topo = build_scenario(1, 350.0, rng, radio=UNIT_RADIO)
     rates = oma_rates(topo, all_ones_gains(topo))
     # each cell serves three users on thirds of the band at SNR 3
     for uid in (11, 12, 21, 22):
@@ -131,7 +131,7 @@ def test_oma_identities_scenario_1():
 
 def test_oma_identities_scenario_3():
     rng = random.Random(10)
-    topo = build_scenario(3, 120.0, CASE_EDGE_ORDER_CELL2, rng, radio=UNIT_RADIO)
+    topo = build_scenario(3, 120.0, rng, radio=UNIT_RADIO)
     rates = oma_rates(topo, all_ones_gains(topo))
     # cell 1 splits into thirds, cell 2 into halves; the aligned share is a
     # third and cell 2 contributes its leftover sixth at single-cell SNR
@@ -143,7 +143,7 @@ def test_oma_identities_scenario_3():
 
 def test_cs_oma_halves():
     rng = random.Random(11)
-    topo = build_scenario(2, 120.0, CASE_EDGE_ORDER_CELL2, rng, radio=UNIT_RADIO)
+    topo = build_scenario(2, 120.0, rng, radio=UNIT_RADIO)
     rates = cs_oma_rates(topo, all_ones_gains(topo))
     for uid in (1, 2, 11, 21):
         assert rates[uid] == pytest.approx(0.5 * math.log2(4.0), rel=1e-12)
@@ -151,20 +151,20 @@ def test_cs_oma_halves():
 
 def test_edge_decode_order_reference_cell():
     table = ChannelRealization(
-        {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9, (1, 11): 1.0, (2, 11): 1.0}
+        {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9, (1, 11): 1.0, (2, 11): 1.0,
+         (1, 21): 1.0, (2, 21): 1.0}
     )
     rng = random.Random(12)
-    s3_case1 = build_scenario(3, 120.0, CASE_EDGE_ORDER_CELL2, rng)
-    s3_case2 = build_scenario(3, 120.0, CASE_EDGE_ORDER_CELL1, rng)
-    s2 = build_scenario(2, 120.0, CASE_EDGE_ORDER_CELL2, rng)
-    assert _edge_decode_order(s3_case1, table) == (1, 2)
-    assert _edge_decode_order(s3_case2, table) == (2, 1)
-    assert _edge_decode_order(s2, table) == (2, 1)
+    s3 = build_scenario(3, 120.0, rng)
+    s2 = build_scenario(2, 120.0, rng)
+    assert _edge_decode_order(s3, table, CASE_EDGE_ORDER_CELL2) == (1, 2)
+    assert _edge_decode_order(s3, table, CASE_EDGE_ORDER_CELL1) == (2, 1)
+    assert _edge_decode_order(s2, table, CASE_EDGE_ORDER_CELL2) == (2, 1)
 
 
 def test_run_trial_dispatch_errors():
     rng = random.Random(13)
-    s1 = build_scenario(1, 350.0, CASE_EDGE_ORDER_CELL2, rng)
+    s1 = build_scenario(1, 350.0, rng)
     gains = draw_realization(s1, random.Random(14))
     with pytest.raises(ConfigError):
         run_trial(s1, gains, "CS-NOMA")
@@ -180,12 +180,29 @@ def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     rng = random.Random(15)
     harsh = replace(REFERENCE_RADIO, sic_tolerance=1e12)
-    topo = build_scenario(1, 350.0, CASE_EDGE_ORDER_CELL2, rng, radio=harsh)
+    topo = build_scenario(1, 350.0, rng, radio=harsh)
     gains = draw_realization(topo, random.Random(16))
     result = run_trial(topo, gains, "JT-NOMA")
     assert not result.feasible
     assert result.rates_bps == result.baseline_rates_bps
     assert result.spectral_efficiency == result.baseline_spectral_efficiency
+
+
+def non_heads(topo, gains, scheme):
+    """Scenario-2 users holding a rate guarantee this trial: every cluster
+    member except the last decoded one."""
+    if scheme == "JT-NOMA":
+        edge = tuple(sorted(topo.comp_ids, key=lambda u: gains[(1, u)]))
+        orders = [edge + topo.noncomp_in_cell(c) for c in (1, 2)]
+    else:
+        if scheme == "DPS-NOMA":
+            members = {c: list(topo.noncomp_in_cell(c)) for c in (1, 2)}
+            for u in topo.comp_ids:
+                members[dps_select_cell(u, gains, (1, 2))].append(u)
+        else:  # CS-NOMA: each edge user shares a half band with one cell's user
+            members = {c: [u, topo.noncomp_in_cell(c)[0]] for c, u in zip((1, 2), topo.comp_ids)}
+        orders = [sorted(ids, key=lambda u: gains[(c, u)]) for c, ids in members.items() if ids]
+    return {u for order in orders for u in order[:-1]}
 
 
 def test_feasible_trials_meet_guarantees():
@@ -197,7 +214,7 @@ def test_feasible_trials_meet_guarantees():
     feasible_counts = {"JT-NOMA": 0, "DPS-NOMA": 0, "CS-NOMA": 0}
     for trial in range(60):
         rng = random.Random(master.random())
-        topo = build_scenario(2, 200.0, CASE_EDGE_ORDER_CELL2, rng, radio=relaxed)
+        topo = build_scenario(2, 200.0, rng, radio=relaxed)
         gains = draw_realization(topo, rng)
         for scheme in feasible_counts:
             result = run_trial(topo, gains, scheme)
@@ -206,7 +223,7 @@ def test_feasible_trials_meet_guarantees():
                 continue
             feasible_counts[scheme] += 1
             assert result.guarantees_met
-            for u in _noma_non_heads(topo, gains, scheme):
+            for u in non_heads(topo, gains, scheme):
                 assert result.rates_bps[u] >= result.baseline_rates_bps[u] * (1.0 - 1e-9)
     for scheme, count in feasible_counts.items():
         floor = 5 if scheme == "CS-NOMA" else 10
@@ -215,7 +232,7 @@ def test_feasible_trials_meet_guarantees():
 
 def test_spectral_efficiency_is_sum_over_band():
     rng = random.Random(18)
-    topo = build_scenario(3, 150.0, CASE_EDGE_ORDER_CELL2, rng)
+    topo = build_scenario(3, 150.0, rng)
     gains = draw_realization(topo, rng)
     result = run_trial(topo, gains, "JT-NOMA")
     assert result.spectral_efficiency == math.fsum(result.rates_bps.values()) / 8.64e6
@@ -230,7 +247,7 @@ def test_interference_mode_full_never_exceeds_negligible():
     lower_seen = False
     for trial in range(40):
         rng = random.Random(master.random())
-        topo = build_scenario(2, 200.0, CASE_EDGE_ORDER_CELL2, rng, radio=relaxed)
+        topo = build_scenario(2, 200.0, rng, radio=relaxed)
         gains = draw_realization(topo, rng)
         for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
             clean = run_trial(topo, gains, scheme, interference_mode="negligible")

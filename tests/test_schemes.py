@@ -53,8 +53,7 @@ def test_comp_set_invariants():
         CompSet(cell_ids=(1, 1), comp_user_ids=(1,))
     with pytest.raises(ConfigError):
         CompSet(cell_ids=(1, 2), comp_user_ids=())
-    ok = CompSet(cell_ids=(1, 2), comp_user_ids=(1,))
-    assert ok.scheme == "JT-NOMA"
+    CompSet(cell_ids=(1, 2), comp_user_ids=(1,))
 
 
 def test_dps_selection():
@@ -70,7 +69,7 @@ def test_dps_selection():
 
 
 def test_cs_band_plan_shape():
-    comp = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2), scheme="CS-NOMA")
+    comp = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2))
     plan = build_cs_band_plan(comp, {1: (11,), 2: (21,)})
     assert len(plan.assignments) == 4
     totals = plan.cell_fraction_totals()
@@ -90,7 +89,7 @@ def test_cs_band_plan_shape():
 
 
 def test_cs_band_plan_pairs_edges_by_sorted_order():
-    comp = CompSet(cell_ids=(2, 1), comp_user_ids=(9, 3), scheme="CS-NOMA")
+    comp = CompSet(cell_ids=(2, 1), comp_user_ids=(9, 3))
     plan = build_cs_band_plan(comp, {1: (11,), 2: (21,)})
     pairings = {}
     for a in plan.assignments:
@@ -100,13 +99,13 @@ def test_cs_band_plan_pairs_edges_by_sorted_order():
 
 
 def test_cs_band_plan_validation():
-    three = CompSet(cell_ids=(1, 2, 3), comp_user_ids=(1, 2), scheme="CS-NOMA")
+    three = CompSet(cell_ids=(1, 2, 3), comp_user_ids=(1, 2))
     with pytest.raises(ConfigError):
         build_cs_band_plan(three, {1: (11,), 2: (21,), 3: (31,)})
-    one_edge = CompSet(cell_ids=(1, 2), comp_user_ids=(1,), scheme="CS-NOMA")
+    one_edge = CompSet(cell_ids=(1, 2), comp_user_ids=(1,))
     with pytest.raises(ConfigError):
         build_cs_band_plan(one_edge, {1: (11,), 2: (21,)})
-    two_edges = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2), scheme="CS-NOMA")
+    two_edges = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2))
     with pytest.raises(ConfigError):
         build_cs_band_plan(two_edges, {1: (11, 12), 2: (21,)})
     with pytest.raises(ConfigError):
