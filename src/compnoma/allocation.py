@@ -33,7 +33,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import NomaCluster, PowerAllocation, later_sums, rates, seq_sum
-from .errors import ConditionViolation, DomainError
+from .errors import DomainError
+from .schemes import validate_jt_conditions
 
 EQUAL_RECEIVED = "equal_received"
 EQUAL_TRANSMIT = "equal_transmit"
@@ -88,18 +89,34 @@ class AllocationProblem:
 
 
 def _over(num, gain):
-    """num/gain elementwise, with a zero-gain decoder an unservable demand."""
-    return np.where(gain > 0.0, num / gain, np.where(num > 0.0, np.inf, 0.0))
+    """num/gain elementwise for num >= 0: a zero demand is zero, a positive
+    one over a zero-gain decoder is unservable (inf)."""
+    return np.where(num > 0.0, num / gain, 0.0)
+
+
+def _floor(rem, p_tol: float, g_min):
+    """Decodability floor: half the remaining budget plus the tolerance
+    margin at the weakest decoder."""
+    return 0.5 * (rem + (_over(p_tol, g_min) if p_tol else 0.0))
+
+
+def _suffix(reduce, columns) -> list:
+    """out[k] = reduce over columns[k:], one (n,) array per position."""
+    out = list(columns)
+    for k in range(len(out) - 2, -1, -1):
+        out[k] = reduce(out[k], out[k + 1])
+    return out
 
 
 def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
     """Record code at decode position k (of cell ci) where bad and no earlier
     code is set: the first failure in solve order is the one reported."""
     new = bad & (reason == FEASIBLE)
-    reason[new] = code
-    np.copyto(pos, k, where=new)
-    if cell is not None:
-        cell[new] = ci
+    if new.any():
+        reason[new] = code
+        np.copyto(pos, k, where=new)
+        if cell is not None:
+            cell[new] = ci
 
 
 @np.errstate(all="ignore")
@@ -115,23 +132,22 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
     n = len(g[0])
     reason = np.zeros(n, np.int8)
     pos = np.zeros(n, np.int8)
-    rem = np.broadcast_to(np.asarray(budget, float), (n,))
+    rem = budget if isinstance(budget, np.ndarray) else np.full(n, float(budget))
+    # over the decoders of each position: every member at or after it
+    g_min = _suffix(np.minimum, g)
+    worst = _suffix(np.maximum, [(xd + 1.0) / gd for xd, gd in zip(x, g)])
     powers = []
-    if len(g) > 1:
-        gains = np.column_stack(g)
-        demand = _over(np.column_stack([np.broadcast_to(v, (n,)) for v in x]) + 1.0, gains)
-        for k in range(len(g) - 1):
-            t = np.exp2(r[k] / width) - 1.0
-            p_rate = np.where(t > 0.0, t / (1.0 + t) * (rem + demand[:, k:].max(axis=1)), 0.0)
-            p = np.maximum(p_rate, 0.5 * (rem + _over(p_tol, gains[:, k:].min(axis=1))))
-            _flag(reason, pos, None, ~(p <= rem), RATE_SHORT, k)
-            powers.append(p)
-            rem = rem - p
+    for k in range(len(g) - 1):
+        t = np.exp2(r[k] / width) - 1.0
+        p_rate = np.where(t > 0.0, t / (1.0 + t) * (rem + worst[k]), 0.0)
+        p = np.maximum(p_rate, _floor(rem, p_tol, g_min[k]))
+        _flag(reason, pos, None, ~(p <= rem), RATE_SHORT, k)
+        powers.append(p)
+        rem = rem - p
     powers.append(rem)
-    head_r = np.broadcast_to(r[-1], (n,))
-    if head_r.any():
+    if np.any(r[-1]):
         head_rate = rates(width, rem * g[-1], x[-1] + 1.0)
-        _flag(reason, pos, None, head_rate < head_r * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
+        _flag(reason, pos, None, head_rate < r[-1] * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
     if reason.any():
         powers = [np.where(reason == FEASIBLE, p, 0.0) for p in powers]
     return powers, reason, pos
@@ -141,15 +157,20 @@ def _one(value) -> np.ndarray:
     return np.full(1, value, dtype=float)
 
 
-def _diagnostic(code: int, k: int, user: int, cell_id: int | None = None) -> str:
+_DIAGNOSTICS = {
+    RATE_SHORT: "infeasible_guarantee position={k} user={user}{at}",
+    HEAD_SHORT: "infeasible_guarantee position={k} user={user} head_residual",
+    SHORTFALL: "guarantee_shortfall user={user}{at}",
+    SIC_GAP: "sic_gap{at}",
+}
+
+
+def _diagnostics(code: int, k: int, user: int, cell_id: int | None = None) -> tuple[str, ...]:
+    """A one-instance reason code as the diagnostic string it stands for."""
+    if code == FEASIBLE:
+        return ()
     at = "" if cell_id is None else f" cell={cell_id}"
-    if code == RATE_SHORT:
-        return f"infeasible_guarantee position={k} user={user}{at}"
-    if code == HEAD_SHORT:
-        return f"infeasible_guarantee position={k} user={user} head_residual"
-    if code == SHORTFALL:
-        return f"guarantee_shortfall user={user}{at}"
-    return f"sic_gap{at}"
+    return (_DIAGNOSTICS[code].format(k=k, user=user, at=at),)
 
 
 def allocate_single_cell(problem: AllocationProblem) -> PowerAllocation:
@@ -169,34 +190,15 @@ def allocate_single_cell(problem: AllocationProblem) -> PowerAllocation:
         problem.p_tol,
         problem.band_width_hz,
     )
-    alloc = {u: float(p[0]) for u, p in zip(order, powers)}
-    if reason[0] == FEASIBLE:
-        return PowerAllocation(powers=alloc)
-    k = int(pos[0])
+    diagnostics = _diagnostics(int(reason[0]), int(pos[0]), order[pos[0]])
     return PowerAllocation(
-        powers=alloc, feasible=False, diagnostics=(_diagnostic(int(reason[0]), k, order[k]),)
+        powers={u: float(p[0]) for u, p in zip(order, powers)},
+        feasible=not diagnostics,
+        diagnostics=diagnostics,
     )
 
 
 # --- coordinated (joint-transmission) allocation ---------------------------
-
-
-def _shared_prefix(clusters: Sequence[NomaCluster]) -> tuple[int, ...]:
-    """The jointly-served members, which must prefix every decode order."""
-    shared = set(clusters[0].decode_order)
-    for c in clusters[1:]:
-        shared &= set(c.decode_order)
-    prefix = tuple(u for u in clusters[0].decode_order if u in shared)
-    q = len(prefix)
-    for c in clusters:
-        if tuple(c.decode_order[:q]) != prefix:
-            raise ConditionViolation(
-                2 if set(c.decode_order[:q]) == set(prefix) else 1,
-                c.cell_id,
-                c.decode_order,
-                "shared members must lead every decode order in one common order",
-            )
-    return prefix
 
 
 @np.errstate(all="ignore")
@@ -222,8 +224,8 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
         default = [[seq_sum(raw[mi][k] for mi in range(m)) for k in range(q)]] * m
     # while the pass runs, a member not yet sized decodes at its split-default
     # gain; that is the gain every decodability floor below is sized against
-    sizing = [np.column_stack(default[ci] + list(tails[ci])) for ci in range(m)]
-    rem = [np.broadcast_to(np.asarray(b, float), (n,)) for b in budgets]
+    g_min = [_suffix(np.minimum, default[ci] + list(tails[ci])) for ci in range(m)]
+    rem = [np.full(n, float(b)) for b in budgets]
     pw = [[None] * sizes[ci] for ci in range(m)]
 
     # Heads absorb their cell's residual, so whatever a cell transmits after
@@ -249,11 +251,11 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
                     share = _over(need / len(nonheads), raw[ci][k])
                 else:
                     share = _over(need, seq_sum(raw[mi][k] for mi in nonheads))
-                floor = 0.5 * (rem[ci] + _over(p_tol, sizing[ci][:, k:].min(axis=1)))
-                p = np.maximum(share, floor)
+                p = np.maximum(share, _floor(rem[ci], p_tol, g_min[ci][k]))
                 bad = ~(p <= rem[ci])
-                _flag(reason, pos, cell, bad, RATE_SHORT, k, ci)
-                p = np.where(bad, rem[ci], p)
+                if bad.any():
+                    _flag(reason, pos, cell, bad, RATE_SHORT, k, ci)
+                    p = np.where(bad, rem[ci], p)
             pw[ci][k] = p
             rem[ci] = rem[ci] - p
 
@@ -300,16 +302,18 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
             out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
     for ci in range(m):
         for k in range(sizes[ci]):
-            short = out[ci][k] < r[ci][k] * (1.0 - REL_SLACK)
-            _flag(reason, pos, cell, short & (r[ci][k] > 0.0), SHORTFALL, k, ci)
+            if np.any(r[ci][k]):
+                short = out[ci][k] < r[ci][k] * (1.0 - REL_SLACK)
+                _flag(reason, pos, cell, short & (r[ci][k] > 0.0), SHORTFALL, k, ci)
         seen = [
             np.where((pw[ci][k] > 0.0) & (received[k] > 0.0), received[k] / pw[ci][k], default[ci][k])
             for k in range(q)
-        ]
-        seen = np.column_stack(seen + list(tails[ci]))
+        ] + list(tails[ci])
         for i in range(sizes[ci] - 1):
             gap = pw[ci][i] - later[ci][i]
-            bad = (gap[:, None] * seen[:, i:] < p_tol).any(axis=1)
+            bad = gap * seen[i] < p_tol
+            for s in seen[i + 1:]:
+                bad |= gap * s < p_tol
             _flag(reason, pos, cell, bad, SIC_GAP, i, ci)
     return pw, reason, pos, cell, out
 
@@ -348,7 +352,10 @@ def allocate_jt(
         if p.p_tol != p_tol:
             raise DomainError("p_tol must match across a coordination set")
 
-    comp = _shared_prefix(clusters)
+    # the jointly served members must lead every decode order, in one order
+    shared = set.intersection(*(set(c.decode_order) for c in clusters))
+    validate_jt_conditions(clusters, shared)
+    comp = tuple(u for u in clusters[0].decode_order if u in shared)
     m = len(problems)
     cell_ids = [c.cell_id for c in clusters]
     orders = [c.decode_order for c in clusters]
@@ -380,10 +387,8 @@ def allocate_jt(
         split,
         interference_mode == "full",
     )
-    diagnostics: tuple[str, ...] = ()
-    if reason[0] != FEASIBLE:
-        ci, k = int(cell[0]), int(pos[0])
-        diagnostics = (_diagnostic(int(reason[0]), k, orders[ci][k], cell_ids[ci]),)
+    ci, k = int(cell[0]), int(pos[0])
+    diagnostics = _diagnostics(int(reason[0]), k, orders[ci][k], cell_ids[ci])
     return [
         PowerAllocation(
             powers={u: float(p[0]) for u, p in zip(orders[ci], pw[ci])},

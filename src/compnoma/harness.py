@@ -175,11 +175,15 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     trials = config.trials
     if workers <= 1:
-        return _reduce(config, values, (run_chunk(config, i, v, 0, trials) for i, v in enumerate(values)))
+        chunks = (run_chunk(config, i, v, 0, trials) for i, v in enumerate(values))
+        return _reduce(config, values, chunks)
     span = -(-trials // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            [pool.submit(run_chunk, config, i, v, t0, min(t0 + span, trials)) for t0 in range(0, trials, span)]
+            [
+                pool.submit(run_chunk, config, i, v, t0, min(t0 + span, trials))
+                for t0 in range(0, trials, span)
+            ]
             for i, v in enumerate(values)
         ]
         try:

@@ -22,7 +22,7 @@ columns are the user ids in ascending order (see ``Layout``); ``run_trial``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -124,80 +124,6 @@ def _draw_edge_position(
     )
 
 
-def _geometry(scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None):
-    """A sweep point's fixed part: cells, jointly served user ids, single-cell
-    users, and the edge region (radius, law, coverage)."""
-    if scenario_id not in (1, 2, 3):
-        raise ConfigError(f"unknown scenario {scenario_id}")
-    if sweep_value <= 0.0:
-        raise DomainError("sweep value must be positive")
-    spec = placement or PlacementSpec()
-
-    half = spec.inter_site_m / 2.0
-    cells = (
-        Cell(cell_id=1, position=(-half, 0.0), power_budget_mw=radio.tx_power_mw),
-        Cell(cell_id=2, position=(half, 0.0), power_budget_mw=radio.tx_power_mw),
-    )
-    if scenario_id == 1:
-        edge_radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else 200.0
-        primary = sweep_value
-        comp_ids = (1,)
-    else:
-        edge_radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else sweep_value
-        primary = spec.primary_distance_m if spec.primary_distance_m is not None else 250.0
-        comp_ids = (1, 2)
-    if primary > spec.coverage_m:
-        raise DomainError(
-            f"single-cell user distance {primary} exceeds coverage {spec.coverage_m}"
-        )
-
-    def away(cell: Cell, dist: float) -> tuple[float, float]:
-        # on the ray from the opposite site through this one, dist beyond it
-        sign = -1.0 if cell.position[0] < 0.0 else 1.0
-        return (cell.position[0] + sign * dist, 0.0)
-
-    fixed: list[UserEquipment] = []
-    for cell in cells if scenario_id != 3 else cells[:1]:
-        base = cell.cell_id * 10
-        fixed.append(UserEquipment(base + 1, away(cell, primary), NONCOMP, (cell.cell_id,)))
-        if scenario_id == 1:
-            fixed.append(
-                UserEquipment(base + 2, away(cell, spec.secondary_distance_m), NONCOMP, (cell.cell_id,))
-            )
-    return cells, comp_ids, tuple(fixed), (edge_radius, spec.edge_region_law, spec.coverage_m)
-
-
-def build_scenario(
-    scenario_id: int,
-    sweep_value: float,
-    rng,
-    radio: RadioParams = REFERENCE_RADIO,
-    placement: PlacementSpec | None = None,
-) -> ScenarioTopology:
-    """Instantiate one trial's topology at one sweep point.
-
-    The sweep parameter is the swept single-cell user distance (scenario 1) or
-    the edge-region radius (scenarios 2 and 3).  Consumes randomness only for
-    edge-user positions, in ascending user-id order.
-    """
-    cells, comp_ids, fixed, (radius, law, coverage) = _geometry(scenario_id, sweep_value, radio, placement)
-    sites = [c.position for c in cells]
-    users = [
-        UserEquipment(uid, _draw_edge_position(rng, radius, law, sites, coverage), COMP, (1, 2))
-        for uid in comp_ids
-    ]
-    users.extend(fixed)
-    users.sort(key=lambda u: u.user_id)
-    return ScenarioTopology(
-        scenario_id=scenario_id,
-        radio=radio,
-        cells=cells,
-        users=tuple(users),
-        comp_set=CompSet(cell_ids=(1, 2), comp_user_ids=comp_ids),
-        sweep_value=sweep_value,
-    )
-
-
 @dataclass(frozen=True)
 class Layout:
     """How a scenario maps onto a (trials, cells, users) gain array.
@@ -210,44 +136,88 @@ class Layout:
     scenario_id: int
     user_ids: tuple[int, ...]
     comp: tuple[int, ...]
-    tails: tuple[tuple[int, ...], tuple[int, ...]]
+    tails: tuple[tuple[int, ...], ...]
     power_mw: float
     bandwidth_hz: float
     p_tol: float
 
 
-def _layout(scenario_id, users, comp_ids, radio: RadioParams) -> Layout:
-    ids = tuple(sorted(u.user_id for u in users))
-    tails = tuple(
-        tuple(ids.index(u.user_id) for u in sorted(users, key=lambda u: u.user_id)
-              if u.role == NONCOMP and u.serving_cells[0] == cell_id)
-        for cell_id in (1, 2)
-    )
+def _layout(topology: ScenarioTopology) -> Layout:
+    ids = tuple(sorted(u.user_id for u in topology.users))
+    radio = topology.radio
     return Layout(
-        scenario_id, ids, tuple(ids.index(u) for u in comp_ids), tails,
-        radio.tx_power_mw, radio.bandwidth_hz, radio.sic_tolerance,
+        topology.scenario_id,
+        ids,
+        tuple(ids.index(u) for u in topology.comp_ids),
+        tuple(tuple(ids.index(u) for u in topology.noncomp_in_cell(c.cell_id)) for c in topology.cells),
+        radio.tx_power_mw,
+        radio.bandwidth_hz,
+        radio.sic_tolerance,
     )
 
 
 class SweepPoint:
     """One sweep point: its fixed geometry, built once, and each trial's draw.
 
-    A trial's draw consumes its RNG exactly as build_scenario followed by
+    ``topology`` holds the jointly served users at a placeholder position.  A
+    trial's draw consumes its RNG exactly as build_scenario followed by
     draw_realization does, so both give bit-identical gains.
     """
 
-    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None):
-        cells, self.comp_ids, fixed, self.edge_region = _geometry(scenario_id, sweep_value, radio, placement)
+    def __init__(
+        self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None
+    ):
+        if scenario_id not in (1, 2, 3):
+            raise ConfigError(f"unknown scenario {scenario_id}")
+        if sweep_value <= 0.0:
+            raise DomainError("sweep value must be positive")
+        spec = placement or PlacementSpec()
+        half = spec.inter_site_m / 2.0
+        cells = (
+            Cell(cell_id=1, position=(-half, 0.0), power_budget_mw=radio.tx_power_mw),
+            Cell(cell_id=2, position=(half, 0.0), power_budget_mw=radio.tx_power_mw),
+        )
+        if scenario_id == 1:
+            radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else 200.0
+            primary = sweep_value
+            self.comp_ids = (1,)
+        else:
+            radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else sweep_value
+            primary = spec.primary_distance_m if spec.primary_distance_m is not None else 250.0
+            self.comp_ids = (1, 2)
+        if primary > spec.coverage_m:
+            raise DomainError(
+                f"single-cell user distance {primary} exceeds coverage {spec.coverage_m}"
+            )
+
+        def away(cell: Cell, dist: float) -> tuple[float, float]:
+            # on the ray from the opposite site through this one, dist beyond it
+            sign = -1.0 if cell.position[0] < 0.0 else 1.0
+            return (cell.position[0] + sign * dist, 0.0)
+
+        users = [UserEquipment(u, (0.0, 0.0), COMP, (1, 2)) for u in self.comp_ids]
+        for cell in cells if scenario_id != 3 else cells[:1]:
+            distances = (primary, spec.secondary_distance_m) if scenario_id == 1 else (primary,)
+            for i, dist in enumerate(distances):
+                uid = cell.cell_id * 10 + 1 + i
+                users.append(UserEquipment(uid, away(cell, dist), NONCOMP, (cell.cell_id,)))
+        self.topology = ScenarioTopology(
+            scenario_id=scenario_id,
+            radio=radio,
+            cells=cells,
+            users=tuple(sorted(users, key=lambda u: u.user_id)),
+            comp_set=CompSet(cell_ids=(1, 2), comp_user_ids=self.comp_ids),
+            sweep_value=sweep_value,
+        )
+        self.layout = _layout(self.topology)
         self.radio = radio
         self.sites = [c.position for c in cells]
-        placeholder = [UserEquipment(u, (0.0, 0.0), COMP, (1, 2)) for u in self.comp_ids]
-        self.layout = _layout(scenario_id, placeholder + list(fixed), self.comp_ids, radio)
-        alpha = radio.pathloss_exponent
-        by_id = {u.user_id: u for u in fixed}
+        self.edge_region = (radius, spec.edge_region_law, spec.coverage_m)
         # d^(-alpha) per (cell, user); edge-user columns are filled per trial
+        alpha = radio.pathloss_exponent
         self.terms = np.array(
-            [[distance_term(by_id[u].position, site, alpha) if u in by_id else 0.0
-              for u in self.layout.user_ids] for site in self.sites]
+            [[distance_term(u.position, site, alpha) if u.role == NONCOMP else 0.0
+              for u in self.topology.users] for site in self.sites]
         )
         self.links = self.terms.size
 
@@ -270,6 +240,26 @@ class SweepPoint:
         terms = np.repeat(self.terms[None], n, axis=0)
         terms[:, :, self.layout.comp] = a[:, : 2 * q].reshape(n, q, 2).transpose(0, 2, 1)
         return gain_array(a[:, 2 * q:].reshape(terms.shape), terms, self.radio)
+
+
+def build_scenario(
+    scenario_id: int,
+    sweep_value: float,
+    rng,
+    radio: RadioParams = REFERENCE_RADIO,
+    placement: PlacementSpec | None = None,
+) -> ScenarioTopology:
+    """Instantiate one trial's topology at one sweep point.
+
+    The sweep parameter is the swept single-cell user distance (scenario 1) or
+    the edge-region radius (scenarios 2 and 3).  Consumes randomness only for
+    edge-user positions, in ascending user-id order.
+    """
+    point = SweepPoint(scenario_id, sweep_value, radio, placement)
+    radius, law, coverage = point.edge_region
+    edge = {u: _draw_edge_position(rng, radius, law, point.sites, coverage) for u in point.comp_ids}
+    users = tuple(replace(u, position=edge.get(u.user_id, u.position)) for u in point.topology.users)
+    return replace(point.topology, users=users)
 
 
 @dataclass(frozen=True)
@@ -337,6 +327,9 @@ def _edge_order(lay: Layout, g: np.ndarray, decode_case: str) -> list:
 
 
 def _jt_noma(lay, g, base, full, split, decode_case):
+    """Both cells decode the jointly served users first, in the shared edge
+    order, then their own users by ascending gain; non-heads are guaranteed
+    their orthogonal rate."""
     rows = np.arange(len(g))
     edge = _edge_order(lay, g, decode_case)
     orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
@@ -379,10 +372,8 @@ def _single_cell_clusters(eff, base, clusters, p_tol, full):
         order = _by_gain(eff[:, ci], cols)
         x = [0.0] * len(order)
         if full:
-            x = [
-                seq_sum(ob_budget * eff[rows, oc, c] for oc, _, ob_budget, _, ob in clusters if ob == band and oc != ci)
-                for c in order
-            ]
+            others = [(oc, b) for oc, _, b, _, ob in clusters if ob == band and oc != ci]
+            x = [seq_sum(b * eff[rows, oc, c] for oc, b in others) for c in order]
         powers, cluster_reason, _ = solve_single_cell(
             [eff[rows, ci, c] for c in order],
             x,
@@ -428,7 +419,8 @@ def _dps_noma(lay, g, base, full):
             for ci in (0, 1)
         ]
         clusters = [(ci, members[ci], lay.power_mw, lay.bandwidth_hz, 0) for ci in (0, 1) if members[ci]]
-        out[idx], reason[idx], nonhead[idx] = _single_cell_clusters(g[idx], base[idx], clusters, lay.p_tol, full)
+        solved = _single_cell_clusters(g[idx], base[idx], clusters, lay.p_tol, full)
+        out[idx], reason[idx], nonhead[idx] = solved
     return out, reason, nonhead
 
 
@@ -443,7 +435,10 @@ def _cs_noma(lay, g, base, full):
     return _single_cell_clusters(g / 0.5, base, clusters, lay.p_tol, full)
 
 
-def evaluate(lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str, interference_mode: str, jt_split: str, decode_case: str):
+def evaluate(
+    lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str,
+    interference_mode: str, jt_split: str, decode_case: str,
+):
     """One scheme on a block of trials: (rates, feasible, guarantees met,
     reason code), each with a leading trials axis.
 
@@ -461,10 +456,9 @@ def evaluate(lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str, interfer
         )
     n = len(g)
     full = interference_mode == "full"
-    if scheme == JT_OMA:
-        return base, np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
-    if scheme == CS_OMA:
-        return _cs_oma(lay, g), np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
+    if scheme in (JT_OMA, CS_OMA):
+        out = base if scheme == JT_OMA else _cs_oma(lay, g)
+        return out, np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
     if scheme == JT_NOMA:
         if jt_split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
             raise DomainError(f"unknown split policy {jt_split!r}")
@@ -485,7 +479,7 @@ def evaluate(lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str, interfer
 
 
 def _one_trial(topology: ScenarioTopology, gains) -> tuple[Layout, np.ndarray]:
-    lay = _layout(topology.scenario_id, topology.users, topology.comp_ids, topology.radio)
+    lay = _layout(topology)
     g = np.array([[[gains[(c.cell_id, u)] for u in lay.user_ids] for c in topology.cells]])
     return lay, g
 

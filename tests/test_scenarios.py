@@ -100,8 +100,9 @@ def test_builder_validation():
     rng = random.Random(8)
     with pytest.raises(ConfigError):
         build_scenario(4, 100.0, rng)
+    topo = build_scenario(1, 100.0, rng)
     with pytest.raises(ConfigError):
-        run_trial(build_scenario(1, 100.0, rng), all_ones_gains(build_scenario(1, 100.0, rng)), "JT-NOMA", decode_case="caseX")
+        run_trial(topo, all_ones_gains(topo), "JT-NOMA", decode_case="caseX")
     with pytest.raises(DomainError):
         build_scenario(1, 0.0, rng)
     with pytest.raises(DomainError):
