@@ -177,7 +177,8 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     if workers <= 1:
         chunks = (run_chunk(config, i, v, 0, trials) for i, v in enumerate(values))
         return _reduce(config, values, chunks)
-    span = -(-trials // workers)
+    # about four ranges per worker over the whole sweep, none crossing a point
+    span = min(trials, -(-trials * len(values) // (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             [

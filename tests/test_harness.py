@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -165,9 +166,11 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
     config = small_config(trials=40, sweep_stop=100.0)
     with pytest.raises(SweepError) as err:
         run_sweep(config, workers=workers)
-    span = "[0, 40)" if workers == 1 else "[0, 20)"
-    assert str(err.value) == (
-        f"seed=2026 sweep_index=0 trials={span} series=JT-NOMA: FloatingPointError: injected"
+    # serially the block is the whole point; a pool worker gets a shorter range
+    end = "40" if workers == 1 else r"\d+"
+    assert re.fullmatch(
+        rf"seed=2026 sweep_index=0 trials=\[0, {end}\) series=JT-NOMA: FloatingPointError: injected",
+        str(err.value),
     )
 
     # a failure while drawing a trial names that trial
