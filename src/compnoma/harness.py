@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import SweepError
 from .scenarios import SweepPoint, evaluate, orthogonal_rates
+from .scenarios import run_trial  # noqa: F401  perfbench/selftest.py reads harness.run_trial
 from .schemes import JT_NOMA
 
 log = logging.getLogger("compnoma")
@@ -95,6 +96,7 @@ def run_chunk(config, sweep_index: int, sweep_value: float, start: int, stop: in
             except Exception as e:
                 raise SweepError(f"{where} trial={t}: {type(e).__name__}: {e}") from e
         label = "orthogonal baseline"
+        block = slice(b0 - start, b1 - start)
         try:
             gains = point.gains(draws)
             base = orthogonal_rates(point.layout, gains)
@@ -102,7 +104,6 @@ def run_chunk(config, sweep_index: int, sweep_value: float, start: int, stop: in
                 out, ok, good, _ = evaluate(
                     point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
                 )
-                block = slice(b0 - start, b1 - start)
                 se[block, r_i] = [math.fsum(r) for r in out.tolist()]
                 feasible[block, r_i] = ok
                 met[block, r_i] = good
