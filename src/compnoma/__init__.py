@@ -13,7 +13,6 @@ from .allocation import (
 from .channel import (
     ChannelRealization,
     RadioParams,
-    draw_realization,
     normalized_gain,
 )
 from .config import (
@@ -26,10 +25,8 @@ from .config import (
 )
 from .core import (
     Band,
-    Cell,
     NomaCluster,
     PowerAllocation,
-    UserEquipment,
     comp_user_rate_jt,
     noncomp_user_rate,
     sic_feasible,
@@ -45,16 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .harness import SweepResult, SweepRow, run_sweep, substream, sweep_values
-from .scenarios import (
-    REFERENCE_RADIO,
-    PlacementSpec,
-    ScenarioTopology,
-    TrialResult,
-    build_scenario,
-    cs_oma_rates,
-    oma_rates,
-    run_trial,
-)
+from .scenarios import REFERENCE_RADIO, PlacementSpec
 from .schemes import (
     CS_NOMA,
     CS_OMA,
@@ -74,20 +62,20 @@ from .units import dbm_to_mw
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationProblem", "Band", "Cell", "ChannelRealization", "CompSet",
+    "AllocationProblem", "Band", "ChannelRealization", "CompSet",
     "ConditionViolation", "ConfigError", "CsBandPlan", "DomainError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
     "NomaCluster", "OracleResult",
     "PRESETS", "ParseError", "PlacementSpec", "PowerAllocation",
-    "REFERENCE_RADIO", "RadioParams", "SCHEMES", "ScenarioTopology",
-    "SweepError", "SweepResult", "SweepRow", "TrialResult", "UserEquipment",
+    "REFERENCE_RADIO", "RadioParams", "SCHEMES",
+    "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "allocate_jt", "allocate_single_cell",
-    "brute_force_oracle", "build_cs_band_plan", "build_scenario",
+    "brute_force_oracle", "build_cs_band_plan",
     "comp_user_rate_jt", "config_from_dict", "config_to_dict",
-    "cs_oma_rates", "dbm_to_mw", "dps_select_cell",
-    "draw_realization", "emit_defaults", "noncomp_user_rate",
-    "normalized_gain", "oma_rates", "parse_config", "reject_cb", "run_sweep",
-    "run_trial", "sic_feasible", "substream",
+    "dbm_to_mw", "dps_select_cell",
+    "emit_defaults", "noncomp_user_rate",
+    "normalized_gain", "parse_config", "reject_cb", "run_sweep",
+    "sic_feasible", "substream",
     "sum_rate_single_cell", "sweep_values", "user_rate_single_cell",
     "validate_jt_conditions", "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA",
     "JT_OMA",

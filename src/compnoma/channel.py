@@ -101,24 +101,3 @@ def distance_term(a: tuple[float, float], b: tuple[float, float], alpha: float) 
     if d <= 0.0:
         raise DomainError(f"user at {a} is on top of a cell at {b}")
     return d ** (-alpha)
-
-
-def draw_realization(topology, rng) -> ChannelRealization:
-    """Draw one i.i.d. Rayleigh realization for every (cell, user) link.
-
-    Links are drawn in (cell_id, user_id) sorted order so a given stream state
-    always produces the same table.
-    """
-    params = topology.radio
-    links = [(cell, user) for cell in topology.cells for user in topology.users]
-    terms = [
-        distance_term(user.position, cell.position, params.pathloss_exponent)
-        for cell, user in links
-    ]
-    fading = fading_draws(rng, len(links))
-    return ChannelRealization(
-        {
-            (cell.cell_id, user.user_id): gain_array(f, d, params)
-            for (cell, user), f, d in zip(links, fading, terms)
-        }
-    )

@@ -190,6 +190,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     placement_d = data.get("placement", {})
     if not isinstance(placement_d, dict):
         raise ValidationError("placement must be an object")
+    swept = "primary_distance_m" if scenario == 1 else "edge_region_radius_m"
+    if swept in placement_d:
+        raise ValidationError(
+            f"placement.{swept} does not apply to scenario {scenario}: the sweep sets it"
+        )
 
     out = data.get("output_path")
     if out is not None and not isinstance(out, str):

@@ -22,9 +22,6 @@ import numpy as np
 from .channel import ChannelRealization
 from .errors import ConditionViolation, DomainError
 
-COMP = "comp"
-NONCOMP = "noncomp"
-
 
 @dataclass(frozen=True)
 class Band:
@@ -36,33 +33,6 @@ class Band:
     def __post_init__(self) -> None:
         if self.width_hz <= 0.0:
             raise DomainError(f"band width must be positive, got {self.width_hz}")
-
-
-@dataclass(frozen=True)
-class UserEquipment:
-    user_id: int
-    position: tuple[float, float]
-    role: str  # COMP (served by every cell of the set) or NONCOMP (one cell)
-    serving_cells: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.role not in (COMP, NONCOMP):
-            raise DomainError(f"unknown role {self.role!r}")
-        if self.role == NONCOMP and len(self.serving_cells) != 1:
-            raise DomainError(f"user {self.user_id}: single-cell users have exactly one serving cell")
-        if self.role == COMP and len(self.serving_cells) < 2:
-            raise DomainError(f"user {self.user_id}: coordinated users need at least two serving cells")
-
-
-@dataclass(frozen=True)
-class Cell:
-    cell_id: int
-    position: tuple[float, float]
-    power_budget_mw: float
-
-    def __post_init__(self) -> None:
-        if self.power_budget_mw <= 0.0:
-            raise DomainError(f"cell {self.cell_id}: power budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +83,7 @@ class PowerAllocation:
     """Per-user transmit powers (mW) of one cluster, plus a feasibility verdict.
 
     diagnostics carries short machine-readable codes such as
-    ``infeasible_guarantee position=1 user=7`` or ``non_convergence``.
+    ``infeasible_guarantee position=1 user=7``.
     """
 
     powers: Mapping[int, float]

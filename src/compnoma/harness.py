@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import SweepError
 from .scenarios import SweepPoint, evaluate, orthogonal_rates
-from .scenarios import run_trial  # noqa: F401  perfbench/selftest.py reads harness.run_trial
 from .schemes import JT_NOMA
 
 log = logging.getLogger("compnoma")

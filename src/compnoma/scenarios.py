@@ -14,22 +14,23 @@ Single-cell users sit on the ray pointing away from the opposite base station
 so their geometry is deterministic; edge users are drawn uniformly from a disc
 at the midpoint, rejecting draws inside either cell's coverage radius.
 
-Schemes are evaluated on a (trials, cells, users) gain array whose user
-columns are the user ids in ascending order (see ``Layout``); ``run_trial``,
-``oma_rates`` and ``cs_oma_rates`` are the one-trial wrappers.
+Every trial is drawn by ``SweepPoint.draw`` and turned into gains by
+``SweepPoint.gains``; schemes are evaluated on the resulting (trials, cells,
+users) gain array, whose user columns are the user ids in ascending order
+(see ``Layout``), by ``orthogonal_rates`` and ``evaluate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt, solve_single_cell
 from .channel import RadioParams, distance_term, fading_draws, gain_array
-from .core import COMP, NONCOMP, Cell, UserEquipment, later_sums, rates, seq_sum
+from .core import later_sums, rates, seq_sum
 from .errors import ConfigError, DomainError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, CompSet, build_cs_band_plan
 from .units import dbm_to_mw
@@ -56,7 +57,13 @@ _MAX_PLACEMENT_DRAWS = 100_000
 
 @dataclass(frozen=True)
 class PlacementSpec:
-    """Deterministic geometry knobs; None means 'use the scenario default'."""
+    """Deterministic geometry knobs; None means 'use the scenario default'.
+
+    The sweep sets the single-cell user distance in scenario 1 and the
+    edge-region radius in scenarios 2 and 3, so primary_distance_m applies to
+    scenarios 2 and 3 only, and edge_region_radius_m and secondary_distance_m
+    to scenario 1 only.
+    """
 
     inter_site_m: float = 1000.0
     coverage_m: float = 400.0
@@ -74,33 +81,6 @@ class PlacementSpec:
             )
         if self.edge_region_law not in (DISC, RING):
             raise DomainError(f"unknown edge-region law {self.edge_region_law!r}")
-
-
-@dataclass(frozen=True)
-class ScenarioTopology:
-    scenario_id: int
-    radio: RadioParams
-    cells: tuple[Cell, ...]
-    users: tuple[UserEquipment, ...]
-    comp_set: CompSet
-    sweep_value: float = 0.0
-
-    def user(self, user_id: int) -> UserEquipment:
-        for u in self.users:
-            if u.user_id == user_id:
-                return u
-        raise KeyError(user_id)
-
-    @property
-    def comp_ids(self) -> tuple[int, ...]:
-        return self.comp_set.comp_user_ids
-
-    def noncomp_in_cell(self, cell_id: int) -> tuple[int, ...]:
-        return tuple(
-            u.user_id
-            for u in self.users
-            if u.role == NONCOMP and u.serving_cells[0] == cell_id
-        )
 
 
 def _draw_edge_position(
@@ -142,26 +122,13 @@ class Layout:
     p_tol: float
 
 
-def _layout(topology: ScenarioTopology) -> Layout:
-    ids = tuple(sorted(u.user_id for u in topology.users))
-    radio = topology.radio
-    return Layout(
-        topology.scenario_id,
-        ids,
-        tuple(ids.index(u) for u in topology.comp_ids),
-        tuple(tuple(ids.index(u) for u in topology.noncomp_in_cell(c.cell_id)) for c in topology.cells),
-        radio.tx_power_mw,
-        radio.bandwidth_hz,
-        radio.sic_tolerance,
-    )
-
-
 class SweepPoint:
     """One sweep point: its fixed geometry, built once, and each trial's draw.
 
-    ``topology`` holds the jointly served users at a placeholder position.  A
-    trial's draw consumes its RNG exactly as build_scenario followed by
-    draw_realization does, so both give bit-identical gains.
+    The jointly served users are 1 (and 2); cell c's single-cell users are
+    10c+1 (and 10c+2), on the ray pointing away from the other site.
+    ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
+    0 in the edge users' columns, which ``gains`` fills from each draw.
     """
 
     def __init__(
@@ -172,53 +139,40 @@ class SweepPoint:
         if sweep_value <= 0.0:
             raise DomainError("sweep value must be positive")
         spec = placement or PlacementSpec()
-        half = spec.inter_site_m / 2.0
-        cells = (
-            Cell(cell_id=1, position=(-half, 0.0), power_budget_mw=radio.tx_power_mw),
-            Cell(cell_id=2, position=(half, 0.0), power_budget_mw=radio.tx_power_mw),
-        )
         if scenario_id == 1:
             radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else 200.0
-            primary = sweep_value
+            distances = (sweep_value, spec.secondary_distance_m)
             self.comp_ids = (1,)
         else:
-            radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else sweep_value
-            primary = spec.primary_distance_m if spec.primary_distance_m is not None else 250.0
+            radius = sweep_value
+            distances = (spec.primary_distance_m if spec.primary_distance_m is not None else 250.0,)
             self.comp_ids = (1, 2)
-        if primary > spec.coverage_m:
+        if distances[0] > spec.coverage_m:
             raise DomainError(
-                f"single-cell user distance {primary} exceeds coverage {spec.coverage_m}"
+                f"single-cell user distance {distances[0]} exceeds coverage {spec.coverage_m}"
             )
-
-        def away(cell: Cell, dist: float) -> tuple[float, float]:
-            # on the ray from the opposite site through this one, dist beyond it
-            sign = -1.0 if cell.position[0] < 0.0 else 1.0
-            return (cell.position[0] + sign * dist, 0.0)
-
-        users = [UserEquipment(u, (0.0, 0.0), COMP, (1, 2)) for u in self.comp_ids]
-        for cell in cells if scenario_id != 3 else cells[:1]:
-            distances = (primary, spec.secondary_distance_m) if scenario_id == 1 else (primary,)
-            for i, dist in enumerate(distances):
-                uid = cell.cell_id * 10 + 1 + i
-                users.append(UserEquipment(uid, away(cell, dist), NONCOMP, (cell.cell_id,)))
-        self.topology = ScenarioTopology(
-            scenario_id=scenario_id,
-            radio=radio,
-            cells=cells,
-            users=tuple(sorted(users, key=lambda u: u.user_id)),
-            comp_set=CompSet(cell_ids=(1, 2), comp_user_ids=self.comp_ids),
-            sweep_value=sweep_value,
+        half = spec.inter_site_m / 2.0
+        self.sites = ((-half, 0.0), (half, 0.0))
+        cells = (1,) if scenario_id == 3 else (1, 2)  # scenario 3: cell 2 serves edge users only
+        tails = [(c, 10 * c + 1 + i, d) for c in cells for i, d in enumerate(distances)]
+        ids = self.comp_ids + tuple(u for _, u, _ in tails)
+        self.layout = Layout(
+            scenario_id,
+            ids,
+            tuple(range(len(self.comp_ids))),
+            tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
+            radio.tx_power_mw,
+            radio.bandwidth_hz,
+            radio.sic_tolerance,
         )
-        self.layout = _layout(self.topology)
         self.radio = radio
-        self.sites = [c.position for c in cells]
         self.edge_region = (radius, spec.edge_region_law, spec.coverage_m)
-        # d^(-alpha) per (cell, user); edge-user columns are filled per trial
         alpha = radio.pathloss_exponent
-        self.terms = np.array(
-            [[distance_term(u.position, site, alpha) if u.role == NONCOMP else 0.0
-              for u in self.topology.users] for site in self.sites]
-        )
+        self.terms = np.zeros((2, len(ids)))
+        for c, u, d in tails:
+            x = self.sites[c - 1][0]
+            position = (x + math.copysign(d, x), 0.0)
+            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
         self.links = self.terms.size
 
     def draw(self, rng) -> list[float]:
@@ -240,37 +194,6 @@ class SweepPoint:
         terms = np.repeat(self.terms[None], n, axis=0)
         terms[:, :, self.layout.comp] = a[:, : 2 * q].reshape(n, q, 2).transpose(0, 2, 1)
         return gain_array(a[:, 2 * q:].reshape(terms.shape), terms, self.radio)
-
-
-def build_scenario(
-    scenario_id: int,
-    sweep_value: float,
-    rng,
-    radio: RadioParams = REFERENCE_RADIO,
-    placement: PlacementSpec | None = None,
-) -> ScenarioTopology:
-    """Instantiate one trial's topology at one sweep point.
-
-    The sweep parameter is the swept single-cell user distance (scenario 1) or
-    the edge-region radius (scenarios 2 and 3).  Consumes randomness only for
-    edge-user positions, in ascending user-id order.
-    """
-    point = SweepPoint(scenario_id, sweep_value, radio, placement)
-    radius, law, coverage = point.edge_region
-    edge = {u: _draw_edge_position(rng, radius, law, point.sites, coverage) for u in point.comp_ids}
-    users = tuple(replace(u, position=edge.get(u.user_id, u.position)) for u in point.topology.users)
-    return replace(point.topology, users=users)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    scheme: str
-    rates_bps: Mapping[int, float]
-    baseline_rates_bps: Mapping[int, float]
-    spectral_efficiency: float
-    baseline_spectral_efficiency: float
-    feasible: bool
-    guarantees_met: bool
 
 
 def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:
@@ -473,55 +396,3 @@ def evaluate(
     out = np.where(feasible[:, None], out, base)
     met = ~(feasible & (nonhead & (out < base * (1.0 - REL_SLACK))).any(axis=1))
     return out, feasible, met, reason
-
-
-# --- one-trial wrappers over a topology and a ChannelRealization ------------
-
-
-def _one_trial(topology: ScenarioTopology, gains) -> tuple[Layout, np.ndarray]:
-    lay = _layout(topology)
-    g = np.array([[[gains[(c.cell_id, u)] for u in lay.user_ids] for c in topology.cells]])
-    return lay, g
-
-
-def oma_rates(topology: ScenarioTopology, gains) -> dict[int, float]:
-    """One trial's orthogonal baseline per user; see orthogonal_rates."""
-    lay, g = _one_trial(topology, gains)
-    return dict(zip(lay.user_ids, orthogonal_rates(lay, g)[0].tolist()))
-
-
-def cs_oma_rates(topology: ScenarioTopology, gains) -> dict[int, float]:
-    """One trial's orthogonal half-band rates per user; see _cs_oma."""
-    lay, g = _one_trial(topology, gains)
-    return dict(zip(lay.user_ids, _cs_oma(lay, g)[0].tolist()))
-
-
-def _edge_decode_order(topology: ScenarioTopology, gains, decode_case: str) -> tuple[int, ...]:
-    lay, g = _one_trial(topology, gains)
-    return tuple(lay.user_ids[int(np.ravel(c)[0])] for c in _edge_order(lay, g, decode_case))
-
-
-def run_trial(
-    topology: ScenarioTopology,
-    gains,
-    scheme: str,
-    interference_mode: str = "negligible",
-    jt_split: str = EQUAL_TRANSMIT,
-    decode_case: str = CASE_EDGE_ORDER_CELL2,
-) -> TrialResult:
-    """Evaluate one channel realization under one scheme (see evaluate)."""
-    lay, g = _one_trial(topology, gains)
-    base = orthogonal_rates(lay, g)
-    out, feasible, met, _ = evaluate(lay, g, base, scheme, interference_mode, jt_split, decode_case)
-    rates_bps = dict(zip(lay.user_ids, out[0].tolist()))
-    baseline = dict(zip(lay.user_ids, base[0].tolist()))
-    b = lay.bandwidth_hz
-    return TrialResult(
-        scheme=scheme,
-        rates_bps=rates_bps,
-        baseline_rates_bps=baseline,
-        spectral_efficiency=math.fsum(rates_bps.values()) / b,
-        baseline_spectral_efficiency=math.fsum(baseline.values()) / b,
-        feasible=bool(feasible[0]),
-        guarantees_met=bool(met[0]),
-    )

@@ -2,20 +2,21 @@
 
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from compnoma import (
     ChannelRealization,
     DomainError,
+    PlacementSpec,
     RadioParams,
-    build_scenario,
     dbm_to_mw,
-    draw_realization,
     normalized_gain,
     substream,
 )
-from compnoma.scenarios import REFERENCE_RADIO
+from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint, _draw_edge_position
 
 
 def test_reference_radio_constants():
@@ -88,50 +89,78 @@ def test_dbm_conversion_round_trip():
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
-    topo = build_scenario(1, 100.0, substream(7, 0, 0))
-    table_a = draw_realization(topo, substream(7, 0, 1))
-    table_b = draw_realization(topo, substream(7, 0, 1))
-    assert table_a.gains == table_b.gains
-    for cell in topo.cells:
-        for user in topo.users:
-            assert (cell.cell_id, user.user_id) in table_a
-            assert table_a[(cell.cell_id, user.user_id)] >= 0.0
-    table_c = draw_realization(topo, substream(7, 0, 2))
-    assert table_c.gains != table_a.gains
+    point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
+    table_a = point.gains([point.draw(substream(7, 0, 1))])
+    table_b = point.gains([point.draw(substream(7, 0, 1))])
+    assert table_a.tolist() == table_b.tolist()
+    assert table_a.shape == (1, 2, len(point.layout.user_ids))
+    assert (table_a >= 0.0).all()
+    table_c = point.gains([point.draw(substream(7, 0, 2))])
+    assert table_c.tolist() != table_a.tolist()
+
+
+def fading_of_link(seed: int, trials: int) -> np.ndarray:
+    """Back out the fading factor from the gains of one fixed link (cell 1,
+    user 12) over trials 0..trials-1 of one sweep point."""
+    point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
+    col = point.layout.user_ids.index(12)
+    scale = point.terms[0, col] / REFERENCE_RADIO.noise_power_mw
+    gains = point.gains([point.draw(substream(seed, 0, t)) for t in range(trials)])
+    return gains[:, 0, col] / scale
 
 
 def test_fading_sample_mean_is_unit():
-    # back out the fading factor from the gains of one fixed link
-    topo = build_scenario(1, 100.0, substream(3, 0, 0))
-    cell = topo.cells[0]
-    user = topo.user(12)
-    d = math.hypot(user.position[0] - cell.position[0], user.position[1] - cell.position[1])
-    scale = d ** (-topo.radio.pathloss_exponent) / topo.radio.noise_power_mw
     n = 50_000
-    total = 0.0
-    for t in range(n):
-        table = draw_realization(topo, substream(3, 0, t))
-        total += table[(cell.cell_id, user.user_id)] / scale
-    assert total / n == pytest.approx(1.0, abs=0.02)
+    assert math.fsum(fading_of_link(3, n).tolist()) / n == pytest.approx(1.0, abs=0.02)
 
 
 def test_fading_distribution_matches_unit_exponential():
     # one-sample KS statistic against 1 - exp(-x), 10^4 draws
-    topo = build_scenario(1, 100.0, substream(5, 0, 0))
-    cell = topo.cells[0]
-    user = topo.user(12)
-    d = math.hypot(user.position[0] - cell.position[0], user.position[1] - cell.position[1])
-    scale = d ** (-topo.radio.pathloss_exponent) / topo.radio.noise_power_mw
     n = 10_000
-    draws = sorted(
-        draw_realization(topo, substream(5, 0, t))[(cell.cell_id, user.user_id)] / scale
-        for t in range(n)
-    )
+    draws = sorted(fading_of_link(5, n).tolist())
     ks = 0.0
     for i, x in enumerate(draws):
         cdf = 1.0 - math.exp(-x)
         ks = max(ks, abs(cdf - (i + 1) / n), abs(cdf - i / n))
     assert ks < 0.02
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+@pytest.mark.parametrize("law", [DISC, RING])
+def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
+    # every link of a sweep trial's gain array, bit for bit, against
+    # normalized_gain on a fresh substream: the edge users' positions first,
+    # in user-id order, then one -log(1 - U) fading draw per (cell, user)
+    # link, cells outer
+    radio = replace(REFERENCE_RADIO, pathloss_exponent=3.7)
+    placement = PlacementSpec(edge_region_law=law, secondary_distance_m=275.5)
+    sweep = (80.0, 260.0, 400.0)
+    for seed, point_index, trial in ((0, 0, 0), (11, 1, 7), (1703, 2, 123), (2**40, 1, 99_999)):
+        value = sweep[point_index]
+        point = SweepPoint(scenario, value, radio, placement)
+        got = point.gains([point.draw(substream(seed, point_index, trial))])
+        assert got.shape == (1, 2, len(point.layout.user_ids))
+
+        rng = substream(seed, point_index, trial)
+        half = placement.inter_site_m / 2.0
+        sites = ((-half, 0.0), (half, 0.0))
+        radius = 200.0 if scenario == 1 else value
+        positions = {
+            u: _draw_edge_position(rng, radius, law, sites, placement.coverage_m)
+            for u in ((1,) if scenario == 1 else (1, 2))
+        }
+        distances = (value, 275.5) if scenario == 1 else (250.0,)
+        for c, (x, _) in enumerate(sites[: 1 if scenario == 3 else 2], start=1):
+            outward = -1.0 if x < 0.0 else 1.0
+            for i, d in enumerate(distances):
+                positions[10 * c + 1 + i] = (x + outward * d, 0.0)
+        assert sorted(positions) == list(point.layout.user_ids)
+        for c, (sx, sy) in enumerate(sites, start=1):
+            for u in sorted(positions):
+                x, y = positions[u]
+                fading = -math.log(1.0 - rng.random())
+                want = normalized_gain(math.hypot(x - sx, y - sy), fading, radio)
+                assert got[0, c - 1, point.layout.user_ids.index(u)] == want, (seed, c, u)
 
 
 def test_realization_lookup_interface():

@@ -86,6 +86,20 @@ def test_schema_rejections():
     config_from_dict({"scenario_id": 3, "decode_case": "both"})
 
 
+def test_placement_field_set_by_the_sweep_is_rejected():
+    cases = [(1, "primary_distance_m")] + [(s, "edge_region_radius_m") for s in (2, 3)]
+    for scenario, field in cases:
+        with pytest.raises(ValidationError) as err:
+            config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
+        assert f"placement.{field}" in str(err.value)
+        assert f"scenario {scenario}" in str(err.value)
+    valid = [(1, "edge_region_radius_m")] + [(s, "primary_distance_m") for s in (2, 3)]
+    for scenario, field in valid:
+        config = config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
+        assert getattr(config.placement, field) == 150.0
+        assert config_from_dict(config_to_dict(config)) == config
+
+
 def test_beamforming_is_rejected_with_reason():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"scenario_id": 2, "schemes": ["cb"]})

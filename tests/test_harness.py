@@ -11,11 +11,8 @@ from compnoma import (
     PRESETS,
     ExperimentConfig,
     SweepError,
-    build_scenario,
     config_from_dict,
-    draw_realization,
     run_sweep,
-    run_trial,
 )
 from compnoma.cli import format_csv
 from compnoma.config import _figure_radio
@@ -84,19 +81,22 @@ def test_scheme_rows_split_decode_cases():
 def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
-    rng = substream(config.seed, 0, 0)
-    topo = build_scenario(1, 200.0, rng, radio=config.radio, placement=config.placement)
-    gains = draw_realization(topo, rng)
-    direct = {
-        scheme: run_trial(topo, gains, scheme, config.interference_mode, config.jt_split)
-        for scheme in config.schemes
-    }
+    point = scenarios.SweepPoint(1, 200.0, config.radio, config.placement)
+    gains = point.gains([point.draw(substream(config.seed, 0, 0))])
+    base = scenarios.orthogonal_rates(point.layout, gains)
+    direct = {}
+    for scheme in config.schemes:
+        out, feasible, _, _ = scenarios.evaluate(
+            point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
+            config.decode_case,
+        )
+        direct[scheme] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, bool(feasible[0]))
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.trials == 1
         assert row.ci95 == 0.0
-        assert row.mean_se_bps_hz == direct[row.scheme].spectral_efficiency
-        assert row.infeasible_frac == (0.0 if direct[row.scheme].feasible else 1.0)
+        assert row.mean_se_bps_hz == direct[row.scheme][0]
+        assert row.infeasible_frac == (0.0 if direct[row.scheme][1] else 1.0)
 
 
 def test_worker_count_does_not_change_output():

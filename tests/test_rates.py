@@ -8,20 +8,17 @@ import pytest
 
 from compnoma import (
     Band,
-    Cell,
     ChannelRealization,
     ConditionViolation,
     DomainError,
     NomaCluster,
     PowerAllocation,
-    UserEquipment,
     comp_user_rate_jt,
     noncomp_user_rate,
     sic_feasible,
     sum_rate_single_cell,
     user_rate_single_cell,
 )
-from compnoma.core import COMP, NONCOMP
 
 
 def two_user_cluster(width=1.0, guarantees=None):
@@ -261,14 +258,6 @@ def test_domain_object_invariants():
         NomaCluster(1, Band(0, 1.0), (1, 2), {1: -0.5})
     with pytest.raises(DomainError):
         PowerAllocation({1: -0.1})
-    with pytest.raises(DomainError):
-        Cell(1, (0.0, 0.0), power_budget_mw=0.0)
-    with pytest.raises(DomainError):
-        UserEquipment(1, (0.0, 0.0), "weird", (1,))
-    with pytest.raises(DomainError):
-        UserEquipment(1, (0.0, 0.0), NONCOMP, (1, 2))
-    with pytest.raises(DomainError):
-        UserEquipment(1, (0.0, 0.0), COMP, (1,))
     cluster = NomaCluster(1, Band(0, 1.0), (1, 2))  # default zero guarantees
     assert cluster.rate_guarantees == {1: 0.0}
     assert cluster.cluster_head == 2
