@@ -434,43 +434,37 @@ def brute_force_oracle(problem: AllocationProblem, grid_points: int = 1000) -> O
         [cluster.rate_guarantees.get(u, 0.0) for u in order]
     )
 
-    def evaluate(p):
-        feasible = np.ones(len(p), dtype=bool)
+    def evaluate(free):
+        # free holds the power columns of positions 1..n-1; position 0 takes
+        # the budget remainder.  Column sums run left to right, as an (N, n)
+        # matrix's row sums do, without its strided reductions and copies
+        p = [np.atleast_1d(budget - seq_sum(free))] + free
+        later = later_sums(p)
+        feasible = np.ones(len(p[0]), dtype=bool)
         for i in range(n - 1):
-            gap = p[:, i] - p[:, i + 1:].sum(axis=1)
-            g_min = g[i:].min()
-            g_max = g[i:].max()
-            worst = np.where(gap >= 0.0, gap * g_min, gap * g_max)
+            gap = p[i] - later[i]
+            worst = np.where(gap >= 0.0, gap * g[i:].min(), gap * g[i:].max())
             feasible &= worst >= problem.p_tol
-        rates = np.empty((len(p), n))
-        for i in range(n):
-            later = p[:, i + 1:].sum(axis=1)
-            rates[:, i] = width * np.log2(
-                1.0 + p[:, i] * g[i] / (g[i] * later + x[i] + 1.0)
-            )
+        out = [rates(width, p[i] * g[i], g[i] * later[i] + x[i] + 1.0) for i in range(n)]
         for i in range(n):
             if guarantees[i] > 0.0:
-                feasible &= rates[:, i] >= guarantees[i] * (1.0 - 1e-12)
-        sums = rates.sum(axis=1)
+                feasible &= out[i] >= guarantees[i] * (1.0 - 1e-12)
+        sums = seq_sum(out)
         sums[~feasible] = -math.inf
         return feasible, sums
 
-    def free_to_powers(free):
-        # first column is the budget remainder, later columns the free dims
-        return np.column_stack([budget - free.sum(axis=1), free])
-
-    axis = np.linspace(0.0, budget, grid_points)
-    if n == 1:
-        free = np.zeros((1, 0))
-    elif n == 2:
-        free = axis.reshape(-1, 1)
-    else:
-        a, b = np.meshgrid(axis, axis, indexing="ij")
+    def simplex(spans):
+        # grid points (as columns) whose free powers fit in the budget
+        if len(spans) < 2:
+            return list(spans)
+        a, b = np.meshgrid(*spans, indexing="ij")
         a, b = a.ravel(), b.ravel()
         keep = a + b <= budget
-        free = np.column_stack([a[keep], b[keep]])
+        return [a[keep], b[keep]]
 
-    feasible, sums = evaluate(free_to_powers(free))
+    axis = np.linspace(0.0, budget, grid_points)
+    free = simplex([axis] * (n - 1))
+    feasible, sums = evaluate(free)
     if not feasible.any():
         return OracleResult(
             PowerAllocation(
@@ -481,7 +475,7 @@ def brute_force_oracle(problem: AllocationProblem, grid_points: int = 1000) -> O
             math.nan,
         )
     best_idx = int(np.argmax(sums))
-    best_free = free[best_idx]
+    best_free = [c[best_idx] for c in free]
     best_sum = float(sums[best_idx])
 
     half = budget / (grid_points - 1)
@@ -493,22 +487,15 @@ def brute_force_oracle(problem: AllocationProblem, grid_points: int = 1000) -> O
             )
             for c in best_free
         ]
-        if n == 2:
-            cand = spans[0].reshape(-1, 1)
-        else:
-            a, b = np.meshgrid(spans[0], spans[1], indexing="ij")
-            a, b = a.ravel(), b.ravel()
-            keep = a + b <= budget
-            cand = np.column_stack([a[keep], b[keep]])
-        cand = np.vstack([cand, best_free.reshape(1, -1)])
-        c_feasible, c_sums = evaluate(free_to_powers(cand))
+        cand = [np.append(c, best) for c, best in zip(simplex(spans), best_free)]
+        c_feasible, c_sums = evaluate(cand)
         c_best = int(np.argmax(c_sums))
         if c_sums[c_best] > best_sum:
             best_sum = float(c_sums[c_best])
-            best_free = cand[c_best]
+            best_free = [c[c_best] for c in cand]
         half = 2.0 * half / (refine_pts - 1)
 
-    powers_vec = free_to_powers(best_free.reshape(1, -1))[0]
+    powers_vec = [budget - seq_sum(best_free)] + best_free
     powers = {order[i]: float(powers_vec[i]) for i in range(n)}
     return OracleResult(
         PowerAllocation(powers=powers, feasible=True),

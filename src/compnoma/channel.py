@@ -8,7 +8,6 @@ full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
 from __future__ import annotations
 
 import math
-from math import log
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -78,14 +77,6 @@ class ChannelRealization:
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self.gains
-
-
-def fading_draws(rng, links: int) -> list[float]:
-    """Squared Rayleigh envelopes, Exp(1) (unit-variance complex Gaussian
-    amplitude), one per link in the caller's link order.  Each draw is
-    random.Random.expovariate(1.0) inlined: -log(1 - U) / 1.0."""
-    random = rng.random
-    return [-log(1.0 - random()) for _ in range(links)]
 
 
 def gain_array(fading, distance_terms, params: RadioParams):

@@ -190,11 +190,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     placement_d = data.get("placement", {})
     if not isinstance(placement_d, dict):
         raise ValidationError("placement must be an object")
-    swept = "primary_distance_m" if scenario == 1 else "edge_region_radius_m"
-    if swept in placement_d:
-        raise ValidationError(
-            f"placement.{swept} does not apply to scenario {scenario}: the sweep sets it"
-        )
+    unused = {"primary_distance_m": "the sweep sets it"} if scenario == 1 else {
+        "edge_region_radius_m": "the sweep sets it",
+        "secondary_distance_m": "each cell has one single-cell user",
+    }
+    for key, why in unused.items():
+        if key in placement_d:
+            raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {why}")
 
     out = data.get("output_path")
     if out is not None and not isinstance(out, str):
@@ -242,6 +244,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "primary_distance_m": config.placement.primary_distance_m,
         "secondary_distance_m": config.placement.secondary_distance_m,
     }
+    if config.scenario_id != 1:  # one single-cell user per cell: the field does not apply
+        del placement["secondary_distance_m"]
     out = {
         "scenario_id": config.scenario_id,
         "schemes": list(config.schemes),
@@ -292,7 +296,7 @@ def emit_defaults(scenario_id: int = 1) -> dict:
             "inter_site_m": 1000.0,
             "coverage_m": 400.0,
             "edge_region_law": DISC,
-            "secondary_distance_m": 300.0,
+            **({"secondary_distance_m": 300.0} if scenario_id == 1 else {}),
         },
         "output_path": None,
     }

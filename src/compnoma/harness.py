@@ -31,13 +31,17 @@ _Z95 = 1.96  # two-sided 95% normal quantile
 _BLOCK = 512  # trials per kernel call, so memory does not grow with trials
 
 
-def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Random:
-    """Independent, reproducible RNG for one trial of one sweep point."""
+def _trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
+    """Seed of one trial's RNG substream: a hash of the three indices."""
     key = struct.pack(
         ">QQQ", master_seed & _MASK64, sweep_index & _MASK64, trial_index & _MASK64
     )
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
+
+
+def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Random:
+    """Independent, reproducible RNG for one trial of one sweep point."""
+    return random.Random(_trial_seed(master_seed, sweep_index, trial_index))
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -69,35 +73,49 @@ def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
     return tuple(rows)
 
 
-def run_chunk(config, sweep_index: int, sweep_value: float, start: int, stop: int):
-    """Evaluate trials [start, stop) at one sweep point under every series.
+def run_chunk(config, start: int, stop: int):
+    """Evaluate flat trials [start, stop) of the sweep under every series.
 
-    The point's fixed geometry is built once.  Trials are drawn one by one
-    from their own substreams, a block at a time, and every series is then
+    Flat trial k is trial k % config.trials of sweep point k // config.trials.
+    Every point shares one Layout, so a block of up to _BLOCK trials may cross
+    points: each trial is drawn from its own substream, each point turns its
+    trials' draws into gain rows, the rows are stacked, and every series is
     evaluated on the block's (trials, cells, users) gain array at once.
     Module-level so process pools can pickle it.  Returns (spectral
     efficiency, feasible, guarantees met), each of shape (trials, series).
     """
     rows = scheme_rows(config)
-    where = f"seed={config.seed} sweep_index={sweep_index}"
-    try:
-        point = SweepPoint(config.scenario_id, sweep_value, config.radio, config.placement)
-    except Exception as e:
-        raise SweepError(f"{where} value={sweep_value}: {type(e).__name__}: {e}") from e
+    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+    seed, n = config.seed, config.trials
+    points = {}
+    for s_i in range(start // n, (stop - 1) // n + 1):
+        try:
+            points[s_i] = SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
+        except Exception as e:
+            raise SweepError(
+                f"seed={seed} sweep_index={s_i} value={values[s_i]}: {type(e).__name__}: {e}"
+            ) from e
+    rng = random.Random()
     shape = (stop - start, len(rows))
     se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
     for b0 in range(start, stop, _BLOCK):
         b1 = min(b0 + _BLOCK, stop)
-        draws = []
-        for t in range(b0, b1):
-            try:
-                draws.append(point.draw(substream(config.seed, sweep_index, t)))
-            except Exception as e:
-                raise SweepError(f"{where} trial={t}: {type(e).__name__}: {e}") from e
+        parts = []
+        for s_i in range(b0 // n, (b1 - 1) // n + 1):
+            point, draws = points[s_i], []
+            for t in range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n)):
+                try:
+                    rng.seed(_trial_seed(seed, s_i, t))
+                    draws.append(point.draw(rng))
+                except Exception as e:
+                    raise SweepError(
+                        f"seed={seed} sweep_index={s_i} trial={t}: {type(e).__name__}: {e}"
+                    ) from e
+            parts.append(point.gains(draws))
         label = "orthogonal baseline"
         block = slice(b0 - start, b1 - start)
         try:
-            gains = point.gains(draws)
+            gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
             base = orthogonal_rates(point.layout, gains)
             for r_i, (label, scheme, case) in enumerate(rows):
                 out, ok, good, _ = evaluate(
@@ -107,8 +125,10 @@ def run_chunk(config, sweep_index: int, sweep_value: float, start: int, stop: in
                 feasible[block, r_i] = ok
                 met[block, r_i] = good
         except Exception as e:
+            (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
             raise SweepError(
-                f"{where} trials=[{b0}, {b1}) series={label}: {type(e).__name__}: {e}"
+                f"seed={seed} from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
+                f" series={label}: {type(e).__name__}: {e}"
             ) from e
     return se / config.radio.bandwidth_hz, feasible, met
 
@@ -168,49 +188,51 @@ def _reduce_point(
 def run_sweep(config, workers: int = 1) -> SweepResult:
     """Run the configured sweep; identical output for any worker count.
 
-    With workers > 1 one process pool serves the whole sweep: every point is
-    cut into contiguous trial ranges, and each point is reduced in trial
-    order as soon as its ranges are back.
+    The sweep's trials are numbered point by point (see run_chunk) and cut
+    into contiguous ranges that may cross points: one kernel block each on a
+    serial run, which runs them in order in this process, and about four per
+    worker on a process pool, which serves the whole sweep.  Each point is
+    reduced in trial order as soon as all its trials are back.
     """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    trials = config.trials
+    total = config.trials * len(values)
+    span = _BLOCK if workers <= 1 else -(-total // (workers * 4))
+    ranges = ((lo, min(lo + span, total)) for lo in range(0, total, span))
     if workers <= 1:
-        chunks = (run_chunk(config, i, v, 0, trials) for i, v in enumerate(values))
-        return _reduce(config, values, chunks)
-    # about four ranges per worker over the whole sweep, none crossing a point
-    span = min(trials, -(-trials * len(values) // (workers * 4)))
+        return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            [
-                pool.submit(run_chunk, config, i, v, t0, min(t0 + span, trials))
-                for t0 in range(0, trials, span)
-            ]
-            for i, v in enumerate(values)
-        ]
+        futures = [pool.submit(run_chunk, config, lo, hi) for lo, hi in ranges]
         try:
-            chunks = (
-                tuple(np.concatenate(parts) for parts in zip(*(f.result() for f in point)))
-                for point in futures
-            )
-            return _reduce(config, values, chunks)
+            return _reduce(config, values, (f.result() for f in futures))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-def _reduce(config, values, chunks) -> SweepResult:
+def _reduce(config, values, parts) -> SweepResult:
+    """Reduce consecutive flat ranges' (se, feasible, met) arrays, one point
+    at a time, as soon as the point's last trial arrives."""
     rows = scheme_rows(config)
+    n = config.trials
     out_rows: list[SweepRow] = []
-    for value, (se, feasible, met) in zip(values, chunks):
-        for r_i, (label, _, _) in enumerate(rows):
-            out_rows.append(
-                _reduce_point(
-                    value,
-                    label,
-                    se[:, r_i].tolist(),
-                    int((~feasible[:, r_i]).sum()),
-                    int((~met[:, r_i]).sum()),
+    points = iter(values)
+    pending, have = [], 0
+    for part in parts:
+        pending.append(part)
+        have += len(part[0])
+        while have >= n:
+            se, feasible, met = (np.concatenate(a) for a in zip(*pending))
+            pending, have = [(se[n:], feasible[n:], met[n:])], have - n
+            value = next(points)
+            for r_i, (label, _, _) in enumerate(rows):
+                out_rows.append(
+                    _reduce_point(
+                        value,
+                        label,
+                        se[:n, r_i].tolist(),
+                        int((~feasible[:n, r_i]).sum()),
+                        int((~met[:n, r_i]).sum()),
+                    )
                 )
-            )
-        log.info("sweep point %g done (%d trials, %d series)", value, len(se), len(rows))
+            log.info("sweep point %g done (%d trials, %d series)", value, n, len(rows))
     return SweepResult(tuple(out_rows))

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, hypot, log, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt, solve_single_cell
-from .channel import RadioParams, distance_term, fading_draws, gain_array
+from .channel import RadioParams, distance_term, gain_array
 from .core import later_sums, rates, seq_sum
 from .errors import ConfigError, DomainError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, CompSet, build_cs_band_plan
@@ -53,6 +54,7 @@ CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order
 CASE_EDGE_ORDER_CELL1 = "case2"  # edge users decoded in cell-1 gain order
 
 _MAX_PLACEMENT_DRAWS = 100_000
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -81,27 +83,6 @@ class PlacementSpec:
             )
         if self.edge_region_law not in (DISC, RING):
             raise DomainError(f"unknown edge-region law {self.edge_region_law!r}")
-
-
-def _draw_edge_position(
-    rng, radius: float, law: str, sites: Sequence[tuple[float, float]], coverage: float
-) -> tuple[float, float]:
-    """Uniform point in the midpoint disc (or on its rim), rejected while it
-    falls inside either cell's coverage disc.  The test uses math, not numpy:
-    it decides how many draws a trial consumes."""
-    random, hypot, ring = rng.random, math.hypot, law == RING
-    for _ in range(_MAX_PLACEMENT_DRAWS):
-        theta = 2.0 * math.pi * random()
-        r = radius if ring else radius * math.sqrt(random())
-        x, y = r * math.cos(theta), r * math.sin(theta)
-        for cx, cy in sites:
-            if not hypot(x - cx, y - cy) > coverage:
-                break
-        else:
-            return (x, y)
-    raise DomainError(
-        "edge-user placement rejected too often; region outside coverage is empty"
-    )
 
 
 @dataclass(frozen=True)
@@ -174,18 +155,41 @@ class SweepPoint:
             position = (x + math.copysign(d, x), 0.0)
             self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
         self.links = self.terms.size
+        # everything draw() reads, unpacked there once per trial
+        ring = spec.edge_region_law == RING
+        self._draw_constants = (radius, ring, spec.coverage_m, *self.sites, -alpha)
 
     def draw(self, rng) -> list[float]:
         """Edge-user distance terms (per user: cell 1, cell 2), then one fading
-        draw per (cell, user) link."""
-        radius, law, coverage = self.edge_region
-        alpha = self.radio.pathloss_exponent
+        draw per (cell, user) link.
+
+        Each edge user is uniform in the midpoint disc (or on its rim),
+        redrawn while it falls inside either cell's coverage disc.  The test
+        uses math, not numpy: it decides how many draws a trial consumes.
+        Fading is Exp(1), the squared Rayleigh envelope of a unit-variance
+        complex Gaussian amplitude: random.Random.expovariate(1.0) inlined,
+        -log(1 - U).
+        """
+        random = rng.random
+        radius, ring, coverage, (x1, y1), (x2, y2), power = self._draw_constants
         out = []
         for _ in self.comp_ids:
-            x, y = _draw_edge_position(rng, radius, law, self.sites, coverage)
-            # distance_term inlined; an accepted position is outside coverage
-            out += [math.hypot(x - cx, y - cy) ** (-alpha) for cx, cy in self.sites]
-        return out + fading_draws(rng, self.links)
+            for _ in range(_MAX_PLACEMENT_DRAWS):
+                theta = _TWO_PI * random()
+                r = radius if ring else radius * sqrt(random())
+                x, y = r * cos(theta), r * sin(theta)
+                d1 = hypot(x - x1, y - y1)
+                if d1 > coverage:
+                    d2 = hypot(x - x2, y - y2)
+                    if d2 > coverage:
+                        break
+            else:
+                raise DomainError(
+                    "edge-user placement rejected too often; region outside coverage is empty"
+                )
+            out += (d1 ** power, d2 ** power)
+        out += [-log(1.0 - random()) for _ in range(self.links)]
+        return out
 
     def gains(self, draws: Sequence[list[float]]) -> np.ndarray:
         """(trials, cells, users) gain array from a block of trial draws."""

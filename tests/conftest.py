@@ -100,6 +100,19 @@ def oracle_agreement(problem: AllocationProblem, grid_points: int = 1000):
     return False, f"sum-rate gap {gap:.3e} (closed {closed_sum}, oracle {oracle.sum_rate_bps})"
 
 
+def draw_edge_position(rng, radius, law, sites, coverage):
+    """Reference edge-user placement, independent of SweepPoint.draw: a
+    uniform point in the midpoint disc (on its rim for the ring law),
+    redrawn while it falls inside either cell's coverage disc."""
+    for _ in range(100_000):
+        theta = 2.0 * math.pi * rng.random()
+        r = radius if law == "ring" else radius * math.sqrt(rng.random())
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        if all(math.hypot(x - cx, y - cy) > coverage for cx, cy in sites):
+            return (x, y)
+    raise AssertionError("edge region lies inside coverage")
+
+
 def jt_order_mutants(rng: random.Random, count: int):
     """Valid two-cell cluster pairs, each broken by one decode-order mutation.
 

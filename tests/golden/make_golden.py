@@ -51,8 +51,9 @@ SWEEPS = {
 }
 
 # per-trial records: every scenario under both interference modes and both
-# splits, plus one positive decodability tolerance; trials 0..99 of three points
-TRIAL_POINTS = ((0, 50.0), (3, 200.0), (7, 400.0))
+# splits, plus one positive decodability tolerance; trials 0..99 of the points
+# at sweep indices 0, 3 and 7 (50, 200 and 400 m)
+TRIAL_POINTS = (0, 3, 7)
 TRIALS_PER_POINT = 100
 TRIAL_CONFIGS = {
     f"s{s}-{mode}-{split}": (_PRESET_OF[s], {
@@ -94,8 +95,9 @@ def trial_rows(name: str):
     from compnoma.harness import run_chunk
 
     config = golden_config(*TRIAL_CONFIGS[name], trials=TRIALS_PER_POINT)
-    for s_i, value in TRIAL_POINTS:
-        se, feasible, met = run_chunk(config, s_i, value, 0, TRIALS_PER_POINT)
+    for s_i in TRIAL_POINTS:
+        # flat trials of point s_i: s_i * trials .. (s_i + 1) * trials - 1
+        se, feasible, met = run_chunk(config, s_i * TRIALS_PER_POINT, (s_i + 1) * TRIALS_PER_POINT)
         for t in range(TRIALS_PER_POINT):
             yield s_i, t, tuple(
                 (float(v), bool(f), bool(m)) for v, f, m in zip(se[t], feasible[t], met[t])

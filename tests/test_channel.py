@@ -16,7 +16,9 @@ from compnoma import (
     normalized_gain,
     substream,
 )
-from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint, _draw_edge_position
+from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint
+
+from conftest import draw_edge_position
 
 
 def test_reference_radio_constants():
@@ -146,7 +148,7 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
         sites = ((-half, 0.0), (half, 0.0))
         radius = 200.0 if scenario == 1 else value
         positions = {
-            u: _draw_edge_position(rng, radius, law, sites, placement.coverage_m)
+            u: draw_edge_position(rng, radius, law, sites, placement.coverage_m)
             for u in ((1,) if scenario == 1 else (1, 2))
         }
         distances = (value, 275.5) if scenario == 1 else (250.0,)

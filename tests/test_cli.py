@@ -87,13 +87,19 @@ def test_schema_rejections():
 
 
 def test_placement_field_set_by_the_sweep_is_rejected():
-    cases = [(1, "primary_distance_m")] + [(s, "edge_region_radius_m") for s in (2, 3)]
+    # the sweep sets these, or (secondary_distance_m) the scenario has no
+    # second single-cell user per cell
+    cases = [(1, "primary_distance_m")] + [
+        (s, field) for s in (2, 3) for field in ("edge_region_radius_m", "secondary_distance_m")
+    ]
     for scenario, field in cases:
         with pytest.raises(ValidationError) as err:
             config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
         assert f"placement.{field}" in str(err.value)
         assert f"scenario {scenario}" in str(err.value)
-    valid = [(1, "edge_region_radius_m")] + [(s, "primary_distance_m") for s in (2, 3)]
+    valid = [(1, "edge_region_radius_m"), (1, "secondary_distance_m")] + [
+        (s, "primary_distance_m") for s in (2, 3)
+    ]
     for scenario, field in valid:
         config = config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
         assert getattr(config.placement, field) == 150.0

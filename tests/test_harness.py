@@ -110,7 +110,7 @@ def test_worker_count_does_not_change_output():
 def test_mean_is_exact_sum_over_trials():
     config = small_config(trials=32, sweep_stop=100.0)
     result = run_sweep(config)
-    se, _, _ = run_chunk(config, 0, 100.0, 0, 32)
+    se, _, _ = run_chunk(config, 0, 32)
     for r_i, row in enumerate(result.rows):
         ses = se[:, r_i].tolist()
         assert row.mean_se_bps_hz == math.fsum(ses) / 32
@@ -155,34 +155,65 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
     assert jt.mean_se_bps_hz > 0.0
 
 
+def test_block_placement_does_not_change_results(monkeypatch):
+    # 150 trials per point: with any of these block sizes, blocks start and
+    # end inside points and mix trials of neighbouring points, which DPS-NOMA
+    # then groups by cell choice across the block
+    config = config_from_dict(
+        {
+            "scenario_id": 3,
+            "schemes": ["JT-NOMA", "DPS-NOMA", "JT-OMA"],
+            "decode_case": "both",
+            "interference_mode": "full",
+            "jt_split": "equal_received",
+            "trials": 150,
+            "seed": 77,
+            "radio": {"sic_tolerance": 0.0},
+        }
+    )
+    total = 150 * 8
+
+    def outputs():
+        return format_csv(run_sweep(config)), run_chunk(config, 0, total)
+
+    csv, arrays = outputs()
+    assert harness._BLOCK == 512
+    for block in (7, 4096):
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        got_csv, got_arrays = outputs()
+        assert got_csv == csv, block
+        for got, want in zip(got_arrays, arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
+
+
 @pytest.mark.parametrize("workers", (1, 2))
 def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
-    # a kernel failure names the block's trial range and the series label,
-    # also when it is raised in a pool worker
+    # a kernel failure names the block's first and last (sweep index, trial)
+    # and the series label, also when it is raised in a pool worker
     def broken(*args, **kwargs):
         raise FloatingPointError("injected")
 
     monkeypatch.setattr(scenarios, "_jt_noma", broken)
-    config = small_config(trials=40, sweep_stop=100.0)
+    config = small_config(trials=40)
     with pytest.raises(SweepError) as err:
         run_sweep(config, workers=workers)
-    # serially the block is the whole point; a pool worker gets a shorter range
-    end = "40" if workers == 1 else r"\d+"
+    # serially one block spans all three points; a pool worker gets a shorter range
+    last = "sweep_index=2 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
     assert re.fullmatch(
-        rf"seed=2026 sweep_index=0 trials=\[0, {end}\) series=JT-NOMA: FloatingPointError: injected",
+        rf"seed=2026 from sweep_index=0 trial=0 to {last} series=JT-NOMA: FloatingPointError: injected",
         str(err.value),
     )
 
     # a failure while drawing a trial names that trial
     monkeypatch.undo()
-    real = harness.substream
+    real = harness._trial_seed
 
     def flaky(seed, sweep_index, trial):
         if (sweep_index, trial) == (1, 7):
             raise ValueError("bad stream")
         return real(seed, sweep_index, trial)
 
-    monkeypatch.setattr(harness, "substream", flaky)
+    monkeypatch.setattr(harness, "_trial_seed", flaky)
     with pytest.raises(SweepError) as err:
         run_sweep(small_config(trials=40), workers=workers)
     assert str(err.value) == "seed=2026 sweep_index=1 trial=7: ValueError: bad stream"

@@ -24,12 +24,13 @@ from compnoma.scenarios import (
     REFERENCE_RADIO,
     RING,
     SweepPoint,
-    _draw_edge_position,
     _edge_order,
     evaluate,
     orthogonal_rates,
 )
 from compnoma.schemes import dps_select_cell
+
+from conftest import draw_edge_position
 
 # unit band and unit gains make rate identities exact by hand
 UNIT_RADIO = RadioParams(
@@ -53,7 +54,7 @@ def by_user(point: SweepPoint, row: np.ndarray) -> dict:
 def edge_positions(point: SweepPoint, rng) -> list:
     """The jointly served users' positions, drawn as SweepPoint.draw does."""
     radius, law, coverage = point.edge_region
-    return [_draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.comp_ids]
+    return [draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.comp_ids]
 
 
 def run(point, g, scheme, interference_mode="negligible", decode_case=CASE_EDGE_ORDER_CELL2):
@@ -250,7 +251,7 @@ def test_spectral_efficiency_is_sum_over_band():
     config = config_from_dict(
         {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
     )
-    se, _, _ = run_chunk(config, 0, 150.0, 0, 4)
+    se, _, _ = run_chunk(config, 0, 4)
     point = SweepPoint(3, 150.0, config.radio, config.placement)
     g = point.gains([point.draw(substream(config.seed, 0, t)) for t in range(4)])
     out, base, _, _, _ = run(point, g, "JT-NOMA")
