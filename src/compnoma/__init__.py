@@ -49,10 +49,6 @@ from .schemes import (
     DPS_NOMA,
     JT_NOMA,
     JT_OMA,
-    SCHEMES,
-    CompSet,
-    CsBandPlan,
-    build_cs_band_plan,
     dps_select_cell,
     reject_cb,
     validate_jt_conditions,
@@ -62,15 +58,15 @@ from .units import dbm_to_mw
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationProblem", "Band", "ChannelRealization", "CompSet",
-    "ConditionViolation", "ConfigError", "CsBandPlan", "DomainError",
+    "AllocationProblem", "Band", "ChannelRealization",
+    "ConditionViolation", "ConfigError", "DomainError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
     "NomaCluster", "OracleResult",
     "PRESETS", "ParseError", "PlacementSpec", "PowerAllocation",
-    "REFERENCE_RADIO", "RadioParams", "SCHEMES",
+    "REFERENCE_RADIO", "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "allocate_jt", "allocate_single_cell",
-    "brute_force_oracle", "build_cs_band_plan",
+    "brute_force_oracle",
     "comp_user_rate_jt", "config_from_dict", "config_to_dict",
     "dbm_to_mw", "dps_select_cell",
     "emit_defaults", "noncomp_user_rate",

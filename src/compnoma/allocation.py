@@ -18,10 +18,14 @@ worst decoder keeps the signal decodable everywhere it must be cancelled.
 
 Both solvers are array kernels: every input is a list with one (n,) array per
 decode position, so n independent instances are solved at once by a Python
-loop over positions only.  ``allocate_single_cell`` and ``allocate_jt`` are
-their one-instance wrappers over the dict-based problem objects.  Each kernel
-reports a small integer reason code per instance (0 = feasible) and the
-decode position (and cell) that set it.
+loop over positions only.  ``solve_jt`` is the sweep's one NOMA solve, rate
+evaluation and audit: JT-NOMA passes the jointly served users as the shared
+prefix, and DPS-NOMA and CS-NOMA pass an empty prefix, so each cell's members
+are its single-cell tail, solved by ``solve_single_cell``.
+``allocate_single_cell`` and ``allocate_jt`` are the one-instance wrappers
+over the dict-based problem objects.  Each kernel reports a small integer
+reason code per instance (0 = feasible) and the decode position (and cell)
+that set it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .schemes import validate_jt_conditions
 EQUAL_RECEIVED = "equal_received"
 EQUAL_TRANSMIT = "equal_transmit"
 
-REL_SLACK = 1e-9  # relative slack of every guarantee re-check
+REL_SLACK = 1e-9  # relative slack of every audit re-check (guarantees, decodability)
 
 # reason codes: why an instance is infeasible (0 = it is not)
 FEASIBLE = 0
@@ -108,9 +112,17 @@ def _suffix(reduce, columns) -> list:
     return out
 
 
+def _given(r) -> bool:
+    """Whether a rate guarantee is set: a scalar 0 is none, an array may be
+    (rates are never negative, so a zero entry is never short)."""
+    return isinstance(r, np.ndarray) or bool(r)
+
+
 def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
     """Record code at decode position k (of cell ci) where bad and no earlier
     code is set: the first failure in solve order is the one reported."""
+    if not bad.any():
+        return
     new = bad & (reason == FEASIBLE)
     if new.any():
         reason[new] = code
@@ -145,7 +157,7 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
         powers.append(p)
         rem = rem - p
     powers.append(rem)
-    if np.any(r[-1]):
+    if _given(r[-1]):
         head_rate = rates(width, rem * g[-1], x[-1] + 1.0)
         _flag(reason, pos, None, head_rate < r[-1] * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
     if reason.any():
@@ -209,8 +221,13 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
     position k (the shared prefix is common to all cells), tails[ci] the gains
     of its single-cell members, r[ci] and x[ci] every position's guarantee and
     fixed external interference, and cross[ci][j][oc] the gain from cell oc to
-    tail member j (read only when ``full``).  Returns (powers per cell and
-    position, reason, position, cell, rates per cell and position).
+    tail member j (read only when ``full``).  With an empty prefix
+    (raw = [[]] * m) the cells are independent NOMA clusters coupled only by
+    cross-cell interference; a cell with no members must get a zero budget,
+    or its budget counts as interference.  The audit re-checks guarantees and
+    decodability gaps with a relative slack of REL_SLACK.  Returns (powers
+    per cell and position, reason, position, cell, rates per cell and
+    position).
     """
     m, q = len(raw), len(raw[0])
     n = len((raw[0] or tails[0])[0])
@@ -223,8 +240,9 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
     else:
         default = [[seq_sum(raw[mi][k] for mi in range(m)) for k in range(q)]] * m
     # while the pass runs, a member not yet sized decodes at its split-default
-    # gain; that is the gain every decodability floor below is sized against
-    g_min = [_suffix(np.minimum, default[ci] + list(tails[ci])) for ci in range(m)]
+    # gain; that is the gain every shared floor below is sized against (the
+    # tails' floors are solve_single_cell's)
+    g_min = [_suffix(np.minimum, default[ci] + list(tails[ci])) for ci in range(m)] if q else None
     rem = [np.full(n, float(b)) for b in budgets]
     pw = [[None] * sizes[ci] for ci in range(m)]
 
@@ -283,6 +301,7 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
     # audit: every rate recomputed with the final powers, every guarantee and
     # decodability gap re-checked at the gains the members actually see
     later = [later_sums(pw[ci]) for ci in range(m)]
+    tol = p_tol * (1.0 - REL_SLACK)  # a floor-sized gap may miss p_tol by rounding
     out = [[None] * sizes[ci] for ci in range(m)]
     received = []
     for k in range(q):
@@ -302,18 +321,17 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
             out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
     for ci in range(m):
         for k in range(sizes[ci]):
-            if np.any(r[ci][k]):
-                short = out[ci][k] < r[ci][k] * (1.0 - REL_SLACK)
-                _flag(reason, pos, cell, short & (r[ci][k] > 0.0), SHORTFALL, k, ci)
+            if _given(r[ci][k]):
+                _flag(reason, pos, cell, out[ci][k] < r[ci][k] * (1.0 - REL_SLACK), SHORTFALL, k, ci)
         seen = [
             np.where((pw[ci][k] > 0.0) & (received[k] > 0.0), received[k] / pw[ci][k], default[ci][k])
             for k in range(q)
         ] + list(tails[ci])
         for i in range(sizes[ci] - 1):
             gap = pw[ci][i] - later[ci][i]
-            bad = gap * seen[i] < p_tol
+            bad = gap * seen[i] < tol
             for s in seen[i + 1:]:
-                bad |= gap * s < p_tol
+                bad |= gap * s < tol
             _flag(reason, pos, cell, bad, SIC_GAP, i, ci)
     return pw, reason, pos, cell, out
 

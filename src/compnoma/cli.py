@@ -12,7 +12,7 @@ import sys
 import traceback
 from typing import Sequence, TextIO
 
-from .config import PRESETS, config_from_dict, config_to_dict, parse_config
+from .config import PRESETS, UNUSED_PLACEMENT, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .harness import SweepResult, run_sweep
 
@@ -121,9 +121,14 @@ def _resolve_config(args: argparse.Namespace):
         raise ConfigError("a preset, --config, or --scenario is required")
 
     if args.scenario is not None:
+        # a scenario change invalidates inherited schemes, and drops the
+        # inherited values the new scenario rejects
         base["scenario_id"] = args.scenario
-        if "schemes" in base:
-            del base["schemes"]  # scenario change invalidates inherited schemes
+        base.pop("schemes", None)
+        if args.scenario != 3 and base.get("decode_case") == "both":
+            del base["decode_case"]
+        for key in UNUSED_PLACEMENT.get(args.scenario, ()):
+            base.get("placement", {}).pop(key, None)
     if args.scheme:
         schemes: list[str] = []
         for chunk in args.scheme:

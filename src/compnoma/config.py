@@ -36,6 +36,12 @@ _DEFAULT_SWEEP = (50.0, 400.0, 50.0)
 _CASES = ("case1", "case2", "both")
 _MODES = ("negligible", "full")
 _SPLITS = (EQUAL_RECEIVED, EQUAL_TRANSMIT)
+_ONE_TAIL = {
+    "edge_region_radius_m": "the sweep sets it",
+    "secondary_distance_m": "each cell has one single-cell user",
+}
+# placement fields each scenario rejects, and why
+UNUSED_PLACEMENT = {1: {"primary_distance_m": "the sweep sets it"}, 2: _ONE_TAIL, 3: _ONE_TAIL}
 
 
 @dataclass(frozen=True)
@@ -190,11 +196,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     placement_d = data.get("placement", {})
     if not isinstance(placement_d, dict):
         raise ValidationError("placement must be an object")
-    unused = {"primary_distance_m": "the sweep sets it"} if scenario == 1 else {
-        "edge_region_radius_m": "the sweep sets it",
-        "secondary_distance_m": "each cell has one single-cell user",
-    }
-    for key, why in unused.items():
+    for key, why in UNUSED_PLACEMENT[scenario].items():
         if key in placement_d:
             raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {why}")
 

@@ -29,11 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt, solve_single_cell
+from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt
 from .channel import RadioParams, distance_term, gain_array
-from .core import later_sums, rates, seq_sum
 from .errors import ConfigError, DomainError
-from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, CompSet, build_cs_band_plan
+from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 from .units import dbm_to_mw
 
 # Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
@@ -253,27 +252,27 @@ def _edge_order(lay: Layout, g: np.ndarray, decode_case: str) -> list:
     return _by_gain(g[:, ref], lay.comp)
 
 
-def _jt_noma(lay, g, base, full, split, decode_case):
-    """Both cells decode the jointly served users first, in the shared edge
-    order, then their own users by ascending gain; non-heads are guaranteed
-    their orthogonal rate."""
+def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full):
+    """Per-cell NOMA clusters through ``solve_jt``: orders[ci] is cell ci's
+    decode order of user columns, led by the jointly served columns ``edge``
+    (none for per-cell schemes, whose split is then unused); every non-head
+    is guaranteed its orthogonal rate.  Returns (rates, reason, non-head
+    mask); a user no cell serves gets rate 0."""
     rows = np.arange(len(g))
-    edge = _edge_order(lay, g, decode_case)
-    orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
     q = len(edge)
     _, reason, _, _, pos_rates = solve_jt(
         [[g[rows, ci, c] for c in edge] for ci in (0, 1)],
-        [[g[rows, ci, c] for c in orders[ci][q:]] for ci in (0, 1)],
+        [[g[rows, ci, c] for c in order[q:]] for ci, order in enumerate(orders)],
         [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
         [[0.0] * len(order) for order in orders],
-        [[[g[rows, oc, c] for oc in (0, 1)] for c in orders[ci][q:]] for ci in (0, 1)] if full else None,
-        [lay.power_mw] * 2,
-        lay.p_tol,
-        lay.bandwidth_hz,
+        [[[g[rows, oc, c] for oc in (0, 1)] for c in order[q:]] for order in orders] if full else None,
+        budgets,
+        p_tol,
+        width,
         split,
         full,
     )
-    out = np.empty_like(base)
+    out = np.zeros(base.shape)
     nonhead = np.zeros(base.shape, bool)
     for ci, order in enumerate(orders):
         for c, r in zip(order, pos_rates[ci]):
@@ -283,56 +282,19 @@ def _jt_noma(lay, g, base, full, split, decode_case):
     return out, reason, nonhead
 
 
-def _single_cell_clusters(eff, base, clusters, p_tol, full):
-    """Solve single-cell clusters side by side and evaluate their members.
-
-    eff is the (trials, cells, users) gain array at the clusters' band
-    scaling; clusters lists (cell, member columns, budget, band width, band
-    id), and clusters on one band id interfere with each other in full mode.
-    Returns (rates summed over clusters, reason of the first infeasible
-    cluster, non-head mask).
-    """
-    rows = np.arange(len(eff))
-    reason = np.zeros(len(eff), np.int8)
-    solved = []
-    for ci, cols, budget, width, band in clusters:
-        order = _by_gain(eff[:, ci], cols)
-        x = [0.0] * len(order)
-        if full:
-            others = [(oc, b) for oc, _, b, _, ob in clusters if ob == band and oc != ci]
-            x = [seq_sum(b * eff[rows, oc, c] for oc, b in others) for c in order]
-        powers, cluster_reason, _ = solve_single_cell(
-            [eff[rows, ci, c] for c in order],
-            x,
-            [base[rows, c] for c in order[:-1]] + [0.0],
-            budget,
-            p_tol,
-            width,
-        )
-        reason = np.where(reason == FEASIBLE, cluster_reason, reason)
-        solved.append((ci, order, powers, width, band))
-    out = np.zeros(base.shape)
-    nonhead = np.zeros(base.shape, bool)
-    for ci, order, powers, width, band in solved:
-        later = later_sums(powers)
-        for k, c in enumerate(order):
-            gain = eff[rows, ci, c]
-            noise = 1.0 + gain * later[k]
-            if full:
-                for oc, _, o_powers, _, ob in solved:
-                    if ob == band and oc != ci:
-                        for p in o_powers:
-                            noise = noise + p * eff[rows, oc, c]
-            out[rows, c] += rates(width, powers[k] * gain, noise)
-        for c in order[:-1]:
-            nonhead[rows, c] = True
-    return out, reason, nonhead
+def _jt_noma(lay, g, base, full, split, decode_case):
+    """Both cells decode the jointly served users first, in the shared edge
+    order, then their own users by ascending gain."""
+    edge = _edge_order(lay, g, decode_case)
+    orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
+    return _noma_clusters(g, base, edge, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full)
 
 
 def _dps_noma(lay, g, base, full):
     """Each jointly served user joins the cell with the larger realized gain
-    (cell 1 on ties).  Trials are grouped by that choice, so every group has
-    fixed cluster sizes."""
+    (cell 1 on ties), and every cell decodes its members by ascending gain.
+    Trials are grouped by that choice, so every group has fixed cluster
+    sizes; a cell left with no members transmits nothing."""
     out = np.empty_like(base)
     nonhead = np.empty(base.shape, bool)
     reason = np.empty(len(g), np.int8)
@@ -345,21 +307,32 @@ def _dps_noma(lay, g, base, full):
             list(lay.tails[ci]) + [c for j, c in enumerate(lay.comp) if ((choice >> j) & 1) == ci]
             for ci in (0, 1)
         ]
-        clusters = [(ci, members[ci], lay.power_mw, lay.bandwidth_hz, 0) for ci in (0, 1) if members[ci]]
-        solved = _single_cell_clusters(g[idx], base[idx], clusters, lay.p_tol, full)
-        out[idx], reason[idx], nonhead[idx] = solved
+        gi = g[idx]
+        orders = [_by_gain(gi[:, ci], members[ci]) for ci in (0, 1)]
+        budgets = [lay.power_mw if order else 0.0 for order in orders]
+        out[idx], reason[idx], nonhead[idx] = _noma_clusters(
+            gi, base[idx], [], orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full
+        )
     return out, reason, nonhead
 
 
 def _cs_noma(lay, g, base, full):
-    """The orthogonal 50/50 band plan, one superposed cluster per band share;
-    in-band noise shrinks with the band, so gains scale by 1/fraction."""
-    plan = build_cs_band_plan(CompSet(cell_ids=(0, 1), comp_user_ids=lay.comp), dict(enumerate(lay.tails)))
-    clusters = [
-        (a.cell_id, list(a.members), lay.power_mw * a.fraction, a.fraction * lay.bandwidth_hz, a.band_id)
-        for a in plan.assignments
+    """The orthogonal 50/50 band plan: on half band b, cell b superposes edge
+    user b on its single-cell user and the other cell serves its single-cell
+    user alone, each at half power.  In-band noise halves with the band, so
+    gains double.  The two bands' rates add; the reason is band 0's unless
+    that is feasible."""
+    g = g * 2.0
+    bands = [
+        _noma_clusters(
+            g, base, [],
+            [_by_gain(g[:, ci], [edge] * (ci == b) + list(lay.tails[ci])) for ci in (0, 1)],
+            [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0, lay.p_tol, EQUAL_TRANSMIT, full,
+        )
+        for b, edge in enumerate(lay.comp)
     ]
-    return _single_cell_clusters(g / 0.5, base, clusters, lay.p_tol, full)
+    (out0, reason0, nonhead0), (out1, reason1, nonhead1) = bands
+    return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0), nonhead0 | nonhead1
 
 
 def evaluate(

@@ -198,6 +198,24 @@ def test_scenario_override_drops_preset_schemes():
     assert config.schemes == ("JT-NOMA", "JT-OMA")
 
 
+def test_scenario_override_drops_values_the_new_scenario_rejects(capsys):
+    parser = build_parser()
+    # fig4 carries placement.secondary_distance_m (scenario 1 only); fig6
+    # carries decode_case "both" (scenario 3 only)
+    for argv, scenario in ((["fig4", "--scenario", "2"], 2), (["fig4", "--scenario", "3"], 3),
+                           (["fig6", "--scenario", "2"], 2), (["fig6", "--scenario", "1"], 1)):
+        config = _resolve_config(parser.parse_args(argv))
+        assert config.scenario_id == scenario
+        assert config.decode_case == "case1"
+        assert main(argv + ["--trials", "1", "--quiet"]) == 0, argv
+    capsys.readouterr()
+    # values the new scenario accepts are kept, and explicit flags still apply
+    config = _resolve_config(parser.parse_args(["fig6", "--scenario", "3"]))
+    assert config.decode_case == "both"
+    assert main(["fig6", "--scenario", "2", "--case", "both"]) == 1
+    assert "scenario 3 only" in capsys.readouterr().err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Coordination-set checks, decode-order validation, cell selection, band plans."""
+"""Decode-order validation, cell selection, and the beamforming rejection."""
 
 import random
 
@@ -6,11 +6,9 @@ import pytest
 
 from compnoma import (
     Band,
-    CompSet,
     ConditionViolation,
     ConfigError,
     NomaCluster,
-    build_cs_band_plan,
     dps_select_cell,
     reject_cb,
     validate_jt_conditions,
@@ -46,16 +44,6 @@ def test_validate_jt_flags_relative_order_swap():
     assert err.value.cell_id == 2
 
 
-def test_comp_set_invariants():
-    with pytest.raises(ConfigError):
-        CompSet(cell_ids=(1,), comp_user_ids=(1,))
-    with pytest.raises(ConfigError):
-        CompSet(cell_ids=(1, 1), comp_user_ids=(1,))
-    with pytest.raises(ConfigError):
-        CompSet(cell_ids=(1, 2), comp_user_ids=())
-    CompSet(cell_ids=(1, 2), comp_user_ids=(1,))
-
-
 def test_dps_selection():
     assert dps_select_cell(1, {(1, 1): 0.5, (2, 1): 0.9}, (1, 2)) == 2
     # ties break toward the lowest cell id
@@ -66,50 +54,6 @@ def test_dps_selection():
     assert dps_select_cell(7, gains, (1, 2, 3)) == dps_select_cell(7, scaled, (1, 2, 3))
     with pytest.raises(ConfigError):
         dps_select_cell(1, {}, ())
-
-
-def test_cs_band_plan_shape():
-    comp = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2))
-    plan = build_cs_band_plan(comp, {1: (11,), 2: (21,)})
-    assert len(plan.assignments) == 4
-    totals = plan.cell_fraction_totals()
-    assert totals == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
-    for a in plan.assignments:
-        assert a.fraction == 0.5
-    # edge users never share a band
-    edge_band = {}
-    for a in plan.assignments:
-        for u in a.members:
-            if u in (1, 2):
-                edge_band[u] = a.band_id
-    assert edge_band[1] != edge_band[2]
-    # each edge user rides with the inner user of the cell it is paired to
-    paired = {a.members for a in plan.assignments if len(a.members) == 2}
-    assert paired == {(1, 11), (2, 21)}
-
-
-def test_cs_band_plan_pairs_edges_by_sorted_order():
-    comp = CompSet(cell_ids=(2, 1), comp_user_ids=(9, 3))
-    plan = build_cs_band_plan(comp, {1: (11,), 2: (21,)})
-    pairings = {}
-    for a in plan.assignments:
-        if len(a.members) == 2:
-            pairings[a.members[0]] = a.cell_id
-    assert pairings == {3: 1, 9: 2}
-
-
-def test_cs_band_plan_validation():
-    three = CompSet(cell_ids=(1, 2, 3), comp_user_ids=(1, 2))
-    with pytest.raises(ConfigError):
-        build_cs_band_plan(three, {1: (11,), 2: (21,), 3: (31,)})
-    one_edge = CompSet(cell_ids=(1, 2), comp_user_ids=(1,))
-    with pytest.raises(ConfigError):
-        build_cs_band_plan(one_edge, {1: (11,), 2: (21,)})
-    two_edges = CompSet(cell_ids=(1, 2), comp_user_ids=(1, 2))
-    with pytest.raises(ConfigError):
-        build_cs_band_plan(two_edges, {1: (11, 12), 2: (21,)})
-    with pytest.raises(ConfigError):
-        build_cs_band_plan(two_edges, {1: (), 2: (21,)})
 
 
 def test_cb_is_rejected_with_rationale():
