@@ -1,5 +1,5 @@
-"""Power allocation: closed-form single-cell solve, one-pass coordinated
-solve, and a brute-force grid oracle for cross-checking.
+"""Power allocation: closed-form single-cell solve and one-pass coordinated
+solve.
 
 The single-cell solve walks the decode order front to back.  At each non-head
 position the remaining budget P_rem will be spent entirely on this signal and
@@ -21,24 +21,17 @@ decode position, so n independent instances are solved at once by a Python
 loop over positions only.  ``solve_jt`` is the sweep's one NOMA solve, rate
 evaluation and audit: JT-NOMA passes the jointly served users as the shared
 prefix, and DPS-NOMA and CS-NOMA pass an empty prefix, so each cell's members
-are its single-cell tail, solved by ``solve_single_cell``.
-``allocate_single_cell`` and ``allocate_jt`` are the one-instance wrappers
-over the dict-based problem objects.  Each kernel reports a small integer
-reason code per instance (0 = feasible) and the decode position (and cell)
-that set it.
+are its single-cell tail, solved by ``solve_single_cell``.  Each kernel
+reports a small integer reason code per instance (0 = feasible) and the
+decode position (and cell) that set it.  The tests check both against the
+scalar references and the grid oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from .core import NomaCluster, PowerAllocation, later_sums, rates, seq_sum
-from .errors import DomainError
-from .schemes import validate_jt_conditions
+from .core import later_sums, rates, seq_sum
 
 EQUAL_RECEIVED = "equal_received"
 EQUAL_TRANSMIT = "equal_transmit"
@@ -51,45 +44,6 @@ RATE_SHORT = 1  # a position's requirement exceeds the remaining budget
 HEAD_SHORT = 2  # the residual left to the head misses its optional guarantee
 SHORTFALL = 3  # the audit's recomputed rate misses a guarantee
 SIC_GAP = 4  # the audit finds a signal below the decodability gap
-
-
-@dataclass(frozen=True)
-class AllocationProblem:
-    """One cell's allocation inputs.
-
-    gains holds each member's *effective* noise-normalized gain: the plain
-    serving-cell gain for single-cell members, the combined received gain per
-    unit of local power for jointly-transmitted members.  For coordinated
-    solves, comp_cell_gains carries the raw per-cell gain table of the shared
-    members ({user: {cell: gain}}), and cross_cell_gains the other-cell gains
-    of single-cell members used when cross-cell interference is modeled.
-    external_interference adds a fixed noise-normalized term to a member's
-    denominator.
-    """
-
-    cluster: NomaCluster
-    gains: Mapping[int, float]
-    budget_mw: float
-    p_tol: float
-    band_width_hz: float | None = None
-    external_interference: Mapping[int, float] = field(default_factory=dict)
-    comp_cell_gains: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
-    cross_cell_gains: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.budget_mw <= 0.0:
-            raise DomainError(f"budget must be positive, got {self.budget_mw}")
-        if self.p_tol < 0.0:
-            raise DomainError("p_tol cannot be negative")
-        if self.band_width_hz is None:
-            object.__setattr__(self, "band_width_hz", self.cluster.band.width_hz)
-        if self.band_width_hz <= 0.0:
-            raise DomainError("band width must be positive")
-        for u in self.cluster.decode_order:
-            if u not in self.gains:
-                raise LookupError(f"no effective gain for cluster member {u}")
-            if self.gains[u] < 0.0:
-                raise DomainError(f"negative gain for user {u}")
 
 
 def _over(num, gain):
@@ -165,66 +119,21 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
     return powers, reason, pos
 
 
-def _one(value) -> np.ndarray:
-    return np.full(1, value, dtype=float)
-
-
-_DIAGNOSTICS = {
-    RATE_SHORT: "infeasible_guarantee position={k} user={user}{at}",
-    HEAD_SHORT: "infeasible_guarantee position={k} user={user} head_residual",
-    SHORTFALL: "guarantee_shortfall user={user}{at}",
-    SIC_GAP: "sic_gap{at}",
-}
-
-
-def _diagnostics(code: int, k: int, user: int, cell_id: int | None = None) -> tuple[str, ...]:
-    """A one-instance reason code as the diagnostic string it stands for."""
-    if code == FEASIBLE:
-        return ()
-    at = "" if cell_id is None else f" cell={cell_id}"
-    return (_DIAGNOSTICS[code].format(k=k, user=user, at=at),)
-
-
-def allocate_single_cell(problem: AllocationProblem) -> PowerAllocation:
-    """Minimal-power forward solve; the head takes the residual budget.
-
-    Returns feasible=False (diagnostics name the binding position) when some
-    position's requirement exceeds the remaining budget, or when an optional
-    head guarantee is not met by the residual.
-    """
-    order = problem.cluster.decode_order
-    guarantees = problem.cluster.rate_guarantees
-    powers, reason, pos = solve_single_cell(
-        [_one(problem.gains[u]) for u in order],
-        [_one(problem.external_interference.get(u, 0.0)) for u in order],
-        [_one(guarantees.get(u, 0.0)) for u in order],
-        problem.budget_mw,
-        problem.p_tol,
-        problem.band_width_hz,
-    )
-    diagnostics = _diagnostics(int(reason[0]), int(pos[0]), order[pos[0]])
-    return PowerAllocation(
-        powers={u: float(p[0]) for u, p in zip(order, powers)},
-        feasible=not diagnostics,
-        diagnostics=diagnostics,
-    )
-
-
 # --- coordinated (joint-transmission) allocation ---------------------------
 
 
 @np.errstate(all="ignore")
-def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split: str, full: bool):
+def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool):
     """One forward pass over a coordination set of n instances, then an audit.
 
     Per cell ci: raw[ci][k] is the cell's gain to the shared member at
     position k (the shared prefix is common to all cells), tails[ci] the gains
-    of its single-cell members, r[ci] and x[ci] every position's guarantee and
-    fixed external interference, and cross[ci][j][oc] the gain from cell oc to
-    tail member j (read only when ``full``).  With an empty prefix
-    (raw = [[]] * m) the cells are independent NOMA clusters coupled only by
-    cross-cell interference; a cell with no members must get a zero budget,
-    or its budget counts as interference.  The audit re-checks guarantees and
+    of its single-cell members, r[ci] every position's guarantee, and
+    cross[ci][j][oc] the gain from cell oc to tail member j (read only when
+    ``full``).  With an empty prefix (raw = [[]] * m) the cells are
+    independent NOMA clusters coupled only by cross-cell interference; a cell
+    with no members must get a zero budget, or its budget counts as
+    interference.  The audit re-checks guarantees and
     decodability gaps with a relative slack of REL_SLACK.  Returns (powers
     per cell and position, reason, position, cell, rates per cell and
     position).
@@ -259,7 +168,7 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
             t = np.exp2(rk / width) - 1.0
             total = seq_sum(raw[ci][k] * rem[ci] for ci in range(m))
             delivered = seq_sum(raw[hi][k] * rem[hi] for hi in heads)
-            need = t * (1.0 + x[0][k] + total) / (1.0 + t) - delivered
+            need = t * (1.0 + total) / (1.0 + t) - delivered
             need = np.where((rk > 0.0) & (need > 0.0), need, 0.0)
         for ci in range(m):
             if ci in heads:
@@ -285,7 +194,7 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
             continue
         tail_x = []
         for j in range(sizes[ci] - q):
-            xj = x[ci][q + j]
+            xj = 0.0
             if full:
                 for oc in range(m):
                     if oc != ci:
@@ -334,188 +243,3 @@ def solve_jt(raw, tails, r, x, cross, budgets, p_tol: float, width: float, split
                 bad |= gap * s < tol
             _flag(reason, pos, cell, bad, SIC_GAP, i, ci)
     return pw, reason, pos, cell, out
-
-
-def allocate_jt(
-    problems: Sequence[AllocationProblem],
-    split: str = EQUAL_TRANSMIT,
-    interference_mode: str = "negligible",
-) -> list[PowerAllocation]:
-    """Allocation across the cells of a coordination set, in one forward pass.
-
-    Walks the shared decode prefix position by position: sizes each shared
-    member's required combined received power from its guarantee, net of what
-    residual-absorbing head cells already contribute, splits the requirement
-    over the non-head cells (equal received shares by default), and applies
-    the same per-position decodability floors as the single-cell solve; each
-    cell's single-cell tail is then solved with the shared prefix pinned.
-    The result is re-audited (guarantees, decodability) before being reported
-    feasible.
-    """
-    if split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
-        raise DomainError(f"unknown split policy {split!r}")
-    if interference_mode not in ("full", "negligible"):
-        raise DomainError(f"unknown interference mode {interference_mode!r}")
-    if not problems:
-        raise DomainError("allocate_jt needs at least one problem")
-    if len(problems) == 1:
-        return [allocate_single_cell(problems[0])]
-
-    clusters = [p.cluster for p in problems]
-    width = problems[0].band_width_hz
-    p_tol = problems[0].p_tol
-    for p in problems:
-        if p.band_width_hz != width:
-            raise DomainError("joint transmission requires one shared band width")
-        if p.p_tol != p_tol:
-            raise DomainError("p_tol must match across a coordination set")
-
-    # the jointly served members must lead every decode order, in one order
-    shared = set.intersection(*(set(c.decode_order) for c in clusters))
-    validate_jt_conditions(clusters, shared)
-    comp = tuple(u for u in clusters[0].decode_order if u in shared)
-    m = len(problems)
-    cell_ids = [c.cell_id for c in clusters]
-    orders = [c.decode_order for c in clusters]
-    raw = []
-    for ci, problem in enumerate(problems):
-        row = []
-        for u in comp:
-            table = problem.comp_cell_gains.get(u, {})
-            if cell_ids[ci] in table:
-                row.append(_one(table[cell_ids[ci]]))
-            elif split == EQUAL_RECEIVED:
-                row.append(_one(problem.gains[u] / m))
-            else:
-                raise LookupError(f"raw per-cell gain required for user {u} under {split}")
-        raw.append(row)
-    tail_users = [o[len(comp):] for o in orders]
-    pw, reason, pos, cell, _ = solve_jt(
-        raw,
-        [[_one(p.gains[u]) for u in t] for p, t in zip(problems, tail_users)],
-        [[_one(c.rate_guarantees.get(u, 0.0)) for u in c.decode_order] for c in clusters],
-        [[_one(p.external_interference.get(u, 0.0)) for u in o] for p, o in zip(problems, orders)],
-        [
-            [[_one(p.cross_cell_gains.get(u, {}).get(oc, 0.0)) for oc in cell_ids] for u in t]
-            for p, t in zip(problems, tail_users)
-        ],
-        [p.budget_mw for p in problems],
-        p_tol,
-        width,
-        split,
-        interference_mode == "full",
-    )
-    ci, k = int(cell[0]), int(pos[0])
-    diagnostics = _diagnostics(int(reason[0]), k, orders[ci][k], cell_ids[ci])
-    return [
-        PowerAllocation(
-            powers={u: float(p[0]) for u, p in zip(orders[ci], pw[ci])},
-            feasible=not diagnostics,
-            diagnostics=diagnostics,
-        )
-        for ci in range(m)
-    ]
-
-
-# --- brute-force oracle -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    allocation: PowerAllocation
-    sum_rate_bps: float
-
-
-def brute_force_oracle(problem: AllocationProblem, grid_points: int = 1000) -> OracleResult:
-    """Exhaustive sum-rate search over the budget simplex, n <= 3.
-
-    Position 0's signal is cancelled before any later decode, so topping the
-    budget up through p_0 never hurts anyone: the search fixes
-    p_0 = budget - sum(others) and grids the remaining positions.  Guarantees
-    and decodability gaps are enforced on every grid point.  A feasible winner
-    is then polished by re-gridding a one-step box around it a few times, so
-    the reported optimum is not limited by the coarse step; the feasibility
-    verdict itself stays a property of the full-budget grid.
-    """
-    cluster = problem.cluster
-    order = cluster.decode_order
-    n = len(order)
-    if n > 3:
-        raise DomainError("oracle supports clusters of at most 3 users")
-    if grid_points < 2:
-        raise DomainError("need at least 2 grid points per free dimension")
-    width = problem.band_width_hz
-    budget = problem.budget_mw
-    g = np.array([problem.gains[u] for u in order])
-    x = np.array([problem.external_interference.get(u, 0.0) for u in order])
-    guarantees = np.array(
-        [cluster.rate_guarantees.get(u, 0.0) for u in order]
-    )
-
-    def evaluate(free):
-        # free holds the power columns of positions 1..n-1; position 0 takes
-        # the budget remainder.  Column sums run left to right, as an (N, n)
-        # matrix's row sums do, without its strided reductions and copies
-        p = [np.atleast_1d(budget - seq_sum(free))] + free
-        later = later_sums(p)
-        feasible = np.ones(len(p[0]), dtype=bool)
-        for i in range(n - 1):
-            gap = p[i] - later[i]
-            worst = np.where(gap >= 0.0, gap * g[i:].min(), gap * g[i:].max())
-            feasible &= worst >= problem.p_tol
-        out = [rates(width, p[i] * g[i], g[i] * later[i] + x[i] + 1.0) for i in range(n)]
-        for i in range(n):
-            if guarantees[i] > 0.0:
-                feasible &= out[i] >= guarantees[i] * (1.0 - 1e-12)
-        sums = seq_sum(out)
-        sums[~feasible] = -math.inf
-        return feasible, sums
-
-    def simplex(spans):
-        # grid points (as columns) whose free powers fit in the budget
-        if len(spans) < 2:
-            return list(spans)
-        a, b = np.meshgrid(*spans, indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        keep = a + b <= budget
-        return [a[keep], b[keep]]
-
-    axis = np.linspace(0.0, budget, grid_points)
-    free = simplex([axis] * (n - 1))
-    feasible, sums = evaluate(free)
-    if not feasible.any():
-        return OracleResult(
-            PowerAllocation(
-                powers={u: 0.0 for u in order},
-                feasible=False,
-                diagnostics=("oracle_no_feasible_grid_point",),
-            ),
-            math.nan,
-        )
-    best_idx = int(np.argmax(sums))
-    best_free = [c[best_idx] for c in free]
-    best_sum = float(sums[best_idx])
-
-    half = budget / (grid_points - 1)
-    refine_pts = 51
-    for _ in range(3 if n > 1 else 0):
-        spans = [
-            np.linspace(
-                max(0.0, c - half), min(budget, c + half), refine_pts
-            )
-            for c in best_free
-        ]
-        cand = [np.append(c, best) for c, best in zip(simplex(spans), best_free)]
-        c_feasible, c_sums = evaluate(cand)
-        c_best = int(np.argmax(c_sums))
-        if c_sums[c_best] > best_sum:
-            best_sum = float(c_sums[c_best])
-            best_free = [c[c_best] for c in cand]
-        half = 2.0 * half / (refine_pts - 1)
-
-    powers_vec = [budget - seq_sum(best_free)] + best_free
-    powers = {order[i]: float(powers_vec[i]) for i in range(n)}
-    return OracleResult(
-        PowerAllocation(powers=powers, feasible=True),
-        best_sum,
-    )

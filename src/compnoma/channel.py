@@ -8,8 +8,7 @@ full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -51,37 +50,14 @@ class RadioParams:
         return self.noise_density_mw_hz * self.bandwidth_hz
 
 
-def normalized_gain(distance_m: float, fading_power: float, params: RadioParams) -> float:
-    """Noise-normalized channel power gain, 1/mW.
-
-    gain = fading_power * distance^(-alpha) / (noise_density * bandwidth)
-
-    fading_power is the squared fading envelope (unit mean under Rayleigh);
-    fading_power = 0 degenerates to a zero gain, not an error.
-    """
-    if distance_m <= 0.0:
-        raise DomainError(f"distance must be positive, got {distance_m}")
-    if fading_power < 0.0:
-        raise DomainError(f"fading power cannot be negative, got {fading_power}")
-    return fading_power * distance_m ** (-params.pathloss_exponent) / params.noise_power_mw
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One trial's gain table, keyed by (cell_id, user_id)."""
-
-    gains: Mapping[tuple[int, int], float] = field(default_factory=dict)
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        return self.gains[key]
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.gains
-
-
 def gain_array(fading, distance_terms, params: RadioParams):
-    """Noise-normalized gains, elementwise: fading * d^(-alpha) / noise, the
-    same operation order as normalized_gain.  Works on floats and arrays."""
+    """Noise-normalized gains, 1/mW, elementwise: fading * d^(-alpha) / noise.
+
+    fading is the squared fading envelope (unit mean under Rayleigh); zero
+    fading gives a zero gain.  Works on floats and arrays.  The operation
+    order is that of the scalar gain formula in ``tests/reference.py``,
+    which a test pins every sweep link to, bit for bit.
+    """
     return fading * distance_terms / params.noise_power_mw
 
 

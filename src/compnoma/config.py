@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import RadioParams
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .scenarios import REFERENCE_RADIO, DISC, RING, PlacementSpec
-from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, reject_cb
+from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 from .units import dbm_to_mw
 
 DEFAULT_SEED = 2026
@@ -163,7 +163,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     normalized = tuple(str(s).upper() for s in schemes)
     for s in normalized:
         if s in _REJECTED_SCHEMES:
-            reject_cb()
+            raise ConfigError(
+                "coordinated beamforming rejected: single-antenna cells have no spatial "
+                "degrees of freedom to null a co-scheduled superposed user"
+            )
         if s not in ALLOWED_SCHEMES[scenario]:
             raise ValidationError(
                 f"scheme {s!r} not available in scenario {scenario}; "

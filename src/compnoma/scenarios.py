@@ -264,7 +264,6 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full):
         [[g[rows, ci, c] for c in edge] for ci in (0, 1)],
         [[g[rows, ci, c] for c in order[q:]] for ci, order in enumerate(orders)],
         [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
-        [[0.0] * len(order) for order in orders],
         [[[g[rows, oc, c] for oc in (0, 1)] for c in order[q:]] for order in orders] if full else None,
         budgets,
         p_tol,

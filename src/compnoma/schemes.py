@@ -1,17 +1,13 @@
-"""Coordination-scheme rules: the scheme names, decode-order validity for
-joint transmission, and dynamic serving-cell selection.  The schemes
-themselves are evaluated in ``scenarios``.  Coordinated beamforming is
-structurally rejected: with one transmit antenna per cell there is no spatial
-dimension to steer a beam away from a co-scheduled superposed user, so the
-scheme cannot be realized here.
+"""Coordination-scheme rules: the scheme names and decode-order validity
+for joint transmission.  The schemes themselves are evaluated in
+``scenarios``; ``config`` rejects coordinated beamforming.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import NomaCluster
-from .errors import ConditionViolation, ConfigError
+from .errors import ConditionViolation
 
 JT_NOMA = "JT-NOMA"
 CS_NOMA = "CS-NOMA"
@@ -20,10 +16,9 @@ JT_OMA = "JT-OMA"
 CS_OMA = "CS-OMA"
 
 
-def validate_jt_conditions(
-    clusters: Sequence[NomaCluster], comp_users: Iterable[int]
-) -> None:
-    """Check the two decode-order rules joint transmission depends on.
+def validate_jt_conditions(clusters: Sequence, comp_users: Iterable[int]) -> None:
+    """Check the two decode-order rules joint transmission depends on; each
+    cluster has a ``cell_id`` and a ``decode_order``.
 
     1. In every cluster, jointly served users are decoded before any
        single-cell user (otherwise a single-cell user would have to cancel a
@@ -54,27 +49,3 @@ def validate_jt_conditions(
                 2, cluster.cell_id, order,
                 f"joint users ordered {sub}, expected {reference}",
             )
-
-
-def dps_select_cell(comp_user: int, gains, cells: Sequence) -> int:
-    """Serving cell for one dynamically switched user: the cell with the
-    largest realized gain this trial; ties go to the lowest cell id."""
-    if not cells:
-        raise ConfigError("no candidate cells to select from")
-    best_id: int | None = None
-    best_gain = 0.0
-    ids = sorted(getattr(cell, "cell_id", cell) for cell in cells)
-    for cell_id in ids:
-        g = gains[(cell_id, comp_user)]
-        if best_id is None or g > best_gain:
-            best_id, best_gain = cell_id, g
-    assert best_id is not None
-    return best_id
-
-
-def reject_cb() -> None:
-    """Coordinated beamforming is never runnable in this system; say why."""
-    raise ConfigError(
-        "coordinated beamforming rejected: single-antenna cells have no spatial "
-        "degrees of freedom to null a co-scheduled superposed user"
-    )

@@ -8,43 +8,55 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from typing import NamedTuple
 
-from compnoma import (
-    AllocationProblem,
-    Band,
-    NomaCluster,
-    allocate_single_cell,
-    brute_force_oracle,
-    sum_rate_single_cell,
-)
+import numpy as np
+
+from compnoma.allocation import FEASIBLE, solve_single_cell
+
+from reference import Band, NomaCluster, PowerAllocation, brute_force_oracle, sum_rate_single_cell
 
 REF_BUDGET_MW = 10.0 ** 4.3  # 43 dBm
 
 
-def make_problem(
-    gains: list[float],
-    guarantees: list[float],
-    budget: float = 1.0,
-    p_tol: float = 0.0,
-    width: float = 1.0,
-    cell_id: int = 1,
-) -> AllocationProblem:
-    """Single-cell problem with users 1..n in the given (already ordered)
-    gain sequence; guarantees cover the non-head positions."""
-    n = len(gains)
-    order = tuple(range(1, n + 1))
-    cluster = NomaCluster(
-        cell_id=cell_id,
-        band=Band(0, width),
-        decode_order=order,
-        rate_guarantees={order[i]: guarantees[i] for i in range(n - 1)},
+class Instance(NamedTuple):
+    """One single-cell allocation instance, positions in decode order;
+    guarantees cover the non-head positions."""
+
+    gains: list
+    guarantees: list
+    budget: float = 1.0
+    p_tol: float = 0.0
+
+
+def one(value) -> np.ndarray:
+    """A value as a length-1 kernel input."""
+    return np.full(1, value, dtype=float)
+
+
+def solve_one(gains, guarantees, budget=1.0, p_tol=0.0, width=1.0, x=None, head=0.0):
+    """solve_single_cell on one instance: x is each position's external
+    interference, head the optional head guarantee.  Returns (powers in
+    decode order, reason code, position)."""
+    powers, reason, pos = solve_single_cell(
+        [one(g) for g in gains],
+        [one(v) for v in x or [0.0] * len(gains)],
+        [one(r) for r in [*guarantees, head]],
+        budget,
+        p_tol,
+        width,
     )
-    return AllocationProblem(
-        cluster=cluster,
-        gains={order[i]: gains[i] for i in range(n)},
-        budget_mw=budget,
-        p_tol=p_tol,
+    return [float(p[0]) for p in powers], int(reason[0]), int(pos[0])
+
+
+def as_cluster(powers, gains, width=1.0):
+    """A decode-ordered instance as the scalar references take it, users
+    numbered by position: (cluster, allocation, gains by user)."""
+    order = tuple(range(len(powers)))
+    return (
+        NomaCluster(1, Band(0, width), order),
+        PowerAllocation(dict(zip(order, powers))),
+        dict(zip(order, gains)),
     )
 
 
@@ -53,8 +65,8 @@ def random_problem(
     n: int | None = None,
     p_tol: float | None = None,
     guarantee_scale: tuple[float, float] = (1.0, 1.0),
-) -> AllocationProblem:
-    """Ascending-gain problem with log-uniform gains in [1e-5, 1e-2] /mW and
+) -> Instance:
+    """Ascending-gain instance with log-uniform gains in [1e-5, 1e-2] /mW and
     guarantees drawn from the users' equal-split orthogonal rates, optionally
     rescaled to stress the feasibility boundary."""
     if n is None:
@@ -67,33 +79,33 @@ def random_problem(
         rng.uniform(lo, hi) * (1.0 / n) * math.log2(1.0 + REF_BUDGET_MW * gains[i])
         for i in range(n - 1)
     ]
-    return make_problem(gains, guarantees, budget=REF_BUDGET_MW, p_tol=p_tol)
+    return Instance(gains, guarantees, REF_BUDGET_MW, p_tol)
 
 
-def oracle_agreement(problem: AllocationProblem, grid_points: int = 1000):
+def oracle_agreement(problem: Instance, grid_points: int = 1000):
     """Compare the closed-form solve against the grid oracle.
 
     Returns (ok, detail).  Verdict splits are excused when nudging the budget
     by one grid step flips the closed-form verdict (the instance straddles a
     feasibility boundary finer than the grid).
     """
-    closed = allocate_single_cell(problem)
-    oracle = brute_force_oracle(problem, grid_points)
-    step = problem.budget_mw / (grid_points - 1)
-    if closed.feasible != oracle.allocation.feasible:
-        for nudged in (problem.budget_mw - step, problem.budget_mw + step):
+    powers, reason, _ = solve_one(*problem)
+    feasible = reason == FEASIBLE
+    oracle = brute_force_oracle(*problem, grid_points)
+    step = problem.budget / (grid_points - 1)
+    if feasible != oracle.feasible:
+        for nudged in (problem.budget - step, problem.budget + step):
             if nudged <= 0.0:
                 continue
-            alt = allocate_single_cell(replace(problem, budget_mw=nudged))
-            if alt.feasible != closed.feasible:
+            if (solve_one(*problem._replace(budget=nudged))[1] == FEASIBLE) != feasible:
                 return True, "verdict split excused at a feasibility boundary"
         return False, (
-            f"verdicts disagree away from any boundary: closed={closed.feasible} "
-            f"oracle={oracle.allocation.feasible}"
+            f"verdicts disagree away from any boundary: closed={feasible} "
+            f"oracle={oracle.feasible}"
         )
-    if not closed.feasible:
+    if not feasible:
         return True, "both infeasible"
-    closed_sum = sum_rate_single_cell(problem.cluster, closed, problem.gains)
+    closed_sum = sum_rate_single_cell(*as_cluster(powers, problem.gains))
     gap = abs(closed_sum - oracle.sum_rate_bps)
     if gap <= 1e-3 * max(abs(closed_sum), 1e-12):
         return True, "sum rates match"

@@ -10,26 +10,18 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from compnoma import (
-    PRESETS,
-    Band,
-    ChannelRealization,
-    NomaCluster,
-    PowerAllocation,
-    allocate_jt,
-    allocate_single_cell,
-    normalized_gain,
-    run_sweep,
-    user_rate_single_cell,
-    validate_jt_conditions,
-)
+from compnoma import EQUAL_TRANSMIT, PRESETS, run_sweep, validate_jt_conditions
+from compnoma.allocation import FEASIBLE, solve_jt
+from compnoma.channel import gain_array
 from compnoma.cli import format_csv
+from compnoma.core import rates
 from compnoma.errors import ConditionViolation
 from compnoma.scenarios import REFERENCE_RADIO
 
-from conftest import jt_order_mutants, oracle_agreement, random_problem
+from conftest import jt_order_mutants, one, oracle_agreement, random_problem, solve_one
 
 
 def _timed_preset(name):
@@ -185,20 +177,34 @@ def test_criterion_7_worker_invariance(fig4_run):
 
 
 def test_criterion_8_numerical_hygiene(fig4_run, fig5_run, fig6_run):
-    # joint allocation with one cell reduces to the single-cell solver exactly
+    # the joint solve with an empty shared prefix reduces to the single-cell
+    # solver per cell, on one cell and on two: powers bit for bit when
+    # feasible, verdicts always
     rng = random.Random(1008)
     for _ in range(100):
-        problem = random_problem(rng)
-        direct = allocate_single_cell(problem)
-        joint = allocate_jt([problem])[0]
-        assert joint.powers == direct.powers
-        assert joint.feasible == direct.feasible
+        p_tol = rng.choice((0.0, 100.0))
+        problems = [random_problem(rng, p_tol=p_tol) for _ in range(2)]
+        for cells in (problems[:1], problems):
+            pw, reason, _, _, _ = solve_jt(
+                [[]] * len(cells),
+                [[one(g) for g in c.gains] for c in cells],
+                [[one(r) for r in [*c.guarantees, 0.0]] for c in cells],
+                None,
+                [c.budget for c in cells],
+                p_tol,
+                1.0,
+                EQUAL_TRANSMIT,
+                False,
+            )
+            direct = [solve_one(*c) for c in cells]
+            assert (reason[0] == FEASIBLE) == all(d[1] == FEASIBLE for d in direct)
+            if reason[0] == FEASIBLE:
+                assert [[float(p[0]) for p in cell_pw] for cell_pw in pw] == [d[0] for d in direct]
 
     # a faded-out link carries exactly zero rate
-    assert normalized_gain(220.0, 0.0, REFERENCE_RADIO) == 0.0
-    cluster = NomaCluster(1, Band(0, 8.64e6), (7,))
-    alloc = PowerAllocation(powers={7: REFERENCE_RADIO.tx_power_mw})
-    assert user_rate_single_cell(cluster, alloc, {7: 0.0}, 7) == 0.0
+    g = gain_array(np.zeros(1), 220.0 ** -4.0, REFERENCE_RADIO)
+    assert g.tolist() == [0.0]
+    assert rates(8.64e6, REFERENCE_RADIO.tx_power_mw * g, 1.0).tolist() == [0.0]
 
     # every preset statistic is finite and serializable
     for _, result, _ in (fig4_run, fig5_run, fig6_run):
@@ -208,6 +214,7 @@ def test_criterion_8_numerical_hygiene(fig4_run, fig5_run, fig6_run):
             assert 0.0 <= row.infeasible_frac <= 1.0
         format_csv(result)
     print(
-        "criterion 8 PASS: exact single-cell reduction, zero-fading rate 0, "
+        "criterion 8 PASS: empty-prefix joint solve reduces exactly to the "
+        "single-cell solver, zero-fading rate 0, "
         "all preset outputs finite"
     )

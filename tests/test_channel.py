@@ -7,18 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import (
-    ChannelRealization,
-    DomainError,
-    PlacementSpec,
-    RadioParams,
-    dbm_to_mw,
-    normalized_gain,
-    substream,
-)
+from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw, substream
 from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint
 
 from conftest import draw_edge_position
+from reference import ChannelRealization, normalized_gain
 
 
 def test_reference_radio_constants():

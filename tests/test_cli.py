@@ -110,6 +110,7 @@ def test_beamforming_is_rejected_with_reason():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"scenario_id": 2, "schemes": ["cb"]})
     assert "beamforming" in str(err.value)
+    assert "single-antenna" in str(err.value)
     with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 2, "schemes": ["CB-NOMA"]})
 

@@ -1,4 +1,4 @@
-"""Per-user rate formulas, SIC decodability, and the domain invariants."""
+"""The scalar reference rate formulas, SIC decodability, and the domain invariants."""
 
 import itertools
 import math
@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from compnoma import (
+from compnoma import ConditionViolation, DomainError
+
+from reference import (
     Band,
     ChannelRealization,
-    ConditionViolation,
-    DomainError,
     NomaCluster,
     PowerAllocation,
     comp_user_rate_jt,

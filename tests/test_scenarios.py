@@ -7,22 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import (
-    AllocationProblem,
-    Band,
-    ChannelRealization,
-    ConfigError,
-    DomainError,
-    EQUAL_TRANSMIT,
-    NomaCluster,
-    PlacementSpec,
-    PowerAllocation,
-    RadioParams,
-    allocate_single_cell,
-    noncomp_user_rate,
-    sic_feasible,
-    user_rate_single_cell,
-)
+from compnoma import ConfigError, DomainError, EQUAL_TRANSMIT, PlacementSpec, RadioParams
 from compnoma import scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
 from compnoma.config import config_from_dict
@@ -38,9 +23,18 @@ from compnoma.scenarios import (
     evaluate,
     orthogonal_rates,
 )
-from compnoma.schemes import dps_select_cell
 
-from conftest import draw_edge_position
+from conftest import draw_edge_position, solve_one
+from reference import (
+    Band,
+    ChannelRealization,
+    NomaCluster,
+    PowerAllocation,
+    dps_select_cell,
+    noncomp_user_rate,
+    sic_feasible,
+    user_rate_single_cell,
+)
 from golden.make_golden import TRIAL_CONFIGS, TRIAL_POINTS, TRIALS_PER_POINT, golden_config
 
 # unit band and unit gains make rate identities exact by hand
@@ -202,6 +196,11 @@ def test_run_trial_dispatch_errors():
         run(s1, gains, "TDMA")
     with pytest.raises(DomainError):
         run(s1, gains, "JT-NOMA", interference_mode="sometimes")
+    with pytest.raises(DomainError):
+        evaluate(
+            s1.layout, gains, orthogonal_rates(s1.layout, gains), "JT-NOMA", "negligible", "thirds",
+            CASE_EDGE_ORDER_CELL2,
+        )
 
 
 def test_infeasible_trial_falls_back_to_baseline():
@@ -293,9 +292,9 @@ def test_interference_mode_full_never_exceeds_negligible():
 def per_cell_reference(lay, g, base, scheme, full):
     """One trial of DPS-NOMA or CS-NOMA from hand-built clusters: (rates per
     user column, feasible).  g is (cells, users) and base (users,).  Each
-    cluster is sized by allocate_single_cell at the band's budget and gain
+    cluster is sized by solve_single_cell at the band's budget and gain
     scaling, with the other cell's co-band budget as external interference in
-    full mode, and scored with the core scalar rate formulas; a cell with no
+    full mode, and scored with the reference scalar rate formulas; a cell with no
     members transmits nothing."""
     if scheme == "DPS-NOMA":
         members = {ci: list(lay.tails[ci]) for ci in (0, 1)}
@@ -319,15 +318,14 @@ def per_cell_reference(lay, g, base, scheme, full):
                 continue
             order = tuple(sorted(cols, key=lambda c: eff[ci, c]))
             cluster = NomaCluster(ci, band, order, {c: base[c] for c in order[:-1]})
-            x = {c: budget * eff[oc, c] for oc in members if oc != ci and members[oc] for c in order}
-            alloc = allocate_single_cell(
-                AllocationProblem(
-                    cluster, {c: eff[ci, c] for c in order}, budget, lay.p_tol,
-                    external_interference=x if full else {},
-                )
+            busy = [oc for oc in members if oc != ci and members[oc]]
+            x = [budget * eff[busy[0], c] if full and busy else 0.0 for c in order]
+            powers, reason, _ = solve_one(
+                [eff[ci, c] for c in order], [base[c] for c in order[:-1]], budget, lay.p_tol,
+                band.width_hz, x,
             )
-            feasible &= alloc.feasible
-            solved[ci] = (cluster, alloc)
+            feasible &= reason == FEASIBLE
+            solved[ci] = (cluster, PowerAllocation(dict(zip(order, powers))))
         for ci, (cluster, alloc) in solved.items():
             cross = [solved[oc] for oc in solved if oc != ci]
             for c in cluster.decode_order:
@@ -359,9 +357,10 @@ def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
 
 
 def decodable(call, t, p_tol):
-    """core.sic_feasible per cell on trial t of a captured solve_jt call: the
-    cell's decode order at its final powers, each member at the gain it sees
-    (a shared member: both cells' received power per unit of this cell's)."""
+    """The reference sic_feasible per cell on trial t of a captured solve_jt
+    call: the cell's decode order at its final powers, each member at the gain
+    it sees (a shared member: both cells' received power per unit of this
+    cell's)."""
     (raw, tails, *_), (pw, *_) = call
     q = len(raw[0])
     verdicts = []

@@ -1,20 +1,13 @@
-"""Decode-order validation, cell selection, and the beamforming rejection."""
+"""Decode-order validation and the reference cell selection."""
 
 import random
 
 import pytest
 
-from compnoma import (
-    Band,
-    ConditionViolation,
-    ConfigError,
-    NomaCluster,
-    dps_select_cell,
-    reject_cb,
-    validate_jt_conditions,
-)
+from compnoma import ConditionViolation, ConfigError, validate_jt_conditions
 
 from conftest import jt_order_mutants
+from reference import Band, NomaCluster, dps_select_cell
 
 BAND = Band(0, 8.64e6)
 
@@ -54,14 +47,6 @@ def test_dps_selection():
     assert dps_select_cell(7, gains, (1, 2, 3)) == dps_select_cell(7, scaled, (1, 2, 3))
     with pytest.raises(ConfigError):
         dps_select_cell(1, {}, ())
-
-
-def test_cb_is_rejected_with_rationale():
-    with pytest.raises(ConfigError) as err:
-        reject_cb()
-    message = str(err.value)
-    assert "single-antenna" in message
-    assert "beamforming" in message
 
 
 def test_mutant_orders_are_detected():
