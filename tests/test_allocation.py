@@ -159,6 +159,26 @@ def scalar_objects(orders, powers, guarantees):
     return clusters, allocs
 
 
+def test_jt_single_problem_delegates_exactly():
+    # one cell and no shared prefix: the joint solve is the single-cell solve
+    gains, guarantees = [1.0, 10.0], [0.5]
+    direct = solve_one(gains, guarantees, budget=1.0)
+    pw, reason, pos, _, _ = solve_jt(
+        [[]],
+        [[one(g) for g in gains]],
+        [[one(r) for r in [*guarantees, 0.0]]],
+        None,
+        [1.0],
+        0.0,
+        1.0,
+        EQUAL_TRANSMIT,
+        False,
+    )
+    assert len(pw) == 1
+    assert [float(p[0]) for p in pw[0]] == direct[0]
+    assert (int(reason[0]), int(pos[0])) == direct[1:]
+
+
 def test_jt_symmetric_two_cells_split_half_half():
     # equal gains and one guaranteed edge user: each cell contributes exactly
     # half of the required received power, under either split policy

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from compnoma import ConditionViolation, ConfigError, validate_jt_conditions
+from compnoma import ConditionViolation, ConfigError, config_from_dict, validate_jt_conditions
 
 from conftest import jt_order_mutants
 from reference import Band, NomaCluster, dps_select_cell
@@ -47,6 +47,14 @@ def test_dps_selection():
     assert dps_select_cell(7, gains, (1, 2, 3)) == dps_select_cell(7, scaled, (1, 2, 3))
     with pytest.raises(ConfigError):
         dps_select_cell(1, {}, ())
+
+
+def test_cb_is_rejected_with_rationale():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"scenario_id": 3, "schemes": ["CB-NOMA"]})
+    message = str(err.value)
+    assert "single-antenna" in message
+    assert "beamforming" in message
 
 
 def test_mutant_orders_are_detected():
