@@ -21,10 +21,12 @@ decode position, so n independent instances are solved at once by a Python
 loop over positions only.  ``solve_jt`` is the sweep's one NOMA solve, rate
 evaluation and audit: JT-NOMA passes the jointly served users as the shared
 prefix, and DPS-NOMA and CS-NOMA pass an empty prefix, so each cell's members
-are its single-cell tail, solved by ``solve_single_cell``.  Each kernel
-reports a small integer reason code per instance (0 = feasible) and the
-decode position (and cell) that set it.  The tests check both against the
-scalar references and the grid oracle in ``tests/reference.py``.
+are its single-cell tail, solved by ``solve_single_cell``.  Per-instance
+budgets and membership let clusters whose sizes differ from trial to trial
+share one call.  Each kernel reports a small integer reason code per
+instance (0 = feasible) and the decode position (and cell) that set it.
+The tests check both against the scalar references and the grid oracle in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -86,14 +88,16 @@ def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
 
 
 @np.errstate(all="ignore")
-def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
+def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
     """Closed-form forward solve of n clusters of K members.
 
     g, x and r hold, per decode position, the effective gain, the fixed
     external interference and the rate guarantee; r[-1] is an optional head
-    guarantee (0 = none), checked against the residual.  Returns
-    (powers per position, reason, position); infeasible instances get zero
-    powers.
+    guarantee (0 = none), checked against the residual.  budget is a number
+    or one per instance; idle, if given, counts per instance the leading
+    positions its cluster does not use: they get exactly 0.0 power and must
+    carry no guarantee, so members are sized as if alone.  Returns (powers
+    per position, reason, position); infeasible instances get zero powers.
     """
     n = len(g[0])
     reason = np.zeros(n, np.int8)
@@ -107,6 +111,7 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
         t = np.exp2(r[k] / width) - 1.0
         p_rate = np.where(t > 0.0, t / (1.0 + t) * (rem + worst[k]), 0.0)
         p = np.maximum(p_rate, _floor(rem, p_tol, g_min[k]))
+        p = p if idle is None else np.where(k < idle, 0.0, p)
         _flag(reason, pos, None, ~(p <= rem), RATE_SHORT, k)
         powers.append(p)
         rem = rem - p
@@ -123,20 +128,22 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float):
 
 
 @np.errstate(all="ignore")
-def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool):
+def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool, idle=None):
     """One forward pass over a coordination set of n instances, then an audit.
 
     Per cell ci: raw[ci][k] is the cell's gain to the shared member at
     position k (the shared prefix is common to all cells), tails[ci] the gains
     of its single-cell members, r[ci] every position's guarantee, and
     cross[ci][j][oc] the gain from cell oc to tail member j (read only when
-    ``full``).  With an empty prefix (raw = [[]] * m) the cells are
-    independent NOMA clusters coupled only by cross-cell interference; a cell
-    with no members must get a zero budget, or its budget counts as
-    interference.  The audit re-checks guarantees and
-    decodability gaps with a relative slack of REL_SLACK.  Returns (powers
-    per cell and position, reason, position, cell, rates per cell and
-    position).
+    ``full``); budgets[ci] is a number or one per instance.  With an empty
+    prefix (raw = [[]] * m) the cells are independent NOMA clusters coupled
+    only by cross-cell interference, and idle[ci] may count per instance the
+    leading members cell ci leaves unused (see ``solve_single_cell``); they
+    get rate 0 and no audit.  A cell an instance leaves with no members must
+    get a zero budget, or its budget counts as interference.  The audit
+    re-checks guarantees and decodability gaps with a relative slack of
+    REL_SLACK.  Returns (powers per cell and position, reason, position,
+    cell, rates per cell and position).
     """
     m, q = len(raw), len(raw[0])
     n = len((raw[0] or tails[0])[0])
@@ -152,7 +159,7 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
     # gain; that is the gain every shared floor below is sized against (the
     # tails' floors are solve_single_cell's)
     g_min = [_suffix(np.minimum, default[ci] + list(tails[ci])) for ci in range(m)] if q else None
-    rem = [np.full(n, float(b)) for b in budgets]
+    rem = [np.full(n, b, float) for b in budgets]
     pw = [[None] * sizes[ci] for ci in range(m)]
 
     # Heads absorb their cell's residual, so whatever a cell transmits after
@@ -192,17 +199,13 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
     for ci in range(m):
         if sizes[ci] == q:
             continue
-        tail_x = []
-        for j in range(sizes[ci] - q):
-            xj = 0.0
-            if full:
-                for oc in range(m):
-                    if oc != ci:
-                        xj = xj + nonshared[oc] * cross[ci][j][oc]
-            tail_x.append(xj)
+        tail_x = [
+            seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci) if full else 0.0
+            for j in range(sizes[ci] - q)
+        ]
         tail_r = list(r[ci][q:-1]) + [0.0]
         powers, tail_reason, tail_pos = solve_single_cell(
-            tails[ci], tail_x, tail_r, rem[ci], p_tol, width
+            tails[ci], tail_x, tail_r, rem[ci], p_tol, width, idle and idle[ci]
         )
         _flag(reason, pos, cell, tail_reason != FEASIBLE, RATE_SHORT, tail_pos + q, ci)
         pw[ci][q:] = powers
@@ -221,12 +224,8 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
             out[ci][k] = joint
     for ci in range(m):
         for j, g in enumerate(tails[ci]):
-            noise = 1.0 + g * later[ci][q + j]
-            if full:
-                for oc in range(m):
-                    if oc != ci:
-                        for p in pw[oc][q:]:
-                            noise = noise + p * cross[ci][j][oc]
+            others = [p * cross[ci][j][oc] for oc in range(m) if oc != ci for p in pw[oc][q:]] if full else []
+            noise = seq_sum([1.0 + g * later[ci][q + j], *others])
             out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
     for ci in range(m):
         for k in range(sizes[ci]):
@@ -241,5 +240,5 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
             bad = gap * seen[i] < tol
             for s in seen[i + 1:]:
                 bad |= gap * s < tol
-            _flag(reason, pos, cell, bad, SIC_GAP, i, ci)
+            _flag(reason, pos, cell, bad if idle is None else bad & (i >= idle[ci]), SIC_GAP, i, ci)
     return pw, reason, pos, cell, out

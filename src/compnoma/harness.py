@@ -1,6 +1,6 @@
 """Monte-Carlo sweep driver.
 
-Every (sweep point, trial) pair owns a counter-derived RNG substream, so a
+Every (sweep point, trial) pair owns a hash-derived RNG substream, so a
 trial's channel realization depends only on the master seed and those two
 indices.  All schemes of a run therefore see identical realizations, results
 do not depend on the worker count or chunking, and per-point statistics are
@@ -9,6 +9,7 @@ reduced in trial order with exact summation.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import logging
 import math
@@ -45,12 +46,12 @@ def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Ra
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid; endpoints snapped against float drift."""
+    """Inclusive arithmetic grid; never past stop, but float drift short of it is forgiven."""
     if step <= 0.0:
         raise ValueError("sweep step must be positive")
     if stop < start:
         raise ValueError("sweep stop below start")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    count = int(math.floor((stop - start) / step * (1.0 + 1e-9))) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -80,11 +81,13 @@ def run_chunk(config, start: int, stop: int):
     Every point shares one Layout, so a block of up to _BLOCK trials may cross
     points: each trial is drawn from its own substream, each point turns its
     trials' draws into gain rows, the rows are stacked, and every series is
-    evaluated on the block's (trials, cells, users) gain array at once.
-    Module-level so process pools can pickle it.  Returns (spectral
-    efficiency, feasible, guarantees met), each of shape (trials, series).
+    evaluated on the block's (trials, cells, users) gain array at once, one
+    ``evaluate`` call per scheme with all its decode cases.  Module-level so
+    process pools can pickle it.  Returns (spectral efficiency, feasible,
+    guarantees met), each of shape (trials, series).
     """
     rows = scheme_rows(config)
+    series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
     points = {}
@@ -105,7 +108,7 @@ def run_chunk(config, start: int, stop: int):
             point, draws = points[s_i], []
             for t in range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n)):
                 try:
-                    rng.seed(_trial_seed(seed, s_i, t))
+                    _random.Random.seed(rng, _trial_seed(seed, s_i, t))  # skips the gauss() reset
                     draws.append(point.draw(rng))
                 except Exception as e:
                     raise SweepError(
@@ -117,13 +120,15 @@ def run_chunk(config, start: int, stop: int):
         try:
             gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
             base = orthogonal_rates(point.layout, gains)
-            for r_i, (label, scheme, case) in enumerate(rows):
+            for scheme, cols in series.items():
+                label = ", ".join(rows[r_i][0] for r_i in cols)
                 out, ok, good, _ = evaluate(
-                    point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
+                    point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
+                    [rows[r_i][2] for r_i in cols],
                 )
-                se[block, r_i] = [math.fsum(r) for r in out.tolist()]
-                feasible[block, r_i] = ok
-                met[block, r_i] = good
+                sums = [math.fsum(r) for r in out.tolist()]
+                for a, v in ((se, sums), (feasible, ok), (met, good)):
+                    a[block, cols] = np.reshape(v, (len(cols), -1)).T
         except Exception as e:
             (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
             raise SweepError(
@@ -191,12 +196,13 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     The sweep's trials are numbered point by point (see run_chunk) and cut
     into contiguous ranges that may cross points: one kernel block each on a
     serial run, which runs them in order in this process, and about four per
-    worker on a process pool, which serves the whole sweep.  Each point is
+    worker on a process pool, which serves the whole sweep, but never fewer
+    trials than a block or a worker's share, whichever is less.  Each point is
     reduced in trial order as soon as all its trials are back.
     """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     total = config.trials * len(values)
-    span = _BLOCK if workers <= 1 else -(-total // (workers * 4))
+    span = _BLOCK if workers <= 1 else max(-(-total // (workers * 4)), min(_BLOCK, -(-total // workers)))
     ranges = ((lo, min(lo + span, total)) for lo in range(0, total, span))
     if workers <= 1:
         return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))

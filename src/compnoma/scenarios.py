@@ -244,32 +244,37 @@ def _cs_oma(lay: Layout, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_order(lay: Layout, g: np.ndarray, decode_case: str) -> list:
+def _edge_order(lay: Layout, g: np.ndarray, decode_case) -> list:
     """Shared decode order of the jointly served users: ascending realized
     gain in the reference cell (cell 2 in the first decode case of the
-    asymmetric scenario, cell 1 otherwise)."""
-    ref = 1 if lay.scenario_id == 3 and decode_case == CASE_EDGE_ORDER_CELL2 else 0
-    return _by_gain(g[:, ref], lay.comp)
+    asymmetric scenario, cell 1 otherwise).  Given a sequence of decode
+    cases, g holds one block of trials per case."""
+    cases = [decode_case] if isinstance(decode_case, str) else decode_case
+    n = len(g) // len(cases)
+    ref = [1 if lay.scenario_id == 3 and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
+    parts = [g[i * n:(i + 1) * n, r] for i, r in enumerate(ref)]
+    return _by_gain(np.concatenate(parts) if len(parts) > 1 else parts[0], lay.comp)
 
 
-def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full):
+def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, idle=None):
     """Per-cell NOMA clusters through ``solve_jt``: orders[ci] is cell ci's
     decode order of user columns, led by the jointly served columns ``edge``
     (none for per-cell schemes, whose split is then unused); every non-head
-    is guaranteed its orthogonal rate.  Returns (rates, reason, non-head
-    mask); a user no cell serves gets rate 0."""
+    is guaranteed its orthogonal rate.  idle[ci], if given, counts per trial
+    the leading positions of orders[ci] that cell ci does not serve: they
+    point at an extra, zero-guarantee column, dropped from the results.
+    Returns (rates, reason, non-head mask); a user no cell serves gets rate 0."""
     rows = np.arange(len(g))
-    q = len(edge)
+    q, users = len(edge), base.shape[1]
+    if idle is not None:  # in g, column -1 is some user's: any gain will do
+        orders = [[np.where(k < idle[ci], -1, c) for k, c in enumerate(o)] for ci, o in enumerate(orders)]
+        base = np.column_stack([base, np.zeros(len(base))])
     _, reason, _, _, pos_rates = solve_jt(
         [[g[rows, ci, c] for c in edge] for ci in (0, 1)],
         [[g[rows, ci, c] for c in order[q:]] for ci, order in enumerate(orders)],
         [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
         [[[g[rows, oc, c] for oc in (0, 1)] for c in order[q:]] for order in orders] if full else None,
-        budgets,
-        p_tol,
-        width,
-        split,
-        full,
+        budgets, p_tol, width, split, full, idle,
     )
     out = np.zeros(base.shape)
     nonhead = np.zeros(base.shape, bool)
@@ -278,13 +283,13 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full):
             out[rows, c] = r
         for c in order[:-1]:
             nonhead[rows, c] = True
-    return out, reason, nonhead
+    return out[:, :users], reason, nonhead[:, :users]
 
 
-def _jt_noma(lay, g, base, full, split, decode_case):
+def _jt_noma(lay, g, base, full, split, cases):
     """Both cells decode the jointly served users first, in the shared edge
     order, then their own users by ascending gain."""
-    edge = _edge_order(lay, g, decode_case)
+    edge = _edge_order(lay, g, cases)
     orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
     return _noma_clusters(g, base, edge, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full)
 
@@ -292,45 +297,43 @@ def _jt_noma(lay, g, base, full, split, decode_case):
 def _dps_noma(lay, g, base, full):
     """Each jointly served user joins the cell with the larger realized gain
     (cell 1 on ties), and every cell decodes its members by ascending gain.
-    Trials are grouped by that choice, so every group has fixed cluster
-    sizes; a cell left with no members transmits nothing."""
-    out = np.empty_like(base)
-    nonhead = np.empty(base.shape, bool)
-    reason = np.empty(len(g), np.int8)
-    moved = sum((g[:, 1, c] > g[:, 0, c]).astype(int) << j for j, c in enumerate(lay.comp))
-    for choice in range(1 << len(lay.comp)):
-        idx = np.flatnonzero(moved == choice)
-        if not len(idx):
-            continue
-        members = [
-            list(lay.tails[ci]) + [c for j, c in enumerate(lay.comp) if ((choice >> j) & 1) == ci]
-            for ci in (0, 1)
-        ]
-        gi = g[idx]
-        orders = [_by_gain(gi[:, ci], members[ci]) for ci in (0, 1)]
-        budgets = [lay.power_mw if order else 0.0 for order in orders]
-        out[idx], reason[idx], nonhead[idx] = _noma_clusters(
-            gi, base[idx], [], orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full
-        )
-    return out, reason, nonhead
+    Each cell lists its single-cell users and every jointly served user; a
+    trial's non-members lead the order unserved, and a cell left with no
+    members transmits nothing."""
+    to2 = g[:, 1, lay.comp] > g[:, 0, lay.comp]  # (trials, jointly served users)
+    orders, idle, budgets = [], [], []
+    for ci, away in enumerate((to2, ~to2)):
+        cols = lay.tails[ci] + lay.comp
+        key = g[:, ci, cols]  # non-members at -inf lead; the stable sort keeps ties in cols' order
+        key[:, len(lay.tails[ci]):][away] = -np.inf
+        orders.append(list(np.asarray(cols)[np.argsort(key, axis=1, kind="stable")].T))
+        idle.append(away.sum(axis=1))
+        budgets.append(np.where(idle[ci] < len(cols), lay.power_mw, 0.0))
+    return _noma_clusters(
+        g, base, [], orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full, idle
+    )
 
 
 def _cs_noma(lay, g, base, full):
     """The orthogonal 50/50 band plan: on half band b, cell b superposes edge
     user b on its single-cell user and the other cell serves its single-cell
     user alone, each at half power.  In-band noise halves with the band, so
-    gains double.  The two bands' rates add; the reason is band 0's unless
-    that is feasible."""
-    g = g * 2.0
-    bands = [
-        _noma_clusters(
-            g, base, [],
-            [_by_gain(g[:, ci], [edge] * (ci == b) + list(lay.tails[ci])) for ci in (0, 1)],
-            [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0, lay.p_tol, EQUAL_TRANSMIT, full,
-        )
-        for b, edge in enumerate(lay.comp)
-    ]
-    (out0, reason0, nonhead0), (out1, reason1, nonhead1) = bands
+    gains double.  One call solves both bands: band 1's trials follow band
+    0's with the cells swapped, so cell 1 always superposes (the other
+    cell's lone head can flag nothing, so the reason codes are unchanged).
+    The two bands' rates add; the reason is band 0's unless that is
+    feasible."""
+    n = len(g)
+    g = np.concatenate([g, g[:, ::-1]]) * 2.0
+    rows = np.arange(2 * n)
+    edge, own = np.repeat(lay.comp, n), np.repeat(lay.tails[0] + lay.tails[1], n)
+    swap = g[rows, 0, own] < g[rows, 0, edge]  # ascending gain, ties in the order (edge, own)
+    orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
+    out, reason, nonhead = _noma_clusters(
+        g, np.concatenate([base, base]), [], orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
+        lay.p_tol, EQUAL_TRANSMIT, full,
+    )
+    (out0, out1), (reason0, reason1), (nonhead0, nonhead1) = (np.split(a, 2) for a in (out, reason, nonhead))
     return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0), nonhead0 | nonhead1
 
 
@@ -342,17 +345,22 @@ def evaluate(
     reason code), each with a leading trials axis.
 
     base is the orthogonal baseline: it supplies the non-head rate
-    guarantees and the fallback rates of infeasible trials.
+    guarantees and the fallback rates of infeasible trials.  decode_case is
+    one case or a sequence of them, evaluated in one call as that many
+    copies of the block stacked along the trials axis.
     """
+    cases = (decode_case,) if isinstance(decode_case, str) else tuple(decode_case)
     if interference_mode not in ("full", "negligible"):
         raise DomainError(f"unknown interference mode {interference_mode!r}")
-    if decode_case not in (CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1):
+    if not set(cases) <= {CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1}:
         raise ConfigError(f"unknown decode case {decode_case!r}")
     if scheme in (CS_OMA, CS_NOMA) and lay.scenario_id != 2:
         raise ConfigError(
             "orthogonal coordination needs two cells with one edge user and one "
             "single-cell user each"
         )
+    if len(cases) > 1:
+        g, base = np.concatenate([g] * len(cases)), np.concatenate([base] * len(cases))
     n = len(g)
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
@@ -361,7 +369,7 @@ def evaluate(
     if scheme == JT_NOMA:
         if jt_split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
             raise DomainError(f"unknown split policy {jt_split!r}")
-        out, reason, nonhead = _jt_noma(lay, g, base, full, jt_split, decode_case)
+        out, reason, nonhead = _jt_noma(lay, g, base, full, jt_split, cases)
     elif scheme == DPS_NOMA:
         out, reason, nonhead = _dps_noma(lay, g, base, full)
     elif scheme == CS_NOMA:

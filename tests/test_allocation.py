@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compnoma import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from compnoma.allocation import FEASIBLE, HEAD_SHORT, RATE_SHORT, solve_jt
+from compnoma.allocation import FEASIBLE, HEAD_SHORT, RATE_SHORT, solve_jt, solve_single_cell
 
 from conftest import as_cluster, one, random_problem, solve_one
 from reference import (
@@ -260,3 +262,87 @@ def test_jt_infeasible_when_an_edge_guarantee_is_oversized():
         budget=1.0,
     )
     assert (reason, pos) == (RATE_SHORT, 0)
+
+
+# --- cluster membership: unused leading positions change nothing -----------
+
+GAIN = st.floats(1e-2, 1e2)
+RATE = st.floats(0.0, 2.0)
+BUDGET = st.floats(0.1, 100.0)
+
+
+def draw_array(data, elements, *shape) -> np.ndarray:
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unused_positions_leave_single_cell_members_bit_identical(data):
+    # instances of up to `length` members share one call, each padded in
+    # front with unused positions (an empty one at zero budget); every
+    # member must be sized exactly as in a solve of its own cluster alone
+    n, length = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    sizes = np.array(data.draw(st.lists(st.integers(0, length), min_size=n, max_size=n)))
+    p_tol = data.draw(st.sampled_from([0.0, 0.5]))
+    g = draw_array(data, GAIN, n, length)
+    x = draw_array(data, st.just(0.0) | GAIN, n, length)
+    r = draw_array(data, RATE, n, length)
+    budget = np.where(sizes > 0, draw_array(data, BUDGET, n), 0.0)
+    idle = length - sizes
+    r = np.where(np.arange(length) < idle[:, None], 0.0, r)
+    powers, reason, pos = solve_single_cell(list(g.T), list(x.T), list(r.T), budget, p_tol, 1.0, idle)
+    for i, lead in enumerate(idle):
+        assert [p[i] for p in powers[:lead]] == [0.0] * lead
+        if lead == length:
+            assert reason[i] == FEASIBLE
+            continue
+        alone = solve_single_cell(*(list(a[i:i + 1, lead:].T) for a in (g, x, r)), budget[i], p_tol, 1.0)
+        assert [p[i] for p in powers[lead:]] == [p[0] for p in alone[0]]
+        assert reason[i] == alone[1][0]
+        assert pos[i] == (alone[2][0] + lead if alone[1][0] else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unused_positions_leave_jt_members_bit_identical(data):
+    # solve_jt with an empty shared prefix on two cells: cell 1 always has a
+    # member, cell 2 may have none (and then no budget); members' powers,
+    # rates, reason codes and cells are those of each instance solved alone
+    n, full = data.draw(st.integers(1, 4)), data.draw(st.booleans())
+    p_tol = data.draw(st.sampled_from([0.0, 0.5]))
+    lengths = [data.draw(st.integers(1, 3)) for _ in (0, 1)]
+    sizes = [
+        np.array(data.draw(st.lists(st.integers(1 - ci, length), min_size=n, max_size=n)))
+        for ci, length in enumerate(lengths)
+    ]
+    idle = [length - k for length, k in zip(lengths, sizes)]
+    g = [draw_array(data, GAIN, n, length) for length in lengths]
+    cross = [draw_array(data, GAIN, n, length, 2) for length in lengths]
+    r = [
+        np.where(np.arange(length) < lead[:, None], 0.0, draw_array(data, RATE, n, length))
+        for length, lead in zip(lengths, idle)
+    ]
+    budgets = [np.where(k > 0, draw_array(data, BUDGET, n), 0.0) for k in sizes]
+
+    def solve(rows, lead, budget, idle=None):
+        # per cell, one (instances,) array per decode position from lead[ci] on
+        by_position = [list(map(list, cross[ci][rows, lead[ci]:].transpose(1, 2, 0))) for ci in (0, 1)]
+        return solve_jt(
+            [[], []],
+            [list(g[ci][rows, lead[ci]:].T) for ci in (0, 1)],
+            [list(r[ci][rows, lead[ci]:-1].T) + [0.0] for ci in (0, 1)],
+            by_position if full else None,
+            budget, p_tol, 1.0, EQUAL_TRANSMIT, full, idle,
+        )
+
+    pw, reason, pos, cell, rates = solve(slice(None), [0, 0], budgets, idle)
+    for i in range(n):
+        lead = [int(a[i]) for a in idle]
+        a_pw, a_reason, a_pos, a_cell, a_rates = solve(slice(i, i + 1), lead, [b[i] for b in budgets])
+        assert (reason[i], cell[i]) == (a_reason[0], a_cell[0])
+        assert pos[i] == (a_pos[0] + lead[a_cell[0]] if a_reason[0] else 0)
+        for ci in (0, 1):
+            for got, want in ((pw[ci], a_pw[ci]), (rates[ci], a_rates[ci])):
+                assert [v[i] for v in got[:lead[ci]]] == [0.0] * lead[ci]
+                assert [v[i] for v in got[lead[ci]:]] == [v[0] for v in want]

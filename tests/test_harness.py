@@ -56,6 +56,8 @@ def test_sweep_values_grid():
     assert len(pts) == 3
     assert pts[-1] == pytest.approx(0.3, rel=1e-12)
     assert sweep_values(5.0, 5.0, 2.0) == (5.0,)
+    # an off-grid stop is never passed
+    assert sweep_values(50.0, 430.0, 50.0)[-1] == 400.0
     with pytest.raises(ValueError):
         sweep_values(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):

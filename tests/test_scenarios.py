@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from compnoma import ConfigError, DomainError, EQUAL_TRANSMIT, PlacementSpec, RadioParams
-from compnoma import scenarios
+from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
 from compnoma.config import config_from_dict
 from compnoma.harness import run_chunk, scheme_rows, substream
@@ -419,3 +419,26 @@ def test_decodability_audit_forgives_rounding_only(jt_calls):
                 gaps += 1
                 assert not all(decodable(call, t, p_tol * (1.0 - REL_SLACK))), (preset, t)
     assert gaps > 0
+
+
+@pytest.mark.parametrize(
+    "preset, scheme",
+    [("fig5", "JT-NOMA"), ("fig5", "CS-NOMA"), ("fig6", "JT-NOMA"), ("fig6", "DPS-NOMA")],
+)
+def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
+    # fig6 evaluates JT-NOMA under both decode cases, and DPS-NOMA's cells
+    # take every cell choice, yet each block is one solve_jt call
+    calls = []
+    real = scenarios.solve_jt
+
+    def spy(*args):
+        calls.append(len(args[1][0][0]))
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, "solve_jt", spy)
+    monkeypatch.setattr(harness, "_BLOCK", 64)
+    overrides = {"schemes": [scheme, "JT-OMA"], "interference_mode": "full"}
+    config = golden_config(preset, overrides, trials=20)
+    run_chunk(config, 0, 160)
+    stacked = 2 if scheme == "CS-NOMA" or preset == "fig6" and scheme == "JT-NOMA" else 1
+    assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
