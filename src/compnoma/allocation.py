@@ -205,7 +205,7 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
         ]
         tail_r = list(r[ci][q:-1]) + [0.0]
         powers, tail_reason, tail_pos = solve_single_cell(
-            tails[ci], tail_x, tail_r, rem[ci], p_tol, width, idle and idle[ci]
+            tails[ci], tail_x, tail_r, rem[ci], p_tol, width, None if idle is None else idle[ci]
         )
         _flag(reason, pos, cell, tail_reason != FEASIBLE, RATE_SHORT, tail_pos + q, ci)
         pw[ci][q:] = powers

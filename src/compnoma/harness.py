@@ -126,8 +126,7 @@ def run_chunk(config, start: int, stop: int):
                     point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
                     [rows[r_i][2] for r_i in cols],
                 )
-                sums = [math.fsum(r) for r in out.tolist()]
-                for a, v in ((se, sums), (feasible, ok), (met, good)):
+                for a, v in ((se, [math.fsum(r) for r in out.tolist()]), (feasible, ok), (met, good)):
                     a[block, cols] = np.reshape(v, (len(cols), -1)).T
         except Exception as e:
             (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
