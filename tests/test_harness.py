@@ -159,8 +159,8 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
 
 def test_block_placement_does_not_change_results(monkeypatch):
     # 150 trials per point: with any of these block sizes, blocks start and
-    # end inside points and mix trials of neighbouring points, which DPS-NOMA
-    # then groups by cell choice across the block
+    # end inside points and mix trials of neighbouring points, whose DPS-NOMA
+    # cell choices and JT-NOMA decode cases each block solves in one call
     config = config_from_dict(
         {
             "scenario_id": 3,
