@@ -15,7 +15,6 @@ import logging
 import math
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +28,7 @@ log = logging.getLogger("compnoma")
 
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.96  # two-sided 95% normal quantile
-_BLOCK = 512  # trials per kernel call, so memory does not grow with trials
+_BLOCK = 1024  # trials per kernel call, so memory does not grow with trials (about 1.7 MiB traced on fig6)
 
 
 def _trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
@@ -205,6 +204,7 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     ranges = ((lo, min(lo + span, total)) for lo in range(0, total, span))
     if workers <= 1:
         return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay for importing it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_chunk, config, lo, hi) for lo, hi in ranges]
         try:

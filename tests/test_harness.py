@@ -179,8 +179,8 @@ def test_block_placement_does_not_change_results(monkeypatch):
         return format_csv(run_sweep(config)), run_chunk(config, 0, total)
 
     csv, arrays = outputs()
-    assert harness._BLOCK == 512
-    for block in (7, 4096):
+    assert harness._BLOCK == 1024
+    for block in (7, 512, 4096):
         monkeypatch.setattr(harness, "_BLOCK", block)
         got_csv, got_arrays = outputs()
         assert got_csv == csv, block
