@@ -337,7 +337,8 @@ def _cs_noma(lay, g, base, full):
     user alone, each at half power.  In-band noise halves with the band, so
     gains double.  One call solves both bands: band 1's trials follow band
     0's with the cells swapped, so cell 1 always superposes (the other
-    cell's lone head can flag nothing, so the reason codes are unchanged).
+    cell's lone head, after one unused position, can flag nothing, so the
+    reason codes are unchanged).
     The two bands' rates add; the reason is band 0's unless that is
     feasible."""
     n = len(g)
