@@ -124,11 +124,11 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
 def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool, idle=None):
     """One forward pass over a coordination set of n instances, then an audit.
 
-    Arrays are (positions, cells, n): raw[k, ci] is cell ci's gain to the
-    shared member at position k, tails[j, ci] to its own member j, r[k, ci]
-    each guarantee (a head's is 0) and cross[j, ci] the other cell's gain to
-    member j (read when ``full``); budgets[ci] is a number or one per
-    instance.  idle[ci] may count per instance the leading tail positions
+    Arrays are (positions, cells, n), on one or two cells: raw[k, ci] is
+    cell ci's gain to the shared member at position k, tails[j, ci] to its
+    own member j, r[k, ci] each guarantee (a head's is 0) and cross[j, ci]
+    the other cell's gain to member j (read when ``full``); budgets[ci] is a
+    number or one per instance.  idle[ci] may count per instance the leading tail positions
     cell ci leaves unused (see ``solve_single_cell``); a cell with no own
     member is headed by its last shared member, and with an empty prefix it
     must get a zero budget.  The audit re-checks guarantees and gaps with a
