@@ -351,8 +351,8 @@ def _cs_noma(lay, g, base, full):
         g, np.concatenate([base, base]), 0, orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
         lay.p_tol, EQUAL_TRANSMIT, full, np.array([[0], [1]]),
     )
-    (out0, out1), (reason0, reason1), (nonhead0, nonhead1) = (np.split(a, 2) for a in (out, reason, nonhead))
-    return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0), nonhead0 | nonhead1
+    reason = np.where(reason[:n] == FEASIBLE, reason[n:], reason[:n])
+    return out[:n] + out[n:], reason, nonhead[:n] | nonhead[n:]
 
 
 def evaluate(
