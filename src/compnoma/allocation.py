@@ -16,17 +16,15 @@ their smallest effective gain, and X_d is any fixed external interference at
 decoder d (zero unless cross-cell terms are modeled).  Sizing against the
 worst decoder keeps the signal decodable everywhere it must be cancelled.
 
-Both solvers are array kernels: every input holds one array per decode
-position, so n independent instances are solved at once by a Python loop
-over positions only.  ``solve_jt`` is the sweep's one NOMA solve, rate
-evaluation and audit: it carries the cells on an array axis, (positions,
-cells, n), and sizes every cell's tail in one ``solve_single_cell`` call.
-JT-NOMA passes the jointly served users as the shared prefix, and DPS-NOMA
-and CS-NOMA pass an empty prefix, so each cell's members are its single-cell
-tail.  Per-instance budgets and membership let clusters whose sizes differ
-from trial to trial, or from cell to cell, share one call.  Each kernel
-reports a small integer reason code per instance (0 = feasible) and the
-decode position (and cell) that set it.
+Both solvers are array kernels: every input is a list with one (n,) array per
+decode position, so n independent instances are solved at once by a Python
+loop over positions only.  ``solve_jt`` is the sweep's one NOMA solve, rate
+evaluation and audit: JT-NOMA passes the jointly served users as the shared
+prefix, and DPS-NOMA and CS-NOMA pass an empty prefix, so each cell's members
+are its single-cell tail, solved by ``solve_single_cell``.  Per-instance
+budgets and membership let clusters whose sizes differ from trial to trial
+share one call.  Each kernel reports a small integer reason code per
+instance (0 = feasible) and the decode position (and cell) that set it.
 The tests check both against the scalar references and the grid oracle in
 ``tests/reference.py``.
 """
@@ -56,60 +54,69 @@ def _over(num, gain):
     return np.where(num > 0.0, num / gain, 0.0)
 
 
+def _floor(rem, p_tol: float, g_min):
+    """Decodability floor: half the remaining budget plus the tolerance
+    margin at the weakest decoder."""
+    return 0.5 * (rem + (_over(p_tol, g_min) if p_tol else 0.0))
+
+
 def _suffix(reduce, columns) -> list:
-    """out[k] = reduce over columns[k:], one array per position."""
+    """out[k] = reduce over columns[k:], one (n,) array per position."""
     out = list(columns)
     for k in range(len(out) - 2, -1, -1):
         out[k] = reduce(out[k], out[k + 1])
     return out
 
 
+def _given(r) -> bool:
+    """Whether a rate guarantee is set: a scalar 0 is none, an array may be
+    (rates are never negative, so a zero entry is never short)."""
+    return isinstance(r, np.ndarray) or bool(r)
+
+
 def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
     """Record code at decode position k (of cell ci) where bad and no earlier
-    code is set: the first failure in solve order is the one reported.  code,
-    k and ci may be numbers or one per instance."""
+    code is set: the first failure in solve order is the one reported."""
     if not bad.any():
         return
     new = bad & (reason == FEASIBLE)
     if new.any():
-        np.copyto(reason, code, where=new)
+        reason[new] = code
         np.copyto(pos, k, where=new)
         if cell is not None:
-            np.copyto(cell, ci, where=new)
+            cell[new] = ci
 
 
 @np.errstate(all="ignore")
 def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
-    """Closed-form forward solve of independent clusters of K members.
+    """Closed-form forward solve of n clusters of K members.
 
     g, x and r hold, per decode position, the effective gain, the fixed
-    external interference and the rate guarantee of every instance (any
-    array shape, the same at each position); r[-1] is an optional head
+    external interference and the rate guarantee; r[-1] is an optional head
     guarantee (0 = none), checked against the residual.  budget is a number
     or one per instance; idle, if given, counts per instance the leading
     positions its cluster does not use: they get exactly 0.0 power and must
     carry no guarantee, so members are sized as if alone.  Returns (powers
     per position, reason, position); infeasible instances get zero powers.
     """
-    shape = np.shape(g[0])
-    reason, pos = np.zeros((2, *shape), np.int8)
-    rem = budget if isinstance(budget, np.ndarray) else np.full(shape, float(budget))
+    n = len(g[0])
+    reason = np.zeros(n, np.int8)
+    pos = np.zeros(n, np.int8)
+    rem = budget if isinstance(budget, np.ndarray) else np.full(n, float(budget))
     # over the decoders of each position: every member at or after it
+    g_min = _suffix(np.minimum, g)
     worst = _suffix(np.maximum, [(xd + 1.0) / gd for xd, gd in zip(x, g)])
-    # the decodability floor is (rem + margin)/2 at the weakest decoder
-    margin = [_over(p_tol, gm) for gm in _suffix(np.minimum, g)] if p_tol else [0.0] * len(g)
-    t = np.exp2(np.divide(r[:-1], width)) - 1.0
-    frac = t / (1.0 + t)
     powers = []
     for k in range(len(g) - 1):
-        p_rate = np.where(t[k] > 0.0, frac[k] * (rem + worst[k]), 0.0)
-        p = np.maximum(p_rate, 0.5 * (rem + margin[k]))
+        t = np.exp2(r[k] / width) - 1.0
+        p_rate = np.where(t > 0.0, t / (1.0 + t) * (rem + worst[k]), 0.0)
+        p = np.maximum(p_rate, _floor(rem, p_tol, g_min[k]))
         p = p if idle is None else np.where(k < idle, 0.0, p)
         _flag(reason, pos, None, ~(p <= rem), RATE_SHORT, k)
         powers.append(p)
         rem = rem - p
     powers.append(rem)
-    if isinstance(r[-1], np.ndarray) or r[-1]:
+    if _given(r[-1]):
         head_rate = rates(width, rem * g[-1], x[-1] + 1.0)
         _flag(reason, pos, None, head_rate < r[-1] * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
     if reason.any():
@@ -124,102 +131,114 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
 def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool, idle=None):
     """One forward pass over a coordination set of n instances, then an audit.
 
-    Arrays are (positions, cells, n), on one or two cells: raw[k, ci] is
-    cell ci's gain to the shared member at position k, tails[j, ci] to its
-    own member j, r[k, ci] each guarantee (a head's is 0) and cross[j, ci]
-    the other cell's gain to member j (read when ``full``); budgets[ci] is a
-    number or one per instance.  idle[ci] may count per instance the leading tail positions
-    cell ci leaves unused (see ``solve_single_cell``); a cell with no own
-    member is headed by its last shared member, and with an empty prefix it
-    must get a zero budget.  The audit re-checks guarantees and gaps with a
-    relative slack of REL_SLACK.  Returns (powers, reason, position, cell,
-    rates), powers and rates per (position, cell, instance).
+    Per cell ci: raw[ci][k] is the cell's gain to the shared member at
+    position k (the shared prefix is common to all cells), tails[ci] the gains
+    of its single-cell members, r[ci] every position's guarantee, and
+    cross[ci][j][oc] the gain from cell oc to tail member j (read only when
+    ``full``); budgets[ci] is a number or one per instance.  With an empty
+    prefix (raw = [[]] * m) the cells are independent NOMA clusters coupled
+    only by cross-cell interference, and idle[ci] may count per instance the
+    leading members cell ci leaves unused (see ``solve_single_cell``); they
+    get rate 0 and no audit.  A cell an instance leaves with no members must
+    get a zero budget, or its budget counts as interference.  The audit
+    re-checks guarantees and decodability gaps with a relative slack of
+    REL_SLACK.  Returns (powers per cell and position, reason, position,
+    cell, rates per cell and position).
     """
-    q, m, n = raw.shape
-    size = q + len(tails)
-    reason, pos, cell = np.zeros((3, n), np.int8)
-    idle = np.zeros((m, 1), int) if idle is None else idle
-    unused = np.arange(size - q)[:, None, None] < idle
-    alone = idle >= size - q  # the cell's last shared member is its head
-    rem = np.zeros((m, n)) + np.reshape(budgets, (m, -1))
-    pw = np.empty((size, m, n))
+    m, q = len(raw), len(raw[0])
+    n = len((raw[0] or tails[0])[0])
+    sizes = [q + len(t) for t in tails]
+    reason = np.zeros(n, np.int8)
+    pos = np.zeros(n, np.int8)
+    cell = np.zeros(n, np.int8)
+    if split == EQUAL_RECEIVED:
+        default = [[m * raw[ci][k] for k in range(q)] for ci in range(m)]
+    else:
+        default = [[seq_sum(raw[mi][k] for mi in range(m)) for k in range(q)]] * m
+    # while the pass runs, a member not yet sized decodes at its split-default
+    # gain; that is the gain every shared floor below is sized against (the
+    # tails' floors are solve_single_cell's)
+    g_min = [_suffix(np.minimum, default[ci] + list(tails[ci])) for ci in range(m)] if q else None
+    rem = [np.full(n, b, float) for b in budgets]
+    pw = [[None] * sizes[ci] for ci in range(m)]
 
-    if q:
-        default = m * raw if split == EQUAL_RECEIVED else seq_sum(raw.swapaxes(0, 1))[:, None]
-        # while the pass runs, a member not yet sized decodes at its
-        # split-default gain; that is the gain every shared floor below is
-        # sized against (the tails' floors are solve_single_cell's)
-        g_min = _suffix(np.minimum, [*default, np.where(unused, np.inf, tails).min(0, initial=np.inf)])
-        margin = [_over(p_tol, gm) for gm in g_min[:q]] if p_tol else [0.0] * q
-        heads = np.zeros((q, m, n), bool)  # the cells each position heads
-        heads[-1] = alone
-        # the guarantee is taken from the first cell the member does not head
-        rk = np.where(heads[:, 0], r[:q, -1], r[:q, 0])
-        t = np.exp2(rk / width) - 1.0
-        # what the need is split by: the cells it does not head, or their summed gain
-        free = np.where(heads, 0.0, raw)
-        split_by = m - heads.sum(1) if split == EQUAL_RECEIVED else seq_sum(free.swapaxes(0, 1))
-
-        # Heads absorb their cell's residual, so whatever a cell transmits
-        # after position k totals exactly its remaining budget there: each
-        # requirement is closed-form in the remaining budgets, and one
-        # forward pass sizes it.
-        for k in range(q):
-            reach = raw[k] * rem
-            need = t[k] * (1.0 + seq_sum(reach)) / (1.0 + t[k]) - seq_sum(np.where(heads[k], reach, 0.0))
-            need = np.where((rk[k] > 0.0) & (need > 0.0), need, 0.0)
-            if split == EQUAL_RECEIVED:
-                share = _over(need / split_by[k], raw[k])
+    # Heads absorb their cell's residual, so whatever a cell transmits after
+    # position k totals exactly its remaining budget there: each requirement
+    # is closed-form in the remaining budgets, and one forward pass sizes it.
+    for k in range(q):
+        heads = [ci for ci in range(m) if sizes[ci] == k + 1]
+        nonheads = [ci for ci in range(m) if sizes[ci] != k + 1]
+        need = 0.0
+        if nonheads:
+            # the guarantee is taken from the first cell the member does not head
+            rk = r[nonheads[0]][k]
+            t = np.exp2(rk / width) - 1.0
+            total = seq_sum(raw[ci][k] * rem[ci] for ci in range(m))
+            delivered = seq_sum(raw[hi][k] * rem[hi] for hi in heads)
+            need = t * (1.0 + total) / (1.0 + t) - delivered
+            need = np.where((rk > 0.0) & (need > 0.0), need, 0.0)
+        for ci in range(m):
+            if ci in heads:
+                p = rem[ci]
             else:
-                share = _over(need, split_by[k])
-            p = np.maximum(share, 0.5 * (rem + margin[k]))
-            bad = ~(p <= rem) & ~heads[k]
-            _flag(reason, pos, cell, bad[0] | bad[-1], RATE_SHORT, k, ~bad[0])  # the first bad cell
-            pw[k] = np.where(heads[k] | bad, rem, p)
-            rem = rem - pw[k]
-        del g_min, margin, heads, free, rk, t, split_by, reach, need, share, p  # a smaller heap faults less
+                if split == EQUAL_RECEIVED:
+                    share = _over(need / len(nonheads), raw[ci][k])
+                else:
+                    share = _over(need, seq_sum(raw[mi][k] for mi in nonheads))
+                p = np.maximum(share, _floor(rem[ci], p_tol, g_min[ci][k]))
+                bad = ~(p <= rem[ci])
+                if bad.any():
+                    _flag(reason, pos, cell, bad, RATE_SHORT, k, ci)
+                    p = np.where(bad, rem[ci], p)
+            pw[ci][k] = p
+            rem[ci] = rem[ci] - p
 
     # each cell's remaining budget is its single-cell traffic from here on, so
     # the cross-cell interference its tail sees in full mode is already fixed
-    if size > q:
-        x = rem[::-1] * cross if full else [0.0] * (size - q)
-        pw[q:], tail_reason, tail_pos = solve_single_cell(tails, x, [*r[q:-1], 0.0], rem, p_tol, width, idle)
-        if tail_reason.any():
-            bad = tail_reason != FEASIBLE
-            at = np.where(bad[0], tail_pos[0], tail_pos[-1]) + q
-            _flag(reason, pos, cell, bad[0] | bad[-1], RATE_SHORT, at, ~bad[0])
+    nonshared = list(rem)
+    for ci in range(m):
+        if sizes[ci] == q:
+            continue
+        tail_x = [
+            seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci) if full else 0.0
+            for j in range(sizes[ci] - q)
+        ]
+        tail_r = list(r[ci][q:-1]) + [0.0]
+        powers, tail_reason, tail_pos = solve_single_cell(
+            tails[ci], tail_x, tail_r, rem[ci], p_tol, width, None if idle is None else idle[ci]
+        )
+        _flag(reason, pos, cell, tail_reason != FEASIBLE, RATE_SHORT, tail_pos + q, ci)
+        pw[ci][q:] = powers
 
     # audit: every rate recomputed with the final powers, every guarantee and
     # decodability gap re-checked at the gains the members actually see
-    later = later_sums(pw)
-    out = np.empty((size, m, n))
-    seen = np.empty((size, m, n))
-    if q:
-        received = seq_sum((pw[:q] * raw).swapaxes(0, 1))[:, None]
-        out[:q] = rates(width, received, seq_sum([1.0, *(raw * later[:q]).swapaxes(0, 1)])[:, None])
-        seen[:q] = np.where((pw[:q] > 0.0) & (received > 0.0), received / pw[:q], default)
-    noise = 1.0 + tails * later[q:]
-    for j in range(size - q) if full else ():  # the other cell's single-cell signals, in decode order
-        noise = noise + pw[q + j, ::-1] * cross
-    out[q:] = rates(width, pw[q:] * tails, noise)
-    # a gap must clear the tolerance at its own member and every later one,
-    # except at unused positions (nothing to decode, no decoder) and heads
-    seen[q:] = np.where(unused, np.nan, tails)
-    gap = np.subtract(pw, later, out=later)
-    gap[q:] = np.where(unused, np.nan, gap[q:])
-    if q:
-        gap[q - 1] = np.where(alone, np.nan, gap[q - 1])
+    later = [later_sums(pw[ci]) for ci in range(m)]
     tol = p_tol * (1.0 - REL_SLACK)  # a floor-sized gap may miss p_tol by rounding
-    sic = gap[:-1] * seen[:-1] < tol
-    for s in range(1, size):
-        sic[:s] |= gap[:s] * seen[s] < tol
-    short = out < r * (1.0 - REL_SLACK)
-    if short.any() or sic.any():
-        # per cell: every guarantee, then every gap; rank counts from the back
-        # to the cell's first failure, and the first failing cell is reported
-        fail = np.concatenate([short, sic])
-        rank = (fail * np.arange(len(fail), 0, -1, dtype=np.int8)[:, None, None]).max(0)
-        check = len(fail) - np.where(rank[0] > 0, rank[0], rank[-1])
-        code = np.where(check < size, SHORTFALL, SIC_GAP)
-        _flag(reason, pos, cell, (rank[0] | rank[-1]) > 0, code, check % size, rank[0] == 0)
+    out = [[None] * sizes[ci] for ci in range(m)]
+    received = []
+    for k in range(q):
+        received.append(seq_sum(pw[ci][k] * raw[ci][k] for ci in range(m)))
+        noise = seq_sum([1.0] + [raw[ci][k] * later[ci][k] for ci in range(m)])
+        joint = rates(width, received[k], noise)
+        for ci in range(m):
+            out[ci][k] = joint
+    for ci in range(m):
+        for j, g in enumerate(tails[ci]):
+            others = [p * cross[ci][j][oc] for oc in range(m) if oc != ci for p in pw[oc][q:]] if full else []
+            noise = seq_sum([1.0 + g * later[ci][q + j], *others])
+            out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
+    for ci in range(m):
+        for k in range(sizes[ci]):
+            if _given(r[ci][k]):
+                _flag(reason, pos, cell, out[ci][k] < r[ci][k] * (1.0 - REL_SLACK), SHORTFALL, k, ci)
+        seen = [
+            np.where((pw[ci][k] > 0.0) & (received[k] > 0.0), received[k] / pw[ci][k], default[ci][k])
+            for k in range(q)
+        ] + list(tails[ci])
+        for i in range(sizes[ci] - 1):
+            gap = pw[ci][i] - later[ci][i]
+            bad = gap * seen[i] < tol
+            for s in seen[i + 1:]:
+                bad |= gap * s < tol
+            _flag(reason, pos, cell, bad if idle is None else bad & (i >= idle[ci]), SIC_GAP, i, ci)
     return pw, reason, pos, cell, out

@@ -1,5 +1,5 @@
-"""Array kernels of the rate maths: one array per decode position, n trials
-at once.
+"""Array kernels of the rate maths: one (n,) array per decode position, n
+trials at once.
 
 Decode-order convention: position 0 is decoded first by everyone; the last
 position is the cluster head, which cancels all other in-cluster signals and
@@ -10,6 +10,8 @@ live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +30,9 @@ def seq_sum(terms):
     return total
 
 
-def later_sums(powers: np.ndarray) -> np.ndarray:
+def later_sums(powers: Sequence) -> list:
     """later[i] = powers[i+1] + powers[i+2] + ..., summed left to right."""
-    later = np.zeros_like(powers)
-    for d in range(1, len(powers)):
-        later[:-d] += powers[d:]
-    return later
+    return [seq_sum(powers[i + 1:]) for i in range(len(powers))]
 
 
 def rates(width: float, num, den) -> np.ndarray:

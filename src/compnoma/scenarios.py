@@ -199,13 +199,11 @@ class SweepPoint:
 
 
 def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:
-    """cols (at most two) in ascending gain per trial (g is (trials,
-    users)); ties keep the given order, as sorted() does."""
+    """cols in ascending gain per trial (g is (trials, users)); the sort is
+    stable, so ties keep the given order, as sorted() does."""
     if len(cols) < 2:
         return list(cols)
-    a, b = cols
-    swap = g[:, b] < g[:, a]
-    return [np.where(swap, b, a), np.where(swap, a, b)]
+    return list(np.asarray(cols)[np.argsort(g[:, cols], axis=1, kind="stable")].T)
 
 
 def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
@@ -257,62 +255,42 @@ def _edge_order(lay: Layout, g: np.ndarray, decode_case) -> list:
     return _by_gain(np.concatenate(parts) if len(parts) > 1 else parts[0], lay.comp)
 
 
-def _padded(cols) -> np.ndarray:
-    """Per-cell sequences of user columns as one (cells, positions) array,
-    shorter cells padded in front with column -1."""
-    return np.array([(-1,) * (max(map(len, cols)) - len(c)) + tuple(c) for c in cols], int)
-
-
-def _ascending(g, cols, lead) -> np.ndarray:
-    """Each cell's columns cols[ci] by ascending gain in that cell, per trial,
-    as (positions, cells, trials); where the (trials, cells, positions) mask
-    lead is set (pads, non-members) a column sorts first, and the stable
-    sort keeps those and ties in cols' order, as sorted() does."""
-    if cols.shape[1] < 2:
-        return cols.T[:, :, None]  # the same for every trial
-    cells = np.arange(len(cols))[:, None]
-    key = np.where(lead, -np.inf, g[:, cells, cols])
-    return cols[cells, np.argsort(key, 2, kind="stable")].transpose(2, 1, 0)
-
-
-def _noma_clusters(g, base, q, orders, budgets, width, p_tol, split, full, idle):
-    """Both cells' NOMA clusters through one ``solve_jt`` call: orders[k, ci]
-    is the user column at cell ci's decode position k, per trial, the first q
-    jointly served (none for per-cell schemes, whose split is then unused);
-    every non-head is guaranteed its orthogonal rate.  idle[ci] counts per
-    trial the positions after those that cell ci does not serve: they point
-    at an extra column, dropped from the results.  Returns (rates, reason,
-    non-head mask); a user no cell serves gets rate 0."""
-    n, users = base.shape
-    at = orders  # rewritten in place into flat indices of (trial, column) in a (trials, users + 1) table
-    np.copyto(at[q:], users, where=np.arange(len(at) - q)[:, None, None] < idle)
-    at += np.arange(n) * (users + 1)
-    table = np.empty((3, n, users + 1))  # gains from cells 1 and 2, then guarantees
-    table[:2, :, :users], table[2, :, :users] = g.transpose(1, 0, 2), base
-    table[:, :, users] = [[1.0], [1.0], [0.0]]  # the extra column: any gain, no guarantee
-    plane = np.arange(3)[:, None] * table[0].size
-    own, r = table.take(at + plane[:2]), table.take(at + plane[2])
-    cross = table.take(at[q:] + plane[1::-1]) if full else None
-    del table
-    r[-1] = 0.0
-    _, reason, _, _, pos_rates = solve_jt(own[:q], own[q:], r, cross, budgets, p_tol, width, split, full, idle)
-    out = np.zeros((n, users + 1))
-    out.put(at, pos_rates)
-    nonhead = np.zeros((n, users + 1), bool)
-    nonhead.put(at[:-1], True)
+def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, idle=None):
+    """Per-cell NOMA clusters through ``solve_jt``: orders[ci] is cell ci's
+    decode order of user columns, led by the jointly served columns ``edge``
+    (none for per-cell schemes, whose split is then unused); every non-head
+    is guaranteed its orthogonal rate.  idle[ci], if given, counts per trial
+    the leading positions of orders[ci] that cell ci does not serve: they
+    point at an extra, zero-guarantee column, dropped from the results.
+    Returns (rates, reason, non-head mask); a user no cell serves gets rate 0."""
+    rows = np.arange(len(g))
+    q, users = len(edge), base.shape[1]
+    if idle is not None:  # in g, column -1 is some user's: any gain will do
+        orders = [[np.where(k < idle[ci], -1, c) for k, c in enumerate(o)] for ci, o in enumerate(orders)]
+        base = np.column_stack([base, np.zeros(len(base))])
+    _, reason, _, _, pos_rates = solve_jt(
+        [[g[rows, ci, c] for c in edge] for ci in (0, 1)],
+        [[g[rows, ci, c] for c in order[q:]] for ci, order in enumerate(orders)],
+        [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
+        [[[g[rows, oc, c] for oc in (0, 1)] for c in order[q:]] for order in orders] if full else None,
+        budgets, p_tol, width, split, full, idle,
+    )
+    out = np.zeros(base.shape)
+    nonhead = np.zeros(base.shape, bool)
+    for ci, order in enumerate(orders):
+        for c, r in zip(order, pos_rates[ci]):
+            out[rows, c] = r
+        for c in order[:-1]:
+            nonhead[rows, c] = True
     return out[:, :users], reason, nonhead[:, :users]
 
 
 def _jt_noma(lay, g, base, full, split, cases):
     """Both cells decode the jointly served users first, in the shared edge
-    order, then their own users by ascending gain; a cell with fewer own
-    users leaves the first of those positions unused."""
-    q, cols = len(lay.comp), _padded(lay.tails)
-    orders = np.empty((q + cols.shape[1], 2, len(g)), int)
-    orders[:q] = np.reshape(_edge_order(lay, g, cases), (q, 1, -1))
-    orders[q:] = _ascending(g, cols, cols < 0)
-    idle = (cols < 0).sum(1)[:, None]
-    return _noma_clusters(g, base, q, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full, idle)
+    order, then their own users by ascending gain."""
+    edge = _edge_order(lay, g, cases)
+    orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
+    return _noma_clusters(g, base, edge, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full)
 
 
 def _dps_noma(lay, g, base, full):
@@ -321,14 +299,18 @@ def _dps_noma(lay, g, base, full):
     Each cell lists its single-cell users and every jointly served user; a
     trial's non-members lead the order unserved, and a cell left with no
     members transmits nothing."""
-    cols = _padded([t + lay.comp for t in lay.tails])
     to2 = g[:, 1, lay.comp] > g[:, 0, lay.comp]  # (trials, jointly served users)
-    lead = np.zeros((len(g), *cols.shape), bool)  # pads and the users a cell does not serve
-    lead[:, :, -len(lay.comp):] = np.stack([to2, ~to2], 1)
-    lead |= cols < 0
-    idle = lead.sum(2).T
-    orders, budgets = _ascending(g, cols, lead), np.where(idle < cols.shape[1], lay.power_mw, 0.0)
-    return _noma_clusters(g, base, 0, orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full, idle)
+    orders, idle, budgets = [], [], []
+    for ci, away in enumerate((to2, ~to2)):
+        cols = lay.tails[ci] + lay.comp
+        key = g[:, ci, cols]  # non-members at -inf lead; the stable sort keeps ties in cols' order
+        key[:, len(lay.tails[ci]):][away] = -np.inf
+        orders.append(list(np.asarray(cols)[np.argsort(key, axis=1, kind="stable")].T))
+        idle.append(away.sum(axis=1))
+        budgets.append(np.where(idle[ci] < len(cols), lay.power_mw, 0.0))
+    return _noma_clusters(
+        g, base, [], orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full, idle
+    )
 
 
 def _cs_noma(lay, g, base, full):
@@ -337,8 +319,7 @@ def _cs_noma(lay, g, base, full):
     user alone, each at half power.  In-band noise halves with the band, so
     gains double.  One call solves both bands: band 1's trials follow band
     0's with the cells swapped, so cell 1 always superposes (the other
-    cell's lone head, after one unused position, can flag nothing, so the
-    reason codes are unchanged).
+    cell's lone head can flag nothing, so the reason codes are unchanged).
     The two bands' rates add; the reason is band 0's unless that is
     feasible."""
     n = len(g)
@@ -346,13 +327,13 @@ def _cs_noma(lay, g, base, full):
     rows = np.arange(2 * n)
     edge, own = np.repeat(lay.comp, n), np.repeat(lay.tails[0] + lay.tails[1], n)
     swap = g[rows, 0, own] < g[rows, 0, edge]  # ascending gain, ties in the order (edge, own)
-    orders = np.array([[np.where(swap, own, edge), edge], [np.where(swap, edge, own), own[::-1]]])
+    orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
     out, reason, nonhead = _noma_clusters(
-        g, np.concatenate([base, base]), 0, orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
-        lay.p_tol, EQUAL_TRANSMIT, full, np.array([[0], [1]]),
+        g, np.concatenate([base, base]), [], orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
+        lay.p_tol, EQUAL_TRANSMIT, full,
     )
-    reason = np.where(reason[:n] == FEASIBLE, reason[n:], reason[:n])
-    return out[:n] + out[n:], reason, nonhead[:n] | nonhead[n:]
+    (out0, out1), (reason0, reason1), (nonhead0, nonhead1) = (np.split(a, 2) for a in (out, reason, nonhead))
+    return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0), nonhead0 | nonhead1
 
 
 def evaluate(

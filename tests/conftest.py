@@ -49,14 +49,6 @@ def solve_one(gains, guarantees, budget=1.0, p_tol=0.0, width=1.0, x=None, head=
     return [float(p[0]) for p in powers], int(reason[0]), int(pos[0])
 
 
-def stacked(cells, fill=0.0) -> np.ndarray:
-    """Per-cell sequences of numbers as solve_jt's (positions, cells, 1)
-    layout, shorter cells padded in front with fill."""
-    size = max(map(len, cells))
-    rows = [[fill] * (size - len(c)) + list(c) for c in cells]
-    return np.array(rows, float).reshape(len(cells), size, 1).transpose(1, 0, 2)
-
-
 def as_cluster(powers, gains, width=1.0):
     """A decode-ordered instance as the scalar references take it, users
     numbered by position: (cluster, allocation, gains by user)."""

@@ -21,7 +21,7 @@ from compnoma.core import rates
 from compnoma.errors import ConditionViolation
 from compnoma.scenarios import REFERENCE_RADIO
 
-from conftest import jt_order_mutants, oracle_agreement, random_problem, solve_one, stacked
+from conftest import jt_order_mutants, one, oracle_agreement, random_problem, solve_one
 
 
 def _timed_preset(name):
@@ -185,23 +185,21 @@ def test_criterion_8_numerical_hygiene(fig4_run, fig5_run, fig6_run):
         p_tol = rng.choice((0.0, 100.0))
         problems = [random_problem(rng, p_tol=p_tol) for _ in range(2)]
         for cells in (problems[:1], problems):
-            pads = [max(len(c.gains) for c in cells) - len(c.gains) for c in cells]
             pw, reason, _, _, _ = solve_jt(
-                np.zeros((0, len(cells), 1)),
-                stacked([c.gains for c in cells], fill=1.0),
-                stacked([[*c.guarantees, 0.0] for c in cells]),
+                [[]] * len(cells),
+                [[one(g) for g in c.gains] for c in cells],
+                [[one(r) for r in [*c.guarantees, 0.0]] for c in cells],
                 None,
                 [c.budget for c in cells],
                 p_tol,
                 1.0,
                 EQUAL_TRANSMIT,
                 False,
-                np.array([[pad] for pad in pads]),
             )
             direct = [solve_one(*c) for c in cells]
             assert (reason[0] == FEASIBLE) == all(d[1] == FEASIBLE for d in direct)
             if reason[0] == FEASIBLE:
-                assert [[float(p[0]) for p in pw[pad:, ci]] for ci, pad in enumerate(pads)] == [d[0] for d in direct]
+                assert [[float(p[0]) for p in cell_pw] for cell_pw in pw] == [d[0] for d in direct]
 
     # a faded-out link carries exactly zero rate
     g = gain_array(np.zeros(1), 220.0 ** -4.0, REFERENCE_RADIO)

@@ -361,17 +361,16 @@ def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
 
 def decodable(call, t, p_tol):
     """The reference sic_feasible per cell on trial t of a captured solve_jt
-    call: the cell's decode order at its final powers, unused positions left
-    out, each member at the gain it sees (a shared member: both cells'
-    received power per unit of this cell's)."""
-    (raw, tails, *_, idle), (pw, *_) = call
-    q, m = len(raw), pw.shape[1]
+    call: the cell's decode order at its final powers, each member at the gain
+    it sees (a shared member: both cells' received power per unit of this
+    cell's)."""
+    (raw, tails, *_), (pw, *_) = call
+    q = len(raw[0])
     verdicts = []
-    for ci in range(m):
-        lead = int(np.broadcast_to(idle, pw[0].shape)[ci, t])
-        powers = [float(p[ci, t]) for p in pw[:q]] + [float(p[ci, t]) for p in pw[q + lead:]]
-        received = [sum(float(pw[k, c, t] * raw[k, c, t]) for c in range(m)) for k in range(q)]
-        gains = [received[k] / powers[k] for k in range(q)] + [float(x[ci, t]) for x in tails[lead:]]
+    for ci in range(len(raw)):
+        powers = [float(p[t]) for p in pw[ci]]
+        received = [sum(float(pw[c][k][t] * raw[c][k][t]) for c in range(len(raw))) for k in range(q)]
+        gains = [received[k] / powers[k] for k in range(q)] + [float(x[t]) for x in tails[ci]]
         order = tuple(range(len(powers)))
         alloc = PowerAllocation(dict(zip(order, powers)))
         verdicts.append(sic_feasible(NomaCluster(ci, Band(0, 1.0), order), alloc, dict(zip(order, gains)), p_tol))
@@ -386,7 +385,7 @@ def jt_calls(monkeypatch):
 
     def spy(*args):
         result = real(*args)
-        if len(args[0]):  # a shared prefix: JT-NOMA
+        if args[0][0]:  # a shared prefix: JT-NOMA
             calls.append((args, result))
         return result
 
