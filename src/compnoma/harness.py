@@ -1,22 +1,23 @@
 """Monte-Carlo sweep driver.
 
-Every (sweep point, trial) pair owns a hash-derived RNG substream, so a
-trial's channel realization depends only on the master seed and those two
-indices.  All schemes of a run therefore see identical realizations, results
-do not depend on the worker count or chunking, and per-point statistics are
-reduced in trial order with exact summation.
+Every (sweep point, trial) pair owns a hash-derived RNG seed, and each point
+draws its share of a kernel block from those seeds in one call, so a trial's
+channel realization depends only on the master seed and those two indices:
+every scheme of a run sees it, whatever the worker count or chunking.
+Per-point statistics are reduced in trial order with exact summation.
 """
 
 from __future__ import annotations
 
-import _random
 import hashlib
 import logging
 import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import length_hint
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,17 +32,20 @@ _Z95 = 1.96  # two-sided 95% normal quantile
 _BLOCK = 1024  # trials per kernel call, so memory does not grow with trials (fig6: 1.4 MiB traced)
 
 
-def _trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
-    """Seed of one trial's RNG substream: a hash of the three indices."""
-    key = struct.pack(
-        ">QQQ", master_seed & _MASK64, sweep_index & _MASK64, trial_index & _MASK64
-    )
-    return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
+def trial_seeds(master_seed: int, sweep_index: int, trials: Iterable[int]) -> Iterator[int]:
+    """Seeds of one sweep point's trial substreams, lazily, in the order of trials: hashes of
+    (master seed, sweep index, trial index), each from a copy of the first two's hash state."""
+    point = hashlib.blake2b(struct.pack(">QQ", master_seed & _MASK64, sweep_index & _MASK64), digest_size=16)
+    copy, pack, from_bytes = point.copy, struct.Struct(">Q").pack, int.from_bytes
+    for t in trials:
+        h = copy()
+        h.update(pack(t & _MASK64))
+        yield from_bytes(h.digest(), "big")
 
 
 def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Random:
     """Independent, reproducible RNG for one trial of one sweep point."""
-    return random.Random(_trial_seed(master_seed, sweep_index, trial_index))
+    return random.Random(next(trial_seeds(master_seed, sweep_index, (trial_index,))))
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -78,8 +82,8 @@ def run_chunk(config, start: int, stop: int):
 
     Flat trial k is trial k % config.trials of sweep point k // config.trials.
     Every point shares one Layout, so a block of up to _BLOCK trials may cross
-    points: each trial is drawn from its own substream, each point turns its
-    trials' draws into gain rows, the rows are stacked, and every series is
+    points: each point draws its trials' gain rows from their seeds in one
+    ``SweepPoint.draw`` call, the rows are stacked, and every series is
     evaluated on the block's (trials, cells, users) gain array at once, one
     ``evaluate`` call per scheme with all its decode cases.  Module-level so
     process pools can pickle it.  Returns (spectral efficiency, feasible,
@@ -97,23 +101,19 @@ def run_chunk(config, start: int, stop: int):
             raise SweepError(
                 f"seed={seed} sweep_index={s_i} value={values[s_i]}: {type(e).__name__}: {e}"
             ) from e
-    rng = random.Random()
     shape = (stop - start, len(rows))
     se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
     for b0 in range(start, stop, _BLOCK):
         b1 = min(b0 + _BLOCK, stop)
         parts = []
         for s_i in range(b0 // n, (b1 - 1) // n + 1):
-            point, draws = points[s_i], []
-            for t in range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n)):
-                try:
-                    _random.Random.seed(rng, _trial_seed(seed, s_i, t))  # skips the gauss() reset
-                    draws.append(point.draw(rng))
-                except Exception as e:
-                    raise SweepError(
-                        f"seed={seed} sweep_index={s_i} trial={t}: {type(e).__name__}: {e}"
-                    ) from e
-            parts.append(point.gains(draws))
+            point, trials = points[s_i], range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n))
+            todo = iter(trials)
+            try:
+                parts.append(point.draw(trial_seeds(seed, s_i, todo)))
+            except Exception as e:
+                t = trials[len(trials) - length_hint(todo) - 1]  # the last trial whose seed was taken
+                raise SweepError(f"seed={seed} sweep_index={s_i} trial={t}: {type(e).__name__}: {e}") from e
         label = "orthogonal baseline"
         block = slice(b0 - start, b1 - start)
         try:
@@ -125,7 +125,7 @@ def run_chunk(config, start: int, stop: int):
                     point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
                     [rows[r_i][2] for r_i in cols],
                 )
-                for a, v in ((se, [math.fsum(r) for r in out.tolist()]), (feasible, ok), (met, good)):
+                for a, v in ((se, list(map(math.fsum, out.tolist()))), (feasible, ok), (met, good)):
                     a[block, cols] = np.reshape(v, (len(cols), -1)).T
         except Exception as e:
             (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
@@ -173,7 +173,7 @@ def _reduce_point(
     n = len(ses)
     mean = math.fsum(ses) / n
     if n > 1:
-        var = math.fsum((x - mean) ** 2 for x in ses) / (n - 1)
+        var = math.fsum(map(pow, map(float.__sub__, ses, repeat(mean)), repeat(2))) / (n - 1)
         ci = _Z95 * math.sqrt(var / n)
     else:
         ci = 0.0

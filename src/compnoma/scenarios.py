@@ -14,18 +14,20 @@ Single-cell users sit on the ray pointing away from the opposite base station
 so their geometry is deterministic; edge users are drawn uniformly from a disc
 at the midpoint, rejecting draws inside either cell's coverage radius.
 
-Every trial is drawn by ``SweepPoint.draw`` and turned into gains by
-``SweepPoint.gains``; schemes are evaluated on the resulting (trials, cells,
+``SweepPoint.draw`` turns a block of trial seeds into a (trials, cells,
 users) gain array, whose user columns are the user ids in ascending order
-(see ``Layout``), by ``orthogonal_rates`` and ``evaluate``.
+(see ``Layout``); schemes are evaluated on it by ``orthogonal_rates`` and
+``evaluate``.
 """
 
 from __future__ import annotations
 
+import _random
 import math
 from dataclasses import dataclass
+from itertools import islice
 from math import cos, hypot, log, sin, sqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,7 +110,7 @@ class SweepPoint:
     The jointly served users are 1 (and 2); cell c's single-cell users are
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
-    0 in the edge users' columns, which ``gains`` fills from each draw.
+    0 in the edge users' columns, which ``draw`` fills from each trial.
     """
 
     def __init__(
@@ -152,50 +154,48 @@ class SweepPoint:
             x = self.sites[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
             self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
-        self.links = self.terms.size
-        # everything draw() reads, unpacked there once per trial
+        # everything draw() reads, unpacked there once per block
         ring = spec.edge_region_law == RING
         self._draw_constants = (radius, ring, spec.coverage_m, *self.sites, -alpha)
 
-    def draw(self, rng) -> list[float]:
-        """Edge-user distance terms (per user: cell 1, cell 2), then one fading
-        draw per (cell, user) link.
-
-        Each edge user is uniform in the midpoint disc (or on its rim),
-        redrawn while it falls inside either cell's coverage disc.  The test
-        uses math, not numpy: it decides how many draws a trial consumes.
-        Fading is Exp(1), the squared Rayleigh envelope of a unit-variance
-        complex Gaussian amplitude: random.Random.expovariate(1.0) inlined,
-        -log(1 - U).
-        """
-        random = rng.random
+    def draw(self, seeds: Iterable) -> np.ndarray:
+        """(trials, cells, users) gain array, one trial per seed, each seed taken
+        just before its trial is drawn.  A trial reseeds one generator (as
+        random.Random(seed) would) and draws the edge users' positions in
+        user-id order, each uniform in the midpoint disc (or on its rim) and
+        redrawn while it falls inside either coverage disc, then one fading
+        uniform per (cell, user) link, cells outer.  The test uses math, not
+        numpy: it decides how many draws a trial consumes.  Fading is Exp(1),
+        the squared Rayleigh envelope: -log(1 - U) by libm's log, from which
+        numpy's differs on some inputs."""
+        rng = _random.Random()
+        reseed, random = _random.Random.seed, rng.random
         radius, ring, coverage, (x1, y1), (x2, y2), power = self._draw_constants
-        out = []
-        for _ in self.comp_ids:
-            for _ in range(_MAX_PLACEMENT_DRAWS):
-                theta = _TWO_PI * random()
-                r = radius if ring else radius * sqrt(random())
-                x, y = r * cos(theta), r * sin(theta)
-                d1 = hypot(x - x1, y - y1)
-                if d1 > coverage:
-                    d2 = hypot(x - x2, y - y2)
-                    if d2 > coverage:
-                        break
-            else:
-                raise DomainError(
-                    "edge-user placement rejected too often; region outside coverage is empty"
-                )
-            out += (d1 ** power, d2 ** power)
-        out += [-log(1.0 - random()) for _ in range(self.links)]
-        return out
-
-    def gains(self, draws: Sequence[list[float]]) -> np.ndarray:
-        """(trials, cells, users) gain array from a block of trial draws."""
-        a = np.array(draws, dtype=float)
-        n, q = len(a), len(self.comp_ids)
+        users, links, tries = self.comp_ids, self.terms.size, range(_MAX_PLACEMENT_DRAWS)
+        edge, uniforms = [], []
+        for seed in seeds:
+            reseed(rng, seed)
+            for _ in users:
+                for _ in tries:
+                    theta = _TWO_PI * random()
+                    r = radius if ring else radius * sqrt(random())
+                    x, y = r * cos(theta), r * sin(theta)
+                    d1 = hypot(x - x1, y - y1)
+                    if d1 > coverage:
+                        d2 = hypot(x - x2, y - y2)
+                        if d2 > coverage:
+                            break
+                else:
+                    raise DomainError(
+                        "edge-user placement rejected too often; region outside coverage is empty"
+                    )
+                edge += (d1 ** power, d2 ** power)
+            uniforms += islice(iter(random, None), links)
+        n = len(uniforms) // links
         terms = np.repeat(self.terms[None], n, axis=0)
-        terms[:, :, self.layout.comp] = a[:, : 2 * q].reshape(n, q, 2).transpose(0, 2, 1)
-        return gain_array(a[:, 2 * q:].reshape(terms.shape), terms, self.radio)
+        terms[:, :, self.layout.comp] = np.reshape(edge, (n, len(users), 2)).transpose(0, 2, 1)
+        fading = -np.fromiter(map(log, map((1.0).__sub__, uniforms)), float, len(uniforms))
+        return gain_array(fading.reshape(terms.shape), terms, self.radio)
 
 
 def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:

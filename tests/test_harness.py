@@ -1,11 +1,14 @@
 """Sweep driver: substreams, grids, series labels, reductions, worker parity."""
 
+import hashlib
 import math
 import random
 import re
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compnoma import (
     PRESETS,
@@ -17,7 +20,7 @@ from compnoma import (
 from compnoma.cli import format_csv
 from compnoma.config import _figure_radio
 from compnoma import harness, scenarios
-from compnoma.harness import run_chunk, scheme_rows, substream, sweep_values
+from compnoma.harness import run_chunk, scheme_rows, substream, sweep_values, trial_seeds
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -45,6 +48,13 @@ def test_substream_is_deterministic_and_distinct():
         for t in (0, 1, 99)
     }
     assert len(set(draws.values())) == len(draws)
+    # each seed is one blake2b hash of the three indices, masked to 64 bits
+    mask = (1 << 64) - 1
+    for s, w, t in ((0, 0, 0), (2026, 3, 99), (-1, 2**64 + 5, 2**63)):
+        key = struct.pack(">QQQ", s & mask, w & mask, t & mask)
+        seed = int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
+        assert list(trial_seeds(s, w, [t - 1, t])) == [next(trial_seeds(s, w, [t - 1])), seed]
+        assert substream(s, w, t).random() == random.Random(seed).random()
 
 
 def test_sweep_values_grid():
@@ -84,7 +94,7 @@ def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
     point = scenarios.SweepPoint(1, 200.0, config.radio, config.placement)
-    gains = point.gains([point.draw(substream(config.seed, 0, 0))])
+    gains = point.draw(trial_seeds(config.seed, 0, [0]))
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
     for scheme in config.schemes:
@@ -157,6 +167,16 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
     assert jt.mean_se_bps_hz > 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40))
+def test_reduce_point_mean_and_ci_are_the_literal_formulas(ses):
+    n = len(ses)
+    row = harness._reduce_point(1.0, "x", ses, 0, 0)
+    mean = math.fsum(ses) / n
+    ci = 1.96 * math.sqrt(math.fsum((x - mean) ** 2 for x in ses) / (n - 1) / n) if n > 1 else 0.0
+    assert (row.mean_se_bps_hz.hex(), row.ci95.hex()) == (mean.hex(), ci.hex())
+
+
 def test_block_placement_does_not_change_results(monkeypatch):
     # 150 trials per point: with any of these block sizes, blocks start and
     # end inside points and mix trials of neighbouring points, whose DPS-NOMA
@@ -206,16 +226,30 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
         str(err.value),
     )
 
-    # a failure while drawing a trial names that trial
+    # a failure while drawing a trial names that trial: here its seed fails
     monkeypatch.undo()
-    real = harness._trial_seed
+    real = harness.trial_seeds
 
-    def flaky(seed, sweep_index, trial):
-        if (sweep_index, trial) == (1, 7):
-            raise ValueError("bad stream")
-        return real(seed, sweep_index, trial)
+    def flaky(seed, sweep_index, trials):
+        for trial in trials:
+            if (sweep_index, trial) == (1, 7):
+                raise ValueError("bad stream")
+            yield from real(seed, sweep_index, (trial,))
 
-    monkeypatch.setattr(harness, "_trial_seed", flaky)
+    monkeypatch.setattr(harness, "trial_seeds", flaky)
     with pytest.raises(SweepError) as err:
         run_sweep(small_config(trials=40), workers=workers)
     assert str(err.value) == "seed=2026 sweep_index=1 trial=7: ValueError: bad stream"
+
+    # ... and here its placement: with one try per edge user, point 0's 50 m
+    # edge region never meets coverage, and point 1's 120 m region first does
+    # at trial 7 under seed 2028, in the middle of the block's draw
+    monkeypatch.undo()
+    monkeypatch.setattr(scenarios, "_MAX_PLACEMENT_DRAWS", 1)
+    config = small_config(scenario_id=2, sweep_start=50.0, sweep_stop=190.0, sweep_step=70.0, seed=2028)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=workers)
+    assert str(err.value) == (
+        "seed=2028 sweep_index=1 trial=7: DomainError: edge-user placement rejected too often;"
+        " region outside coverage is empty"
+    )

@@ -11,7 +11,7 @@ from compnoma import ConfigError, DomainError, EQUAL_TRANSMIT, PlacementSpec, Ra
 from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
 from compnoma.config import config_from_dict
-from compnoma.harness import run_chunk, scheme_rows, substream
+from compnoma.harness import run_chunk, scheme_rows, trial_seeds
 from compnoma.scenarios import (
     CASE_EDGE_ORDER_CELL1,
     CASE_EDGE_ORDER_CELL2,
@@ -190,7 +190,7 @@ def test_edge_decode_order_reference_cell():
 
 def test_run_trial_dispatch_errors():
     s1 = SweepPoint(1, 350.0, REFERENCE_RADIO, None)
-    gains = s1.gains([s1.draw(random.Random(14))])
+    gains = s1.draw([14])
     with pytest.raises(ConfigError):
         run(s1, gains, "CS-NOMA")
     with pytest.raises(ConfigError):
@@ -210,7 +210,7 @@ def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = replace(REFERENCE_RADIO, sic_tolerance=1e12)
     point = SweepPoint(1, 350.0, harsh, None)
-    out, base, feasible, _, reason = run(point, point.gains([point.draw(random.Random(16))]), "JT-NOMA")
+    out, base, feasible, _, reason = run(point, point.draw([16]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
     assert out.tolist() == base.tolist()
@@ -241,7 +241,7 @@ def test_feasible_trials_meet_guarantees():
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
     master = random.Random(17)
     point = SweepPoint(2, 200.0, relaxed, None)
-    g = point.gains([point.draw(random.Random(master.random())) for _ in range(60)])
+    g = point.draw([master.random() for _ in range(60)])
     feasible_counts = {"JT-NOMA": 0, "DPS-NOMA": 0, "CS-NOMA": 0}
     for scheme in feasible_counts:
         out, base, feasible, met, _ = run(point, g, scheme)
@@ -266,7 +266,7 @@ def test_spectral_efficiency_is_sum_over_band():
     )
     se, _, _ = run_chunk(config, 0, 4)
     point = SweepPoint(3, 150.0, config.radio, config.placement)
-    g = point.gains([point.draw(substream(config.seed, 0, t)) for t in range(4)])
+    g = point.draw(trial_seeds(config.seed, 0, range(4)))
     out, base, _, _, _ = run(point, g, "JT-NOMA")
     for t in range(4):
         assert se[t, 0] == math.fsum(out[t].tolist()) / 8.64e6
@@ -277,7 +277,7 @@ def test_interference_mode_full_never_exceeds_negligible():
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
     master = random.Random(19)
     point = SweepPoint(2, 200.0, relaxed, None)
-    g = point.gains([point.draw(random.Random(master.random())) for _ in range(40)])
+    g = point.draw([master.random() for _ in range(40)])
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
         clean, _, clean_ok, _, _ = run(point, g, scheme, interference_mode="negligible")
@@ -344,7 +344,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
     point = SweepPoint(scenario, 200.0, relaxed, None)
-    g = point.gains([point.draw(substream(41, 0, t)) for t in range(200)])
+    g = point.draw(trial_seeds(41, 0, range(200)))
     out, base, feasible, _, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
     if scenario == 3:
