@@ -1,25 +1,37 @@
 """Experiment configuration: JSON schema, validation, defaults, presets.
 
-Configs are plain JSON.  Power-like radio fields accept either a linear
-milliwatt key or a dBm convenience key (exactly one of the pair).  Unknown
-keys anywhere are rejected by name so typos cannot silently fall back to
-defaults.
+The dataclasses are the schema.  A JSON section's keys are the fields of the
+dataclass it builds (``ExperimentConfig`` at the root, ``RadioParams`` under
+``radio``, ``PlacementSpec`` under ``placement``; the sweep grid's
+``sweep_*`` fields are nested under ``sweep``), each value must have its
+field's type, numbers finite, and absent keys take the field's default.
+Ranges are the dataclasses' own checks.  Power-like radio fields accept
+either a linear milliwatt key or a dBm convenience key (exactly one of the
+pair).  Unknown keys anywhere are rejected by name so typos cannot silently
+fall back to defaults, and every sweep point's geometry is built once at
+parse time, so a config that parses can run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import RadioParams
-from .errors import ConfigError, ParseError, ValidationError
-from .scenarios import REFERENCE_RADIO, DISC, RING, PlacementSpec
+from .errors import ConfigError, DomainError, ParseError, ValidationError
+from .harness import sweep_values
+from .scenarios import (
+    REFERENCE_NOISE_DENSITY_DBM_HZ,
+    REFERENCE_RADIO,
+    REFERENCE_TX_POWER_DBM,
+    PlacementSpec,
+    SweepPoint,
+)
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 from .units import dbm_to_mw
-
-DEFAULT_SEED = 2026
-DEFAULT_TRIALS = 50_000
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -32,27 +44,33 @@ DEFAULT_SCHEMES = {
     3: (JT_NOMA, JT_OMA),
 }
 _REJECTED_SCHEMES = ("CB", "CB-NOMA")
-_DEFAULT_SWEEP = (50.0, 400.0, 50.0)
-_CASES = ("case1", "case2", "both")
-_MODES = ("negligible", "full")
-_SPLITS = (EQUAL_RECEIVED, EQUAL_TRANSMIT)
+_CHOICES = {
+    "decode_case": ("case1", "case2", "both"),
+    "interference_mode": ("negligible", "full"),
+    "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
+}
 _ONE_TAIL = {
     "edge_region_radius_m": "the sweep sets it",
     "secondary_distance_m": "each cell has one single-cell user",
 }
 # placement fields each scenario rejects, and why
 UNUSED_PLACEMENT = {1: {"primary_distance_m": "the sweep sets it"}, 2: _ONE_TAIL, 3: _ONE_TAIL}
+# dBm spelling of each power-like radio field: (the field, its reference value in dBm)
+_DBM = {
+    "tx_power_dbm": ("tx_power_mw", REFERENCE_TX_POWER_DBM),
+    "noise_density_dbm_hz": ("noise_density_mw_hz", REFERENCE_NOISE_DENSITY_DBM_HZ),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario_id: int
     schemes: tuple[str, ...]
-    sweep_start: float
-    sweep_stop: float
-    sweep_step: float
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
+    sweep_start: float = 50.0
+    sweep_stop: float = 400.0
+    sweep_step: float = 50.0
+    trials: int = 50_000
+    seed: int = 2026
     decode_case: str = "case1"
     interference_mode: str = "negligible"
     jt_split: str = EQUAL_TRANSMIT
@@ -60,168 +78,114 @@ class ExperimentConfig:
     placement: PlacementSpec = PlacementSpec()
     output_path: str | None = None
 
+    def __post_init__(self) -> None:
+        scenario = self.scenario_id
+        if scenario not in ALLOWED_SCHEMES:
+            raise ValidationError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
+        if not self.schemes:
+            raise ValidationError("schemes must be a non-empty list")
+        for s in self.schemes:
+            if s in _REJECTED_SCHEMES:
+                raise ConfigError(
+                    "coordinated beamforming rejected: single-antenna cells have no spatial "
+                    "degrees of freedom to null a co-scheduled superposed user"
+                )
+            if s not in ALLOWED_SCHEMES[scenario]:
+                raise ValidationError(
+                    f"scheme {s!r} not available in scenario {scenario}; "
+                    f"choose from {ALLOWED_SCHEMES[scenario]}"
+                )
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValidationError("duplicate scheme in schemes list")
+        if self.trials < 1:
+            raise ValidationError("trials must be positive")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
+        if self.decode_case == "both" and scenario != 3:
+            raise ValidationError("decode_case 'both' applies to scenario 3 only")
 
-def _reject_unknown(d: dict, known: tuple[str, ...], where: str) -> None:
-    for key in d:
-        if key not in known:
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+# what a JSON value must be, by the annotation of the field it sets
+_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _number),
+    "float | None": ("a finite number", _number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a list of strings", lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)
+    ),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _schema(cls) -> dict:
+    """JSON key -> annotation of each field of cls; a nested dataclass is an object."""
+    return {f.name: "object" if is_dataclass(f.default) else f.type for f in fields(cls)}
+
+
+_CONFIG = _schema(ExperimentConfig)
+_SWEEP = {key[len("sweep_"):]: _CONFIG.pop(key) for key in list(_CONFIG) if key.startswith("sweep_")}
+_CONFIG["sweep"] = "object"
+_RADIO = {**_schema(RadioParams), **dict.fromkeys(_DBM, "float")}
+_PLACEMENT = _schema(PlacementSpec)
+
+
+def _read(d: dict, where: str, schema: dict) -> dict:
+    """A copy of JSON object d, each of whose keys is in schema and each of
+    whose values is of that key's kind."""
+    for key, value in d.items():
+        if key not in schema:
             raise ValidationError(f"unknown key {key!r} in {where}")
+        what, ok = _KINDS[schema[key]]
+        if not ok(value):
+            raise ValidationError(f"{where}.{key} must be {what}, got {value!r}")
+    return dict(d)
 
 
-def _num(d: dict, key: str, where: str, default=None, integer=False, positive=False):
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number")
-    if integer and not isinstance(v, int):
-        raise ValidationError(f"{where}.{key} must be an integer")
-    if positive and v <= 0:
-        raise ValidationError(f"{where}.{key} must be positive")
-    return v
-
-
-def _choice(d: dict, key: str, where: str, choices: tuple[str, ...], default: str):
-    v = d.get(key, default)
-    if v not in choices:
-        raise ValidationError(f"{where}.{key} must be one of {choices}, got {v!r}")
-    return v
-
-
-def _power_field(d: dict, linear_key: str, dbm_key: str, where: str, default_mw: float) -> float:
-    if linear_key in d and dbm_key in d:
-        raise ValidationError(f"{where}: give {linear_key} or {dbm_key}, not both")
-    if linear_key in d:
-        return _num(d, linear_key, where, positive=True)
-    if dbm_key in d:
-        return dbm_to_mw(_num(d, dbm_key, where))
-    return default_mw
-
-
-def _radio_from_dict(d: dict) -> RadioParams:
-    _reject_unknown(
-        d,
-        (
-            "tx_power_mw", "tx_power_dbm",
-            "noise_density_mw_hz", "noise_density_dbm_hz",
-            "bandwidth_hz", "pathloss_exponent", "sic_tolerance",
-        ),
-        "radio",
-    )
-    tol = _num(d, "sic_tolerance", "radio", default=REFERENCE_RADIO.sic_tolerance)
-    if tol < 0:
-        raise ValidationError("radio.sic_tolerance cannot be negative")
-    return RadioParams(
-        tx_power_mw=_power_field(d, "tx_power_mw", "tx_power_dbm", "radio", REFERENCE_RADIO.tx_power_mw),
-        noise_density_mw_hz=_power_field(
-            d, "noise_density_mw_hz", "noise_density_dbm_hz", "radio", REFERENCE_RADIO.noise_density_mw_hz
-        ),
-        bandwidth_hz=_num(d, "bandwidth_hz", "radio", default=REFERENCE_RADIO.bandwidth_hz, positive=True),
-        pathloss_exponent=_num(
-            d, "pathloss_exponent", "radio", default=REFERENCE_RADIO.pathloss_exponent, positive=True
-        ),
-        sic_tolerance=tol,
-    )
-
-
-def _placement_from_dict(d: dict) -> PlacementSpec:
-    _reject_unknown(
-        d,
-        (
-            "inter_site_m", "coverage_m", "edge_region_radius_m",
-            "edge_region_law", "primary_distance_m", "secondary_distance_m",
-        ),
-        "placement",
-    )
-    return PlacementSpec(
-        inter_site_m=_num(d, "inter_site_m", "placement", default=1000.0, positive=True),
-        coverage_m=_num(d, "coverage_m", "placement", default=400.0, positive=True),
-        edge_region_radius_m=_num(d, "edge_region_radius_m", "placement", default=None, positive=True),
-        edge_region_law=_choice(d, "edge_region_law", "placement", (DISC, RING), DISC),
-        primary_distance_m=_num(d, "primary_distance_m", "placement", default=None, positive=True),
-        secondary_distance_m=_num(d, "secondary_distance_m", "placement", default=300.0, positive=True),
-    )
+def _ranged(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a range error it raises re-raised as a
+    ValidationError that names where."""
+    try:
+        return make(*args, **kwargs)
+    except (DomainError, OverflowError) as e:
+        raise ValidationError(f"{where}: {e}") from e
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ValidationError("config root must be an object")
-    _reject_unknown(
-        data,
-        (
-            "scenario_id", "schemes", "sweep", "trials", "seed", "decode_case",
-            "interference_mode", "jt_split", "radio", "placement", "output_path",
-        ),
-        "config",
+    d = _read(data, "config", _CONFIG)
+    scenario = d.pop("scenario_id", None)
+    schemes = tuple(s.upper() for s in d.pop("schemes", DEFAULT_SCHEMES.get(scenario, ())))
+    for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
+        d[f"sweep_{key}"] = float(value)
+    radio = _read(d.pop("radio", {}), "radio", _RADIO)
+    for alias, (key, _) in _DBM.items():
+        if alias in radio:
+            if key in radio:
+                raise ValidationError(f"radio: give {key} or {alias}, not both")
+            radio[key] = _ranged(f"radio.{alias}", dbm_to_mw, radio.pop(alias))
+    placement = _read(d.pop("placement", {}), "placement", _PLACEMENT)
+    unused = UNUSED_PLACEMENT.get(scenario, {})
+    for key in placement:
+        if key in unused:
+            raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {unused[key]}")
+    config = ExperimentConfig(
+        scenario,
+        schemes,
+        radio=_ranged("radio", replace, REFERENCE_RADIO, **radio),
+        placement=_ranged("placement", PlacementSpec, **placement),
+        **d,
     )
-    scenario = _num(data, "scenario_id", "config", integer=True)
-    if scenario not in (1, 2, 3):
-        raise ValidationError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
-
-    schemes = data.get("schemes", list(DEFAULT_SCHEMES[scenario]))
-    if not isinstance(schemes, (list, tuple)) or not schemes:
-        raise ValidationError("schemes must be a non-empty list")
-    normalized = tuple(str(s).upper() for s in schemes)
-    for s in normalized:
-        if s in _REJECTED_SCHEMES:
-            raise ConfigError(
-                "coordinated beamforming rejected: single-antenna cells have no spatial "
-                "degrees of freedom to null a co-scheduled superposed user"
-            )
-        if s not in ALLOWED_SCHEMES[scenario]:
-            raise ValidationError(
-                f"scheme {s!r} not available in scenario {scenario}; "
-                f"choose from {ALLOWED_SCHEMES[scenario]}"
-            )
-    if len(set(normalized)) != len(normalized):
-        raise ValidationError("duplicate scheme in schemes list")
-
-    sweep = data.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise ValidationError("sweep must be an object with start/stop/step")
-    _reject_unknown(sweep, ("start", "stop", "step"), "sweep")
-    start = _num(sweep, "start", "sweep", default=_DEFAULT_SWEEP[0], positive=True)
-    stop = _num(sweep, "stop", "sweep", default=_DEFAULT_SWEEP[1], positive=True)
-    step = _num(sweep, "step", "sweep", default=_DEFAULT_SWEEP[2], positive=True)
-    if stop < start:
-        raise ValidationError("sweep.stop must not be below sweep.start")
-
-    trials = _num(data, "trials", "config", default=DEFAULT_TRIALS, integer=True, positive=True)
-    seed = _num(data, "seed", "config", default=DEFAULT_SEED, integer=True)
-    case = _choice(data, "decode_case", "config", _CASES, "case1")
-    if case == "both" and scenario != 3:
-        raise ValidationError("decode_case 'both' applies to scenario 3 only")
-    mode = _choice(data, "interference_mode", "config", _MODES, "negligible")
-    split = _choice(data, "jt_split", "config", _SPLITS, EQUAL_TRANSMIT)
-
-    radio_d = data.get("radio", {})
-    if not isinstance(radio_d, dict):
-        raise ValidationError("radio must be an object")
-    placement_d = data.get("placement", {})
-    if not isinstance(placement_d, dict):
-        raise ValidationError("placement must be an object")
-    for key, why in UNUSED_PLACEMENT[scenario].items():
-        if key in placement_d:
-            raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {why}")
-
-    out = data.get("output_path")
-    if out is not None and not isinstance(out, str):
-        raise ValidationError("output_path must be a string")
-
-    return ExperimentConfig(
-        scenario_id=scenario,
-        schemes=normalized,
-        sweep_start=float(start),
-        sweep_stop=float(stop),
-        sweep_step=float(step),
-        trials=trials,
-        seed=seed,
-        decode_case=case,
-        interference_mode=mode,
-        jt_split=split,
-        radio=_radio_from_dict(radio_d),
-        placement=_placement_from_dict(placement_d),
-        output_path=out,
-    )
+    for value in _ranged("sweep", sweep_values, config.sweep_start, config.sweep_stop, config.sweep_step):
+        _ranged(f"sweep value {value:g}", SweepPoint, scenario, value, config.radio, config.placement)
+    return config
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -239,113 +203,37 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form; feeding it back through config_from_dict yields an
-    equal config (linear radio keys round-trip exactly).  Unset optionals are
-    omitted rather than written as null: the schema has no null values."""
-    placement = {
-        "inter_site_m": config.placement.inter_site_m,
-        "coverage_m": config.placement.coverage_m,
-        "edge_region_radius_m": config.placement.edge_region_radius_m,
-        "edge_region_law": config.placement.edge_region_law,
-        "primary_distance_m": config.placement.primary_distance_m,
-        "secondary_distance_m": config.placement.secondary_distance_m,
-    }
-    if config.scenario_id != 1:  # one single-cell user per cell: the field does not apply
-        del placement["secondary_distance_m"]
-    out = {
-        "scenario_id": config.scenario_id,
-        "schemes": list(config.schemes),
-        "sweep": {
-            "start": config.sweep_start,
-            "stop": config.sweep_stop,
-            "step": config.sweep_step,
-        },
-        "trials": config.trials,
-        "seed": config.seed,
-        "decode_case": config.decode_case,
-        "interference_mode": config.interference_mode,
-        "jt_split": config.jt_split,
-        "radio": {
-            "tx_power_mw": config.radio.tx_power_mw,
-            "noise_density_mw_hz": config.radio.noise_density_mw_hz,
-            "bandwidth_hz": config.radio.bandwidth_hz,
-            "pathloss_exponent": config.radio.pathloss_exponent,
-            "sic_tolerance": config.radio.sic_tolerance,
-        },
-        "placement": {k: v for k, v in placement.items() if v is not None},
-        "output_path": config.output_path,
-    }
-    if out["output_path"] is None:
-        del out["output_path"]
+    equal config (linear radio keys round-trip exactly).  Unset optionals, and
+    placement fields the scenario does not use, are omitted rather than
+    written as null: the schema has no null values."""
+    out = {}
+    for key, value in asdict(config).items():
+        if key.startswith("sweep_"):
+            out.setdefault("sweep", {})[key[len("sweep_"):]] = value
+        elif value is not None:
+            out[key] = value
+    out["schemes"] = list(config.schemes)
+    unused = UNUSED_PLACEMENT[config.scenario_id]
+    out["placement"] = {k: v for k, v in out["placement"].items() if v is not None and k not in unused}
     return out
 
 
 def emit_defaults(scenario_id: int = 1) -> dict:
     """Writable starting-point config with the dBm convenience keys."""
-    return {
-        "scenario_id": scenario_id,
-        "schemes": list(DEFAULT_SCHEMES[scenario_id]),
-        "sweep": {"start": 50.0, "stop": 400.0, "step": 50.0},
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "decode_case": "case1",
-        "interference_mode": "negligible",
-        "jt_split": EQUAL_TRANSMIT,
-        "radio": {
-            "tx_power_dbm": 43.0,
-            "noise_density_dbm_hz": -139.0,
-            "bandwidth_hz": 8.64e6,
-            "pathloss_exponent": 4.0,
-            "sic_tolerance": 100.0,
-        },
-        "placement": {
-            "inter_site_m": 1000.0,
-            "coverage_m": 400.0,
-            "edge_region_law": DISC,
-            **({"secondary_distance_m": 300.0} if scenario_id == 1 else {}),
-        },
-        "output_path": None,
-    }
+    out = config_to_dict(ExperimentConfig(scenario_id, DEFAULT_SCHEMES[scenario_id]))
+    for alias, (key, dbm) in _DBM.items():
+        del out["radio"][key]
+        out["radio"][alias] = dbm
+    return {**out, "output_path": None}
 
 
-def _figure_radio() -> RadioParams:
-    # the reproduction sweeps run with the decodability margin disabled:
-    # at these geometries any positive received-power margin of 100 (20 dB
-    # over noise) is unreachable and every trial would fall back
-    return replace(REFERENCE_RADIO, sic_tolerance=0.0)
+# the reproduction sweeps run with the decodability margin disabled: at these
+# geometries any positive received-power margin of 100 (20 dB over noise) is
+# unreachable and every trial would fall back
+_FIGURE_RADIO = replace(REFERENCE_RADIO, sic_tolerance=0.0)
 
-
-def preset_fig4() -> ExperimentConfig:
-    return ExperimentConfig(
-        scenario_id=1,
-        schemes=DEFAULT_SCHEMES[1],
-        sweep_start=50.0,
-        sweep_stop=400.0,
-        sweep_step=50.0,
-        radio=_figure_radio(),
-    )
-
-
-def preset_fig5() -> ExperimentConfig:
-    return ExperimentConfig(
-        scenario_id=2,
-        schemes=DEFAULT_SCHEMES[2],
-        sweep_start=50.0,
-        sweep_stop=400.0,
-        sweep_step=50.0,
-        radio=_figure_radio(),
-    )
-
-
-def preset_fig6() -> ExperimentConfig:
-    return ExperimentConfig(
-        scenario_id=3,
-        schemes=DEFAULT_SCHEMES[3],
-        sweep_start=50.0,
-        sweep_stop=400.0,
-        sweep_step=50.0,
-        decode_case="both",
-        radio=_figure_radio(),
-    )
-
-
-PRESETS = {"fig4": preset_fig4, "fig5": preset_fig5, "fig6": preset_fig6}
+PRESETS = {
+    "fig4": partial(ExperimentConfig, 1, DEFAULT_SCHEMES[1], radio=_FIGURE_RADIO),
+    "fig5": partial(ExperimentConfig, 2, DEFAULT_SCHEMES[2], radio=_FIGURE_RADIO),
+    "fig6": partial(ExperimentConfig, 3, DEFAULT_SCHEMES[3], decode_case="both", radio=_FIGURE_RADIO),
+}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import random
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SweepError
+from .errors import DomainError, SweepError
 from .scenarios import SweepPoint, evaluate, orthogonal_rates
 from .schemes import JT_NOMA
 
@@ -43,17 +42,12 @@ def trial_seeds(master_seed: int, sweep_index: int, trials: Iterable[int]) -> It
         yield from_bytes(h.digest(), "big")
 
 
-def substream(master_seed: int, sweep_index: int, trial_index: int) -> random.Random:
-    """Independent, reproducible RNG for one trial of one sweep point."""
-    return random.Random(next(trial_seeds(master_seed, sweep_index, (trial_index,))))
-
-
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; never past stop, but float drift short of it is forgiven."""
     if step <= 0.0:
-        raise ValueError("sweep step must be positive")
+        raise DomainError("sweep step must be positive")
     if stop < start:
-        raise ValueError("sweep stop below start")
+        raise DomainError("sweep stop below start")
     count = int(math.floor((stop - start) / step * (1.0 + 1e-9))) + 1
     return tuple(start + i * step for i in range(count))
 

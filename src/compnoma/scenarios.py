@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import _random
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from math import cos, hypot, log, sin, sqrt
 from typing import Iterable, Sequence
@@ -38,14 +38,15 @@ from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 from .units import dbm_to_mw
 
 # Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
-# 8.64 MHz system band, fourth-power distance loss.  The decodability
-# tolerance default is deliberately conservative; sweep presets relax it.
+# 8.64 MHz system band, and RadioParams' default fourth-power distance loss
+# and decodability tolerance.  The tolerance is deliberately conservative;
+# sweep presets relax it.
+REFERENCE_TX_POWER_DBM = 43.0
+REFERENCE_NOISE_DENSITY_DBM_HZ = -139.0
 REFERENCE_RADIO = RadioParams(
-    tx_power_mw=dbm_to_mw(43.0),
-    noise_density_mw_hz=dbm_to_mw(-139.0),
+    tx_power_mw=dbm_to_mw(REFERENCE_TX_POWER_DBM),
+    noise_density_mw_hz=dbm_to_mw(REFERENCE_NOISE_DENSITY_DBM_HZ),
     bandwidth_hz=8.64e6,
-    pathloss_exponent=4.0,
-    sic_tolerance=100.0,
 )
 
 DISC = "disc"
@@ -76,8 +77,10 @@ class PlacementSpec:
     secondary_distance_m: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.inter_site_m <= 0.0 or self.coverage_m <= 0.0:
-            raise DomainError("site spacing and coverage radius must be positive")
+        for f in fields(self):
+            length = getattr(self, f.name)
+            if f.name.endswith("_m") and length is not None and length <= 0.0:
+                raise DomainError(f"{f.name} must be positive, got {length}")
         if self.inter_site_m / 2.0 <= self.coverage_m:
             raise DomainError(
                 "coverage discs overlap the midpoint; no admissible edge region"

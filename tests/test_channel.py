@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw, substream, trial_seeds
+from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw, trial_seeds
 from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint
 
 from conftest import draw_edge_position
@@ -124,8 +124,8 @@ def test_fading_distribution_matches_unit_exponential():
 @pytest.mark.parametrize("law", [DISC, RING])
 def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
     # every link of a block of sweep trials, drawn in one call, bit for bit,
-    # against normalized_gain on each trial's fresh substream: the edge
-    # users' positions first, in user-id order, then one -log(1 - U) fading
+    # against normalized_gain on a fresh random.Random of each trial's seed:
+    # the edge users' positions first, in user-id order, then one -log(1 - U) fading
     # draw per (cell, user) link, cells outer; 512 trials per block, so a
     # transcendental that is off on a small share of inputs shows
     radio = replace(REFERENCE_RADIO, pathloss_exponent=3.7)
@@ -139,7 +139,9 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
         got = point.draw(trial_seeds(seed, point_index, trials))
         assert got.shape == (block, 2, len(point.layout.user_ids))
         for i, trial in enumerate(trials):
-            users, want = reference_gains(scenario, law, value, radio, placement, substream(seed, point_index, trial))
+            users, want = reference_gains(
+                scenario, law, value, radio, placement, random.Random(next(trial_seeds(seed, point_index, [trial])))
+            )
             assert users == list(point.layout.user_ids)
             assert got[i].tolist() == want, (seed, point_index, trial)
 

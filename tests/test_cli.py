@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from compnoma import (
+    PRESETS,
     ConfigError,
     ParseError,
     SweepResult,
@@ -43,6 +46,16 @@ def test_defaults_round_trip_exactly():
         config = config_from_dict(emit_defaults(scenario))
         again = config_from_dict(config_to_dict(config))
         assert again == config
+    for name, preset in PRESETS.items():
+        assert config_from_dict(config_to_dict(preset())) == preset(), name
+
+
+def test_readme_json_example_is_a_valid_config():
+    # the README's example spells out scenario 2's defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## JSON configuration\n\n```json\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README.md has no JSON configuration block"
+    assert config_from_dict(json.loads(block.group(1))) == config_from_dict(emit_defaults(2))
 
 
 def test_dbm_and_linear_power_keys_agree():
@@ -83,7 +96,36 @@ def test_schema_rejections():
         config_from_dict({"scenario_id": 1, "sweep": {"start": 300, "stop": 100}})
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
+    with pytest.raises(ValidationError):
+        config_from_dict({"scenario_id": 1, "placement": {"secondary_distance_m": -5}})
+    # json.loads accepts NaN and Infinity; the schema does not
+    for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
+                               ("radio", "bandwidth_hz", "Infinity")):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
+        assert f"{section}.{key}" in str(err.value)
     config_from_dict({"scenario_id": 3, "decode_case": "both"})
+
+
+UNUSABLE = {
+    "non-finite tolerance": '{"scenario_id": 1, "radio": {"sic_tolerance": NaN}}',
+    "non-finite sweep start": '{"scenario_id": 1, "sweep": {"start": NaN}}',
+    "non-finite bandwidth": '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
+    "coverage reaches the midpoint": '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
+    "single-cell user outside coverage": '{"scenario_id": 2, "placement": {"primary_distance_m": 450}}',
+    "sweep leaves coverage": '{"scenario_id": 1, "sweep": {"stop": 500}}',
+}
+
+
+@pytest.mark.parametrize("text", UNUSABLE.values(), ids=UNUSABLE.keys())
+def test_unusable_configs_are_rejected_when_parsed(text, tmp_path, capsys):
+    # each used to run (to exit 0 or 2) or to escape as a DomainError traceback
+    with pytest.raises(ValidationError):
+        config_from_dict(json.loads(text))
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_placement_field_set_by_the_sweep_is_rejected():

@@ -1,4 +1,4 @@
-"""Sweep driver: substreams, grids, series labels, reductions, worker parity."""
+"""Sweep driver: trial seeds, grids, series labels, reductions, worker parity."""
 
 import hashlib
 import math
@@ -18,9 +18,8 @@ from compnoma import (
     run_sweep,
 )
 from compnoma.cli import format_csv
-from compnoma.config import _figure_radio
 from compnoma import harness, scenarios
-from compnoma.harness import run_chunk, scheme_rows, substream, sweep_values, trial_seeds
+from compnoma.harness import run_chunk, scheme_rows, sweep_values, trial_seeds
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -32,17 +31,21 @@ def small_config(**overrides) -> ExperimentConfig:
         sweep_step=100.0,
         trials=40,
         seed=2026,
-        radio=_figure_radio(),
+        radio=PRESETS["fig4"]().radio,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
+def trial_rng(s, w, t) -> random.Random:
+    return random.Random(next(trial_seeds(s, w, [t])))
+
+
 def test_substream_is_deterministic_and_distinct():
-    a = substream(2026, 0, 1).random()
-    assert substream(2026, 0, 1).random() == a
+    a = trial_rng(2026, 0, 1).random()
+    assert trial_rng(2026, 0, 1).random() == a
     draws = {
-        (s, w, t): substream(s, w, t).random()
+        (s, w, t): trial_rng(s, w, t).random()
         for s in (1, 2026)
         for w in (0, 3)
         for t in (0, 1, 99)
@@ -54,7 +57,7 @@ def test_substream_is_deterministic_and_distinct():
         key = struct.pack(">QQQ", s & mask, w & mask, t & mask)
         seed = int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
         assert list(trial_seeds(s, w, [t - 1, t])) == [next(trial_seeds(s, w, [t - 1])), seed]
-        assert substream(s, w, t).random() == random.Random(seed).random()
+        assert trial_rng(s, w, t).random() == random.Random(seed).random()
 
 
 def test_sweep_values_grid():
