@@ -2,7 +2,7 @@
 orthogonal access, rate-guaranteed power allocation, and Monte-Carlo sweeps."""
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from .channel import RadioParams
+from .channel import RadioParams, dbm_to_mw
 from .config import (
     PRESETS,
     ExperimentConfig,
@@ -29,7 +29,6 @@ from .schemes import (
     JT_OMA,
     validate_jt_conditions,
 )
-from .units import dbm_to_mw
 
 __version__ = "0.1.0"
 

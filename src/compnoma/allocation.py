@@ -27,13 +27,19 @@ share one call.  Each kernel reports a small integer reason code per
 instance (0 = feasible) and the decode position (and cell) that set it.
 The tests check both against the scalar references and the grid oracle in
 ``tests/reference.py``.
+
+Decode-order convention: position 0 is decoded first by everyone; the last
+position is the cluster head, which cancels all other in-cluster signals and
+sees only noise (plus whatever interference mode adds).  A user's own-cluster
+interference is therefore the total power of signals decoded *after* it,
+``later_sums`` below.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
-from .core import later_sums, rates, seq_sum
+import numpy as np
 
 EQUAL_RECEIVED = "equal_received"
 EQUAL_TRANSMIT = "equal_transmit"
@@ -43,9 +49,33 @@ REL_SLACK = 1e-9  # relative slack of every audit re-check (guarantees, decodabi
 # reason codes: why an instance is infeasible (0 = it is not)
 FEASIBLE = 0
 RATE_SHORT = 1  # a position's requirement exceeds the remaining budget
-HEAD_SHORT = 2  # the residual left to the head misses its optional guarantee
 SHORTFALL = 3  # the audit's recomputed rate misses a guarantee
 SIC_GAP = 4  # the audit finds a signal below the decodability gap
+
+
+def seq_sum(terms):
+    """Left-to-right sum from 0.0, the order of the scalar formulas.
+
+    The order matters: with a zero decodability tolerance the gap
+    p_i - (p_i+1 + p_i+2 + ...) of a floor-sized position is exactly 0.0, and
+    a reordered sum can make it -1 ULP and flip a feasible verdict.  For the
+    one or two cells of a coordination set it also equals math.fsum.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def later_sums(powers: Sequence) -> list:
+    """later[i] = powers[i+1] + powers[i+2] + ..., summed left to right."""
+    return [seq_sum(powers[i + 1:]) for i in range(len(powers))]
+
+
+def rates(width: float, num, den) -> np.ndarray:
+    """width * log2(1 + num/den), elementwise: a rate in bits/s from received
+    signal power and noise-plus-interference, both noise-normalized."""
+    return width * np.log2(1.0 + num / den)
 
 
 def _over(num, gain):
@@ -68,12 +98,6 @@ def _suffix(reduce, columns) -> list:
     return out
 
 
-def _given(r) -> bool:
-    """Whether a rate guarantee is set: a scalar 0 is none, an array may be
-    (rates are never negative, so a zero entry is never short)."""
-    return isinstance(r, np.ndarray) or bool(r)
-
-
 def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
     """Record code at decode position k (of cell ci) where bad and no earlier
     code is set: the first failure in solve order is the one reported."""
@@ -92,12 +116,12 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
     """Closed-form forward solve of n clusters of K members.
 
     g, x and r hold, per decode position, the effective gain, the fixed
-    external interference and the rate guarantee; r[-1] is an optional head
-    guarantee (0 = none), checked against the residual.  budget is a number
-    or one per instance; idle, if given, counts per instance the leading
-    positions its cluster does not use: they get exactly 0.0 power and must
-    carry no guarantee, so members are sized as if alone.  Returns (powers
-    per position, reason, position); infeasible instances get zero powers.
+    external interference and the rate guarantee; the head takes the
+    residual, so r[-1] is not read.  budget is a number or one per instance;
+    idle, if given, counts per instance the leading positions its cluster
+    does not use: they get exactly 0.0 power and must carry no guarantee, so
+    members are sized as if alone.  Returns (powers per position, reason,
+    position); infeasible instances get zero powers.
     """
     n = len(g[0])
     reason = np.zeros(n, np.int8)
@@ -116,9 +140,6 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
         powers.append(p)
         rem = rem - p
     powers.append(rem)
-    if _given(r[-1]):
-        head_rate = rates(width, rem * g[-1], x[-1] + 1.0)
-        _flag(reason, pos, None, head_rate < r[-1] * (1.0 - REL_SLACK), HEAD_SHORT, len(g) - 1)
     if reason.any():
         powers = [np.where(reason == FEASIBLE, p, 0.0) for p in powers]
     return powers, reason, pos
@@ -133,17 +154,17 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
 
     Per cell ci: raw[ci][k] is the cell's gain to the shared member at
     position k (the shared prefix is common to all cells), tails[ci] the gains
-    of its single-cell members, r[ci] every position's guarantee, and
-    cross[ci][j][oc] the gain from cell oc to tail member j (read only when
-    ``full``); budgets[ci] is a number or one per instance.  With an empty
-    prefix (raw = [[]] * m) the cells are independent NOMA clusters coupled
-    only by cross-cell interference, and idle[ci] may count per instance the
-    leading members cell ci leaves unused (see ``solve_single_cell``); they
-    get rate 0 and no audit.  A cell an instance leaves with no members must
-    get a zero budget, or its budget counts as interference.  The audit
-    re-checks guarantees and decodability gaps with a relative slack of
-    REL_SLACK.  Returns (powers per cell and position, reason, position,
-    cell, rates per cell and position).
+    of its single-cell members, r[ci] every position's guarantee (the head's
+    is not read), and cross[ci][j][oc] the gain from cell oc to tail member
+    j (read only when ``full``); budgets[ci] is a number or one per
+    instance.  With an empty prefix (raw = [[]] * m) the cells are
+    independent NOMA clusters coupled only by cross-cell interference, and
+    idle[ci] may count per instance the leading members cell ci leaves
+    unused (see ``solve_single_cell``); they get rate 0 and no audit.  A cell
+    an instance leaves with no members must get a zero budget, or its budget
+    counts as interference.  The audit re-checks guarantees and decodability
+    gaps with a relative slack of REL_SLACK.  Returns (powers per cell and
+    position, reason, position, cell, rates per cell and position).
     """
     m, q = len(raw), len(raw[0])
     n = len((raw[0] or tails[0])[0])
@@ -203,9 +224,8 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
             seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci) if full else 0.0
             for j in range(sizes[ci] - q)
         ]
-        tail_r = list(r[ci][q:-1]) + [0.0]
         powers, tail_reason, tail_pos = solve_single_cell(
-            tails[ci], tail_x, tail_r, rem[ci], p_tol, width, None if idle is None else idle[ci]
+            tails[ci], tail_x, r[ci][q:], rem[ci], p_tol, width, None if idle is None else idle[ci]
         )
         _flag(reason, pos, cell, tail_reason != FEASIBLE, RATE_SHORT, tail_pos + q, ci)
         pw[ci][q:] = powers
@@ -228,9 +248,8 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
             noise = seq_sum([1.0 + g * later[ci][q + j], *others])
             out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
     for ci in range(m):
-        for k in range(sizes[ci]):
-            if _given(r[ci][k]):
-                _flag(reason, pos, cell, out[ci][k] < r[ci][k] * (1.0 - REL_SLACK), SHORTFALL, k, ci)
+        for k in range(sizes[ci] - 1):
+            _flag(reason, pos, cell, out[ci][k] < r[ci][k] * (1.0 - REL_SLACK), SHORTFALL, k, ci)
         seen = [
             np.where((pw[ci][k] > 0.0) & (received[k] > 0.0), received[k] / pw[ci][k], default[ci][k])
             for k in range(q)

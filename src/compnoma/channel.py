@@ -3,6 +3,7 @@
 All gains in this package are normalized against the in-band noise power
 (noise density x full system bandwidth), so a user's received SNR over the
 full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
+Powers run in linear units (mW); ``dbm_to_mw`` converts at the config boundary.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+
+
+def dbm_to_mw(value_dbm: float) -> float:
+    return 10.0 ** (value_dbm / 10.0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 import traceback
 from typing import Sequence, TextIO
 
-from .config import PRESETS, UNUSED_PLACEMENT, config_from_dict, config_to_dict, parse_config
+from .config import CHOICES, PRESETS, UNUSED_PLACEMENT, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .harness import SweepResult, run_sweep
 
@@ -90,17 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument(
         "--case",
-        choices=("case1", "case2", "both", "1", "2"),
+        choices=(*CHOICES["decode_case"], "1", "2"),
         help="shared decode order for the asymmetric scenario (1/2 are aliases)",
     )
     parser.add_argument(
         "--interference",
-        choices=("negligible", "full"),
+        choices=CHOICES["interference_mode"],
         help="cross-cell interference model",
     )
     parser.add_argument(
         "--split",
-        choices=("equal_received", "equal_transmit"),
+        choices=CHOICES["jt_split"],
         help="how coordinated cells share an edge user's power demand",
     )
     parser.add_argument("--workers", type=int, default=1, help="worker processes")

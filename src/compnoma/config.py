@@ -8,8 +8,8 @@ field's type, numbers finite, and absent keys take the field's default.
 Ranges are the dataclasses' own checks.  Power-like radio fields accept
 either a linear milliwatt key or a dBm convenience key (exactly one of the
 pair).  Unknown keys anywhere are rejected by name so typos cannot silently
-fall back to defaults, and every sweep point's geometry is built once at
-parse time, so a config that parses can run.
+fall back to defaults, and every sweep point's geometry is built once when
+an ``ExperimentConfig`` is made, so every config that exists can run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from .channel import RadioParams
+from .channel import RadioParams, dbm_to_mw
 from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .harness import sweep_values
 from .scenarios import (
@@ -31,7 +31,6 @@ from .scenarios import (
     SweepPoint,
 )
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
-from .units import dbm_to_mw
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -44,7 +43,7 @@ DEFAULT_SCHEMES = {
     3: (JT_NOMA, JT_OMA),
 }
 _REJECTED_SCHEMES = ("CB", "CB-NOMA")
-_CHOICES = {
+CHOICES = {
     "decode_case": ("case1", "case2", "both"),
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
@@ -99,11 +98,24 @@ class ExperimentConfig:
             raise ValidationError("duplicate scheme in schemes list")
         if self.trials < 1:
             raise ValidationError("trials must be positive")
-        for key, choices in _CHOICES.items():
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+        for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         if self.decode_case == "both" and scenario != 3:
             raise ValidationError("decode_case 'both' applies to scenario 3 only")
+        for value in _ranged("sweep", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
+            _ranged(f"sweep value {value:g}", SweepPoint, scenario, value, self.radio, self.placement)
+
+
+def _ranged(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a range error it raises re-raised as a
+    ValidationError that names where."""
+    try:
+        return make(*args, **kwargs)
+    except (DomainError, OverflowError) as e:
+        raise ValidationError(f"{where}: {e}") from e
 
 
 def _number(v) -> bool:
@@ -148,15 +160,6 @@ def _read(d: dict, where: str, schema: dict) -> dict:
     return dict(d)
 
 
-def _ranged(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), with a range error it raises re-raised as a
-    ValidationError that names where."""
-    try:
-        return make(*args, **kwargs)
-    except (DomainError, OverflowError) as e:
-        raise ValidationError(f"{where}: {e}") from e
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ValidationError("config root must be an object")
@@ -176,16 +179,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key in placement:
         if key in unused:
             raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {unused[key]}")
-    config = ExperimentConfig(
+    return ExperimentConfig(
         scenario,
         schemes,
         radio=_ranged("radio", replace, REFERENCE_RADIO, **radio),
         placement=_ranged("placement", PlacementSpec, **placement),
         **d,
     )
-    for value in _ranged("sweep", sweep_values, config.sweep_start, config.sweep_stop, config.sweep_step):
-        _ranged(f"sweep value {value:g}", SweepPoint, scenario, value, config.radio, config.placement)
-    return config
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -61,7 +61,7 @@ def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
     rows: list[tuple[str, str, str]] = []
     for scheme in config.schemes:
         if config.decode_case == "both":
-            if scheme == JT_NOMA and config.scenario_id == 3:
+            if scheme == JT_NOMA:
                 rows.append((f"{scheme}-case1", scheme, "case1"))
                 rows.append((f"{scheme}-case2", scheme, "case2"))
             else:
@@ -87,14 +87,10 @@ def run_chunk(config, start: int, stop: int):
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
-    points = {}
-    for s_i in range(start // n, (stop - 1) // n + 1):
-        try:
-            points[s_i] = SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
-        except Exception as e:
-            raise SweepError(
-                f"seed={seed} sweep_index={s_i} value={values[s_i]}: {type(e).__name__}: {e}"
-            ) from e
+    points = {
+        s_i: SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
+        for s_i in range(start // n, (stop - 1) // n + 1)
+    }
     shape = (stop - start, len(rows))
     se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
     for b0 in range(start, stop, _BLOCK):

@@ -31,11 +31,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt
-from .channel import RadioParams, distance_term, gain_array
+from .allocation import EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt
+from .channel import RadioParams, dbm_to_mw, distance_term, gain_array
 from .errors import ConfigError, DomainError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
-from .units import dbm_to_mw
 
 # Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
 # 8.64 MHz system band, and RadioParams' default fourth-power distance loss
@@ -352,15 +351,6 @@ def evaluate(
     copies of the block stacked along the trials axis.
     """
     cases = (decode_case,) if isinstance(decode_case, str) else tuple(decode_case)
-    if interference_mode not in ("full", "negligible"):
-        raise DomainError(f"unknown interference mode {interference_mode!r}")
-    if not set(cases) <= {CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1}:
-        raise ConfigError(f"unknown decode case {decode_case!r}")
-    if scheme in (CS_OMA, CS_NOMA) and lay.scenario_id != 2:
-        raise ConfigError(
-            "orthogonal coordination needs two cells with one edge user and one "
-            "single-cell user each"
-        )
     if len(cases) > 1:
         g, base = np.concatenate([g] * len(cases)), np.concatenate([base] * len(cases))
     n = len(g)
@@ -369,8 +359,6 @@ def evaluate(
         out = base if scheme == JT_OMA else _cs_oma(lay, g)
         return out, np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
     if scheme == JT_NOMA:
-        if jt_split not in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
-            raise DomainError(f"unknown split policy {jt_split!r}")
         out, reason, nonhead = _jt_noma(lay, g, base, full, jt_split, cases)
     elif scheme == DPS_NOMA:
         out, reason, nonhead = _dps_noma(lay, g, base, full)

@@ -34,14 +34,13 @@ def one(value) -> np.ndarray:
     return np.full(1, value, dtype=float)
 
 
-def solve_one(gains, guarantees, budget=1.0, p_tol=0.0, width=1.0, x=None, head=0.0):
+def solve_one(gains, guarantees, budget=1.0, p_tol=0.0, width=1.0, x=None):
     """solve_single_cell on one instance: x is each position's external
-    interference, head the optional head guarantee.  Returns (powers in
-    decode order, reason code, position)."""
+    interference.  Returns (powers in decode order, reason code, position)."""
     powers, reason, pos = solve_single_cell(
         [one(g) for g in gains],
         [one(v) for v in x or [0.0] * len(gains)],
-        [one(r) for r in [*guarantees, head]],
+        [one(r) for r in [*guarantees, 0.0]],
         budget,
         p_tol,
         width,

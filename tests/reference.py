@@ -4,9 +4,9 @@ Everything here works on one instance at a time with plain Python objects:
 the domain objects of one cluster, the per-user rate and decodability
 formulas, the scalar gain formula, dynamic cell selection, and a brute-force
 grid oracle for the single-cell allocation.  None of it shares code with the
-engine in ``compnoma.core``, ``compnoma.allocation``, ``compnoma.scenarios``
-or ``compnoma.harness`` (``test_exports`` checks the imports), so an
-agreement between the two is evidence, not a tautology.
+engine in ``compnoma.allocation``, ``compnoma.scenarios`` or
+``compnoma.harness`` (``test_exports`` checks the imports), so an agreement
+between the two is evidence, not a tautology.
 
 Decode-order convention: ``NomaCluster.decode_order`` lists users in the order
 their signals are decoded.  Position 0 is decoded first by everyone; the last

@@ -17,7 +17,7 @@ from compnoma import EQUAL_TRANSMIT, PRESETS, run_sweep, validate_jt_conditions
 from compnoma.allocation import FEASIBLE, solve_jt
 from compnoma.channel import gain_array
 from compnoma.cli import format_csv
-from compnoma.core import rates
+from compnoma.allocation import rates
 from compnoma.errors import ConditionViolation
 from compnoma.scenarios import REFERENCE_RADIO
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compnoma import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from compnoma.allocation import FEASIBLE, HEAD_SHORT, RATE_SHORT, solve_jt, solve_single_cell
+from compnoma.allocation import FEASIBLE, RATE_SHORT, solve_jt, solve_single_cell
 
 from conftest import as_cluster, one, random_problem, solve_one
 from reference import (
@@ -79,13 +79,6 @@ def test_sic_floor_with_positive_tolerance():
     assert too_tight != FEASIBLE
 
 
-def test_head_guarantee_checked_after_allocation():
-    _, reason, pos = solve_one([1.0, 10.0], [0.5], budget=1.0, head=3.0)
-    assert (reason, pos) == (HEAD_SHORT, 1)
-    _, reason, _ = solve_one([1.0, 10.0], [0.5], budget=1.0, head=2.0)
-    assert reason == FEASIBLE
-
-
 def test_budget_conservation_and_audits_random():
     rng = random.Random(31)
     feasible_seen = 0
@@ -94,7 +87,7 @@ def test_budget_conservation_and_audits_random():
         powers, reason, pos = solve_one(*problem)
         assert all(p >= 0.0 for p in powers)
         if reason != FEASIBLE:
-            # no head guarantee: only a non-head position can bind
+            # the head takes the residual: only a non-head position can bind
             assert reason == RATE_SHORT and pos < len(powers) - 1
             continue
         feasible_seen += 1

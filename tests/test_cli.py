@@ -11,6 +11,7 @@ import pytest
 from compnoma import (
     PRESETS,
     ConfigError,
+    ExperimentConfig,
     ParseError,
     SweepResult,
     SweepRow,
@@ -21,6 +22,7 @@ from compnoma import (
     parse_config,
 )
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
+from compnoma.config import CHOICES
 
 
 def rows_result(*rows) -> SweepResult:
@@ -88,8 +90,20 @@ def test_schema_rejections():
         config_from_dict({"scenario_id": 1, "schemes": []})
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "schemes": ["JT-NOMA", "jt-noma"]})
-    with pytest.raises(ValidationError):
-        config_from_dict({"scenario_id": 1, "schemes": ["CS-NOMA"]})
+    for rejected in (
+        {"schemes": ["CS-NOMA"]},
+        {"schemes": ["CS-OMA"]},
+        {"schemes": ["TDMA"]},
+        {"interference_mode": "sometimes"},
+        {"jt_split": "thirds"},
+        {"decode_case": "caseX"},
+        {"seed": -1},
+        {"seed": 2**64},
+    ):
+        with pytest.raises(ValidationError):
+            config_from_dict({"scenario_id": 1, **rejected})
+    for seed in (0, 2**64 - 1):
+        assert config_from_dict({"scenario_id": 1, "seed": seed}).seed == seed
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 2, "decode_case": "both"})
     with pytest.raises(ValidationError):
@@ -115,6 +129,12 @@ UNUSABLE = {
     "single-cell user outside coverage": '{"scenario_id": 2, "placement": {"primary_distance_m": 450}}',
     "sweep leaves coverage": '{"scenario_id": 1, "sweep": {"stop": 500}}',
 }
+
+
+def test_unusable_geometry_is_rejected_without_the_parser():
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig(1, ("JT-NOMA", "JT-OMA"), sweep_stop=500.0)
+    assert "sweep value 450" in str(err.value)
 
 
 @pytest.mark.parametrize("text", UNUSABLE.values(), ids=UNUSABLE.keys())
@@ -223,6 +243,12 @@ def test_case_flag_aliases():
     for flag, expected in (("1", "case1"), ("2", "case2"), ("case2", "case2"), ("both", "both")):
         args = parser.parse_args(["--scenario", "3", "--case", flag, "--trials", "1"])
         assert _resolve_config(args).decode_case == expected
+    # every value the config accepts is a choice of its flag
+    flags = {"decode_case": "--case", "interference_mode": "--interference", "jt_split": "--split"}
+    for key, flag in flags.items():
+        for value in CHOICES[key]:
+            args = parser.parse_args(["--scenario", "3", flag, value])
+            assert getattr(_resolve_config(args), key) == value
 
 
 def test_scheme_flag_accepts_commas_and_repeats():
@@ -273,6 +299,9 @@ def test_main_exit_codes(tmp_path, capsys):
     # parser-level rejections must use the same clean error line, no traceback
     assert main(["--scenario", "2", "--case", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    for argv in (["--split", "thirds"], ["--interference", "sometimes"], ["--seed", "-1"]):
+        assert main(["--scenario", "1", *argv]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
     assert main(["--scenario", "1", "--no-such-flag"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert main(["--scenario", "2", "--scheme", "CB"]) == 1

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import compnoma
 
-ENGINE = {"compnoma.core", "compnoma.allocation", "compnoma.scenarios", "compnoma.harness"}
+ENGINE = {"compnoma.allocation", "compnoma.scenarios", "compnoma.harness"}
 
 
 def package_imports() -> dict:

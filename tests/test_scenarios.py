@@ -124,9 +124,6 @@ def test_edge_region_laws():
 def test_builder_validation():
     with pytest.raises(ConfigError):
         SweepPoint(4, 100.0, REFERENCE_RADIO, None)
-    point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
-    with pytest.raises(ConfigError):
-        run(point, all_ones_gains(point), "JT-NOMA", decode_case="caseX")
     with pytest.raises(DomainError):
         SweepPoint(1, 0.0, REFERENCE_RADIO, None)
     with pytest.raises(DomainError):
@@ -189,21 +186,10 @@ def test_edge_decode_order_reference_cell():
 
 
 def test_run_trial_dispatch_errors():
+    # the config rejects every other unusable input (test_cli.test_schema_rejections)
     s1 = SweepPoint(1, 350.0, REFERENCE_RADIO, None)
-    gains = s1.draw([14])
     with pytest.raises(ConfigError):
-        run(s1, gains, "CS-NOMA")
-    with pytest.raises(ConfigError):
-        run(s1, gains, "CS-OMA")
-    with pytest.raises(ConfigError):
-        run(s1, gains, "TDMA")
-    with pytest.raises(DomainError):
-        run(s1, gains, "JT-NOMA", interference_mode="sometimes")
-    with pytest.raises(DomainError):
-        evaluate(
-            s1.layout, gains, orthogonal_rates(s1.layout, gains), "JT-NOMA", "negligible", "thirds",
-            CASE_EDGE_ORDER_CELL2,
-        )
+        run(s1, s1.draw([14]), "TDMA")
 
 
 def test_infeasible_trial_falls_back_to_baseline():
