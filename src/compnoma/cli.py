@@ -12,7 +12,7 @@ import sys
 import traceback
 from typing import Sequence, TextIO
 
-from .config import CHOICES, PRESETS, UNUSED_PLACEMENT, config_from_dict, config_to_dict, parse_config
+from .config import CHOICES, PRESETS, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .harness import SweepResult, run_sweep
 
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--case",
         choices=(*CHOICES["decode_case"], "1", "2"),
-        help="shared decode order for the asymmetric scenario (1/2 are aliases)",
+        help="shared decode order of scenario 3, the asymmetric one (1/2 are aliases)",
     )
     parser.add_argument(
         "--interference",
@@ -121,14 +121,12 @@ def _resolve_config(args: argparse.Namespace):
         raise ConfigError("a preset, --config, or --scenario is required")
 
     if args.scenario is not None:
-        # a scenario change invalidates inherited schemes, and drops the
-        # inherited values the new scenario rejects
+        # a scenario change invalidates inherited schemes, and drops an
+        # inherited decode case, which only scenario 3 uses
         base["scenario_id"] = args.scenario
         base.pop("schemes", None)
-        if args.scenario != 3 and base.get("decode_case") == "both":
-            del base["decode_case"]
-        for key in UNUSED_PLACEMENT.get(args.scenario, ()):
-            base.get("placement", {}).pop(key, None)
+        if args.scenario != 3:
+            base.pop("decode_case", None)
     if args.scheme:
         schemes: list[str] = []
         for chunk in args.scheme:

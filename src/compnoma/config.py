@@ -48,12 +48,6 @@ CHOICES = {
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
 }
-_ONE_TAIL = {
-    "edge_region_radius_m": "the sweep sets it",
-    "secondary_distance_m": "each cell has one single-cell user",
-}
-# placement fields each scenario rejects, and why
-UNUSED_PLACEMENT = {1: {"primary_distance_m": "the sweep sets it"}, 2: _ONE_TAIL, 3: _ONE_TAIL}
 # dBm spelling of each power-like radio field: (the field, its reference value in dBm)
 _DBM = {
     "tx_power_dbm": ("tx_power_mw", REFERENCE_TX_POWER_DBM),
@@ -103,8 +97,8 @@ class ExperimentConfig:
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
-        if self.decode_case == "both" and scenario != 3:
-            raise ValidationError("decode_case 'both' applies to scenario 3 only")
+        if self.decode_case != "case1" and scenario != 3:
+            raise ValidationError(f"decode_case {self.decode_case!r} applies to scenario 3 only")
         for value in _ranged("sweep", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
             _ranged(f"sweep value {value:g}", SweepPoint, scenario, value, self.radio, self.placement)
 
@@ -126,7 +120,6 @@ def _number(v) -> bool:
 _KINDS = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "float": ("a finite number", _number),
-    "float | None": ("a finite number", _number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
     "tuple[str, ...]": (
@@ -175,10 +168,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ValidationError(f"radio: give {key} or {alias}, not both")
             radio[key] = _ranged(f"radio.{alias}", dbm_to_mw, radio.pop(alias))
     placement = _read(d.pop("placement", {}), "placement", _PLACEMENT)
-    unused = UNUSED_PLACEMENT.get(scenario, {})
-    for key in placement:
-        if key in unused:
-            raise ValidationError(f"placement.{key} does not apply to scenario {scenario}: {unused[key]}")
     return ExperimentConfig(
         scenario,
         schemes,
@@ -203,9 +192,8 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form; feeding it back through config_from_dict yields an
-    equal config (linear radio keys round-trip exactly).  Unset optionals, and
-    placement fields the scenario does not use, are omitted rather than
-    written as null: the schema has no null values."""
+    equal config (linear radio keys round-trip exactly).  Unset optionals are
+    omitted rather than written as null: the schema has no null values."""
     out = {}
     for key, value in asdict(config).items():
         if key.startswith("sweep_"):
@@ -213,8 +201,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         elif value is not None:
             out[key] = value
     out["schemes"] = list(config.schemes)
-    unused = UNUSED_PLACEMENT[config.scenario_id]
-    out["placement"] = {k: v for k, v in out["placement"].items() if v is not None and k not in unused}
     return out
 
 

@@ -184,18 +184,18 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     The sweep's trials are numbered point by point (see run_chunk) and cut
     into contiguous ranges that may cross points: one kernel block each on a
     serial run, which runs them in order in this process, and about four per
-    worker on a process pool, which serves the whole sweep, but never fewer
-    trials than a block or a worker's share, whichever is less.  Each point is
-    reduced in trial order as soon as all its trials are back.
+    requested worker on one sweep-wide pool of at most one worker per range,
+    but never fewer trials than a block or a worker's share, whichever is
+    less.  Each point is reduced in trial order once all its trials are back.
     """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     total = config.trials * len(values)
     span = _BLOCK if workers <= 1 else max(-(-total // (workers * 4)), min(_BLOCK, -(-total // workers)))
-    ranges = ((lo, min(lo + span, total)) for lo in range(0, total, span))
+    ranges = [(lo, min(lo + span, total)) for lo in range(0, total, span)]
     if workers <= 1:
         return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))
     from concurrent.futures import ProcessPoolExecutor  # only pools pay for importing it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         futures = [pool.submit(run_chunk, config, lo, hi) for lo, hi in ranges]
         try:
             return _reduce(config, values, (f.result() for f in futures))

@@ -3,8 +3,8 @@ baselines, and the scheme kernels every trial is evaluated with.
 
 Three layouts are modeled, all with base stations 1 km apart:
 
-1. one cell-edge user served jointly, two single-cell users per cell (one at a
-   swept distance, one fixed at 300 m);
+1. one cell-edge user served jointly, drawn from a 200 m edge region, two
+   single-cell users per cell (one at a swept distance, one fixed at 300 m);
 2. two cell-edge users served jointly, one single-cell user per cell at 250 m,
    with the edge-region radius swept;
 3. like 2 but cell 2 has no single-cell user, so its cluster is the two edge
@@ -60,25 +60,20 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PlacementSpec:
-    """Deterministic geometry knobs; None means 'use the scenario default'.
-
-    The sweep sets the single-cell user distance in scenario 1 and the
-    edge-region radius in scenarios 2 and 3, so primary_distance_m applies to
-    scenarios 2 and 3 only, and edge_region_radius_m and secondary_distance_m
-    to scenario 1 only.
+    """Geometry knobs that apply to every scenario.  The rest is fixed per
+    scenario (see SweepPoint): scenario 1 draws its edge user from a 200 m
+    edge region and puts its second single-cell user at 300 m; scenarios 2
+    and 3 put one single-cell user per cell at 250 m.
     """
 
     inter_site_m: float = 1000.0
     coverage_m: float = 400.0
-    edge_region_radius_m: float | None = None
     edge_region_law: str = DISC
-    primary_distance_m: float | None = None
-    secondary_distance_m: float = 300.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             length = getattr(self, f.name)
-            if f.name.endswith("_m") and length is not None and length <= 0.0:
+            if f.name.endswith("_m") and length <= 0.0:
                 raise DomainError(f"{f.name} must be positive, got {length}")
         if self.inter_site_m / 2.0 <= self.coverage_m:
             raise DomainError(
@@ -123,13 +118,13 @@ class SweepPoint:
         if sweep_value <= 0.0:
             raise DomainError("sweep value must be positive")
         spec = placement or PlacementSpec()
-        if scenario_id == 1:
-            radius = spec.edge_region_radius_m if spec.edge_region_radius_m is not None else 200.0
-            distances = (sweep_value, spec.secondary_distance_m)
+        if scenario_id == 1:  # the sweep sets the first single-cell user's distance
+            radius = 200.0
+            distances = (sweep_value, 300.0)
             self.comp_ids = (1,)
-        else:
+        else:  # the sweep sets the edge-region radius
             radius = sweep_value
-            distances = (spec.primary_distance_m if spec.primary_distance_m is not None else 250.0,)
+            distances = (250.0,)
             self.comp_ids = (1, 2)
         for d in distances:
             if d > spec.coverage_m:

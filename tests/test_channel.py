@@ -129,7 +129,7 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
     # draw per (cell, user) link, cells outer; 512 trials per block, so a
     # transcendental that is off on a small share of inputs shows
     radio = replace(REFERENCE_RADIO, pathloss_exponent=3.7)
-    placement = PlacementSpec(edge_region_law=law, secondary_distance_m=275.5)
+    placement = PlacementSpec(edge_region_law=law, inter_site_m=1100.0)
     sweep = (80.0, 260.0, 400.0)
     block = 512
     for seed, point_index, first in ((0, 0, 0), (11, 1, 7), (1703, 2, 123), (2**40, 1, 99_999)):
@@ -156,7 +156,7 @@ def reference_gains(scenario, law, value, radio, placement, rng):
         u: draw_edge_position(rng, radius, law, sites, placement.coverage_m)
         for u in ((1,) if scenario == 1 else (1, 2))
     }
-    distances = (value, 275.5) if scenario == 1 else (250.0,)
+    distances = (value, 300.0) if scenario == 1 else (250.0,)
     for c, (x, _) in enumerate(sites[: 1 if scenario == 3 else 2], start=1):
         outward = -1.0 if x < 0.0 else 1.0
         for i, d in enumerate(distances):

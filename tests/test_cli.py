@@ -111,7 +111,7 @@ def test_schema_rejections():
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
     with pytest.raises(ValidationError):
-        config_from_dict({"scenario_id": 1, "placement": {"secondary_distance_m": -5}})
+        config_from_dict({"scenario_id": 1, "placement": {"coverage_m": -5}})
     # json.loads accepts NaN and Infinity; the schema does not
     for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
                                ("radio", "bandwidth_hz", "Infinity")):
@@ -126,7 +126,7 @@ UNUSABLE = {
     "non-finite sweep start": '{"scenario_id": 1, "sweep": {"start": NaN}}',
     "non-finite bandwidth": '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
     "coverage reaches the midpoint": '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
-    "single-cell user outside coverage": '{"scenario_id": 2, "placement": {"primary_distance_m": 450}}',
+    "single-cell user outside coverage": '{"scenario_id": 2, "placement": {"coverage_m": 240}}',
     "sweep leaves coverage": '{"scenario_id": 1, "sweep": {"stop": 500}}',
 }
 
@@ -148,24 +148,24 @@ def test_unusable_configs_are_rejected_when_parsed(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_placement_field_set_by_the_sweep_is_rejected():
-    # the sweep sets these, or (secondary_distance_m) the scenario has no
-    # second single-cell user per cell
-    cases = [(1, "primary_distance_m")] + [
-        (s, field) for s in (2, 3) for field in ("edge_region_radius_m", "secondary_distance_m")
-    ]
-    for scenario, field in cases:
-        with pytest.raises(ValidationError) as err:
-            config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
-        assert f"placement.{field}" in str(err.value)
-        assert f"scenario {scenario}" in str(err.value)
-    valid = [(1, "edge_region_radius_m"), (1, "secondary_distance_m")] + [
-        (s, "primary_distance_m") for s in (2, 3)
-    ]
-    for scenario, field in valid:
-        config = config_from_dict({"scenario_id": scenario, "placement": {field: 150.0}})
-        assert getattr(config.placement, field) == 150.0
-        assert config_from_dict(config_to_dict(config)) == config
+def test_fixed_scenario_distances_are_unknown_placement_keys():
+    # the edge-region radius and single-cell distances that the sweep does
+    # not set are fixed per scenario, so no config can set them
+    for scenario in (1, 2, 3):
+        for key in ("edge_region_radius_m", "primary_distance_m", "secondary_distance_m"):
+            with pytest.raises(ValidationError) as err:
+                config_from_dict({"scenario_id": scenario, "placement": {key: 150.0}})
+            assert f"unknown key {key!r} in placement" in str(err.value)
+
+
+def test_decode_case_applies_to_scenario_3_only(capsys):
+    for scenario in (1, 2):
+        for case in ("case2", "both"):
+            with pytest.raises(ValidationError) as err:
+                config_from_dict({"scenario_id": scenario, "decode_case": case})
+            assert f"decode_case {case!r} applies to scenario 3 only" in str(err.value)
+    assert main(["--scenario", "2", "--case", "2"]) == 1
+    assert "scenario 3 only" in capsys.readouterr().err
 
 
 def test_beamforming_is_rejected_with_reason():
@@ -269,8 +269,8 @@ def test_scenario_override_drops_preset_schemes():
 
 def test_scenario_override_drops_values_the_new_scenario_rejects(capsys):
     parser = build_parser()
-    # fig4 carries placement.secondary_distance_m (scenario 1 only); fig6
-    # carries decode_case "both" (scenario 3 only)
+    # fig6 carries decode_case "both" (scenario 3 only), which a change to
+    # scenario 1 or 2 drops; fig4 carries nothing scenario-specific
     for argv, scenario in ((["fig4", "--scenario", "2"], 2), (["fig4", "--scenario", "3"], 3),
                            (["fig6", "--scenario", "2"], 2), (["fig6", "--scenario", "1"], 1)):
         config = _resolve_config(parser.parse_args(argv))

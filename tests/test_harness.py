@@ -122,6 +122,23 @@ def test_worker_count_does_not_change_output():
     assert serial.rows == parallel.rows
 
 
+def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    config = small_config(trials=1, sweep_stop=200.0)  # 2 trials, so 2 one-trial ranges
+    parallel = run_sweep(config, workers=6)
+    assert started == [2]
+    assert format_csv(parallel) == format_csv(run_sweep(config, workers=1))
+
+
 def test_mean_is_exact_sum_over_trials():
     config = small_config(trials=32, sweep_stop=100.0)
     result = run_sweep(config)

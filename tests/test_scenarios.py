@@ -134,7 +134,7 @@ def test_builder_validation():
         SweepPoint(1, 400.0001, REFERENCE_RADIO, None)
     # ... and so is the fixed one
     with pytest.raises(DomainError):
-        SweepPoint(1, 100.0, REFERENCE_RADIO, PlacementSpec(secondary_distance_m=450.0))
+        SweepPoint(1, 100.0, REFERENCE_RADIO, PlacementSpec(coverage_m=290.0))
     with pytest.raises(DomainError):
         PlacementSpec(inter_site_m=700.0, coverage_m=400.0)
     with pytest.raises(DomainError):
