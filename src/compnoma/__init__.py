@@ -19,7 +19,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .harness import SweepResult, SweepRow, run_sweep, sweep_values, trial_seeds
+from .harness import SweepResult, SweepRow, run_sweep, sweep_values
 from .scenarios import REFERENCE_RADIO, PlacementSpec
 from .schemes import (
     CS_NOMA,
@@ -40,6 +40,6 @@ __all__ = [
     "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "config_from_dict", "config_to_dict",
     "dbm_to_mw", "emit_defaults", "parse_config", "run_sweep",
-    "sweep_values", "trial_seeds", "validate_jt_conditions",
+    "sweep_values", "validate_jt_conditions",
     "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA", "JT_OMA",
 ]

@@ -9,7 +9,7 @@ Powers run in linear units (mW); ``dbm_to_mw`` converts at the config boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -38,16 +38,11 @@ class RadioParams:
     sic_tolerance: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.tx_power_mw <= 0.0:
-            raise DomainError(f"tx_power_mw must be positive, got {self.tx_power_mw}")
-        if self.noise_density_mw_hz <= 0.0:
-            raise DomainError("noise_density_mw_hz must be positive")
-        if self.bandwidth_hz <= 0.0:
-            raise DomainError("bandwidth_hz must be positive")
-        if self.pathloss_exponent <= 0.0:
-            raise DomainError("pathloss_exponent must be positive")
-        if self.sic_tolerance < 0.0:
-            raise DomainError("sic_tolerance cannot be negative")
+        for f in fields(self):
+            value, zero_ok = getattr(self, f.name), f.name == "sic_tolerance"
+            if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+                sign = "non-negative" if zero_ok else "positive"
+                raise DomainError(f"{f.name} must be finite and {sign}, got {value}")
 
     @property
     def noise_power_mw(self) -> float:

@@ -10,9 +10,10 @@ import json
 import logging
 import sys
 import traceback
-from typing import Sequence, TextIO
+from dataclasses import fields
+from typing import Sequence
 
-from .config import CHOICES, PRESETS, config_from_dict, config_to_dict, parse_config
+from .config import CHOICES, PRESETS, ExperimentConfig, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .harness import SweepResult, run_sweep
 
@@ -47,21 +48,26 @@ def format_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(result: SweepResult, target: str | TextIO | None) -> None:
+def emit_csv(result: SweepResult, path: str | None) -> None:
+    """Write the CSV to path, or to stdout when path is None or empty."""
     text = format_csv(result)
-    if target is None:
-        sys.stdout.write(text)
-    elif hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
     # usage mistakes are configuration errors (exit 1), not argparse's exit 2
     def error(self, message: str):
         raise ConfigError(message)
+
+
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="named sweep preset; omit when using --config or --scenario",
     )
     parser.add_argument("--config", help="JSON config path")
-    parser.add_argument("--scenario", type=int, help="scenario id (1, 2 or 3)")
+    parser.add_argument("--scenario", dest="scenario_id", type=int, help="scenario id (1, 2 or 3)")
     parser.add_argument(
         "--scheme",
         action="append",
@@ -87,23 +93,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="CSV output path (default: stdout)")
+    parser.add_argument("--out", dest="output_path", help="CSV output path (default: stdout)")
     parser.add_argument(
         "--case",
-        choices=(*CHOICES["decode_case"], "1", "2"),
+        dest="decode_case",
+        type=lambda v: {"1": "case1", "2": "case2"}.get(v, v),
+        choices=CHOICES["decode_case"],
         help="shared decode order of scenario 3, the asymmetric one (1/2 are aliases)",
     )
     parser.add_argument(
         "--interference",
+        dest="interference_mode",
         choices=CHOICES["interference_mode"],
         help="cross-cell interference model",
     )
     parser.add_argument(
         "--split",
+        dest="jt_split",
         choices=CHOICES["jt_split"],
         help="how coordinated cells share an edge user's power demand",
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
     return parser
 
@@ -115,53 +125,32 @@ def _resolve_config(args: argparse.Namespace):
         base = config_to_dict(PRESETS[args.preset]())
     elif args.config:
         base = config_to_dict(parse_config(args.config))
-    elif args.scenario is not None:
-        base = {"scenario_id": args.scenario}
+    elif args.scenario_id is not None:
+        base = {}
     else:
         raise ConfigError("a preset, --config, or --scenario is required")
 
-    if args.scenario is not None:
+    if args.scenario_id is not None:
         # a scenario change invalidates inherited schemes, and drops an
         # inherited decode case, which only scenario 3 uses
-        base["scenario_id"] = args.scenario
         base.pop("schemes", None)
-        if args.scenario != 3:
+        if args.scenario_id != 3:
             base.pop("decode_case", None)
     if args.scheme:
-        schemes: list[str] = []
-        for chunk in args.scheme:
-            schemes.extend(s.strip() for s in chunk.split(",") if s.strip())
-        base["schemes"] = schemes
-    if args.trials is not None:
-        base["trials"] = args.trials
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.case:
-        base["decode_case"] = {"1": "case1", "2": "case2"}.get(args.case, args.case)
-    if args.interference:
-        base["interference_mode"] = args.interference
-    if args.split:
-        base["jt_split"] = args.split
-    if args.out:
-        base["output_path"] = args.out
+        base["schemes"] = [s.strip() for chunk in args.scheme for s in chunk.split(",") if s.strip()]
+    # every flag whose dest is a config field overrides that key
+    keys = {f.name for f in fields(ExperimentConfig)}
+    base.update((key, value) for key, value in vars(args).items() if key in keys and value is not None)
     return config_from_dict(base)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        config = _resolve_config(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except ConfigError as e:  # bad flag value or unknown flag
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    try:
-        config = _resolve_config(args)
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-    except ConfigError as e:
+    except ConfigError as e:  # a bad flag, flag value or config
         print(f"error: {e}", file=sys.stderr)
         return 1
 

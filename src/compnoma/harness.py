@@ -1,22 +1,19 @@
 """Monte-Carlo sweep driver.
 
-Every (sweep point, trial) pair owns a hash-derived RNG seed, and each point
-draws its share of a kernel block from those seeds in one call, so a trial's
-channel realization depends only on the master seed and those two indices:
+Each point draws its share of a kernel block in one ``SweepPoint.draw`` call,
+which seeds every (sweep point, trial) pair from a hash of the master seed and
+those two indices, so a trial's channel realization depends on them alone:
 every scheme of a run sees it, whatever the worker count or chunking.
 Per-point statistics are reduced in trial order with exact summation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
-import struct
 from dataclasses import dataclass
 from itertools import repeat
-from operator import length_hint
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,24 +23,14 @@ from .schemes import JT_NOMA
 
 log = logging.getLogger("compnoma")
 
-_MASK64 = (1 << 64) - 1
 _Z95 = 1.96  # two-sided 95% normal quantile
 _BLOCK = 1024  # trials per kernel call, so memory does not grow with trials (fig6: 1.4 MiB traced)
 
 
-def trial_seeds(master_seed: int, sweep_index: int, trials: Iterable[int]) -> Iterator[int]:
-    """Seeds of one sweep point's trial substreams, lazily, in the order of trials: hashes of
-    (master seed, sweep index, trial index), each from a copy of the first two's hash state."""
-    point = hashlib.blake2b(struct.pack(">QQ", master_seed & _MASK64, sweep_index & _MASK64), digest_size=16)
-    copy, pack, from_bytes = point.copy, struct.Struct(">Q").pack, int.from_bytes
-    for t in trials:
-        h = copy()
-        h.update(pack(t & _MASK64))
-        yield from_bytes(h.digest(), "big")
-
-
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; never past stop, but float drift short of it is forgiven."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError("sweep start, stop and step must be finite")
     if step <= 0.0:
         raise DomainError("sweep step must be positive")
     if stop < start:
@@ -76,12 +63,12 @@ def run_chunk(config, start: int, stop: int):
 
     Flat trial k is trial k % config.trials of sweep point k // config.trials.
     Every point shares one Layout, so a block of up to _BLOCK trials may cross
-    points: each point draws its trials' gain rows from their seeds in one
-    ``SweepPoint.draw`` call, the rows are stacked, and every series is
-    evaluated on the block's (trials, cells, users) gain array at once, one
-    ``evaluate`` call per scheme with all its decode cases.  Module-level so
-    process pools can pickle it.  Returns (spectral efficiency, feasible,
-    guarantees met), each of shape (trials, series).
+    points: each point draws its trials' gain rows in one ``SweepPoint.draw``
+    call, the rows are stacked, and every series is evaluated on the block's
+    (trials, cells, users) gain array at once, one ``evaluate`` call per
+    scheme with all its decode cases.  Module-level so process pools can
+    pickle it.  Returns (spectral efficiency, feasible, guarantees met), each
+    of shape (trials, series).
     """
     rows = scheme_rows(config)
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
@@ -91,28 +78,24 @@ def run_chunk(config, start: int, stop: int):
         s_i: SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
         for s_i in range(start // n, (stop - 1) // n + 1)
     }
+    layout = points[start // n].layout
     shape = (stop - start, len(rows))
     se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
     for b0 in range(start, stop, _BLOCK):
         b1 = min(b0 + _BLOCK, stop)
-        parts = []
-        for s_i in range(b0 // n, (b1 - 1) // n + 1):
-            point, trials = points[s_i], range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n))
-            todo = iter(trials)
-            try:
-                parts.append(point.draw(trial_seeds(seed, s_i, todo)))
-            except Exception as e:
-                t = trials[len(trials) - length_hint(todo) - 1]  # the last trial whose seed was taken
-                raise SweepError(f"seed={seed} sweep_index={s_i} trial={t}: {type(e).__name__}: {e}") from e
+        parts = [
+            points[s_i].draw(seed, s_i, range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n)))
+            for s_i in range(b0 // n, (b1 - 1) // n + 1)
+        ]
         label = "orthogonal baseline"
         block = slice(b0 - start, b1 - start)
         try:
             gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            base = orthogonal_rates(point.layout, gains)
+            base = orthogonal_rates(layout, gains)
             for scheme, cols in series.items():
                 label = ", ".join(rows[r_i][0] for r_i in cols)
                 out, ok, good, _ = evaluate(
-                    point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
+                    layout, gains, base, scheme, config.interference_mode, config.jt_split,
                     [rows[r_i][2] for r_i in cols],
                 )
                 for a, v in ((se, list(map(math.fsum, out.tolist()))), (feasible, ok), (met, good)):

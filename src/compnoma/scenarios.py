@@ -14,7 +14,7 @@ Single-cell users sit on the ray pointing away from the opposite base station
 so their geometry is deterministic; edge users are drawn uniformly from a disc
 at the midpoint, rejecting draws inside either cell's coverage radius.
 
-``SweepPoint.draw`` turns a block of trial seeds into a (trials, cells,
+``SweepPoint.draw`` turns a block of a point's trials into a (trials, cells,
 users) gain array, whose user columns are the user ids in ascending order
 (see ``Layout``); schemes are evaluated on it by ``orthogonal_rates`` and
 ``evaluate``.
@@ -23,7 +23,9 @@ users) gain array, whose user columns are the user ids in ascending order
 from __future__ import annotations
 
 import _random
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, fields
 from itertools import islice
 from math import cos, hypot, log, sin, sqrt
@@ -33,7 +35,7 @@ import numpy as np
 
 from .allocation import EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt
 from .channel import RadioParams, dbm_to_mw, distance_term, gain_array
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SweepError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 # Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
@@ -55,6 +57,7 @@ CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order
 CASE_EDGE_ORDER_CELL1 = "case2"  # edge users decoded in cell-1 gain order
 
 _MAX_PLACEMENT_DRAWS = 100_000
+_MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 
 
@@ -73,8 +76,8 @@ class PlacementSpec:
     def __post_init__(self) -> None:
         for f in fields(self):
             length = getattr(self, f.name)
-            if f.name.endswith("_m") and length <= 0.0:
-                raise DomainError(f"{f.name} must be positive, got {length}")
+            if f.name.endswith("_m") and not 0.0 < length < math.inf:
+                raise DomainError(f"{f.name} must be positive and finite, got {length}")
         if self.inter_site_m / 2.0 <= self.coverage_m:
             raise DomainError(
                 "coverage discs overlap the midpoint; no admissible edge region"
@@ -115,8 +118,8 @@ class SweepPoint:
     ):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
-        if sweep_value <= 0.0:
-            raise DomainError("sweep value must be positive")
+        if not 0.0 < sweep_value < math.inf:
+            raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
         spec = placement or PlacementSpec()
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
             radius = 200.0
@@ -155,44 +158,57 @@ class SweepPoint:
         ring = spec.edge_region_law == RING
         self._draw_constants = (radius, ring, spec.coverage_m, *self.sites, -alpha)
 
-    def draw(self, seeds: Iterable) -> np.ndarray:
-        """(trials, cells, users) gain array, one trial per seed, each seed taken
-        just before its trial is drawn.  A trial reseeds one generator (as
-        random.Random(seed) would) and draws the edge users' positions in
-        user-id order, each uniform in the midpoint disc (or on its rim) and
-        redrawn while it falls inside either coverage disc, then one fading
-        uniform per (cell, user) link, cells outer.  The test uses math, not
-        numpy: it decides how many draws a trial consumes.  Fading is Exp(1),
-        the squared Rayleigh envelope: -log(1 - U) by libm's log, from which
-        numpy's differs on some inputs."""
+    def draw(self, seed: int, sweep_index: int, trials: Iterable[int]) -> np.ndarray:
+        """(trials, cells, users) gain array of the given trials of this point,
+        sweep point sweep_index of a run under master seed seed.  Trial t's
+        generator seed is the blake2b hash of (seed, sweep_index, t), each
+        masked to 64 bits; the first two are hashed once and that state is
+        copied per trial, which gives the same digest.  A trial reseeds one
+        generator (as random.Random(seed) would) and draws the edge users'
+        positions in user-id order, each uniform in the midpoint disc (or on
+        its rim) and redrawn while it falls inside either coverage disc, then
+        one fading uniform per (cell, user) link, cells outer.  The test uses
+        math, not numpy: it decides how many draws a trial consumes.  Fading
+        is Exp(1), the squared Rayleigh envelope: -log(1 - U) by libm's log,
+        from which numpy's differs on some inputs.  A failure is re-raised as
+        a SweepError naming the seed, the sweep index and the trial being
+        drawn (the last one, once all are)."""
+        prefix = hashlib.blake2b(struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64), digest_size=16)
+        copy, pack, from_bytes = prefix.copy, struct.Struct(">Q").pack, int.from_bytes
         rng = _random.Random()
         reseed, random = _random.Random.seed, rng.random
         radius, ring, coverage, (x1, y1), (x2, y2), power = self._draw_constants
         users, links, tries = self.comp_ids, self.terms.size, range(_MAX_PLACEMENT_DRAWS)
         edge, uniforms = [], []
-        for seed in seeds:
-            reseed(rng, seed)
-            for _ in users:
-                for _ in tries:
-                    theta = _TWO_PI * random()
-                    r = radius if ring else radius * sqrt(random())
-                    x, y = r * cos(theta), r * sin(theta)
-                    d1 = hypot(x - x1, y - y1)
-                    if d1 > coverage:
-                        d2 = hypot(x - x2, y - y2)
-                        if d2 > coverage:
-                            break
-                else:
-                    raise DomainError(
-                        "edge-user placement rejected too often; region outside coverage is empty"
-                    )
-                edge += (d1 ** power, d2 ** power)
-            uniforms += islice(iter(random, None), links)
-        n = len(uniforms) // links
-        terms = np.repeat(self.terms[None], n, axis=0)
-        terms[:, :, self.layout.comp] = np.reshape(edge, (n, len(users), 2)).transpose(0, 2, 1)
-        fading = -np.fromiter(map(log, map((1.0).__sub__, uniforms)), float, len(uniforms))
-        return gain_array(fading.reshape(terms.shape), terms, self.radio)
+        t = None
+        try:
+            for t in trials:
+                h = copy()
+                h.update(pack(t & _MASK64))
+                reseed(rng, from_bytes(h.digest(), "big"))
+                for _ in users:
+                    for _ in tries:
+                        theta = _TWO_PI * random()
+                        r = radius if ring else radius * sqrt(random())
+                        x, y = r * cos(theta), r * sin(theta)
+                        d1 = hypot(x - x1, y - y1)
+                        if d1 > coverage:
+                            d2 = hypot(x - x2, y - y2)
+                            if d2 > coverage:
+                                break
+                    else:
+                        raise DomainError(
+                            "edge-user placement rejected too often; region outside coverage is empty"
+                        )
+                    edge += (d1 ** power, d2 ** power)
+                uniforms += islice(iter(random, None), links)
+            n = len(uniforms) // links
+            terms = np.repeat(self.terms[None], n, axis=0)
+            terms[:, :, self.layout.comp] = np.reshape(edge, (n, len(users), 2)).transpose(0, 2, 1)
+            fading = -np.fromiter(map(log, map((1.0).__sub__, uniforms)), float, len(uniforms))
+            return gain_array(fading.reshape(terms.shape), terms, self.radio)
+        except Exception as e:
+            raise SweepError(f"seed={seed} sweep_index={sweep_index} trial={t}: {type(e).__name__}: {e}") from e
 
 
 def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:

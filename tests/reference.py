@@ -2,8 +2,8 @@
 
 Everything here works on one instance at a time with plain Python objects:
 the domain objects of one cluster, the per-user rate and decodability
-formulas, the scalar gain formula, dynamic cell selection, and a brute-force
-grid oracle for the single-cell allocation.  None of it shares code with the
+formulas, a sweep trial's generator seed, the scalar gain formula, dynamic
+cell selection, and a brute-force grid oracle for the single-cell allocation.  None of it shares code with the
 engine in ``compnoma.allocation``, ``compnoma.scenarios`` or
 ``compnoma.harness`` (``test_exports`` checks the imports), so an agreement
 between the two is evidence, not a tautology.
@@ -17,7 +17,9 @@ interference is therefore the total power of signals decoded *after* it.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -103,6 +105,15 @@ class PowerAllocation:
 
 
 # --- channel -------------------------------------------------------------------
+
+
+def trial_seed(master_seed: int, sweep_index: int, trial: int) -> int:
+    """Generator seed of one sweep trial: the 16-byte blake2b digest, read
+    big-endian, of the master seed, sweep index and trial index, each masked
+    to 64 bits and packed big-endian."""
+    mask = (1 << 64) - 1
+    key = struct.pack(">QQQ", master_seed & mask, sweep_index & mask, trial & mask)
+    return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
 
 
 def normalized_gain(distance_m: float, fading_power: float, params: RadioParams) -> float:

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw, trial_seeds
+from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw
 from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint
 
 from conftest import draw_edge_position
-from reference import ChannelRealization, normalized_gain
+from reference import ChannelRealization, normalized_gain, trial_seed
 
 
 def test_reference_radio_constants():
@@ -85,12 +85,12 @@ def test_dbm_conversion_round_trip():
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
     point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
-    table_a = point.draw(trial_seeds(7, 0, [1]))
-    table_b = point.draw(trial_seeds(7, 0, [1]))
+    table_a = point.draw(7, 0, [1])
+    table_b = point.draw(7, 0, [1])
     assert table_a.tolist() == table_b.tolist()
     assert table_a.shape == (1, 2, len(point.layout.user_ids))
     assert (table_a >= 0.0).all()
-    table_c = point.draw(trial_seeds(7, 0, [2]))
+    table_c = point.draw(7, 0, [2])
     assert table_c.tolist() != table_a.tolist()
 
 
@@ -100,7 +100,7 @@ def fading_of_link(seed: int, trials: int) -> np.ndarray:
     point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
     col = point.layout.user_ids.index(12)
     scale = point.terms[0, col] / REFERENCE_RADIO.noise_power_mw
-    gains = point.draw(trial_seeds(seed, 0, range(trials)))
+    gains = point.draw(seed, 0, range(trials))
     return gains[:, 0, col] / scale
 
 
@@ -124,10 +124,11 @@ def test_fading_distribution_matches_unit_exponential():
 @pytest.mark.parametrize("law", [DISC, RING])
 def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
     # every link of a block of sweep trials, drawn in one call, bit for bit,
-    # against normalized_gain on a fresh random.Random of each trial's seed:
-    # the edge users' positions first, in user-id order, then one -log(1 - U) fading
-    # draw per (cell, user) link, cells outer; 512 trials per block, so a
-    # transcendental that is off on a small share of inputs shows
+    # against normalized_gain on a fresh random.Random of each trial's seed
+    # (reference.trial_seed): the edge users' positions first, in user-id
+    # order, then one -log(1 - U) fading draw per (cell, user) link, cells
+    # outer; 512 trials per block, so a transcendental that is off on a small
+    # share of inputs shows
     radio = replace(REFERENCE_RADIO, pathloss_exponent=3.7)
     placement = PlacementSpec(edge_region_law=law, inter_site_m=1100.0)
     sweep = (80.0, 260.0, 400.0)
@@ -136,11 +137,11 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
         value = sweep[point_index]
         point = SweepPoint(scenario, value, radio, placement)
         trials = range(first, first + block)
-        got = point.draw(trial_seeds(seed, point_index, trials))
+        got = point.draw(seed, point_index, trials)
         assert got.shape == (block, 2, len(point.layout.user_ids))
         for i, trial in enumerate(trials):
             users, want = reference_gains(
-                scenario, law, value, radio, placement, random.Random(next(trial_seeds(seed, point_index, [trial])))
+                scenario, law, value, radio, placement, random.Random(trial_seed(seed, point_index, trial))
             )
             assert users == list(point.layout.user_ids)
             assert got[i].tolist() == want, (seed, point_index, trial)

@@ -1,18 +1,21 @@
 """Config schema, CSV rendering, and command-line entry behavior."""
 
-import io
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from compnoma import (
     PRESETS,
+    REFERENCE_RADIO,
     ConfigError,
+    DomainError,
     ExperimentConfig,
     ParseError,
+    PlacementSpec,
     SweepResult,
     SweepRow,
     ValidationError,
@@ -20,9 +23,11 @@ from compnoma import (
     config_to_dict,
     emit_defaults,
     parse_config,
+    sweep_values,
 )
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
 from compnoma.config import CHOICES
+from compnoma.scenarios import SweepPoint
 
 
 def rows_result(*rows) -> SweepResult:
@@ -137,6 +142,25 @@ def test_unusable_geometry_is_rejected_without_the_parser():
     assert "sweep value 450" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_numbers_are_rejected_without_the_parser(bad):
+    # the parser rejects non-finite JSON numbers itself; objects built in
+    # code are held to finite values by their own range checks
+    for key in ("tx_power_mw", "noise_density_mw_hz", "bandwidth_hz", "pathloss_exponent", "sic_tolerance"):
+        with pytest.raises(DomainError, match=key):
+            replace(REFERENCE_RADIO, **{key: bad})
+    for key in ("inter_site_m", "coverage_m"):
+        with pytest.raises(DomainError):
+            PlacementSpec(**{key: bad})
+    with pytest.raises(DomainError):
+        SweepPoint(2, bad, REFERENCE_RADIO, None)
+    for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
+        with pytest.raises(DomainError):
+            sweep_values(*grid)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(2, ("JT-NOMA",), *grid)
+
+
 @pytest.mark.parametrize("text", UNUSABLE.values(), ids=UNUSABLE.keys())
 def test_unusable_configs_are_rejected_when_parsed(text, tmp_path, capsys):
     # each used to run (to exit 0 or 2) or to escape as a DomainError traceback
@@ -225,14 +249,14 @@ def test_format_csv_refuses_non_finite():
         format_csv(rows_result(row(50.0, "JT-NOMA", ci=math.inf)))
 
 
-def test_emit_csv_targets(tmp_path):
+def test_emit_csv_targets(tmp_path, capsys):
     result = rows_result(row(50.0, "JT-NOMA"))
     path = tmp_path / "out.csv"
     emit_csv(result, str(path))
     assert path.read_text().startswith(CSV_HEADER)
-    buf = io.StringIO()
-    emit_csv(result, buf)
-    assert buf.getvalue() == path.read_text()
+    for target in (None, ""):  # stdout
+        emit_csv(result, target)
+        assert capsys.readouterr().out == path.read_text()
 
 
 # --- command line -------------------------------------------------------------
@@ -294,8 +318,9 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--scenario", "5"]) == 1
     capsys.readouterr()
-    assert main(["--scenario", "1", "--workers", "0"]) == 1
-    assert "--workers" in capsys.readouterr().err
+    for workers in ("0", "-2", "two"):
+        assert main(["--scenario", "1", "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
     # parser-level rejections must use the same clean error line, no traceback
     assert main(["--scenario", "2", "--case", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -338,3 +363,6 @@ def test_main_streams_to_stdout(capsys):
     assert main(["--scenario", "1", "--trials", "1", "--quiet"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(CSV_HEADER)
+    # an empty --out also means stdout
+    assert main(["--scenario", "1", "--trials", "1", "--quiet", "--out", ""]) == 0
+    assert capsys.readouterr().out == captured.out

@@ -1,11 +1,10 @@
 """Sweep driver: trial seeds, grids, series labels, reductions, worker parity."""
 
-import hashlib
 import math
 import random
 import re
-import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,9 @@ from compnoma import (
 )
 from compnoma.cli import format_csv
 from compnoma import harness, scenarios
-from compnoma.harness import run_chunk, scheme_rows, sweep_values, trial_seeds
+from compnoma.harness import run_chunk, scheme_rows, sweep_values
+
+from reference import trial_seed
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -38,7 +39,7 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def trial_rng(s, w, t) -> random.Random:
-    return random.Random(next(trial_seeds(s, w, [t])))
+    return random.Random(trial_seed(s, w, t))
 
 
 def test_substream_is_deterministic_and_distinct():
@@ -51,13 +52,14 @@ def test_substream_is_deterministic_and_distinct():
         for t in (0, 1, 99)
     }
     assert len(set(draws.values())) == len(draws)
-    # each seed is one blake2b hash of the three indices, masked to 64 bits
+    # the draw masks each index to 64 bits, and a trial's rows do not depend
+    # on the other trials of the call (test_channel pins every link of a
+    # draw to a generator seeded with trial_seed)
     mask = (1 << 64) - 1
+    point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio, None)
     for s, w, t in ((0, 0, 0), (2026, 3, 99), (-1, 2**64 + 5, 2**63)):
-        key = struct.pack(">QQQ", s & mask, w & mask, t & mask)
-        seed = int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
-        assert list(trial_seeds(s, w, [t - 1, t])) == [next(trial_seeds(s, w, [t - 1])), seed]
-        assert trial_rng(s, w, t).random() == random.Random(seed).random()
+        masked = [point.draw(s & mask, w & mask, [u & mask]).tolist()[0] for u in (t - 1, t)]
+        assert point.draw(s, w, [t - 1, t]).tolist() == masked
 
 
 def test_sweep_values_grid():
@@ -97,7 +99,7 @@ def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
     point = scenarios.SweepPoint(1, 200.0, config.radio, config.placement)
-    gains = point.draw(trial_seeds(config.seed, 0, [0]))
+    gains = point.draw(config.seed, 0, [0])
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
     for scheme in config.schemes:
@@ -246,17 +248,17 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
         str(err.value),
     )
 
-    # a failure while drawing a trial names that trial: here its seed fails
+    # a failure while drawing a trial names that trial: here reseeding the
+    # generator with its seed fails
     monkeypatch.undo()
-    real = harness.trial_seeds
 
-    def flaky(seed, sweep_index, trials):
-        for trial in trials:
-            if (sweep_index, trial) == (1, 7):
+    class Flaky(random.Random):
+        def seed(self, a=None, version=2):
+            if a == trial_seed(2026, 1, 7):
                 raise ValueError("bad stream")
-            yield from real(seed, sweep_index, (trial,))
+            super().seed(a, version)
 
-    monkeypatch.setattr(harness, "trial_seeds", flaky)
+    monkeypatch.setattr(scenarios, "_random", SimpleNamespace(Random=Flaky))
     with pytest.raises(SweepError) as err:
         run_sweep(small_config(trials=40), workers=workers)
     assert str(err.value) == "seed=2026 sweep_index=1 trial=7: ValueError: bad stream"

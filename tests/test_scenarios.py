@@ -7,11 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import ConfigError, DomainError, EQUAL_TRANSMIT, PlacementSpec, RadioParams
+from compnoma import (
+    EQUAL_RECEIVED,
+    EQUAL_TRANSMIT,
+    ConfigError,
+    DomainError,
+    PlacementSpec,
+    RadioParams,
+    validate_jt_conditions,
+)
 from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
-from compnoma.config import config_from_dict
-from compnoma.harness import run_chunk, scheme_rows, trial_seeds
+from compnoma.config import ALLOWED_SCHEMES, config_from_dict
+from compnoma.harness import run_chunk, scheme_rows
 from compnoma.scenarios import (
     CASE_EDGE_ORDER_CELL1,
     CASE_EDGE_ORDER_CELL2,
@@ -189,14 +197,14 @@ def test_run_trial_dispatch_errors():
     # the config rejects every other unusable input (test_cli.test_schema_rejections)
     s1 = SweepPoint(1, 350.0, REFERENCE_RADIO, None)
     with pytest.raises(ConfigError):
-        run(s1, s1.draw([14]), "TDMA")
+        run(s1, s1.draw(14, 0, [0]), "TDMA")
 
 
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = replace(REFERENCE_RADIO, sic_tolerance=1e12)
     point = SweepPoint(1, 350.0, harsh, None)
-    out, base, feasible, _, reason = run(point, point.draw([16]), "JT-NOMA")
+    out, base, feasible, _, reason = run(point, point.draw(16, 0, [0]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
     assert out.tolist() == base.tolist()
@@ -225,9 +233,8 @@ def test_feasible_trials_meet_guarantees():
     # (edge-user gains around 1e-4 /mW against a 2e4 mW budget), so the
     # figure presets zero it; do the same here
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-    master = random.Random(17)
     point = SweepPoint(2, 200.0, relaxed, None)
-    g = point.draw([master.random() for _ in range(60)])
+    g = point.draw(17, 0, range(60))
     feasible_counts = {"JT-NOMA": 0, "DPS-NOMA": 0, "CS-NOMA": 0}
     for scheme in feasible_counts:
         out, base, feasible, met, _ = run(point, g, scheme)
@@ -252,7 +259,7 @@ def test_spectral_efficiency_is_sum_over_band():
     )
     se, _, _ = run_chunk(config, 0, 4)
     point = SweepPoint(3, 150.0, config.radio, config.placement)
-    g = point.draw(trial_seeds(config.seed, 0, range(4)))
+    g = point.draw(config.seed, 0, range(4))
     out, base, _, _, _ = run(point, g, "JT-NOMA")
     for t in range(4):
         assert se[t, 0] == math.fsum(out[t].tolist()) / 8.64e6
@@ -261,9 +268,8 @@ def test_spectral_efficiency_is_sum_over_band():
 
 def test_interference_mode_full_never_exceeds_negligible():
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-    master = random.Random(19)
     point = SweepPoint(2, 200.0, relaxed, None)
-    g = point.draw([master.random() for _ in range(40)])
+    g = point.draw(19, 0, range(40))
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
         clean, _, clean_ok, _, _ = run(point, g, scheme, interference_mode="negligible")
@@ -330,7 +336,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
     relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
     point = SweepPoint(scenario, 200.0, relaxed, None)
-    g = point.draw(trial_seeds(41, 0, range(200)))
+    g = point.draw(41, 0, range(200))
     out, base, feasible, _, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
     if scenario == 3:
@@ -431,3 +437,59 @@ def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
     run_chunk(config, 0, 160)
     stacked = 2 if scheme == "CS-NOMA" or preset == "fig6" and scheme == "JT-NOMA" else 1
     assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme", [(sc, scheme) for sc, schemes in ALLOWED_SCHEMES.items() for scheme in schemes]
+)
+def test_evaluate_rows_are_independent(scenario, scheme):
+    # a permuted block gives the permuted outputs bit for bit, under both
+    # modes and splits and with stacked decode cases: what stacks trials
+    # (DPS-NOMA's -1 idle column, CS-NOMA's two bands, the decode cases)
+    # must not let one trial's row reach another's
+    relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
+    point = SweepPoint(scenario, 200.0, relaxed, None)
+    n = 96
+    g = point.draw(23, 0, range(n))
+    perm = np.random.default_rng(5).permutation(n)
+    base = orthogonal_rates(point.layout, g)
+    assert orthogonal_rates(point.layout, g[perm]).tobytes() == base[perm].tobytes()
+    stacked = [(CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1)] if scenario == 3 else []
+    for mode in ("negligible", "full"):
+        for split in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
+            for cases in [CASE_EDGE_ORDER_CELL2, *stacked]:
+                whole = evaluate(point.layout, g, base, scheme, mode, split, cases)
+                shuffled = evaluate(point.layout, g[perm], base[perm], scheme, mode, split, cases)
+                k = 1 if isinstance(cases, str) else len(cases)
+                for a, b in zip(whole, shuffled):
+                    want = a.reshape(k, n, *a.shape[1:])[:, perm].reshape(a.shape)
+                    assert want.tobytes() == b.tobytes(), (mode, split, cases)
+
+
+@pytest.mark.parametrize("scenario, decode_case", [(1, "case1"), (2, "case1"), (3, "both")])
+def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, decode_case):
+    # JT-NOMA's per-cell decode orders, read back from the solve_jt call the
+    # sweep makes (a position's gain names its user), pass the acceptance
+    # gate's decode-order rules in every trial, under each decode case
+    n = 200
+    config = config_from_dict(
+        {"scenario_id": scenario, "schemes": ["JT-NOMA"], "decode_case": decode_case, "trials": n,
+         "sweep": {"start": 200, "stop": 200}}
+    )
+    run_chunk(config, 0, n)
+    [((raw, tails, *_), _)] = jt_calls
+    point = SweepPoint(scenario, 200.0, config.radio, config.placement)
+    g, lay = point.draw(config.seed, 0, range(n)), point.layout
+    comp = [lay.user_ids[c] for c in lay.comp]
+    shared = set()
+    for i in range(len(raw[0][0])):  # one block of n trials per decode case
+        clusters = []
+        for ci in (0, 1):
+            user_of = {float(x): u for u, x in zip(lay.user_ids, g[i % n, ci])}
+            assert len(user_of) == len(lay.user_ids)
+            order = tuple(user_of[float(x[i])] for x in [*raw[ci], *tails[ci]])
+            clusters.append(NomaCluster(ci + 1, Band(0, 1.0), order))
+        validate_jt_conditions(clusters, comp)
+        shared.add((i // n, clusters[0].decode_order[: len(comp)]))
+    # the read-back is not vacuous: every edge order shows up under each case
+    assert len(shared) == len(raw[0][0]) // n * math.factorial(len(comp))
