@@ -28,7 +28,8 @@ _BLOCK = 1024  # trials per kernel call, so memory does not grow with trials (fi
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid; never past stop, but float drift short of it is forgiven."""
+    """Inclusive arithmetic grid; float drift short of stop is forgiven and
+    drift past it is clamped, so no value exceeds stop."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise DomainError("sweep start, stop and step must be finite")
     if step <= 0.0:
@@ -36,7 +37,7 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     if stop < start:
         raise DomainError("sweep stop below start")
     count = int(math.floor((stop - start) / step * (1.0 + 1e-9))) + 1
-    return tuple(start + i * step for i in range(count))
+    return tuple(min(start + i * step, stop) for i in range(count))
 
 
 def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
@@ -92,13 +93,18 @@ def run_chunk(config, start: int, stop: int):
         try:
             gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
             base = orthogonal_rates(layout, gains)
+            base_sums = np.array(list(map(math.fsum, base.tolist())))
             for scheme, cols in series.items():
                 label = ", ".join(rows[r_i][0] for r_i in cols)
                 out, ok, good, _ = evaluate(
                     layout, gains, base, scheme, config.interference_mode, config.jt_split,
                     [rows[r_i][2] for r_i in cols],
                 )
-                for a, v in ((se, list(map(math.fsum, out.tolist()))), (feasible, ok), (met, good)):
+                # infeasible trials' rows, and JT-OMA's, are the baseline's bits
+                sums = np.tile(base_sums, len(cols))
+                if out is not base:
+                    sums[ok] = list(map(math.fsum, out[ok].tolist()))
+                for a, v in ((se, sums), (feasible, ok), (met, good)):
                     a[block, cols] = np.reshape(v, (len(cols), -1)).T
         except Exception as e:
             (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
@@ -143,10 +149,11 @@ def _reduce_point(
     infeasible: int,
     violations: int,
 ) -> SweepRow:
+    ses = np.asarray(ses, float)
     n = len(ses)
-    mean = math.fsum(ses) / n
-    if n > 1:
-        var = math.fsum(map(pow, map(float.__sub__, ses, repeat(mean)), repeat(2))) / (n - 1)
+    mean = math.fsum(ses.tolist()) / n
+    if n > 1:  # libm pow(d, 2.0), as d ** 2 gives; d * d differs on some inputs
+        var = math.fsum(map(pow, (ses - mean).tolist(), repeat(2.0))) / (n - 1)
         ci = _Z95 * math.sqrt(var / n)
     else:
         ci = 0.0
@@ -202,15 +209,8 @@ def _reduce(config, values, parts) -> SweepResult:
             se, feasible, met = (np.concatenate(a) for a in zip(*pending))
             pending, have = [(se[n:], feasible[n:], met[n:])], have - n
             value = next(points)
+            infeasible, violations = ((~a[:n]).sum(axis=0).tolist() for a in (feasible, met))
             for r_i, (label, _, _) in enumerate(rows):
-                out_rows.append(
-                    _reduce_point(
-                        value,
-                        label,
-                        se[:n, r_i].tolist(),
-                        int((~feasible[:n, r_i]).sum()),
-                        int((~met[:n, r_i]).sum()),
-                    )
-                )
+                out_rows.append(_reduce_point(value, label, se[:n, r_i], infeasible[r_i], violations[r_i]))
             log.info("sweep point %g done (%d trials, %d series)", value, n, len(rows))
     return SweepResult(tuple(out_rows))

@@ -27,7 +27,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
-from itertools import islice
 from math import cos, hypot, log, sin, sqrt
 from typing import Iterable, Sequence
 
@@ -167,19 +166,21 @@ class SweepPoint:
         generator (as random.Random(seed) would) and draws the edge users'
         positions in user-id order, each uniform in the midpoint disc (or on
         its rim) and redrawn while it falls inside either coverage disc, then
-        one fading uniform per (cell, user) link, cells outer.  The test uses
-        math, not numpy: it decides how many draws a trial consumes.  Fading
-        is Exp(1), the squared Rayleigh envelope: -log(1 - U) by libm's log,
-        from which numpy's differs on some inputs.  A failure is re-raised as
+        one fading uniform per (cell, user) link, cells outer, taken as one
+        getrandbits word block (least significant word first) and turned into
+        random()'s doubles by its formula.  The test uses math, not numpy: it
+        decides how many draws a trial consumes.  Fading is Exp(1), the
+        squared Rayleigh envelope: -log(1 - U) by libm's log, from which
+        numpy's differs on some inputs.  A failure is re-raised as
         a SweepError naming the seed, the sweep index and the trial being
         drawn (the last one, once all are)."""
         prefix = hashlib.blake2b(struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64), digest_size=16)
         copy, pack, from_bytes = prefix.copy, struct.Struct(">Q").pack, int.from_bytes
-        rng = _random.Random()
-        reseed, random = _random.Random.seed, rng.random
+        rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
+        reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
         radius, ring, coverage, (x1, y1), (x2, y2), power = self._draw_constants
-        users, links, tries = self.comp_ids, self.terms.size, range(_MAX_PLACEMENT_DRAWS)
-        edge, uniforms = [], []
+        users, bits, tries = self.comp_ids, 64 * self.terms.size, range(_MAX_PLACEMENT_DRAWS)
+        edge, words = [], []
         t = None
         try:
             for t in trials:
@@ -201,11 +202,14 @@ class SweepPoint:
                             "edge-user placement rejected too often; region outside coverage is empty"
                         )
                     edge += (d1 ** power, d2 ** power)
-                uniforms += islice(iter(random, None), links)
-            n = len(uniforms) // links
+                words.append(getrandbits(bits))
+            n = len(words)
             terms = np.repeat(self.terms[None], n, axis=0)
             terms[:, :, self.layout.comp] = np.reshape(edge, (n, len(users), 2)).transpose(0, 2, 1)
-            fading = -np.fromiter(map(log, map((1.0).__sub__, uniforms)), float, len(uniforms))
+            raw = b"".join([w.to_bytes(bits // 8, "little") for w in words])
+            a, b = np.frombuffer(raw, "<u4").reshape(-1, 2).T
+            uniforms = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
+            fading = -np.fromiter(map(log, (1.0 - uniforms).tolist()), float, uniforms.size)
             return gain_array(fading.reshape(terms.shape), terms, self.radio)
         except Exception as e:
             raise SweepError(f"seed={seed} sweep_index={sweep_index} trial={t}: {type(e).__name__}: {e}") from e

@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +78,16 @@ def test_sweep_values_grid():
         sweep_values(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         sweep_values(2.0, 1.0, 0.5)
+
+
+def test_sweep_values_clamp_drift_past_stop():
+    # 1.3 + 3987 * 0.1 is 400.00000000000006: the last value is clamped to
+    # stop, so a grid that ends at the coverage radius is accepted
+    assert 1.3 + 3987 * 0.1 > 400.0
+    config = config_from_dict({"scenario_id": 1, "sweep": {"start": 1.3, "stop": 400.0, "step": 0.1}})
+    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+    assert len(values) == 3988 and values[-1] == 400.0
+    assert max(values[:-1]) < 400.0
 
 
 def test_scheme_rows_split_decode_cases():
@@ -193,10 +204,47 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40))
 def test_reduce_point_mean_and_ci_are_the_literal_formulas(ses):
     n = len(ses)
-    row = harness._reduce_point(1.0, "x", ses, 0, 0)
     mean = math.fsum(ses) / n
     ci = 1.96 * math.sqrt(math.fsum((x - mean) ** 2 for x in ses) / (n - 1) / n) if n > 1 else 0.0
-    assert (row.mean_se_bps_hz.hex(), row.ci95.hex()) == (mean.hex(), ci.hex())
+    # _reduce gets a column of the (trials, series) SE array: a strided view
+    column = np.column_stack([ses, np.zeros(n)])[:, 0]
+    for given_ses in (ses, column):
+        row = harness._reduce_point(1.0, "x", given_ses, 0, 0)
+        assert (row.mean_se_bps_hz.hex(), row.ci95.hex()) == (mean.hex(), ci.hex())
+
+
+FIG6_FULL = {
+    "schemes": ("JT-NOMA", "DPS-NOMA", "JT-OMA"),
+    "interference_mode": "full",
+    "jt_split": "equal_received",
+}
+
+
+@pytest.mark.parametrize("preset, overrides", [("fig5", {}), ("fig6", FIG6_FULL)], ids=("fig5", "fig6-full"))
+def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
+    # run_chunk sums the baseline's rows once per block and reuses those sums
+    # for the rows that are bit copies of them (infeasible NOMA trials, and
+    # JT-OMA); every other row is summed on its own
+    config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
+    se, feasible, _ = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
+    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.placement) for v in values[:3]]
+    gains = np.concatenate([p.draw(config.seed, i, range(config.trials)) for i, p in enumerate(points)])
+    base = scenarios.orthogonal_rates(points[0].layout, gains)
+    mixed = []
+    for r_i, (label, scheme, case) in enumerate(scheme_rows(config)):
+        out, ok, _, _ = scenarios.evaluate(
+            points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, case
+        )
+        want = np.array([math.fsum(row) for row in out.tolist()]) / config.radio.bandwidth_hz
+        assert se[:, r_i].tobytes() == want.tobytes(), label
+        assert feasible[:, r_i].tolist() == ok.tolist(), label
+        if scheme.endswith("NOMA"):
+            assert ok.any(), label
+            mixed += [label] * (not ok.all())
+    # both kinds of row are checked: fig5's JT-NOMA is feasible in every
+    # trial, but its CS-NOMA and all of fig6-full's NOMA series fall back in some
+    assert mixed == (["CS-NOMA"] if preset == "fig5" else ["JT-NOMA-case1", "JT-NOMA-case2", "DPS-NOMA"])
 
 
 def test_block_placement_does_not_change_results(monkeypatch):
@@ -218,14 +266,16 @@ def test_block_placement_does_not_change_results(monkeypatch):
     total = 150 * 8
 
     def outputs():
-        return format_csv(run_sweep(config)), run_chunk(config, 0, total)
+        # every row, with the guarantee violations the CSV leaves out
+        return run_sweep(config).rows, run_chunk(config, 0, total)
 
-    csv, arrays = outputs()
+    rows, arrays = outputs()
     assert harness._BLOCK == 1024
+    assert any(row.infeasible_frac > 0.0 for row in rows)
     for block in (7, 512, 4096):
         monkeypatch.setattr(harness, "_BLOCK", block)
-        got_csv, got_arrays = outputs()
-        assert got_csv == csv, block
+        got_rows, got_arrays = outputs()
+        assert got_rows == rows, block
         for got, want in zip(got_arrays, arrays):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
 
