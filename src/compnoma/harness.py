@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .allocation import FEASIBLE
 from .errors import DomainError, SweepError
 from .scenarios import SweepPoint, evaluate, orthogonal_rates
 from .schemes import JT_NOMA
@@ -68,8 +69,8 @@ def run_chunk(config, start: int, stop: int):
     call, the rows are stacked, and every series is evaluated on the block's
     (trials, cells, users) gain array at once, one ``evaluate`` call per
     scheme with all its decode cases.  Module-level so process pools can
-    pickle it.  Returns (spectral efficiency, feasible, guarantees met), each
-    of shape (trials, series).
+    pickle it.  Returns (spectral efficiency, feasible), each of shape
+    (trials, series).
     """
     rows = scheme_rows(config)
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
@@ -81,7 +82,7 @@ def run_chunk(config, start: int, stop: int):
     }
     layout = points[start // n].layout
     shape = (stop - start, len(rows))
-    se, feasible, met = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+    se, feasible = np.empty(shape), np.empty(shape, bool)
     for b0 in range(start, stop, _BLOCK):
         b1 = min(b0 + _BLOCK, stop)
         parts = [
@@ -96,15 +97,16 @@ def run_chunk(config, start: int, stop: int):
             base_sums = np.array(list(map(math.fsum, base.tolist())))
             for scheme, cols in series.items():
                 label = ", ".join(rows[r_i][0] for r_i in cols)
-                out, ok, good, _ = evaluate(
+                out, reason = evaluate(
                     layout, gains, base, scheme, config.interference_mode, config.jt_split,
                     [rows[r_i][2] for r_i in cols],
                 )
+                ok = reason == FEASIBLE
                 # infeasible trials' rows, and JT-OMA's, are the baseline's bits
                 sums = np.tile(base_sums, len(cols))
                 if out is not base:
                     sums[ok] = list(map(math.fsum, out[ok].tolist()))
-                for a, v in ((se, sums), (feasible, ok), (met, good)):
+                for a, v in ((se, sums), (feasible, ok)):
                     a[block, cols] = np.reshape(v, (len(cols), -1)).T
         except Exception as e:
             (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
@@ -112,7 +114,7 @@ def run_chunk(config, start: int, stop: int):
                 f"seed={seed} from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
                 f" series={label}: {type(e).__name__}: {e}"
             ) from e
-    return se / config.radio.bandwidth_hz, feasible, met
+    return se / config.radio.bandwidth_hz, feasible
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,9 @@ class SweepRow:
     ci95: float
     infeasible_frac: float
     trials: int
-    guarantee_violations: int = 0
+    # not a field: perfbench/worker.py still reads it, and ROADMAP item 1
+    # drops that read and then this constant
+    guarantee_violations = 0
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,6 @@ def _reduce_point(
     label: str,
     ses: Sequence[float],
     infeasible: int,
-    violations: int,
 ) -> SweepRow:
     ses = np.asarray(ses, float)
     n = len(ses)
@@ -164,7 +167,6 @@ def _reduce_point(
         ci95=ci,
         infeasible_frac=infeasible / n,
         trials=n,
-        guarantee_violations=violations,
     )
 
 
@@ -195,8 +197,8 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
 
 
 def _reduce(config, values, parts) -> SweepResult:
-    """Reduce consecutive flat ranges' (se, feasible, met) arrays, one point
-    at a time, as soon as the point's last trial arrives."""
+    """Reduce consecutive flat ranges' (se, feasible) arrays, one point at a
+    time, as soon as the point's last trial arrives."""
     rows = scheme_rows(config)
     n = config.trials
     out_rows: list[SweepRow] = []
@@ -206,11 +208,11 @@ def _reduce(config, values, parts) -> SweepResult:
         pending.append(part)
         have += len(part[0])
         while have >= n:
-            se, feasible, met = (np.concatenate(a) for a in zip(*pending))
-            pending, have = [(se[n:], feasible[n:], met[n:])], have - n
+            se, feasible = (np.concatenate(a) for a in zip(*pending))
+            pending, have = [(se[n:], feasible[n:])], have - n
             value = next(points)
-            infeasible, violations = ((~a[:n]).sum(axis=0).tolist() for a in (feasible, met))
+            infeasible = (~feasible[:n]).sum(axis=0).tolist()
             for r_i, (label, _, _) in enumerate(rows):
-                out_rows.append(_reduce_point(value, label, se[:n, r_i], infeasible[r_i], violations[r_i]))
+                out_rows.append(_reduce_point(value, label, se[:n, r_i], infeasible[r_i]))
             log.info("sweep point %g done (%d trials, %d series)", value, n, len(rows))
     return SweepResult(tuple(out_rows))

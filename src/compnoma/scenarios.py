@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import EQUAL_TRANSMIT, FEASIBLE, REL_SLACK, solve_jt
+from .allocation import EQUAL_TRANSMIT, FEASIBLE, solve_jt
 from .channel import RadioParams, dbm_to_mw, distance_term, gain_array
 from .errors import ConfigError, DomainError, SweepError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
@@ -260,12 +260,11 @@ def _cs_oma(lay: Layout, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_order(lay: Layout, g: np.ndarray, decode_case) -> list:
+def _edge_order(lay: Layout, g: np.ndarray, cases: Sequence[str]) -> list:
     """Shared decode order of the jointly served users: ascending realized
     gain in the reference cell (cell 2 in the first decode case of the
-    asymmetric scenario, cell 1 otherwise).  Given a sequence of decode
-    cases, g holds one block of trials per case."""
-    cases = [decode_case] if isinstance(decode_case, str) else decode_case
+    asymmetric scenario, cell 1 otherwise).  g holds one block of trials per
+    decode case."""
     n = len(g) // len(cases)
     ref = [1 if lay.scenario_id == 3 and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
     parts = [g[i * n:(i + 1) * n, r] for i, r in enumerate(ref)]
@@ -279,7 +278,7 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, id
     is guaranteed its orthogonal rate.  idle[ci], if given, counts per trial
     the leading positions of orders[ci] that cell ci does not serve: they
     point at an extra, zero-guarantee column, dropped from the results.
-    Returns (rates, reason, non-head mask); a user no cell serves gets rate 0."""
+    Returns (rates, reason); a user no cell serves gets rate 0."""
     rows = np.arange(len(g))
     q, users = len(edge), base.shape[1]
     if idle is not None:  # in g, column -1 is some user's: any gain will do
@@ -293,13 +292,10 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, id
         budgets, p_tol, width, split, full, idle,
     )
     out = np.zeros(base.shape)
-    nonhead = np.zeros(base.shape, bool)
     for ci, order in enumerate(orders):
         for c, r in zip(order, pos_rates[ci]):
             out[rows, c] = r
-        for c in order[:-1]:
-            nonhead[rows, c] = True
-    return out[:, :users], reason, nonhead[:, :users]
+    return out[:, :users], reason
 
 
 def _jt_noma(lay, g, base, full, split, cases):
@@ -345,43 +341,37 @@ def _cs_noma(lay, g, base, full):
     edge, own = np.repeat(lay.comp, n), np.repeat(lay.tails[0] + lay.tails[1], n)
     swap = g[rows, 0, own] < g[rows, 0, edge]  # ascending gain, ties in the order (edge, own)
     orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
-    out, reason, nonhead = _noma_clusters(
+    out, reason = _noma_clusters(
         g, np.concatenate([base, base]), [], orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
         lay.p_tol, EQUAL_TRANSMIT, full,
     )
-    (out0, out1), (reason0, reason1), (nonhead0, nonhead1) = (np.split(a, 2) for a in (out, reason, nonhead))
-    return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0), nonhead0 | nonhead1
+    (out0, out1), (reason0, reason1) = np.split(out, 2), np.split(reason, 2)
+    return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0)
 
 
 def evaluate(
     lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str,
-    interference_mode: str, jt_split: str, decode_case: str,
+    interference_mode: str, jt_split: str, cases: Sequence[str],
 ):
-    """One scheme on a block of trials: (rates, feasible, guarantees met,
-    reason code), each with a leading trials axis.
+    """One scheme on a block of trials: (rates, reason code), each with a
+    leading trials axis; a trial is feasible where its reason is FEASIBLE.
 
     base is the orthogonal baseline: it supplies the non-head rate
-    guarantees and the fallback rates of infeasible trials.  decode_case is
-    one case or a sequence of them, evaluated in one call as that many
-    copies of the block stacked along the trials axis.
+    guarantees and the fallback rates of infeasible trials.  cases is a
+    sequence of decode cases, evaluated in one call as that many copies of
+    the block stacked along the trials axis.
     """
-    cases = (decode_case,) if isinstance(decode_case, str) else tuple(decode_case)
     if len(cases) > 1:
         g, base = np.concatenate([g] * len(cases)), np.concatenate([base] * len(cases))
-    n = len(g)
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
-        out = base if scheme == JT_OMA else _cs_oma(lay, g)
-        return out, np.ones(n, bool), np.ones(n, bool), np.zeros(n, np.int8)
+        return base if scheme == JT_OMA else _cs_oma(lay, g), np.zeros(len(g), np.int8)
     if scheme == JT_NOMA:
-        out, reason, nonhead = _jt_noma(lay, g, base, full, jt_split, cases)
+        out, reason = _jt_noma(lay, g, base, full, jt_split, cases)
     elif scheme == DPS_NOMA:
-        out, reason, nonhead = _dps_noma(lay, g, base, full)
+        out, reason = _dps_noma(lay, g, base, full)
     elif scheme == CS_NOMA:
-        out, reason, nonhead = _cs_noma(lay, g, base, full)
+        out, reason = _cs_noma(lay, g, base, full)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    feasible = reason == FEASIBLE
-    out = np.where(feasible[:, None], out, base)
-    met = ~(feasible & (nonhead & (out < base * (1.0 - REL_SLACK))).any(axis=1))
-    return out, feasible, met, reason
+    return np.where((reason == FEASIBLE)[:, None], out, base), reason

@@ -90,26 +90,24 @@ def trial_labels(name: str) -> list[str]:
 
 
 def trial_rows(name: str):
-    """(sweep index, trial, ((se, feasible, met) per series)) for every
-    recorded trial, from the code under test."""
+    """(sweep index, trial, ((se, feasible) per series)) for every recorded
+    trial, from the code under test."""
     from compnoma.harness import run_chunk
 
     config = golden_config(*TRIAL_CONFIGS[name], trials=TRIALS_PER_POINT)
     for s_i in TRIAL_POINTS:
         # flat trials of point s_i: s_i * trials .. (s_i + 1) * trials - 1
-        se, feasible, met = run_chunk(config, s_i * TRIALS_PER_POINT, (s_i + 1) * TRIALS_PER_POINT)
+        se, feasible = run_chunk(config, s_i * TRIALS_PER_POINT, (s_i + 1) * TRIALS_PER_POINT)
         for t in range(TRIALS_PER_POINT):
-            yield s_i, t, tuple(
-                (float(v), bool(f), bool(m)) for v, f, m in zip(se[t], feasible[t], met[t])
-            )
+            yield s_i, t, tuple((float(v), bool(f)) for v, f in zip(se[t], feasible[t]))
 
 
 def trial_records(name: str) -> str:
     """One line per (point, trial): sweep index, trial index, then per series
-    the spectral efficiency (repr) and the feasible / guarantees-met flags."""
+    the spectral efficiency (repr) and the feasible flag."""
     lines = ["sweep_index trial " + " ".join(trial_labels(name))]
     for s_i, t, series in trial_rows(name):
-        cells = [f"{se!r} {int(f)}{int(m)}" for se, f, m in series]
+        cells = [f"{se!r} {int(f)}" for se, f in series]
         lines.append(f"{s_i} {t} " + " ".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -121,10 +119,7 @@ def read_trial_records(name: str):
     rows = []
     for line in lines[1:]:
         fields = line.split()
-        series = tuple(
-            (float(fields[i]), fields[i + 1][0] == "1", fields[i + 1][1] == "1")
-            for i in range(2, len(fields), 2)
-        )
+        series = tuple((float(fields[i]), fields[i + 1] == "1") for i in range(2, len(fields), 2))
         rows.append((int(fields[0]), int(fields[1]), series))
     return labels, rows
 

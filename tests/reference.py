@@ -2,11 +2,12 @@
 
 Everything here works on one instance at a time with plain Python objects:
 the domain objects of one cluster, the per-user rate and decodability
-formulas, a sweep trial's generator seed, the scalar gain formula, dynamic
-cell selection, and a brute-force grid oracle for the single-cell allocation.  None of it shares code with the
-engine in ``compnoma.allocation``, ``compnoma.scenarios`` or
-``compnoma.harness`` (``test_exports`` checks the imports), so an agreement
-between the two is evidence, not a tautology.
+formulas, a sweep trial's generator seed, the scalar gain formula, the
+edge-placement law, dynamic cell selection, each scheme's guaranteed users,
+and a brute-force grid oracle for the single-cell allocation.  None of it
+shares code with the engine in ``compnoma.allocation``,
+``compnoma.scenarios`` or ``compnoma.harness`` (``test_exports`` checks the
+imports), so an agreement between the two is evidence, not a tautology.
 
 Decode-order convention: ``NomaCluster.decode_order`` lists users in the order
 their signals are decoded.  Position 0 is decoded first by everyone; the last
@@ -129,6 +130,78 @@ def normalized_gain(distance_m: float, fading_power: float, params: RadioParams)
     if fading_power < 0.0:
         raise DomainError(f"fading power cannot be negative, got {fading_power}")
     return fading_power * distance_m ** (-params.pathloss_exponent) / params.noise_power_mw
+
+
+def lens_area(r: float, rho: float, h: float) -> float:
+    """Area shared by a disc of radius r and one of radius rho whose centres
+    are h apart, neither disc inside the other (E. W. Weisstein,
+    "Circle-Circle Intersection", MathWorld)."""
+    if r + rho <= h:
+        return 0.0
+    a = (h * h + r * r - rho * rho) / (2.0 * h * r)
+    b = (h * h + rho * rho - r * r) / (2.0 * h * rho)
+    kite = (-h + r + rho) * (h + r - rho) * (h - r + rho) * (h + r + rho)
+    return r * r * math.acos(a) + rho * rho * math.acos(b) - 0.5 * math.sqrt(kite)
+
+
+def edge_radius_cdf(r: float, radius: float, rho: float, h: float) -> float:
+    """P(|edge position| <= r) for a position uniform on the disc of the given
+    radius at the midpoint, minus the two coverage discs of radius rho centred
+    h either side of it (h > rho, so the two lenses never overlap)."""
+    def area(x):
+        return math.pi * x * x - 2.0 * lens_area(x, rho, h)
+
+    return area(min(r, radius)) / area(radius)
+
+
+def guaranteed_users(comp, tails, gains, scheme: str) -> np.ndarray:
+    """(trials, users) mask of the users a feasible trial must pay at least
+    their orthogonal rate: every user some cluster decodes before its head.
+
+    comp are the columns of the jointly served users, tails[ci] those of cell
+    ci's single-cell users and gains a (trials, cells, users) array.  Built
+    from the gains alone, by the schemes' rules:
+
+    - JT-NOMA: everyone but each cell's strongest single-cell user (a cell
+      without one is headed by a jointly served user, who is still decoded
+      before the other cell's head);
+    - DPS-NOMA: each cell's members but its strongest; an edge user joins
+      cell 2 when its gain there is strictly larger, else cell 1;
+    - CS-NOMA: on half band b, the weaker of edge user b and cell b's
+      single-cell user, the edge user on ties.
+
+    Ties for a cell's strongest go to the later member in (single-cell
+    users, edge users) order.
+    """
+    n, _, users = gains.shape
+    mask = np.zeros((n, users), bool)
+    rows = np.arange(n)
+
+    def all_but_strongest(ci, cols, member):
+        # member[:, j] says whether cols[j] is in cell ci's cluster this trial
+        key = np.where(member, gains[:, ci, cols], -np.inf)
+        head = len(cols) - 1 - np.argmax(key[:, ::-1], axis=1)
+        for j, c in enumerate(cols):
+            mask[:, c] |= member[:, j] & (head != j)
+
+    if scheme == "JT-NOMA":
+        mask[:, list(comp)] = True
+        for ci, cols in enumerate(tails):
+            if cols:
+                all_but_strongest(ci, list(cols), np.ones((n, len(cols)), bool))
+    elif scheme == "DPS-NOMA":
+        to_cell_2 = gains[:, 1, list(comp)] > gains[:, 0, list(comp)]
+        for ci, joined in enumerate((~to_cell_2, to_cell_2)):
+            cols = list(tails[ci]) + list(comp)
+            all_but_strongest(ci, cols, np.column_stack([np.ones((n, len(tails[ci])), bool), joined]))
+    elif scheme == "CS-NOMA":
+        for b, edge in enumerate(comp):
+            own = tails[b][0]
+            edge_weaker = gains[:, b, edge] <= gains[:, b, own]
+            mask[rows, np.where(edge_weaker, edge, own)] = True
+    else:
+        raise ConfigError(f"no guarantee rule for {scheme!r}")
+    return mask
 
 
 @dataclass(frozen=True)

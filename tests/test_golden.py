@@ -27,7 +27,7 @@ def test_trial_verdicts_and_efficiency_match(name):
     got = list(trial_rows(name))
     assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in recorded]
     for (s_i, t, series), (_, _, expected) in zip(got, recorded):
-        for label, (se, feasible, met), (se0, feasible0, met0) in zip(labels, series, expected):
+        for label, (se, feasible), (se0, feasible0) in zip(labels, series, expected):
             where = f"{name} sweep_index={s_i} trial={t} series={label}"
-            assert (feasible, met) == (feasible0, met0), f"verdict flipped at {where}"
+            assert feasible == feasible0, f"verdict flipped at {where}"
             assert se == pytest.approx(se0, rel=1e-12, abs=0.0), where

@@ -17,7 +17,9 @@ from compnoma import (
     config_from_dict,
     run_sweep,
 )
+from compnoma.allocation import FEASIBLE
 from compnoma.cli import format_csv
+from compnoma.config import ALLOWED_SCHEMES
 from compnoma import harness, scenarios
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
 
@@ -114,11 +116,11 @@ def test_single_trial_matches_direct_evaluation():
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
     for scheme in config.schemes:
-        out, feasible, _, _ = scenarios.evaluate(
+        out, reason = scenarios.evaluate(
             point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
-            config.decode_case,
+            (config.decode_case,),
         )
-        direct[scheme] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, bool(feasible[0]))
+        direct[scheme] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, reason[0] == FEASIBLE)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.trials == 1
@@ -155,7 +157,7 @@ def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
 def test_mean_is_exact_sum_over_trials():
     config = small_config(trials=32, sweep_stop=100.0)
     result = run_sweep(config)
-    se, _, _ = run_chunk(config, 0, 32)
+    se, _ = run_chunk(config, 0, 32)
     for r_i, row in enumerate(result.rows):
         ses = se[:, r_i].tolist()
         assert row.mean_se_bps_hz == math.fsum(ses) / 32
@@ -181,7 +183,6 @@ def test_series_accessors_and_counts():
         for row in series:
             assert row.trials == 40
             assert 0.0 <= row.infeasible_frac <= 1.0
-            assert row.guarantee_violations == 0
 
 
 def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
@@ -209,7 +210,7 @@ def test_reduce_point_mean_and_ci_are_the_literal_formulas(ses):
     # _reduce gets a column of the (trials, series) SE array: a strided view
     column = np.column_stack([ses, np.zeros(n)])[:, 0]
     for given_ses in (ses, column):
-        row = harness._reduce_point(1.0, "x", given_ses, 0, 0)
+        row = harness._reduce_point(1.0, "x", given_ses, 0)
         assert (row.mean_se_bps_hz.hex(), row.ci95.hex()) == (mean.hex(), ci.hex())
 
 
@@ -226,16 +227,17 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
     # for the rows that are bit copies of them (infeasible NOMA trials, and
     # JT-OMA); every other row is summed on its own
     config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
-    se, feasible, _ = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
+    se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.placement) for v in values[:3]]
     gains = np.concatenate([p.draw(config.seed, i, range(config.trials)) for i, p in enumerate(points)])
     base = scenarios.orthogonal_rates(points[0].layout, gains)
     mixed = []
     for r_i, (label, scheme, case) in enumerate(scheme_rows(config)):
-        out, ok, _, _ = scenarios.evaluate(
-            points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, case
+        out, reason = scenarios.evaluate(
+            points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, (case,)
         )
+        ok = reason == FEASIBLE
         want = np.array([math.fsum(row) for row in out.tolist()]) / config.radio.bandwidth_hz
         assert se[:, r_i].tobytes() == want.tobytes(), label
         assert feasible[:, r_i].tolist() == ok.tolist(), label
@@ -266,7 +268,7 @@ def test_block_placement_does_not_change_results(monkeypatch):
     total = 150 * 8
 
     def outputs():
-        # every row, with the guarantee violations the CSV leaves out
+        # every row, unrounded, and every per-trial array
         return run_sweep(config).rows, run_chunk(config, 0, total)
 
     rows, arrays = outputs()
@@ -278,6 +280,47 @@ def test_block_placement_does_not_change_results(monkeypatch):
         assert got_rows == rows, block
         for got, want in zip(got_arrays, arrays):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
+
+
+@pytest.mark.parametrize("scenario", (1, 2, 3))
+def test_power_and_noise_scaled_together_change_no_bit(scenario):
+    # gains are divided by the noise density and every power is a multiple of
+    # the transmit power, so scaling both by a power of two scales every power
+    # and gain exactly: every noise-normalized SNR, and so every rate and
+    # verdict, is the same double
+    verdicts = set()
+    for mode in ("negligible", "full"):
+        for split in ("equal_transmit", "equal_received"):
+            for tolerance in (0.0, 1.0):
+                config = config_from_dict(
+                    {
+                        "scenario_id": scenario,
+                        "schemes": list(ALLOWED_SCHEMES[scenario]),
+                        "decode_case": "both" if scenario == 3 else "case1",
+                        "interference_mode": mode,
+                        "jt_split": split,
+                        "trials": 100,
+                        "seed": 5,
+                        "sweep": {"start": 100.0, "stop": 400.0, "step": 300.0},
+                        "radio": {"sic_tolerance": tolerance},
+                    }
+                )
+                se, feasible = run_chunk(config, 0, 200)
+                verdicts.update(feasible.ravel().tolist())
+                radio = config.radio
+                for k in (4.0, 0.25):
+                    scaled = replace(
+                        config,
+                        radio=replace(
+                            radio,
+                            tx_power_mw=radio.tx_power_mw * k,
+                            noise_density_mw_hz=radio.noise_density_mw_hz * k,
+                        ),
+                    )
+                    got = run_chunk(scaled, 0, 200)
+                    assert got[0].tobytes() == se.tobytes(), (mode, split, tolerance, k)
+                    assert got[1].tobytes() == feasible.tobytes(), (mode, split, tolerance, k)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("workers", (1, 2))
