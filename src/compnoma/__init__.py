@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .harness import SweepResult, SweepRow, run_sweep, sweep_values
-from .scenarios import REFERENCE_RADIO, PlacementSpec
+from .scenarios import PlacementSpec
 from .schemes import (
     CS_NOMA,
     CS_OMA,
@@ -36,7 +36,7 @@ __all__ = [
     "ConditionViolation", "ConfigError", "DomainError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
     "PRESETS", "ParseError", "PlacementSpec",
-    "REFERENCE_RADIO", "RadioParams",
+    "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "config_from_dict", "config_to_dict",
     "dbm_to_mw", "emit_defaults", "parse_config", "run_sweep",

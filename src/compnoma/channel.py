@@ -18,9 +18,16 @@ def dbm_to_mw(value_dbm: float) -> float:
     return 10.0 ** (value_dbm / 10.0)
 
 
+REFERENCE_TX_POWER_DBM = 43.0
+REFERENCE_NOISE_DENSITY_DBM_HZ = -139.0
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Link-budget constants shared by every cell of a coordination set.
+    ``RadioParams()`` is the reference radio: 43 dBm per cell, -139 dBm/Hz
+    noise density, an 8.64 MHz band, fourth-power distance loss and no
+    decodability margin.
 
     tx_power_mw:        per-cell transmit power budget, mW
     noise_density_mw_hz: noise power spectral density, mW/Hz
@@ -31,11 +38,11 @@ class RadioParams:
                         ratio, dimensionless)
     """
 
-    tx_power_mw: float
-    noise_density_mw_hz: float
-    bandwidth_hz: float
+    tx_power_mw: float = dbm_to_mw(REFERENCE_TX_POWER_DBM)
+    noise_density_mw_hz: float = dbm_to_mw(REFERENCE_NOISE_DENSITY_DBM_HZ)
+    bandwidth_hz: float = 8.64e6
     pathloss_exponent: float = 4.0
-    sic_tolerance: float = 100.0
+    sic_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         for f in fields(self):

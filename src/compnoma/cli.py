@@ -163,6 +163,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         result = run_sweep(config, workers=args.workers)
+        for row in result.rows:
+            if row.infeasible_frac == 1.0:
+                log.warning(
+                    "sweep_m=%g %s: infeasible in all %d trials; its row is the fallback's rates, "
+                    "those of the orthogonal baseline (JT-OMA)", row.sweep_value, row.scheme, row.trials,
+                )
         emit_csv(result, config.output_path)
         if config.output_path:
             sidecar = config.output_path + ".config.json"

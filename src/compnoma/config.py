@@ -16,20 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from .channel import RadioParams, dbm_to_mw
+from .channel import REFERENCE_NOISE_DENSITY_DBM_HZ, REFERENCE_TX_POWER_DBM, RadioParams, dbm_to_mw
 from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .harness import sweep_values
-from .scenarios import (
-    REFERENCE_NOISE_DENSITY_DBM_HZ,
-    REFERENCE_RADIO,
-    REFERENCE_TX_POWER_DBM,
-    PlacementSpec,
-    SweepPoint,
-)
+from .scenarios import PlacementSpec, SweepPoint
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 ALLOWED_SCHEMES = {
@@ -67,7 +61,7 @@ class ExperimentConfig:
     decode_case: str = "case1"
     interference_mode: str = "negligible"
     jt_split: str = EQUAL_TRANSMIT
-    radio: RadioParams = REFERENCE_RADIO
+    radio: RadioParams = RadioParams()
     placement: PlacementSpec = PlacementSpec()
     output_path: str | None = None
 
@@ -171,7 +165,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         scenario,
         schemes,
-        radio=_ranged("radio", replace, REFERENCE_RADIO, **radio),
+        radio=_ranged("radio", RadioParams, **radio),
         placement=_ranged("placement", PlacementSpec, **placement),
         **d,
     )
@@ -213,13 +207,8 @@ def emit_defaults(scenario_id: int = 1) -> dict:
     return {**out, "output_path": None}
 
 
-# the reproduction sweeps run with the decodability margin disabled: at these
-# geometries any positive received-power margin of 100 (20 dB over noise) is
-# unreachable and every trial would fall back
-_FIGURE_RADIO = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-
 PRESETS = {
-    "fig4": partial(ExperimentConfig, 1, DEFAULT_SCHEMES[1], radio=_FIGURE_RADIO),
-    "fig5": partial(ExperimentConfig, 2, DEFAULT_SCHEMES[2], radio=_FIGURE_RADIO),
-    "fig6": partial(ExperimentConfig, 3, DEFAULT_SCHEMES[3], decode_case="both", radio=_FIGURE_RADIO),
+    "fig4": partial(ExperimentConfig, 1, DEFAULT_SCHEMES[1]),
+    "fig5": partial(ExperimentConfig, 2, DEFAULT_SCHEMES[2]),
+    "fig6": partial(ExperimentConfig, 3, DEFAULT_SCHEMES[3], decode_case="both"),
 }

@@ -33,21 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .allocation import EQUAL_TRANSMIT, FEASIBLE, solve_jt
-from .channel import RadioParams, dbm_to_mw, distance_term, gain_array
+from .channel import RadioParams, distance_term, gain_array
 from .errors import ConfigError, DomainError, SweepError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
-
-# Reference radio parameters: 43 dBm per cell, -139 dBm/Hz noise density,
-# 8.64 MHz system band, and RadioParams' default fourth-power distance loss
-# and decodability tolerance.  The tolerance is deliberately conservative;
-# sweep presets relax it.
-REFERENCE_TX_POWER_DBM = 43.0
-REFERENCE_NOISE_DENSITY_DBM_HZ = -139.0
-REFERENCE_RADIO = RadioParams(
-    tx_power_mw=dbm_to_mw(REFERENCE_TX_POWER_DBM),
-    noise_density_mw_hz=dbm_to_mw(REFERENCE_NOISE_DENSITY_DBM_HZ),
-    bandwidth_hz=8.64e6,
-)
 
 DISC = "disc"
 RING = "ring"

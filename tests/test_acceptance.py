@@ -15,11 +15,10 @@ import pytest
 
 from compnoma import EQUAL_TRANSMIT, PRESETS, harness, run_sweep, validate_jt_conditions
 from compnoma.allocation import FEASIBLE, solve_jt
-from compnoma.channel import gain_array
+from compnoma.channel import RadioParams, gain_array
 from compnoma.cli import format_csv
 from compnoma.allocation import rates
 from compnoma.errors import ConditionViolation
-from compnoma.scenarios import REFERENCE_RADIO
 
 from conftest import jt_order_mutants, one, oracle_agreement, random_problem, solve_one
 from reference import guaranteed_users
@@ -229,9 +228,9 @@ def test_criterion_8_numerical_hygiene(fig4_run, fig5_run, fig6_run):
                 assert [[float(p[0]) for p in cell_pw] for cell_pw in pw] == [d[0] for d in direct]
 
     # a faded-out link carries exactly zero rate
-    g = gain_array(np.zeros(1), 220.0 ** -4.0, REFERENCE_RADIO)
+    g = gain_array(np.zeros(1), 220.0 ** -4.0, RadioParams())
     assert g.tolist() == [0.0]
-    assert rates(8.64e6, REFERENCE_RADIO.tx_power_mw * g, 1.0).tolist() == [0.0]
+    assert rates(8.64e6, RadioParams().tx_power_mw * g, 1.0).tolist() == [0.0]
 
     # every preset statistic is finite and serializable
     for _, result, _, _ in (fig4_run, fig5_run, fig6_run):

@@ -2,44 +2,45 @@
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw
-from compnoma.scenarios import DISC, REFERENCE_RADIO, RING, SweepPoint
+from compnoma.scenarios import DISC, RING, SweepPoint
 
 from conftest import draw_edge_position
 from reference import ChannelRealization, normalized_gain, trial_seed
 
 
 def test_reference_radio_constants():
-    assert REFERENCE_RADIO.tx_power_mw == pytest.approx(19952.623, rel=1e-6)
-    assert REFERENCE_RADIO.noise_density_mw_hz == pytest.approx(1.2589254e-14, rel=1e-6)
-    assert REFERENCE_RADIO.noise_power_mw == pytest.approx(1.0877e-7, rel=1e-4)
-    assert REFERENCE_RADIO.bandwidth_hz == 8.64e6
-    assert REFERENCE_RADIO.pathloss_exponent == 4.0
+    radio = RadioParams()
+    assert radio.tx_power_mw == pytest.approx(19952.623, rel=1e-6)
+    assert radio.noise_density_mw_hz == pytest.approx(1.2589254e-14, rel=1e-6)
+    assert radio.noise_power_mw == pytest.approx(1.0877e-7, rel=1e-4)
+    assert radio.bandwidth_hz == 8.64e6
+    assert radio.pathloss_exponent == 4.0
+    assert radio.sic_tolerance == 0.0
 
 
 def test_gain_at_500m_unit_fading():
-    g = normalized_gain(500.0, 1.0, REFERENCE_RADIO)
+    g = normalized_gain(500.0, 1.0, RadioParams())
     assert g == pytest.approx(1.4709e-4, rel=1e-3)
     # full-power SNR at the cell edge
-    assert REFERENCE_RADIO.tx_power_mw * g == pytest.approx(2.935, rel=1e-3)
+    assert RadioParams().tx_power_mw * g == pytest.approx(2.935, rel=1e-3)
 
 
 def test_gain_at_300m_unit_fading():
-    assert normalized_gain(300.0, 1.0, REFERENCE_RADIO) == pytest.approx(1.1350e-3, rel=1e-3)
+    assert normalized_gain(300.0, 1.0, RadioParams()) == pytest.approx(1.1350e-3, rel=1e-3)
 
 
 def test_zero_fading_gain_is_exactly_zero():
-    assert normalized_gain(123.4, 0.0, REFERENCE_RADIO) == 0.0
+    assert normalized_gain(123.4, 0.0, RadioParams()) == 0.0
 
 
 def test_pathloss_ratio_between_200m_and_400m():
-    near = normalized_gain(200.0, 1.0, REFERENCE_RADIO)
-    far = normalized_gain(400.0, 1.0, REFERENCE_RADIO)
+    near = normalized_gain(200.0, 1.0, RadioParams())
+    far = normalized_gain(400.0, 1.0, RadioParams())
     assert near / far == pytest.approx(16.0, rel=1e-12)
 
 
@@ -49,8 +50,8 @@ def test_gain_scales_linearly_with_fading_power():
         d = rng.uniform(10.0, 2000.0)
         f = rng.expovariate(1.0)
         c = rng.uniform(0.0, 5.0)
-        lhs = normalized_gain(d, c * f, REFERENCE_RADIO)
-        rhs = c * normalized_gain(d, f, REFERENCE_RADIO)
+        lhs = normalized_gain(d, c * f, RadioParams())
+        rhs = c * normalized_gain(d, f, RadioParams())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
@@ -58,17 +59,17 @@ def test_gain_strictly_decreasing_in_distance():
     rng = random.Random(12)
     for _ in range(50):
         d = sorted(rng.uniform(1.0, 3000.0) for _ in range(5))
-        gains = [normalized_gain(x, 1.0, REFERENCE_RADIO) for x in d]
+        gains = [normalized_gain(x, 1.0, RadioParams()) for x in d]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
 def test_invalid_inputs_rejected():
     with pytest.raises(DomainError):
-        normalized_gain(0.0, 1.0, REFERENCE_RADIO)
+        normalized_gain(0.0, 1.0, RadioParams())
     with pytest.raises(DomainError):
-        normalized_gain(-5.0, 1.0, REFERENCE_RADIO)
+        normalized_gain(-5.0, 1.0, RadioParams())
     with pytest.raises(DomainError):
-        normalized_gain(100.0, -0.1, REFERENCE_RADIO)
+        normalized_gain(100.0, -0.1, RadioParams())
     with pytest.raises(DomainError):
         RadioParams(tx_power_mw=0.0, noise_density_mw_hz=1.0, bandwidth_hz=1.0)
     with pytest.raises(DomainError):
@@ -84,7 +85,7 @@ def test_dbm_conversion_round_trip():
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
-    point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
+    point = SweepPoint(1, 100.0, RadioParams(), None)
     table_a = point.draw(7, 0, [1])
     table_b = point.draw(7, 0, [1])
     assert table_a.tolist() == table_b.tolist()
@@ -97,9 +98,9 @@ def test_realization_covers_every_link_and_is_seed_deterministic():
 def fading_of_link(seed: int, trials: int) -> np.ndarray:
     """Back out the fading factor from the gains of one fixed link (cell 1,
     user 12) over trials 0..trials-1 of one sweep point."""
-    point = SweepPoint(1, 100.0, REFERENCE_RADIO, None)
+    point = SweepPoint(1, 100.0, RadioParams(), None)
     col = point.layout.user_ids.index(12)
-    scale = point.terms[0, col] / REFERENCE_RADIO.noise_power_mw
+    scale = point.terms[0, col] / RadioParams().noise_power_mw
     gains = point.draw(seed, 0, range(trials))
     return gains[:, 0, col] / scale
 
@@ -129,7 +130,7 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
     # order, then one -log(1 - U) fading draw per (cell, user) link, cells
     # outer; 512 trials per block, so a transcendental that is off on a small
     # share of inputs shows
-    radio = replace(REFERENCE_RADIO, pathloss_exponent=3.7)
+    radio = RadioParams(pathloss_exponent=3.7)
     placement = PlacementSpec(edge_region_law=law, inter_site_m=1100.0)
     sweep = (80.0, 260.0, 400.0)
     block = 512

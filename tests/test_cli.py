@@ -2,20 +2,22 @@
 
 import json
 import math
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from compnoma import (
     PRESETS,
-    REFERENCE_RADIO,
     ConfigError,
     DomainError,
     ExperimentConfig,
     ParseError,
     PlacementSpec,
+    RadioParams,
     SweepResult,
     SweepRow,
     ValidationError,
@@ -148,12 +150,12 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
     # code are held to finite values by their own range checks
     for key in ("tx_power_mw", "noise_density_mw_hz", "bandwidth_hz", "pathloss_exponent", "sic_tolerance"):
         with pytest.raises(DomainError, match=key):
-            replace(REFERENCE_RADIO, **{key: bad})
+            RadioParams(**{key: bad})
     for key in ("inter_site_m", "coverage_m"):
         with pytest.raises(DomainError):
             PlacementSpec(**{key: bad})
     with pytest.raises(DomainError):
-        SweepPoint(2, bad, REFERENCE_RADIO, None)
+        SweepPoint(2, bad, RadioParams(), None)
     for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
         with pytest.raises(DomainError):
             sweep_values(*grid)
@@ -366,3 +368,35 @@ def test_main_streams_to_stdout(capsys):
     # an empty --out also means stdout
     assert main(["--scenario", "1", "--trials", "1", "--quiet", "--out", ""]) == 0
     assert capsys.readouterr().out == captured.out
+
+
+def test_series_that_always_fall_back_are_reported_on_stderr(tmp_path):
+    # one WARNING line per (sweep point, series) whose infeasible_frac is 1,
+    # shown under --quiet too; a preset run has none, so --quiet leaves
+    # stderr empty
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run_cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "compnoma.cli", *argv, "--quiet"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return done.stdout, done.stderr
+
+    harsh = tmp_path / "harsh.json"
+    harsh.write_text(json.dumps({"scenario_id": 2, "trials": 5, "radio": {"sic_tolerance": 100.0}}))
+    out, err = run_cli("--config", str(harsh))
+    always_infeasible = {
+        (sweep, scheme) for sweep, scheme, *_, infeas, _ in (line.split(",") for line in out.splitlines()[1:])
+        if infeas == "1"
+    }
+    assert len(always_infeasible) == 8 * 2  # JT-NOMA and CS-NOMA at every point
+    reported = re.findall(
+        r"^WARNING compnoma: sweep_m=(\S+) (\S+): infeasible in all 5 trials; its row is the fallback's rates",
+        err, re.M,
+    )
+    assert len(reported) == len(err.splitlines())
+    assert sorted(reported) == sorted(always_infeasible)
+    _, err = run_cli("fig4", "--trials", "20", "--seed", "3")
+    assert err == ""

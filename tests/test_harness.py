@@ -20,7 +20,7 @@ from compnoma import (
 from compnoma.allocation import FEASIBLE
 from compnoma.cli import format_csv
 from compnoma.config import ALLOWED_SCHEMES
-from compnoma import harness, scenarios
+from compnoma import allocation, harness, scenarios
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
 
 from reference import trial_seed
@@ -35,7 +35,6 @@ def small_config(**overrides) -> ExperimentConfig:
         sweep_step=100.0,
         trials=40,
         seed=2026,
-        radio=PRESETS["fig4"]().radio,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -191,6 +190,7 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
             "scenario_id": 1,
             "trials": 10,
             "sweep": {"start": 100.0, "stop": 100.0, "step": 50.0},
+            "radio": {"sic_tolerance": 100.0},
         }
     )
     assert config.radio.sic_tolerance == 100.0
@@ -199,6 +199,18 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
     assert jt.infeasible_frac == 1.0
     # fallback rates are the orthogonal baseline, so means still exist
     assert jt.mean_se_bps_hz > 0.0
+
+
+@pytest.mark.parametrize("scenario", (1, 2, 3))
+def test_default_config_is_not_degenerate(scenario):
+    # a run without a preset uses the reference radio, so its superposed
+    # series are the scheme's own rates: none falls back to the baseline in
+    # every trial of a point, and JT-NOMA beats JT-OMA at every point
+    result = run_sweep(config_from_dict({"scenario_id": scenario, "trials": 300, "seed": 3}))
+    for row in result.rows:
+        assert "NOMA" not in row.scheme or row.infeasible_frac < 1.0, row
+    for jt, oma in zip(result.series("JT-NOMA"), result.series("JT-OMA"), strict=True):
+        assert jt.mean_se_bps_hz > oma.mean_se_bps_hz, (jt, oma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,7 +274,6 @@ def test_block_placement_does_not_change_results(monkeypatch):
             "jt_split": "equal_received",
             "trials": 150,
             "seed": 77,
-            "radio": {"sic_tolerance": 0.0},
         }
     )
     total = 150 * 8
@@ -321,6 +332,55 @@ def test_power_and_noise_scaled_together_change_no_bit(scenario):
                     assert got[0].tobytes() == se.tobytes(), (mode, split, tolerance, k)
                     assert got[1].tobytes() == feasible.tobytes(), (mode, split, tolerance, k)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("split", ("equal_transmit", "equal_received"))
+def test_scenario_3_jt_noma_does_not_depend_on_interference_mode(split):
+    # cell 2 has no single-cell user in scenario 3: once the shared signals
+    # are cancelled none of its power is left to interfere, so JT-NOMA's rows
+    # are the same under both interference modes; DPS-NOMA's cells serve
+    # separate clusters, which do interfere
+    results = [
+        run_sweep(
+            config_from_dict(
+                {
+                    "scenario_id": 3,
+                    "schemes": ["JT-NOMA", "DPS-NOMA", "JT-OMA"],
+                    "decode_case": "both",
+                    "interference_mode": mode,
+                    "jt_split": split,
+                    "trials": 500,
+                    "seed": 5,
+                }
+            )
+        )
+        for mode in ("negligible", "full")
+    ]
+    negligible, full = (r.series for r in results)
+    for label in ("JT-NOMA-case1", "JT-NOMA-case2"):
+        assert full(label) == negligible(label), label
+    assert full("DPS-NOMA") != negligible("DPS-NOMA")
+
+
+def test_audit_slack_decides_presence_not_size(monkeypatch):
+    # minimum-power sizing puts every non-head's rate at its guarantee and
+    # rounding puts about half of them just below it, so the audit needs a
+    # slack; it must decide whether such a verdict passes, not by how much,
+    # so every verdict is the same at a slack of 1e-12 and of 1e-6.  At 0,
+    # rounding alone fails trials, which shows the patch reaches the audit
+    for preset in ("fig4", "fig5", "fig6"):
+        config = replace(PRESETS[preset](), trials=500, seed=77)
+        labels = [label for label, _, _ in scheme_rows(config)]
+        verdicts = {}
+        for slack in (1e-12, 1e-6, 0.0):
+            monkeypatch.setattr(allocation, "REL_SLACK", slack)
+            verdicts[slack] = run_chunk(config, 0, 8 * config.trials)[1]
+        flips = [
+            f"{preset} sweep_index={k // config.trials} trial={k % config.trials} series={labels[s]}"
+            for k, s in np.argwhere(verdicts[1e-12] != verdicts[1e-6])
+        ]
+        assert not flips, flips[:10]
+        assert (verdicts[0.0] != verdicts[1e-12]).any(), preset
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from compnoma.scenarios import (
     CASE_EDGE_ORDER_CELL1,
     CASE_EDGE_ORDER_CELL2,
     DISC,
-    REFERENCE_RADIO,
     RING,
     SweepPoint,
     _edge_order,
@@ -81,7 +79,7 @@ def run(point, g, scheme, interference_mode="negligible", cases=(CASE_EDGE_ORDER
 
 
 def test_scenario_1_shape():
-    point = SweepPoint(1, 350.0, REFERENCE_RADIO, None)
+    point = SweepPoint(1, 350.0, RadioParams(), None)
     lay = point.layout
     assert lay.user_ids == (1, 11, 12, 21, 22)
     assert [lay.user_ids[c] for c in lay.comp] == [1]
@@ -101,13 +99,13 @@ def test_scenario_1_shape():
 
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
-    s2 = SweepPoint(2, 120.0, REFERENCE_RADIO, None)
+    s2 = SweepPoint(2, 120.0, RadioParams(), None)
     assert s2.layout.user_ids == (1, 2, 11, 21)
     assert s2.layout.comp == (0, 1)
     assert s2.layout.tails == ((2,), (3,))
     assert s2.terms[:, 2].tolist() == [250.0 ** -4.0, 1250.0 ** -4.0]
     assert s2.terms[:, 3].tolist() == [1250.0 ** -4.0, 250.0 ** -4.0]
-    s3 = SweepPoint(3, 120.0, REFERENCE_RADIO, None)
+    s3 = SweepPoint(3, 120.0, RadioParams(), None)
     assert s3.layout.user_ids == (1, 2, 11)
     assert s3.layout.tails == ((2,), ())
     for point in (s2, s3):
@@ -119,12 +117,12 @@ def test_scenario_2_and_3_shapes():
 def test_edge_region_laws():
     rng = random.Random(7)
     for sweep in (50.0, 175.0, 400.0):
-        point = SweepPoint(2, sweep, REFERENCE_RADIO, None)
+        point = SweepPoint(2, sweep, RadioParams(), None)
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= sweep + 1e-9
     ring = PlacementSpec(edge_region_law=RING)
     for sweep in (50.0, 300.0):
-        point = SweepPoint(2, sweep, REFERENCE_RADIO, ring)
+        point = SweepPoint(2, sweep, RadioParams(), ring)
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) == pytest.approx(sweep, rel=1e-12)
             for cx, cy in point.sites:
@@ -164,18 +162,18 @@ def test_edge_placement_follows_the_closed_form_laws():
 
 def test_builder_validation():
     with pytest.raises(ConfigError):
-        SweepPoint(4, 100.0, REFERENCE_RADIO, None)
+        SweepPoint(4, 100.0, RadioParams(), None)
     with pytest.raises(DomainError):
-        SweepPoint(1, 0.0, REFERENCE_RADIO, None)
+        SweepPoint(1, 0.0, RadioParams(), None)
     with pytest.raises(DomainError):
-        SweepPoint(1, -5.0, REFERENCE_RADIO, None)
+        SweepPoint(1, -5.0, RadioParams(), None)
     # swept single-cell distance is capped by the coverage radius, inclusive
-    SweepPoint(1, 400.0, REFERENCE_RADIO, None)
+    SweepPoint(1, 400.0, RadioParams(), None)
     with pytest.raises(DomainError):
-        SweepPoint(1, 400.0001, REFERENCE_RADIO, None)
+        SweepPoint(1, 400.0001, RadioParams(), None)
     # ... and so is the fixed one
     with pytest.raises(DomainError):
-        SweepPoint(1, 100.0, REFERENCE_RADIO, PlacementSpec(coverage_m=290.0))
+        SweepPoint(1, 100.0, RadioParams(), PlacementSpec(coverage_m=290.0))
     with pytest.raises(DomainError):
         PlacementSpec(inter_site_m=700.0, coverage_m=400.0)
     with pytest.raises(DomainError):
@@ -217,7 +215,7 @@ def test_edge_decode_order_reference_cell():
     table = {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9}  # other links 1.0
 
     def order(scenario, decode_case):
-        lay = SweepPoint(scenario, 120.0, REFERENCE_RADIO, None).layout
+        lay = SweepPoint(scenario, 120.0, RadioParams(), None).layout
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
         return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, (decode_case,)))
 
@@ -228,14 +226,14 @@ def test_edge_decode_order_reference_cell():
 
 def test_run_trial_dispatch_errors():
     # the config rejects every other unusable input (test_cli.test_schema_rejections)
-    s1 = SweepPoint(1, 350.0, REFERENCE_RADIO, None)
+    s1 = SweepPoint(1, 350.0, RadioParams(), None)
     with pytest.raises(ConfigError):
         run(s1, s1.draw(14, 0, [0]), "TDMA")
 
 
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
-    harsh = replace(REFERENCE_RADIO, sic_tolerance=1e12)
+    harsh = RadioParams(sic_tolerance=1e12)
     point = SweepPoint(1, 350.0, harsh, None)
     out, base, feasible, reason = run(point, point.draw(16, 0, [0]), "JT-NOMA")
     assert not feasible[0]
@@ -245,13 +243,9 @@ def test_infeasible_trial_falls_back_to_baseline():
 
 
 def test_feasible_trials_meet_guarantees():
-    # the reference decodability margin is unreachable at sweep geometry
-    # (edge-user gains around 1e-4 /mW against a 2e4 mW budget), so the
-    # figure presets zero it; do the same here
-    relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
     both = (CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1)
     for scenario, schemes in ALLOWED_SCHEMES.items():
-        point = SweepPoint(scenario, 200.0, relaxed, None)
+        point = SweepPoint(scenario, 200.0, RadioParams(), None)
         lay, g = point.layout, point.draw(17, 0, range(60))
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
             cases = both if scenario == 3 and scheme == "JT-NOMA" else both[:1]
@@ -279,8 +273,7 @@ def test_spectral_efficiency_is_sum_over_band():
 
 
 def test_interference_mode_full_never_exceeds_negligible():
-    relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-    point = SweepPoint(2, 200.0, relaxed, None)
+    point = SweepPoint(2, 200.0, RadioParams(), None)
     g = point.draw(19, 0, range(40))
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
@@ -346,8 +339,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 @pytest.mark.parametrize("mode", ["negligible", "full"])
 @pytest.mark.parametrize("scenario, scheme", [(2, "CS-NOMA"), (2, "DPS-NOMA"), (3, "DPS-NOMA")])
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
-    relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-    point = SweepPoint(scenario, 200.0, relaxed, None)
+    point = SweepPoint(scenario, 200.0, RadioParams(), None)
     g = point.draw(41, 0, range(200))
     out, base, feasible, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
@@ -459,8 +451,7 @@ def test_evaluate_rows_are_independent(scenario, scheme):
     # modes and splits and with stacked decode cases: what stacks trials
     # (DPS-NOMA's -1 idle column, CS-NOMA's two bands, the decode cases)
     # must not let one trial's row reach another's
-    relaxed = replace(REFERENCE_RADIO, sic_tolerance=0.0)
-    point = SweepPoint(scenario, 200.0, relaxed, None)
+    point = SweepPoint(scenario, 200.0, RadioParams(), None)
     n = 96
     g = point.draw(23, 0, range(n))
     perm = np.random.default_rng(5).permutation(n)
