@@ -126,7 +126,7 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
     n = len(g[0])
     reason = np.zeros(n, np.int8)
     pos = np.zeros(n, np.int8)
-    rem = budget if isinstance(budget, np.ndarray) else np.full(n, float(budget))
+    rem = np.full(n, budget, float)
     # over the decoders of each position: every member at or after it
     g_min = _suffix(np.minimum, g)
     worst = _suffix(np.maximum, [(xd + 1.0) / gd for xd, gd in zip(x, g)])
@@ -149,22 +149,23 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
 
 
 @np.errstate(all="ignore")
-def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, full: bool, idle=None):
+def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: str, idle=None):
     """One forward pass over a coordination set of n instances, then an audit.
 
     Per cell ci: raw[ci][k] is the cell's gain to the shared member at
     position k (the shared prefix is common to all cells), tails[ci] the gains
     of its single-cell members, r[ci] every position's guarantee (the head's
     is not read), and cross[ci][j][oc] the gain from cell oc to tail member
-    j (read only when ``full``); budgets[ci] is a number or one per
-    instance.  With an empty prefix (raw = [[]] * m) the cells are
-    independent NOMA clusters coupled only by cross-cell interference, and
-    idle[ci] may count per instance the leading members cell ci leaves
-    unused (see ``solve_single_cell``); they get rate 0 and no audit.  A cell
-    an instance leaves with no members must get a zero budget, or its budget
-    counts as interference.  The audit re-checks guarantees and decodability
-    gaps with a relative slack of REL_SLACK.  Returns (powers per cell and
-    position, reason, position, cell, rates per cell and position).
+    j (cross is None when cross-cell interference is negligible);
+    budgets[ci] is a number or one per instance.  With an empty prefix
+    (raw = [[]] * m) the cells are independent NOMA clusters coupled only by
+    cross-cell interference, and idle[ci] may count per instance the leading
+    members cell ci leaves unused (see ``solve_single_cell``); they get rate
+    0 and no audit.  A cell an instance leaves with no members must get a
+    zero budget, or its budget counts as interference.  The audit re-checks
+    guarantees and decodability gaps with a relative slack of REL_SLACK.
+    Returns (powers per cell and position, reason, position, cell, rates per
+    cell and position).
     """
     m, q = len(raw), len(raw[0])
     n = len((raw[0] or tails[0])[0])
@@ -221,7 +222,7 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
         if sizes[ci] == q:
             continue
         tail_x = [
-            seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci) if full else 0.0
+            0.0 if cross is None else seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci)
             for j in range(sizes[ci] - q)
         ]
         powers, tail_reason, tail_pos = solve_single_cell(
@@ -244,7 +245,9 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
             out[ci][k] = joint
     for ci in range(m):
         for j, g in enumerate(tails[ci]):
-            others = [p * cross[ci][j][oc] for oc in range(m) if oc != ci for p in pw[oc][q:]] if full else []
+            others = [] if cross is None else [
+                p * cross[ci][j][oc] for oc in range(m) if oc != ci for p in pw[oc][q:]
+            ]
             noise = seq_sum([1.0 + g * later[ci][q + j], *others])
             out[ci][q + j] = rates(width, pw[ci][q + j] * g, noise)
     for ci in range(m):

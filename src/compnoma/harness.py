@@ -25,7 +25,7 @@ from .schemes import JT_NOMA
 log = logging.getLogger("compnoma")
 
 _Z95 = 1.96  # two-sided 95% normal quantile
-_BLOCK = 1024  # trials per kernel call, so memory does not grow with trials (fig6: 1.4 MiB traced)
+_BLOCK = 1024  # most trials per range, i.e. per kernel block; bounds memory (fig6: 1.4 MiB traced)
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -61,59 +61,53 @@ def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
 
 
 def run_chunk(config, start: int, stop: int):
-    """Evaluate flat trials [start, stop) of the sweep under every series.
+    """Evaluate flat trials [start, stop) of the sweep as one kernel block,
+    under every series.
 
     Flat trial k is trial k % config.trials of sweep point k // config.trials.
-    Every point shares one Layout, so a block of up to _BLOCK trials may cross
-    points: each point draws its trials' gain rows in one ``SweepPoint.draw``
-    call, the rows are stacked, and every series is evaluated on the block's
-    (trials, cells, users) gain array at once, one ``evaluate`` call per
-    scheme with all its decode cases.  Module-level so process pools can
-    pickle it.  Returns (spectral efficiency, feasible), each of shape
-    (trials, series).
+    The caller sizes the block (run_sweep cuts at most _BLOCK trials), and
+    it may cross points, which all share one Layout: each point draws its
+    trials' gain rows in one ``SweepPoint.draw`` call, the rows are stacked,
+    and every series is evaluated on the block's (trials, cells, users) gain
+    array at once, one ``evaluate`` call per scheme with all its decode
+    cases.  Module-level so process pools can pickle it.  Returns (spectral
+    efficiency, feasible), each of shape (trials, series).
     """
     rows = scheme_rows(config)
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
-    points = {
-        s_i: SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
-        for s_i in range(start // n, (stop - 1) // n + 1)
-    }
-    layout = points[start // n].layout
+    parts = []
+    for s_i in range(start // n, (stop - 1) // n + 1):
+        point = SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
+        parts.append(point.draw(seed, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
+    layout = point.layout
     shape = (stop - start, len(rows))
     se, feasible = np.empty(shape), np.empty(shape, bool)
-    for b0 in range(start, stop, _BLOCK):
-        b1 = min(b0 + _BLOCK, stop)
-        parts = [
-            points[s_i].draw(seed, s_i, range(max(b0 - s_i * n, 0), min(b1 - s_i * n, n)))
-            for s_i in range(b0 // n, (b1 - 1) // n + 1)
-        ]
-        label = "orthogonal baseline"
-        block = slice(b0 - start, b1 - start)
-        try:
-            gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            base = orthogonal_rates(layout, gains)
-            base_sums = np.array(list(map(math.fsum, base.tolist())))
-            for scheme, cols in series.items():
-                label = ", ".join(rows[r_i][0] for r_i in cols)
-                out, reason = evaluate(
-                    layout, gains, base, scheme, config.interference_mode, config.jt_split,
-                    [rows[r_i][2] for r_i in cols],
-                )
-                ok = reason == FEASIBLE
-                # infeasible trials' rows, and JT-OMA's, are the baseline's bits
-                sums = np.tile(base_sums, len(cols))
-                if out is not base:
-                    sums[ok] = list(map(math.fsum, out[ok].tolist()))
-                for a, v in ((se, sums), (feasible, ok)):
-                    a[block, cols] = np.reshape(v, (len(cols), -1)).T
-        except Exception as e:
-            (p0, t0), (p1, t1) = divmod(b0, n), divmod(b1 - 1, n)
-            raise SweepError(
-                f"seed={seed} from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
-                f" series={label}: {type(e).__name__}: {e}"
-            ) from e
+    label = "orthogonal baseline"
+    try:
+        gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        base = orthogonal_rates(layout, gains)
+        base_sums = np.array(list(map(math.fsum, base.tolist())))
+        for scheme, cols in series.items():
+            label = ", ".join(rows[r_i][0] for r_i in cols)
+            out, reason = evaluate(
+                layout, gains, base, scheme, config.interference_mode, config.jt_split,
+                [rows[r_i][2] for r_i in cols],
+            )
+            ok = reason == FEASIBLE
+            # infeasible trials' rows, and JT-OMA's, are the baseline's bits
+            sums = np.tile(base_sums, len(cols))
+            if out is not base:
+                sums[ok] = list(map(math.fsum, out[ok].tolist()))
+            for a, v in ((se, sums), (feasible, ok)):
+                a[:, cols] = np.reshape(v, (len(cols), -1)).T
+    except Exception as e:
+        (p0, t0), (p1, t1) = divmod(start, n), divmod(stop - 1, n)
+        raise SweepError(
+            f"seed={seed} from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
+            f" series={label}: {type(e).__name__}: {e}"
+        ) from e
     return se / config.radio.bandwidth_hz, feasible
 
 
@@ -174,15 +168,15 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     """Run the configured sweep; identical output for any worker count.
 
     The sweep's trials are numbered point by point (see run_chunk) and cut
-    into contiguous ranges that may cross points: one kernel block each on a
-    serial run, which runs them in order in this process, and about four per
-    requested worker on one sweep-wide pool of at most one worker per range,
-    but never fewer trials than a block or a worker's share, whichever is
-    less.  Each point is reduced in trial order once all its trials are back.
+    into contiguous ranges that may cross points, each one kernel block of
+    at most _BLOCK trials and at most a worker's share.  A serial run
+    evaluates them in order in this process; more workers share one
+    sweep-wide pool of at most one worker per range, a task per range.  Each
+    point is reduced in trial order once all its trials are back.
     """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     total = config.trials * len(values)
-    span = _BLOCK if workers <= 1 else max(-(-total // (workers * 4)), min(_BLOCK, -(-total // workers)))
+    span = min(_BLOCK, -(-total // max(workers, 1)))
     ranges = [(lo, min(lo + span, total)) for lo in range(0, total, span)]
     if workers <= 1:
         return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))

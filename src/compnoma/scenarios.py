@@ -277,7 +277,7 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, id
         [[g[rows, ci, c] for c in order[q:]] for ci, order in enumerate(orders)],
         [[base[rows, c] for c in order[:-1]] + [0.0] for order in orders],
         [[[g[rows, oc, c] for oc in (0, 1)] for c in order[q:]] for order in orders] if full else None,
-        budgets, p_tol, width, split, full, idle,
+        budgets, p_tol, width, split, idle,
     )
     out = np.zeros(base.shape)
     for ci, order in enumerate(orders):

@@ -220,7 +220,6 @@ def test_criterion_8_numerical_hygiene(fig4_run, fig5_run, fig6_run):
                 p_tol,
                 1.0,
                 EQUAL_TRANSMIT,
-                False,
             )
             direct = [solve_one(*c) for c in cells]
             assert (reason[0] == FEASIBLE) == all(d[1] == FEASIBLE for d in direct)

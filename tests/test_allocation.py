@@ -137,7 +137,6 @@ def solve_pair(edge_gains, tail_gains, guarantees, budget=1.0, split=EQUAL_TRANS
         0.0,
         1.0,
         split,
-        False,
     )
     powers = [[float(p[0]) for p in cell_pw] for cell_pw in pw]
     return orders, powers, int(reason[0]), int(pos[0]), int(cell[0])
@@ -167,7 +166,6 @@ def test_jt_single_problem_delegates_exactly():
         0.0,
         1.0,
         EQUAL_TRANSMIT,
-        False,
     )
     assert len(pw) == 1
     assert [float(p[0]) for p in pw[0]] == direct[0]
@@ -326,7 +324,7 @@ def test_unused_positions_leave_jt_members_bit_identical(data):
             [list(g[ci][rows, lead[ci]:].T) for ci in (0, 1)],
             [list(r[ci][rows, lead[ci]:-1].T) + [0.0] for ci in (0, 1)],
             by_position if full else None,
-            budget, p_tol, 1.0, EQUAL_TRANSMIT, full, idle,
+            budget, p_tol, 1.0, EQUAL_TRANSMIT, idle,
         )
 
     pw, reason, pos, cell, rates = solve(slice(None), [0, 0], budgets, idle)
@@ -367,7 +365,7 @@ def test_jt_shared_prefix_batch_equals_each_instance_alone(data):
             [list(tails[ci][rows].T) for ci in (0, 1)],
             [list(r[ci][rows].T) for ci in (0, 1)],
             [list(map(list, cross[ci][rows].transpose(1, 2, 0))) for ci in (0, 1)] if full else None,
-            [b[rows] for b in budgets], p_tol, 1.0, split, full,
+            [b[rows] for b in budgets], p_tol, 1.0, split,
         )
 
     pw, reason, pos, cell, rates = solve(slice(None))

@@ -153,6 +153,65 @@ def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
     assert format_csv(parallel) == format_csv(run_sweep(config, workers=1))
 
 
+def handed_out_ranges(monkeypatch, config, workers):
+    """The (start, stop) ranges run_sweep hands out: run_chunk's arguments
+    on a serial run, the pool's submit arguments otherwise."""
+    import concurrent.futures
+
+    ranges = []
+    if workers == 1:
+        real = harness.run_chunk
+
+        def spy(config, start, stop):
+            ranges.append((start, stop))
+            return real(config, start, stop)
+
+        monkeypatch.setattr(harness, "run_chunk", spy)
+    else:
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                ranges.append(args[1:])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    run_sweep(config, workers=workers)
+    return ranges
+
+
+@pytest.mark.parametrize(
+    "make, workers, block, expected",
+    [
+        (lambda: small_config(trials=40), 1, None, [(0, 120)]),
+        (lambda: small_config(trials=400), 1, None, [(0, 1024), (1024, 1200)]),
+        (lambda: small_config(trials=40), 1, 64, [(0, 64), (64, 120)]),
+        # the benchmark's pool sweep: fig6-full, 75 trials per point, 2 workers
+        (lambda: replace(PRESETS["fig6"](), trials=75, **FIG6_FULL), 2, None, [(0, 300), (300, 600)]),
+        (lambda: small_config(trials=50), 4, None, [(0, 38), (38, 76), (76, 114), (114, 150)]),
+        (lambda: small_config(trials=200), 2, 64, [(lo, min(lo + 64, 600)) for lo in range(0, 600, 64)]),
+    ],
+    ids=(
+        "serial-one-range", "serial-block-binds", "serial-small-block",
+        "pool-fig6-full", "pool-share-binds", "pool-block-binds",
+    ),
+)
+def test_sweep_is_cut_into_blocks_of_at_most_a_workers_share(monkeypatch, make, workers, block, expected):
+    # serial or pooled, each range handed out is one kernel block of at most
+    # _BLOCK trials and at most a worker's share, and the ranges tile the
+    # flat trial sequence in order with no more ranges than that needs
+    config = make()
+    if block is not None:
+        monkeypatch.setattr(harness, "_BLOCK", block)
+    ranges = handed_out_ranges(monkeypatch, config, workers)
+    total = config.trials * len(sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step))
+    share = -(-total // workers)
+    assert ranges[0][0] == 0 and ranges[-1][1] == total
+    assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+    assert all(0 < hi - lo <= min(harness._BLOCK, share) for lo, hi in ranges)
+    assert len(ranges) == -(-total // min(harness._BLOCK, share))
+    assert ranges == expected
+
+
 def test_mean_is_exact_sum_over_trials():
     config = small_config(trials=32, sweep_stop=100.0)
     result = run_sweep(config)
@@ -278,18 +337,15 @@ def test_block_placement_does_not_change_results(monkeypatch):
     )
     total = 150 * 8
 
-    def outputs():
-        # every row, unrounded, and every per-trial array
-        return run_sweep(config).rows, run_chunk(config, 0, total)
-
-    rows, arrays = outputs()
+    # every row, unrounded, and every per-trial array
+    rows, arrays = run_sweep(config).rows, run_chunk(config, 0, total)
     assert harness._BLOCK == 1024
     assert any(row.infeasible_frac > 0.0 for row in rows)
     for block in (7, 512, 4096):
         monkeypatch.setattr(harness, "_BLOCK", block)
-        got_rows, got_arrays = outputs()
-        assert got_rows == rows, block
-        for got, want in zip(got_arrays, arrays):
+        assert run_sweep(config).rows == rows, block
+        cuts = [run_chunk(config, lo, min(lo + block, total)) for lo in range(0, total, block)]
+        for got, want in zip(map(np.concatenate, zip(*cuts)), arrays):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
 
 

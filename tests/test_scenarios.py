@@ -438,7 +438,7 @@ def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
     monkeypatch.setattr(harness, "_BLOCK", 64)
     overrides = {"schemes": [scheme, "JT-OMA"], "interference_mode": "full"}
     config = golden_config(preset, overrides, trials=20)
-    run_chunk(config, 0, 160)
+    harness.run_sweep(config)  # 160 trials: blocks of 64, 64 and 32
     stacked = 2 if scheme == "CS-NOMA" or preset == "fig6" and scheme == "JT-NOMA" else 1
     assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
 
