@@ -154,11 +154,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on the package logger, on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     log.info("resolved config: %s", json.dumps(config_to_dict(config), sort_keys=True))
 
     try:

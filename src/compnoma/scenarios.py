@@ -26,13 +26,13 @@ import _random
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import cos, hypot, log, sin, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import EQUAL_TRANSMIT, FEASIBLE, solve_jt
+from .allocation import EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
 from .errors import ConfigError, DomainError, SweepError
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
@@ -203,19 +203,22 @@ class SweepPoint:
             raise SweepError(f"seed={seed} sweep_index={sweep_index} trial={t}: {type(e).__name__}: {e}") from e
 
 
-def _by_gain(g: np.ndarray, cols: Sequence[int]) -> list:
-    """cols in ascending gain per trial (g is (trials, users)); the sort is
-    stable, so ties keep the given order, as sorted() does."""
+def _by_gain(key: np.ndarray, cols: Sequence[int]) -> list:
+    """cols in ascending key per trial: key is (trials, len(cols)), the
+    gains of cols' users as seen by one cell (or any stand-in for them).
+    The sort is stable, so ties keep the given order, as sorted() does."""
     if len(cols) < 2:
         return list(cols)
-    return list(np.asarray(cols)[np.argsort(g[:, cols], axis=1, kind="stable")].T)
+    return list(np.asarray(cols)[np.argsort(key, axis=1, kind="stable")].T)
 
 
 def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     """Orthogonal baseline of every user, (trials, users): each cell splits
     its band evenly over its served set; jointly served users get the aligned
     share from both cells plus any leftover share from the cell serving fewer
-    users.
+    users.  JT-OMA's plan is the layout's own served sets; CS-OMA's 50/50
+    plan has no jointly served user, and cell b serves edge user b and its
+    own single-cell user (see ``evaluate``).  Every user must be served.
 
     With power proportional to band share, in-band SNR equals full-band power
     times the full-band gain (p/B_share times gain*B_share/w cancels), so the
@@ -226,25 +229,15 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     out = np.empty((len(g), len(lay.user_ids)))
     cells = [ci for ci in (0, 1) for _ in lay.tails[ci]]
     cols = [c for ci in (0, 1) for c in lay.tails[ci]]
-    out[:, cols] = np.array([width[ci] for ci in cells]) * np.log2(1.0 + p * g[:, cells, cols])
+    out[:, cols] = rates(np.array([width[ci] for ci in cells]), p * g[:, cells, cols], 1.0)
     aligned = min(width)
     edge = list(lay.comp)
-    rate = aligned * np.log2(1.0 + (p * g[:, 0, edge] + p * g[:, 1, edge]))
+    rate = rates(aligned, p * g[:, 0, edge] + p * g[:, 1, edge], 1.0)
     for ci in (0, 1):
         extra = width[ci] - aligned
         if extra > 0.0:
-            rate = rate + extra * np.log2(1.0 + p * g[:, ci, edge])
+            rate = rate + rates(extra, p * g[:, ci, edge], 1.0)
     out[:, edge] = rate
-    return out
-
-
-def _cs_oma(lay: Layout, g: np.ndarray) -> np.ndarray:
-    """Fully orthogonal halves: each cell serves its edge user and its own
-    single-cell user on separate half-bands at proportional power."""
-    pairs = [(ci, c) for ci, edge in enumerate(lay.comp) for c in (edge, lay.tails[ci][0])]
-    cells, cols = [ci for ci, _ in pairs], [c for _, c in pairs]
-    out = np.zeros((len(g), len(lay.user_ids)))
-    out[:, cols] = lay.bandwidth_hz / 2.0 * np.log2(1.0 + lay.power_mw * g[:, cells, cols])
     return out
 
 
@@ -255,7 +248,7 @@ def _edge_order(lay: Layout, g: np.ndarray, cases: Sequence[str]) -> list:
     decode case."""
     n = len(g) // len(cases)
     ref = [1 if lay.scenario_id == 3 and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
-    parts = [g[i * n:(i + 1) * n, r] for i, r in enumerate(ref)]
+    parts = [g[i * n:(i + 1) * n, r, lay.comp] for i, r in enumerate(ref)]
     return _by_gain(np.concatenate(parts) if len(parts) > 1 else parts[0], lay.comp)
 
 
@@ -290,7 +283,7 @@ def _jt_noma(lay, g, base, full, split, cases):
     """Both cells decode the jointly served users first, in the shared edge
     order, then their own users by ascending gain."""
     edge = _edge_order(lay, g, cases)
-    orders = [edge + _by_gain(g[:, ci], lay.tails[ci]) for ci in (0, 1)]
+    orders = [edge + _by_gain(g[:, ci, lay.tails[ci]], lay.tails[ci]) for ci in (0, 1)]
     return _noma_clusters(g, base, edge, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full)
 
 
@@ -306,7 +299,7 @@ def _dps_noma(lay, g, base, full):
         cols = lay.tails[ci] + lay.comp
         key = g[:, ci, cols]  # non-members at -inf lead; the stable sort keeps ties in cols' order
         key[:, len(lay.tails[ci]):][away] = -np.inf
-        orders.append(list(np.asarray(cols)[np.argsort(key, axis=1, kind="stable")].T))
+        orders.append(_by_gain(key, cols))
         idle.append(away.sum(axis=1))
         budgets.append(np.where(idle[ci] < len(cols), lay.power_mw, 0.0))
     return _noma_clusters(
@@ -353,7 +346,10 @@ def evaluate(
         g, base = np.concatenate([g] * len(cases)), np.concatenate([base] * len(cases))
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
-        return base if scheme == JT_OMA else _cs_oma(lay, g), np.zeros(len(g), np.int8)
+        if scheme == CS_OMA:  # the 50/50 plan: cell b serves edge user b and its own single-cell user
+            halves = replace(lay, comp=(), tails=tuple(zip(lay.comp, (t[0] for t in lay.tails))))
+            base = orthogonal_rates(halves, g)
+        return base, np.zeros(len(g), np.int8)
     if scheme == JT_NOMA:
         out, reason = _jt_noma(lay, g, base, full, jt_split, cases)
     elif scheme == DPS_NOMA:

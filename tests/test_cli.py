@@ -1,6 +1,7 @@
 """Config schema, CSV rendering, and command-line entry behavior."""
 
 import json
+import logging
 import math
 import os
 import re
@@ -65,6 +66,20 @@ def test_readme_json_example_is_a_valid_config():
     block = re.search(r"^## JSON configuration\n\n```json\n(.*?)^```", readme, re.M | re.S)
     assert block, "README.md has no JSON configuration block"
     assert config_from_dict(json.loads(block.group(1))) == config_from_dict(emit_defaults(2))
+
+
+def test_readme_library_example_runs(capsys):
+    # README's Python block, run as written: a JT-NOMA row per fig5 sweep
+    # point, one trial's SE and verdict, then the kernel's two powers
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library entry points\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README.md has no Library entry points block"
+    exec(compile(block.group(1), "README.md", "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 + 2, lines
+    powers, reason = lines[-1].rsplit(" ", 1)
+    assert json.loads(powers) == pytest.approx([0.586, 0.414], abs=5e-4)
+    assert reason == "0"
 
 
 def test_dbm_and_linear_power_keys_agree():
@@ -201,6 +216,15 @@ def test_beamforming_is_rejected_with_reason():
     assert "single-antenna" in str(err.value)
     with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 2, "schemes": ["CB-NOMA"]})
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="^config root must be an object$"):
+        config_from_dict([1])
+    path = tmp_path / "list.json"
+    path.write_text("[1]\n")
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parse_config_errors(tmp_path):
@@ -368,6 +392,27 @@ def test_main_streams_to_stdout(capsys):
     # an empty --out also means stdout
     assert main(["--scenario", "1", "--trials", "1", "--quiet", "--out", ""]) == 0
     assert capsys.readouterr().out == captured.out
+
+
+def test_quiet_is_read_on_every_call(caplog, capsys):
+    # logging is already configured here (pytest's handlers sit on the root
+    # logger), as in a host application, so main must set the level itself
+    argv = ["--scenario", "2", "--scheme", "JT-OMA", "--trials", "1"]
+
+    def resolved():
+        return [
+            r for r in caplog.records
+            if r.name == "compnoma" and r.levelno == logging.INFO and r.getMessage().startswith("resolved config")
+        ]
+
+    assert main([*argv, "--quiet"]) == 0
+    assert resolved() == []
+    assert main(argv) == 0
+    assert len(resolved()) == 1
+    caplog.clear()
+    assert main([*argv, "--quiet"]) == 0
+    assert resolved() == []
+    capsys.readouterr()
 
 
 def test_series_that_always_fall_back_are_reported_on_stderr(tmp_path):

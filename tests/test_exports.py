@@ -1,4 +1,5 @@
-"""The package's hand-kept export list, and the references' independence."""
+"""The package's hand-kept export list, the references' independence, and
+the one Shannon formula."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,31 @@ def test_references_import_nothing_from_the_engine():
             sources.add(node.module)
     assert "compnoma.channel" in sources, sorted(sources)
     assert not sources & ENGINE, sorted(sources & ENGINE)
+
+
+def log2_scopes(path: Path) -> list:
+    """Qualified name of the function (or module) around every mention of
+    log2 in path: an attribute such as np.log2, a bare name or an import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "log2"
+                or isinstance(child, ast.Name) and child.id == "log2"
+                or isinstance(child, ast.alias) and child.name == "log2"
+            ):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_allocation_rates_takes_a_log2():
+    # every rate in the package, orthogonal baselines included, goes through
+    # the one formula width * log2(1 + num/den)
+    package = Path(compnoma.__file__).parent
+    scopes = [scope for path in sorted(package.glob("*.py")) for scope in log2_scopes(path)]
+    assert scopes == ["allocation.rates"], scopes

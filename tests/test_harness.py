@@ -349,6 +349,37 @@ def test_block_placement_does_not_change_results(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
 
 
+def scaling_configs(scenario, trials, **grid):
+    """Every series of the scenario (scenario 3 with both decode cases) under
+    both interference modes, both splits and sic_tolerance 0 and 1, seed 5;
+    grid, if given, is the sweep section."""
+    for mode in ("negligible", "full"):
+        for split in ("equal_transmit", "equal_received"):
+            for tolerance in (0.0, 1.0):
+                yield config_from_dict(
+                    {
+                        "scenario_id": scenario,
+                        "schemes": list(ALLOWED_SCHEMES[scenario]),
+                        "decode_case": "both" if scenario == 3 else "case1",
+                        "interference_mode": mode,
+                        "jt_split": split,
+                        "trials": trials,
+                        "seed": 5,
+                        "radio": {"sic_tolerance": tolerance},
+                        **({"sweep": grid} if grid else {}),
+                    }
+                )
+
+
+def scaled(config, k):
+    """config with the transmit power and the noise density both times k."""
+    radio = config.radio
+    return replace(
+        config,
+        radio=replace(radio, tx_power_mw=radio.tx_power_mw * k, noise_density_mw_hz=radio.noise_density_mw_hz * k),
+    )
+
+
 @pytest.mark.parametrize("scenario", (1, 2, 3))
 def test_power_and_noise_scaled_together_change_no_bit(scenario):
     # gains are divided by the noise density and every power is a multiple of
@@ -356,38 +387,47 @@ def test_power_and_noise_scaled_together_change_no_bit(scenario):
     # and gain exactly: every noise-normalized SNR, and so every rate and
     # verdict, is the same double
     verdicts = set()
-    for mode in ("negligible", "full"):
-        for split in ("equal_transmit", "equal_received"):
-            for tolerance in (0.0, 1.0):
-                config = config_from_dict(
-                    {
-                        "scenario_id": scenario,
-                        "schemes": list(ALLOWED_SCHEMES[scenario]),
-                        "decode_case": "both" if scenario == 3 else "case1",
-                        "interference_mode": mode,
-                        "jt_split": split,
-                        "trials": 100,
-                        "seed": 5,
-                        "sweep": {"start": 100.0, "stop": 400.0, "step": 300.0},
-                        "radio": {"sic_tolerance": tolerance},
-                    }
-                )
-                se, feasible = run_chunk(config, 0, 200)
-                verdicts.update(feasible.ravel().tolist())
-                radio = config.radio
-                for k in (4.0, 0.25):
-                    scaled = replace(
-                        config,
-                        radio=replace(
-                            radio,
-                            tx_power_mw=radio.tx_power_mw * k,
-                            noise_density_mw_hz=radio.noise_density_mw_hz * k,
-                        ),
-                    )
-                    got = run_chunk(scaled, 0, 200)
-                    assert got[0].tobytes() == se.tobytes(), (mode, split, tolerance, k)
-                    assert got[1].tobytes() == feasible.tobytes(), (mode, split, tolerance, k)
+    for config in scaling_configs(scenario, 100, start=100.0, stop=400.0, step=300.0):
+        se, feasible = run_chunk(config, 0, 200)
+        verdicts.update(feasible.ravel().tolist())
+        where = (config.interference_mode, config.jt_split, config.radio.sic_tolerance)
+        for k in (4.0, 0.25):
+            got = run_chunk(scaled(config, k), 0, 200)
+            assert got[0].tobytes() == se.tobytes(), (*where, k)
+            assert got[1].tobytes() == feasible.tobytes(), (*where, k)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("scenario", (1, 2, 3))
+def test_power_and_noise_scaled_by_other_factors_keep_every_verdict(scenario):
+    # scaling both by 10 or 1/3 is not exact in binary, so each scaled gain
+    # and power is rounded afresh and SE bits may move, by rounding only:
+    # no verdict may flip (seed, sizes and bound fixed before the first run)
+    trials, rel_bound = 200, 1e-11
+    verdicts, moved = set(), False
+    for config in scaling_configs(scenario, trials):
+        total = len(sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)) * trials
+        labels = [label for label, _, _ in scheme_rows(config)]
+        se, feasible = run_chunk(config, 0, total)
+        verdicts.update(feasible.ravel().tolist())
+        for k in (10.0, 1.0 / 3.0):
+            got_se, got_feasible = run_chunk(scaled(config, k), 0, total)
+            moved |= got_se.tobytes() != se.tobytes()
+            where = (
+                f"scenario {scenario}, {config.interference_mode}, {config.jt_split},"
+                f" sic_tolerance {config.radio.sic_tolerance}, x{k:.4g}"
+            )
+            for what, bad in (
+                ("verdict flips", got_feasible != feasible),
+                ("SE moves past the bound", ~(np.abs(got_se - se) <= rel_bound * np.abs(se))),
+            ):
+                for flat, r_i in np.argwhere(bad)[:1]:
+                    pytest.fail(
+                        f"{where}: {what} at sweep_index={flat // trials} trial={flat % trials}"
+                        f" series={labels[r_i]}: {float(se[flat, r_i])!r} -> {float(got_se[flat, r_i])!r}"
+                    )
+    assert verdicts == {True, False}
+    assert moved
 
 
 @pytest.mark.parametrize("split", ("equal_transmit", "equal_received"))
