@@ -1,8 +1,8 @@
 """Monte-Carlo sweep driver.
 
-Each point draws its share of a kernel block in one ``SweepPoint.draw`` call,
-which seeds every (sweep point, trial) pair from a hash of the master seed and
-those two indices, so a trial's channel realization depends on them alone:
+Each kernel block is drawn in one ``scenarios.draw_block`` call, which seeds
+every (sweep point, trial) pair from a hash of the master seed and those two
+indices, so a trial's channel realization depends on them alone:
 every scheme of a run sees it, whatever the worker count or chunking.
 Per-point statistics are reduced in trial order with exact summation.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .allocation import FEASIBLE
 from .errors import DomainError, SweepError
-from .scenarios import SweepPoint, evaluate, orthogonal_rates
+from .scenarios import SweepPoint, draw_block, evaluate, orthogonal_rates
 from .schemes import JT_NOMA
 
 log = logging.getLogger("compnoma")
@@ -66,27 +66,27 @@ def run_chunk(config, start: int, stop: int):
 
     Flat trial k is trial k % config.trials of sweep point k // config.trials.
     The caller sizes the block (run_sweep cuts at most _BLOCK trials), and
-    it may cross points, which all share one Layout: each point draws its
-    trials' gain rows in one ``SweepPoint.draw`` call, the rows are stacked,
-    and every series is evaluated on the block's (trials, cells, users) gain
-    array at once, one ``evaluate`` call per scheme with all its decode
-    cases.  Module-level so process pools can pickle it.  Returns (spectral
-    efficiency, feasible), each of shape (trials, series).
+    it may cross points, which all share one Layout: one ``draw_block`` call
+    draws the block's (trials, cells, users) gain array, one segment per
+    point, and every series is evaluated on it at once, one ``evaluate``
+    call per scheme with all its decode cases.  Module-level so process
+    pools can pickle it.  Returns (spectral efficiency, feasible), each of
+    shape (trials, series).
     """
     rows = scheme_rows(config)
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
-    parts = []
+    segments = []
     for s_i in range(start // n, (stop - 1) // n + 1):
         point = SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
-        parts.append(point.draw(seed, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
+        segments.append((point, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
+    gains = draw_block(seed, segments)
     layout = point.layout
     shape = (stop - start, len(rows))
     se, feasible = np.empty(shape), np.empty(shape, bool)
     label = "orthogonal baseline"
     try:
-        gains = np.concatenate(parts) if len(parts) > 1 else parts[0]
         base = orthogonal_rates(layout, gains)
         base_sums = np.array(list(map(math.fsum, base.tolist())))
         for scheme, cols in series.items():

@@ -14,10 +14,10 @@ Single-cell users sit on the ray pointing away from the opposite base station
 so their geometry is deterministic; edge users are drawn uniformly from a disc
 at the midpoint, rejecting draws inside either cell's coverage radius.
 
-``SweepPoint.draw`` turns a block of a point's trials into a (trials, cells,
-users) gain array, whose user columns are the user ids in ascending order
-(see ``Layout``); schemes are evaluated on it by ``orthogonal_rates`` and
-``evaluate``.
+``draw_block`` turns a kernel block's trials, one segment per sweep point,
+into a (trials, cells, users) gain array, whose user columns are the user ids
+in ascending order (see ``Layout``); schemes are evaluated on it by
+``orthogonal_rates`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import struct
 from dataclasses import dataclass, fields, replace
 from math import cos, hypot, log, sin, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,32 +145,38 @@ class SweepPoint:
         ring = spec.edge_region_law == RING
         self._draw_constants = (radius, ring, spec.coverage_m, *self.sites, -alpha)
 
-    def draw(self, seed: int, sweep_index: int, trials: Iterable[int]) -> np.ndarray:
-        """(trials, cells, users) gain array of the given trials of this point,
-        sweep point sweep_index of a run under master seed seed.  Trial t's
-        generator seed is the blake2b hash of (seed, sweep_index, t), each
-        masked to 64 bits; the first two are hashed once and that state is
-        copied per trial, which gives the same digest.  A trial reseeds one
-        generator (as random.Random(seed) would) and draws the edge users'
-        positions in user-id order, each uniform in the midpoint disc (or on
-        its rim) and redrawn while it falls inside either coverage disc, then
-        one fading uniform per (cell, user) link, cells outer, taken as one
-        getrandbits word block (least significant word first) and turned into
-        random()'s doubles by its formula.  The test uses math, not numpy: it
-        decides how many draws a trial consumes.  Fading is Exp(1), the
-        squared Rayleigh envelope: -log(1 - U) by libm's log, from which
-        numpy's differs on some inputs.  A failure is re-raised as
-        a SweepError naming the seed, the sweep index and the trial being
-        drawn (the last one, once all are)."""
-        prefix = hashlib.blake2b(struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64), digest_size=16)
-        copy, pack, from_bytes = prefix.copy, struct.Struct(">Q").pack, int.from_bytes
-        rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
-        reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
-        radius, ring, coverage, (x1, y1), (x2, y2), power = self._draw_constants
-        users, bits, tries = self.comp_ids, 64 * self.terms.size, range(_MAX_PLACEMENT_DRAWS)
-        edge, words = [], []
+    def draw(self, seed: int, sweep_index: int, trials: Sequence[int]) -> np.ndarray:
+        """The one-segment ``draw_block`` of this point's trials."""
+        return draw_block(seed, [(self, sweep_index, trials)])
+
+
+def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:
+    """(trials, cells, users) gain array of a kernel block: each (point,
+    sweep_index, trials) segment's trials in turn, under master seed seed; the
+    points share one Layout and radio.  Trial t of point i reseeds one
+    generator (as random.Random would) with the blake2b hash of (seed, i, t),
+    each masked to 64 bits: (seed, i) is hashed once per segment and copied.
+    It draws the edge users' positions in user-id order, each uniform in the
+    point's midpoint disc (or on its rim) and redrawn while inside either
+    coverage disc (tested with math, not numpy: it decides how many draws a
+    trial consumes), then one fading uniform per (cell, user) link, cells
+    outer, as one getrandbits word block (least significant word first)
+    turned into random()'s doubles by its formula.  Fading is Exp(1), the
+    squared Rayleigh envelope: -log(1 - U) by libm's log, from which numpy's
+    differs on some inputs.  A failure is re-raised as a SweepError naming
+    the seed, sweep index and trial being drawn, or, once all are, the
+    block's first and last."""
+    pack, from_bytes = struct.Struct(">Q").pack, int.from_bytes
+    rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
+    reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
+    edge, words, tries = [], [], range(_MAX_PLACEMENT_DRAWS)
+    for point, sweep_index, trials in segments:
         t = None
         try:
+            prefix = struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64)
+            copy = hashlib.blake2b(prefix, digest_size=16).copy
+            radius, ring, coverage, (x1, y1), (x2, y2), power = point._draw_constants
+            users, bits = point.comp_ids, 64 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
@@ -191,16 +197,20 @@ class SweepPoint:
                         )
                     edge += (d1 ** power, d2 ** power)
                 words.append(getrandbits(bits))
-            n = len(words)
-            terms = np.repeat(self.terms[None], n, axis=0)
-            terms[:, :, self.layout.comp] = np.reshape(edge, (n, len(users), 2)).transpose(0, 2, 1)
-            raw = b"".join([w.to_bytes(bits // 8, "little") for w in words])
-            a, b = np.frombuffer(raw, "<u4").reshape(-1, 2).T
-            uniforms = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
-            fading = -np.fromiter(map(log, (1.0 - uniforms).tolist()), float, uniforms.size)
-            return gain_array(fading.reshape(terms.shape), terms, self.radio)
         except Exception as e:
             raise SweepError(f"seed={seed} sweep_index={sweep_index} trial={t}: {type(e).__name__}: {e}") from e
+    try:
+        terms = np.repeat([p.terms for p, _, _ in segments], [len(tr) for _, _, tr in segments], axis=0)
+        terms[:, :, point.layout.comp] = np.reshape(edge, (len(words), len(users), 2)).transpose(0, 2, 1)
+        raw = b"".join([w.to_bytes(bits // 8, "little") for w in words])
+        a, b = np.frombuffer(raw, "<u4").reshape(-1, 2).T
+        uniforms = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
+        fading = -np.fromiter(map(log, (1.0 - uniforms).tolist()), float, uniforms.size)
+        return gain_array(fading.reshape(terms.shape), terms, point.radio)
+    except Exception as e:
+        (p0, t0), *_, (p1, t1) = [(i, tr[k]) for _, i, tr in segments if len(tr) for k in (0, -1)]
+        where = f"from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
+        raise SweepError(f"seed={seed} {where}: {type(e).__name__}: {e}") from e
 
 
 def _by_gain(key: np.ndarray, cols: Sequence[int]) -> list:

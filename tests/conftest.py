@@ -111,11 +111,12 @@ def oracle_agreement(problem: Instance, grid_points: int = 1000):
     return False, f"sum-rate gap {gap:.3e} (closed {closed_sum}, oracle {oracle.sum_rate_bps})"
 
 
-def draw_edge_position(rng, radius, law, sites, coverage):
+def draw_edge_position(rng, radius, law, sites, coverage, tries=100_000):
     """Reference edge-user placement, independent of SweepPoint.draw: a
     uniform point in the midpoint disc (on its rim for the ring law),
-    redrawn while it falls inside either cell's coverage disc."""
-    for _ in range(100_000):
+    redrawn while it falls inside either cell's coverage disc, at most
+    tries draws in all."""
+    for _ in range(tries):
         theta = 2.0 * math.pi * rng.random()
         r = radius if law == "ring" else radius * math.sqrt(rng.random())
         x, y = r * math.cos(theta), r * math.sin(theta)

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from compnoma import DomainError, PlacementSpec, RadioParams, dbm_to_mw
-from compnoma.scenarios import DISC, RING, SweepPoint
+from compnoma import DomainError, PlacementSpec, RadioParams, SweepError, dbm_to_mw
+from compnoma import scenarios
+from compnoma.scenarios import DISC, RING, SweepPoint, draw_block
 
 from conftest import draw_edge_position
 from reference import ChannelRealization, normalized_gain, trial_seed
@@ -146,6 +147,76 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
             )
             assert users == list(point.layout.user_ids)
             assert got[i].tolist() == want, (seed, point_index, trial)
+
+
+def block_segments(points, trials, start, stop):
+    """The (point, sweep_index, trials) segments of flat trials [start, stop)
+    of a sweep over points with trials per point, cut as run_chunk cuts."""
+    return [
+        (p, i, range(max(start - i * trials, 0), min(stop - i * trials, trials)))
+        for i, p in enumerate(points)
+        if i * trials < stop and start < (i + 1) * trials
+    ]
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+@pytest.mark.parametrize("law", [DISC, RING])
+def test_block_draw_is_its_segments_drawn_alone(scenario, law):
+    # a kernel block's one draw is its segments' one-segment draws stacked,
+    # byte for byte: blocks that start and end inside a point, one-trial
+    # segments at either end, and whole points between
+    placement = PlacementSpec(edge_region_law=law)
+    points = [SweepPoint(scenario, v, RadioParams(), placement) for v in (100.0, 200.0, 300.0, 400.0)]
+    for seed, start, stop in ((0, 37, 101), (1703, 49, 151), (2**40, 99, 101), (11, 0, 200)):
+        segments = block_segments(points, 50, start, stop)
+        got = draw_block(seed, segments)
+        want = np.concatenate([p.draw(seed, i, trials) for p, i, trials in segments])
+        assert got.shape == (stop - start, 2, len(points[0].layout.user_ids))
+        assert got.tobytes() == want.tobytes(), (seed, start, stop)
+
+
+def test_block_draw_failures_name_the_trial_or_the_block(monkeypatch):
+    # with one try per edge user, the 50 m point's disc never meets a
+    # coverage disc, so the first rejection is the 400 m point's (its trial
+    # 2 under seed 2037, mid-segment), named by its sweep index and trial
+    points = [SweepPoint(2, v, RadioParams(), None) for v in (50.0, 400.0)]
+    segments = block_segments(points, 20, 5, 40)
+    seed = 2037
+
+    def rejected(trial):
+        rng = random.Random(trial_seed(seed, 1, trial))
+        try:
+            for _ in points[1].comp_ids:
+                draw_edge_position(rng, 400.0, DISC, points[1].sites, 400.0, tries=1)
+        except AssertionError:
+            return True
+        return False
+
+    t = next(t for t in segments[1][2] if rejected(t))
+    monkeypatch.setattr(scenarios, "_MAX_PLACEMENT_DRAWS", 1)
+    with pytest.raises(SweepError) as err:
+        draw_block(seed, segments)
+    assert str(err.value) == (
+        f"seed=2037 sweep_index=1 trial={t}: DomainError: edge-user placement rejected too often;"
+        " region outside coverage is empty"
+    )
+
+    # a failure once every trial is drawn names the block's first and last
+    # (sweep index, trial)
+    monkeypatch.undo()
+
+    def broken(*args):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(scenarios, "gain_array", broken)
+    for segs, where in (
+        (segments, "from sweep_index=0 trial=5 to sweep_index=1 trial=19"),
+        (segments[1:], "from sweep_index=1 trial=0 to sweep_index=1 trial=19"),
+        (block_segments(points, 20, 19, 21), "from sweep_index=0 trial=19 to sweep_index=1 trial=0"),
+    ):
+        with pytest.raises(SweepError) as err:
+            draw_block(seed, segs)
+        assert str(err.value) == f"seed=2037 {where}: FloatingPointError: injected"
 
 
 def reference_gains(scenario, law, value, radio, placement, rng):

@@ -160,6 +160,26 @@ def test_edge_placement_follows_the_closed_form_laws():
         assert d < limit, ("ring", radius, d)
 
 
+def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
+    # On the disc law a point at radius r is kept where |cos theta| < c(r),
+    # c(r) = min(1, (r^2 + h^2 - rho^2) / (2 r h)), the chord of both
+    # coverage discs, so given r, u = arccos(|x| / r) is uniform on
+    # [arccos c(r), pi/2], and v below is Uniform(0, 1) whatever r's law.
+    # Each radius draws from its own generator seeded 1703; seed, sample size
+    # and limit were fixed before the first run, as in the test above.
+    n, h, rho = 20_000, 500.0, 400.0
+    sites, limit = ((-h, 0.0), (h, 0.0)), 1.95 / math.sqrt(n)
+    for radius in (80.0, 200.0, 300.0, 400.0):
+        rng, v = random.Random(1703), []
+        for _ in range(n):
+            x, y = draw_edge_position(rng, radius, DISC, sites, rho)
+            r = math.hypot(x, y)
+            lo = math.acos(min(1.0, (r * r + h * h - rho * rho) / (2.0 * r * h)))
+            v.append((math.acos(min(1.0, abs(x) / r)) - lo) / (math.pi / 2.0 - lo))
+        d = ks_distance(v, lambda a: min(max(a, 0.0), 1.0))
+        assert d < limit, (radius, d)
+
+
 def test_builder_validation():
     with pytest.raises(ConfigError):
         SweepPoint(4, 100.0, RadioParams(), None)
@@ -441,6 +461,28 @@ def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
     harness.run_sweep(config)  # 160 trials: blocks of 64, 64 and 32
     stacked = 2 if scheme == "CS-NOMA" or preset == "fig6" and scheme == "JT-NOMA" else 1
     assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
+
+
+def test_one_draw_per_block(monkeypatch):
+    # run_sweep draws each kernel block in one draw_block call, one segment
+    # per point the block crosses; SweepPoint.draw is a draw_block call too,
+    # so a draw per point would show as more calls
+    calls = []
+    real = scenarios.draw_block
+
+    def spy(seed, segments):
+        calls.append([(i, trials) for _, i, trials in segments])
+        return real(seed, segments)
+
+    monkeypatch.setattr(scenarios, "draw_block", spy)
+    monkeypatch.setattr(harness, "draw_block", spy)
+    monkeypatch.setattr(harness, "_BLOCK", 64)
+    harness.run_sweep(golden_config("fig5", {}, trials=20))  # 160 trials: blocks of 64, 64 and 32
+    assert calls == [
+        [(0, range(20)), (1, range(20)), (2, range(20)), (3, range(4))],
+        [(3, range(4, 20)), (4, range(20)), (5, range(20)), (6, range(8))],
+        [(6, range(8, 20)), (7, range(20))],
+    ]
 
 
 @pytest.mark.parametrize(
