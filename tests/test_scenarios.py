@@ -161,10 +161,11 @@ def test_edge_placement_follows_the_closed_form_laws():
 
 
 def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
-    # On the disc law a point at radius r is kept where |cos theta| < c(r),
-    # c(r) = min(1, (r^2 + h^2 - rho^2) / (2 r h)), the chord of both
-    # coverage discs, so given r, u = arccos(|x| / r) is uniform on
-    # [arccos c(r), pi/2], and v below is Uniform(0, 1) whatever r's law.
+    # A point at radius r and angle theta lies outside both coverage discs
+    # exactly where |cos theta| < c(r) = min(1, (r^2 + h^2 - rho^2) / (2 r h)),
+    # and the disc law draws theta uniformly and independently of r, so
+    # given r, u = arccos(|x| / r) is uniform on [arccos c(r), pi/2], and v
+    # below is Uniform(0, 1) whatever r's law.
     # Each radius draws from its own generator seeded 1703; seed, sample size
     # and limit were fixed before the first run, as in the test above.
     n, h, rho = 20_000, 500.0, 400.0
