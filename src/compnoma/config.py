@@ -66,6 +66,10 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        what, is_int = _KINDS["int"]
+        for key in ("scenario_id", "trials", "seed"):
+            if not is_int(getattr(self, key)):
+                raise ValidationError(f"{key} must be {what}, got {getattr(self, key)!r}")
         scenario = self.scenario_id
         if scenario not in ALLOWED_SCHEMES:
             raise ValidationError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")

@@ -79,10 +79,9 @@ class Layout:
 
     Axis 1 holds cells 1 and 2; axis 2 holds user_ids, ascending.  comp are the
     columns of the jointly served users, tails[ci] those of cell ci's
-    single-cell users.
+    single-cell users (none for cell 2 in scenario 3).
     """
 
-    scenario_id: int
     user_ids: tuple[int, ...]
     comp: tuple[int, ...]
     tails: tuple[tuple[int, ...], ...]
@@ -97,7 +96,9 @@ class SweepPoint:
     The jointly served users are 1 (and 2); cell c's single-cell users are
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
-    0 in the edge users' columns, which ``draw`` fills from each trial.
+    0 in the edge users' columns, which ``draw`` fills from each trial.  The
+    draw reads the point's own fields: ``edge_region`` (radius, law,
+    coverage), ``sites``, ``radio`` and ``layout.comp``.
     """
 
     def __init__(
@@ -111,11 +112,11 @@ class SweepPoint:
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
             radius = 200.0
             distances = (sweep_value, 300.0)
-            self.comp_ids = (1,)
+            comp_ids = (1,)
         else:  # the sweep sets the edge-region radius
             radius = sweep_value
             distances = (250.0,)
-            self.comp_ids = (1, 2)
+            comp_ids = (1, 2)
         for d in distances:
             if d > spec.coverage_m:
                 raise DomainError(f"single-cell user distance {d} exceeds coverage {spec.coverage_m}")
@@ -123,11 +124,10 @@ class SweepPoint:
         self.sites = ((-half, 0.0), (half, 0.0))
         cells = (1,) if scenario_id == 3 else (1, 2)  # scenario 3: cell 2 serves edge users only
         tails = [(c, 10 * c + 1 + i, d) for c in cells for i, d in enumerate(distances)]
-        ids = self.comp_ids + tuple(u for _, u, _ in tails)
+        ids = comp_ids + tuple(u for _, u, _ in tails)
         self.layout = Layout(
-            scenario_id,
             ids,
-            tuple(range(len(self.comp_ids))),
+            tuple(range(len(comp_ids))),
             tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
             radio.tx_power_mw,
             radio.bandwidth_hz,
@@ -141,9 +141,6 @@ class SweepPoint:
             x = self.sites[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
             self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
-        # everything draw() reads, unpacked there once per block
-        ring = spec.edge_region_law == RING
-        self._draw_constants = (radius, ring, spec.coverage_m, *self.sites, -alpha)
 
     def draw(self, seed: int, sweep_index: int, trials: Sequence[int]) -> np.ndarray:
         """The one-segment ``draw_block`` of this point's trials."""
@@ -156,7 +153,9 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     points share one Layout and radio.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
     each masked to 64 bits: (seed, i) is hashed once per segment and copied.
-    It draws the edge users' positions in user-id order, each uniform in the
+    Each segment's point.edge_region, point.sites and
+    point.radio.pathloss_exponent are unpacked once per segment.  A trial
+    draws the edge users' positions in user-id order, each uniform in the
     point's midpoint disc (or on its rim) and redrawn while inside either
     coverage disc (tested with math, not numpy: it decides how many draws a
     trial consumes), then one fading uniform per (cell, user) link, cells
@@ -175,8 +174,9 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
         try:
             prefix = struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64)
             copy = hashlib.blake2b(prefix, digest_size=16).copy
-            radius, ring, coverage, (x1, y1), (x2, y2), power = point._draw_constants
-            users, bits = point.comp_ids, 64 * point.terms.size
+            radius, law, coverage = point.edge_region
+            ring, ((x1, y1), (x2, y2)) = law == RING, point.sites
+            users, power, bits = point.layout.comp, -point.radio.pathloss_exponent, 64 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
@@ -253,11 +253,11 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
 
 def _edge_order(lay: Layout, g: np.ndarray, cases: Sequence[str]) -> list:
     """Shared decode order of the jointly served users: ascending realized
-    gain in the reference cell (cell 2 in the first decode case of the
-    asymmetric scenario, cell 1 otherwise).  g holds one block of trials per
-    decode case."""
+    gain in the reference cell: cell 2 in decode case 1 of a layout whose
+    cell 2 serves no single-cell user (scenario 3), cell 1 otherwise.  g
+    holds one block of trials per decode case."""
     n = len(g) // len(cases)
-    ref = [1 if lay.scenario_id == 3 and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
+    ref = [1 if not lay.tails[1] and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
     parts = [g[i * n:(i + 1) * n, r, lay.comp] for i, r in enumerate(ref)]
     return _by_gain(np.concatenate(parts) if len(parts) > 1 else parts[0], lay.comp)
 

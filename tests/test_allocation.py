@@ -294,14 +294,14 @@ def test_unused_positions_leave_single_cell_members_bit_identical(data):
         assert pos[i] == (alone[2][0] + lead if alone[1][0] else 0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_unused_positions_leave_jt_members_bit_identical(data):
-    # solve_jt with an empty shared prefix on two cells: cell 1 always has a
-    # member, cell 2 may have none (and then no budget); members' powers,
-    # rates, reason codes and cells are those of each instance solved alone
-    n, full = data.draw(st.integers(1, 4)), data.draw(st.booleans())
-    p_tol = data.draw(st.sampled_from([0.0, 0.5]))
+def draw_idle_jt_problem(data):
+    """solve_jt inputs with an empty shared prefix on two cells: cell 1
+    always has a member, cell 2 may have none (and then no budget).  Returns
+    (n, idle, tails, cross, r, budgets), each but n one entry per cell: idle
+    counts each instance's unused leading positions, tails and r are
+    (n, positions), r 0 at unused positions and at the head, and cross is
+    (n, positions, 2)."""
+    n = data.draw(st.integers(1, 4))
     lengths = [data.draw(st.integers(1, 3)) for _ in (0, 1)]
     sizes = [
         np.array(data.draw(st.lists(st.integers(1 - ci, length), min_size=n, max_size=n)))
@@ -314,7 +314,37 @@ def test_unused_positions_leave_jt_members_bit_identical(data):
         np.where(np.arange(length) < lead[:, None], 0.0, draw_array(data, RATE, n, length))
         for length, lead in zip(lengths, idle)
     ]
+    for rc in r:
+        rc[:, -1] = 0.0  # a cell's head has no guarantee
     budgets = [np.where(k > 0, draw_array(data, BUDGET, n), 0.0) for k in sizes]
+    return n, idle, g, cross, r, budgets
+
+
+def draw_shared_jt_problem(data, q):
+    """solve_jt inputs with q jointly served members on two cells whose own
+    tails hold 0-2 members (a cell with none is headed by the last shared
+    member, as scenario 3's cell 2).  Returns (n, raw, tails, cross, r,
+    budgets), each but n one entry per cell: raw is (n, q), tails (n,
+    length), cross (n, length, 2) and r (n, q + length), 0 at the head."""
+    n = data.draw(st.integers(1, 4))
+    lengths = [data.draw(st.integers(0, 2)) for _ in (0, 1)]
+    raw = [draw_array(data, GAIN, n, q) for _ in (0, 1)]
+    tails = [draw_array(data, GAIN, n, length) for length in lengths]
+    cross = [draw_array(data, GAIN, n, length, 2) for length in lengths]
+    r = [draw_array(data, RATE, n, q + length) for length in lengths]
+    for rc in r:
+        rc[:, -1] = 0.0  # a cell's head, shared or its own, has no guarantee
+    budgets = [draw_array(data, BUDGET, n) for _ in (0, 1)]
+    return n, raw, tails, cross, r, budgets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unused_positions_leave_jt_members_bit_identical(data):
+    # solve_jt with an empty shared prefix on two cells: members' powers,
+    # rates, reason codes and cells are those of each instance solved alone
+    full, p_tol = data.draw(st.booleans()), data.draw(st.sampled_from([0.0, 0.5]))
+    n, idle, g, cross, r, budgets = draw_idle_jt_problem(data)
 
     def solve(rows, lead, budget, idle=None):
         # per cell, one (instances,) array per decode position from lead[ci] on
@@ -342,22 +372,12 @@ def test_unused_positions_leave_jt_members_bit_identical(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_jt_shared_prefix_batch_equals_each_instance_alone(data):
-    # solve_jt with 1-2 jointly served members on two cells whose own tails
-    # hold 0-2 members (a cell with none is headed by the last shared member,
-    # as scenario 3's cell 2), under both splits and interference modes:
-    # every instance's powers, rates, reason, position and cell are those of
-    # the instance solved alone
-    n, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+    # solve_jt with 1-2 jointly served members, under both splits and
+    # interference modes: every instance's powers, rates, reason, position
+    # and cell are those of the instance solved alone
     split = data.draw(st.sampled_from([EQUAL_RECEIVED, EQUAL_TRANSMIT]))
     full, p_tol = data.draw(st.booleans()), data.draw(st.sampled_from([0.0, 0.5]))
-    lengths = [data.draw(st.integers(0, 2)) for _ in (0, 1)]
-    raw = [draw_array(data, GAIN, n, q) for _ in (0, 1)]
-    tails = [draw_array(data, GAIN, n, length) for length in lengths]
-    cross = [draw_array(data, GAIN, n, length, 2) for length in lengths]
-    r = [draw_array(data, RATE, n, q + length) for length in lengths]
-    for rc in r:
-        rc[:, -1] = 0.0  # a cell's head, shared or its own, has no guarantee
-    budgets = [draw_array(data, BUDGET, n) for _ in (0, 1)]
+    n, raw, tails, cross, r, budgets = draw_shared_jt_problem(data, data.draw(st.integers(1, 2)))
 
     def solve(rows):
         return solve_jt(
@@ -374,3 +394,36 @@ def test_jt_shared_prefix_batch_equals_each_instance_alone(data):
         assert (reason[i], pos[i], cell[i]) == (a_reason[0], a_pos[0], a_cell[0])
         for got, want in ((pw, a_pw), (rates, a_rates)):
             assert [[v[i] for v in c] for c in got] == [[v[0] for v in c] for c in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_jt_gains_times_2k_and_budgets_times_2_to_minus_k_change_only_the_powers(data):
+    # the same link budget in other units: powers of two scale exactly, so
+    # every reason, position, cell and rate is bit-identical and every power
+    # scales by exactly 2^-k (p_tol is noise-normalized and stays)
+    q, k = data.draw(st.integers(0, 2)), data.draw(st.integers(-8, 8))
+    split = data.draw(st.sampled_from([EQUAL_RECEIVED, EQUAL_TRANSMIT]))
+    full, p_tol = data.draw(st.booleans()), data.draw(st.sampled_from([0.0, 0.5]))
+    if q:
+        n, raw, tails, cross, r, budgets = draw_shared_jt_problem(data, q)
+        idle = None
+    else:
+        n, idle, tails, cross, r, budgets = draw_idle_jt_problem(data)
+        raw = [np.zeros((n, 0))] * 2
+
+    def solve(gain, budget):
+        return solve_jt(
+            [list(a.T * gain) for a in raw],
+            [list(a.T * gain) for a in tails],
+            [list(a.T) for a in r],
+            [list(map(list, a.transpose(1, 2, 0) * gain)) for a in cross] if full else None,
+            [b * budget for b in budgets], p_tol, 1.0, split, idle,
+        )
+
+    pw, reason, pos, cell, rates = solve(1.0, 1.0)
+    s_pw, s_reason, s_pos, s_cell, s_rates = solve(2.0**k, 2.0**-k)
+    assert (s_reason.tolist(), s_pos.tolist(), s_cell.tolist()) == (reason.tolist(), pos.tolist(), cell.tolist())
+    for ci in (0, 1):
+        assert [v.tolist() for v in s_rates[ci]] == [v.tolist() for v in rates[ci]]
+        assert [v.tolist() for v in s_pw[ci]] == [(v * 2.0**-k).tolist() for v in pw[ci]]

@@ -186,7 +186,7 @@ def test_block_draw_failures_name_the_trial_or_the_block(monkeypatch):
     def rejected(trial):
         rng = random.Random(trial_seed(seed, 1, trial))
         try:
-            for _ in points[1].comp_ids:
+            for _ in points[1].layout.comp:
                 draw_edge_position(rng, 400.0, DISC, points[1].sites, 400.0, tries=1)
         except AssertionError:
             return True

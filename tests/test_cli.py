@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,20 @@ def test_schema_rejections():
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
     config_from_dict({"scenario_id": 3, "decode_case": "both"})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True)]
+)
+def test_config_built_in_code_rejects_what_the_json_reader_rejects(key, value):
+    """A bool or a non-int scenario_id, trials or seed is rejected however
+    the config is built, not only when it is read from JSON."""
+    with pytest.raises(ValidationError, match=key):
+        ExperimentConfig(**{"scenario_id": 1, "schemes": ("JT-NOMA", "JT-OMA"), key: value})
+    with pytest.raises(ValidationError, match=key):
+        replace(PRESETS["fig4"](), **{key: value})
+    with pytest.raises(ValidationError, match=key):
+        config_from_dict({**config_to_dict(PRESETS["fig4"]()), key: value})
 
 
 UNUSABLE = {

@@ -67,7 +67,7 @@ def by_user(point: SweepPoint, row: np.ndarray) -> dict:
 def edge_positions(point: SweepPoint, rng) -> list:
     """The jointly served users' positions, drawn as SweepPoint.draw does."""
     radius, law, coverage = point.edge_region
-    return [draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.comp_ids]
+    return [draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.layout.comp]
 
 
 def run(point, g, scheme, interference_mode="negligible", cases=(CASE_EDGE_ORDER_CELL2,)):
