@@ -96,9 +96,8 @@ class SweepPoint:
     The jointly served users are 1 (and 2); cell c's single-cell users are
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
-    0 in the edge users' columns, which ``draw`` fills from each trial.  The
-    draw reads the point's own fields: ``edge_region`` (radius, law,
-    coverage), ``sites``, ``radio`` and ``layout.comp``.
+    0 in the edge users' columns, which ``draw`` fills from each trial's
+    positions in ``edge_region`` (radius, law, coverage) around ``sites``.
     """
 
     def __init__(
@@ -152,18 +151,17 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     sweep_index, trials) segment's trials in turn, under master seed seed; the
     points share one Layout and radio.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
-    each masked to 64 bits: (seed, i) is hashed once per segment and copied.
-    Each segment's point.edge_region, point.sites and
-    point.radio.pathloss_exponent are unpacked once per segment.  A trial
-    draws the edge users' positions in user-id order, each uniform in the
-    point's midpoint disc (or on its rim) and redrawn while inside either
-    coverage disc (tested with math, not numpy: it decides how many draws a
-    trial consumes), then one fading uniform per (cell, user) link, cells
-    outer, as one getrandbits word block (least significant word first)
-    turned into random()'s doubles by its formula.  Fading is Exp(1), the
-    squared Rayleigh envelope: -log(1 - U) by libm's log, from which numpy's
-    differs on some inputs.  A failure is re-raised as a SweepError naming
-    the seed, sweep index and trial being drawn, or, once all are, the
+    each masked to 64 bits: (seed, i) is hashed (then copied per trial), and
+    the point's edge_region, sites and path-loss exponent unpacked, once per
+    segment.  A trial draws the edge users' positions in user-id order, each
+    uniform in the point's midpoint disc (or on its rim) and redrawn while
+    inside either coverage disc (tested with math, not numpy: it decides how
+    many draws a trial consumes), then one fading uniform per (cell, user)
+    link, cells outer, as one getrandbits word block (least significant word
+    first) turned into random()'s doubles by its formula.  Fading is Exp(1),
+    the squared Rayleigh envelope: -log(1 - U) by libm's log, from which
+    numpy's differs on some inputs.  A failure is re-raised as a SweepError
+    naming the seed, sweep index and trial being drawn, or, once all are, the
     block's first and last."""
     pack, from_bytes = struct.Struct(">Q").pack, int.from_bytes
     rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
