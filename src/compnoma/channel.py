@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError
+from .errors import DomainError, check_kinds
 
 
 def dbm_to_mw(value_dbm: float) -> float:
@@ -36,6 +36,7 @@ class RadioParams:
     sic_tolerance:      minimum noise-normalized received-power gap between a
                         decoded signal and the not-yet-decoded rest (linear
                         ratio, dimensionless)
+    Construction raises DomainError naming a field that breaks config.py's kind rule or a range.
     """
 
     tx_power_mw: float = dbm_to_mw(REFERENCE_TX_POWER_DBM)
@@ -45,11 +46,11 @@ class RadioParams:
     sic_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
+        check_kinds(self, DomainError)
         for f in fields(self):
             value, zero_ok = getattr(self, f.name), f.name == "sic_tolerance"
-            if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
-                sign = "non-negative" if zero_ok else "positive"
-                raise DomainError(f"{f.name} must be finite and {sign}, got {value}")
+            if not (value >= 0.0 if zero_ok else value > 0.0):
+                raise DomainError(f"{f.name} must be {'non-negative' if zero_ok else 'positive'}, got {value}")
 
     @property
     def noise_power_mw(self) -> float:

@@ -1,27 +1,28 @@
 """Experiment configuration: JSON schema, validation, defaults, presets.
 
-The dataclasses are the schema.  A JSON section's keys are the fields of the
-dataclass it builds (``ExperimentConfig`` at the root, ``RadioParams`` under
-``radio``, ``PlacementSpec`` under ``placement``; the sweep grid's
-``sweep_*`` fields are nested under ``sweep``), each value must have its
-field's type, numbers finite, and absent keys take the field's default.
-Ranges are the dataclasses' own checks.  Power-like radio fields accept
-either a linear milliwatt key or a dBm convenience key (exactly one of the
-pair).  Unknown keys anywhere are rejected by name so typos cannot silently
-fall back to defaults, and every sweep point's geometry is built once when
-an ``ExperimentConfig`` is made, so every config that exists can run.
+The dataclasses are the schema, and constructing one checks it, however it is
+built.  Each field must be of its annotation's kind (``errors.KINDS``): a bool
+is never a number, an int stands for a float, numbers are finite, ``radio``
+and ``placement`` are instances of their dataclass, and ``schemes`` is a tuple
+(a list in JSON).  ``ExperimentConfig`` raises ``ValidationError`` naming the
+key path (``sweep.step``); ``RadioParams`` and ``PlacementSpec`` raise
+``DomainError`` naming the field, which the reader re-raises as
+``radio.bandwidth_hz``.  JSON sections hold only their dataclass's fields
+(``sweep_*`` nest under ``sweep``).  The reader converts, each only on a value
+of its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
+milliwatt field and a sweep number to a float.  Every sweep point is built at
+construction, so any config can run.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import REFERENCE_NOISE_DENSITY_DBM_HZ, REFERENCE_TX_POWER_DBM, RadioParams, dbm_to_mw
-from .errors import ConfigError, DomainError, ParseError, ValidationError
+from .errors import ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
 from .scenarios import PlacementSpec, SweepPoint
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
@@ -66,15 +67,12 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        what, is_int = _KINDS["int"]
-        for key in ("scenario_id", "trials", "seed"):
-            if not is_int(getattr(self, key)):
-                raise ValidationError(f"{key} must be {what}, got {getattr(self, key)!r}")
+        check_kinds(self, ValidationError, lambda key: key.replace("sweep_", "sweep."))
         scenario = self.scenario_id
         if scenario not in ALLOWED_SCHEMES:
             raise ValidationError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
         if not self.schemes:
-            raise ValidationError("schemes must be a non-empty list")
+            raise ValidationError("schemes must not be empty")
         for s in self.schemes:
             if s in _REJECTED_SCHEMES:
                 raise ConfigError(
@@ -97,80 +95,53 @@ class ExperimentConfig:
                 raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         if self.decode_case != "case1" and scenario != 3:
             raise ValidationError(f"decode_case {self.decode_case!r} applies to scenario 3 only")
-        for value in _ranged("sweep", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
-            _ranged(f"sweep value {value:g}", SweepPoint, scenario, value, self.radio, self.placement)
+        for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
+            _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio, self.placement)
 
 
 def _ranged(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), with a range error it raises re-raised as a
-    ValidationError that names where."""
+    """make(*args, **kwargs), a range error it raises re-raised as a ValidationError after where."""
     try:
         return make(*args, **kwargs)
     except (DomainError, OverflowError) as e:
-        raise ValidationError(f"{where}: {e}") from e
+        raise ValidationError(f"{where}{e}") from e
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+_SWEEP = ("start", "stop", "step")
+_CONFIG = {f.name for f in fields(ExperimentConfig)} - {f"sweep_{key}" for key in _SWEEP} | {"sweep"}
 
 
-# what a JSON value must be, by the annotation of the field it sets
-_KINDS = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a finite number", _number),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
-    "tuple[str, ...]": (
-        "a list of strings", lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)
-    ),
-    "object": ("an object", lambda v: isinstance(v, dict)),
-}
-
-
-def _schema(cls) -> dict:
-    """JSON key -> annotation of each field of cls; a nested dataclass is an object."""
-    return {f.name: "object" if is_dataclass(f.default) else f.type for f in fields(cls)}
-
-
-_CONFIG = _schema(ExperimentConfig)
-_SWEEP = {key[len("sweep_"):]: _CONFIG.pop(key) for key in list(_CONFIG) if key.startswith("sweep_")}
-_CONFIG["sweep"] = "object"
-_RADIO = {**_schema(RadioParams), **dict.fromkeys(_DBM, "float")}
-_PLACEMENT = _schema(PlacementSpec)
-
-
-def _read(d: dict, where: str, schema: dict) -> dict:
-    """A copy of JSON object d, each of whose keys is in schema and each of
-    whose values is of that key's kind."""
-    for key, value in d.items():
-        if key not in schema:
+def _read(d, where: str, keys) -> dict:
+    """A copy of JSON object d, each of whose keys is in keys."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be an object")
+    for key in d:
+        if key not in keys:
             raise ValidationError(f"unknown key {key!r} in {where}")
-        what, ok = _KINDS[schema[key]]
-        if not ok(value):
-            raise ValidationError(f"{where}.{key} must be {what}, got {value!r}")
     return dict(d)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("config root must be an object")
-    d = _read(data, "config", _CONFIG)
+    d = _read(data, "config root", _CONFIG)
     scenario = d.pop("scenario_id", None)
-    schemes = tuple(s.upper() for s in d.pop("schemes", DEFAULT_SCHEMES.get(scenario, ())))
+    schemes = d.pop("schemes", DEFAULT_SCHEMES.get(scenario, ()) if isinstance(scenario, int) else ())
+    if isinstance(schemes, list) and all(isinstance(s, str) for s in schemes):
+        schemes = tuple(s.upper() for s in schemes)
     for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
-        d[f"sweep_{key}"] = float(value)
-    radio = _read(d.pop("radio", {}), "radio", _RADIO)
+        d[f"sweep_{key}"] = float(value) if finite_number(value) else value
+    radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)} | set(_DBM))
     for alias, (key, _) in _DBM.items():
         if alias in radio:
             if key in radio:
                 raise ValidationError(f"radio: give {key} or {alias}, not both")
-            radio[key] = _ranged(f"radio.{alias}", dbm_to_mw, radio.pop(alias))
-    placement = _read(d.pop("placement", {}), "placement", _PLACEMENT)
+            value = radio.pop(alias)
+            radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value) if finite_number(value) else value
+    placement = _read(d.pop("placement", {}), "placement", {f.name for f in fields(PlacementSpec)})
     return ExperimentConfig(
         scenario,
         schemes,
-        radio=_ranged("radio", RadioParams, **radio),
-        placement=_ranged("placement", PlacementSpec, **placement),
+        radio=_ranged("radio.", RadioParams, **radio),
+        placement=_ranged("placement.", PlacementSpec, **placement),
         **d,
     )
 

@@ -1,6 +1,33 @@
-"""Exception vocabulary shared across the package."""
+"""Exception vocabulary, and the kind rule of every config field, shared across the package."""
 
 from __future__ import annotations
+
+from dataclasses import fields
+from sys import float_info
+
+
+def finite_number(v) -> bool:  # an int only if a float holds it exactly, so float() keeps its value
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= float_info.max and v == float(v)
+
+
+# what a config field's value must be, by its annotation; an int stands for a float, a bool for neither
+KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number, exact as a float", finite_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": ("a tuple of strings (a list in JSON)",
+                        lambda v: isinstance(v, tuple) and all(isinstance(s, str) for s in v)),
+}
+
+
+def check_kinds(obj, error: type, path=lambda name: name) -> None:
+    """Raise error naming path(field) at the first field of dataclass obj not of its kind: KINDS'
+    for its annotation or, for a nested dataclass, an instance of the class of its default."""
+    for f in fields(obj):
+        what, ok = KINDS.get(f.type) or (f"a {f.type}", lambda v: isinstance(v, type(f.default)))
+        if not ok(getattr(obj, f.name)):
+            raise error(f"{path(f.name)} must be {what}, got {getattr(obj, f.name)!r}")
 
 
 class DomainError(ValueError):

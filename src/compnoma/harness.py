@@ -26,6 +26,7 @@ log = logging.getLogger("compnoma")
 
 _Z95 = 1.96  # two-sided 95% normal quantile
 _BLOCK = 1024  # most trials per range, i.e. per kernel block; bounds memory (fig6: 1.4 MiB traced)
+_MAX_POINTS = 10_000  # most values per sweep grid; a config builds each point's geometry
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -38,6 +39,8 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     if stop < start:
         raise DomainError("sweep stop below start")
     count = int(math.floor((stop - start) / step * (1.0 + 1e-9))) + 1
+    if count > _MAX_POINTS:
+        raise DomainError(f"sweep has {count} points, more than {_MAX_POINTS}")
     return tuple(min(start + i * step, stop) for i in range(count))
 
 

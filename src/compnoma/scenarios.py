@@ -26,7 +26,7 @@ import _random
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from math import cos, hypot, log, sin, sqrt
 from typing import Sequence
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .allocation import EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
-from .errors import ConfigError, DomainError, SweepError
+from .errors import ConfigError, DomainError, SweepError, check_kinds
 from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 DISC = "disc"
@@ -53,7 +53,8 @@ class PlacementSpec:
     """Geometry knobs that apply to every scenario.  The rest is fixed per
     scenario (see SweepPoint): scenario 1 draws its edge user from a 200 m
     edge region and puts its second single-cell user at 300 m; scenarios 2
-    and 3 put one single-cell user per cell at 250 m.
+    and 3 put one single-cell user per cell at 250 m.  Construction raises
+    DomainError naming a field that breaks config.py's kind rule or a range.
     """
 
     inter_site_m: float = 1000.0
@@ -61,16 +62,13 @@ class PlacementSpec:
     edge_region_law: str = DISC
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            length = getattr(self, f.name)
-            if f.name.endswith("_m") and not 0.0 < length < math.inf:
-                raise DomainError(f"{f.name} must be positive and finite, got {length}")
+        check_kinds(self, DomainError)
+        if not self.coverage_m > 0.0:
+            raise DomainError(f"coverage_m must be positive, got {self.coverage_m}")
         if self.inter_site_m / 2.0 <= self.coverage_m:
-            raise DomainError(
-                "coverage discs overlap the midpoint; no admissible edge region"
-            )
+            raise DomainError("inter_site_m must exceed twice coverage_m: coverage discs reach the midpoint")
         if self.edge_region_law not in (DISC, RING):
-            raise DomainError(f"unknown edge-region law {self.edge_region_law!r}")
+            raise DomainError(f"edge_region_law must be {DISC!r} or {RING!r}, got {self.edge_region_law!r}")
 
 
 @dataclass(frozen=True)

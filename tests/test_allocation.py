@@ -5,10 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from compnoma import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from compnoma.allocation import FEASIBLE, RATE_SHORT, solve_jt, solve_single_cell
+from compnoma.allocation import FEASIBLE, RATE_SHORT, later_sums, solve_jt, solve_single_cell
 
 from conftest import as_cluster, one, random_problem, solve_one
 from reference import (
@@ -427,3 +427,42 @@ def test_jt_gains_times_2k_and_budgets_times_2_to_minus_k_change_only_the_powers
     for ci in (0, 1):
         assert [v.tolist() for v in s_rates[ci]] == [v.tolist() for v in rates[ci]]
         assert [v.tolist() for v in s_pw[ci]] == [(v * 2.0**-k).tolist() for v in pw[ci]]
+
+
+def test_floor_sized_positions_leave_an_exactly_zero_gap():
+    # with p_tol 0 a non-head position sized at its decodability floor, half
+    # its remaining budget, must see a gap p - later_sums(p) of exactly 0.0
+    # when the powers are summed left to right (allocation.seq_sum); with at
+    # most 3 members per cell every subtraction is exact (Sterbenz), so a
+    # -1 ULP gap would be a reordered sum, not rounding
+    floors = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        q = data.draw(st.integers(0, 2))
+        split, full = data.draw(st.sampled_from([EQUAL_RECEIVED, EQUAL_TRANSMIT])), data.draw(st.booleans())
+        if q:
+            n, raw, tails, cross, r, budgets = draw_shared_jt_problem(data, q)
+            idle = None
+        else:
+            n, idle, tails, cross, r, budgets = draw_idle_jt_problem(data)
+            raw = [np.zeros((n, 0))] * 2
+        assume(all(rc.shape[1] <= 3 for rc in r))
+        pw, reason, _, _, _ = solve_jt(
+            [list(a.T) for a in raw], [list(a.T) for a in tails], [list(a.T) for a in r],
+            [list(map(list, a.transpose(1, 2, 0))) for a in cross] if full else None,
+            budgets, 0.0, 1.0, split, idle,
+        )
+        for i in np.flatnonzero(reason == FEASIBLE):
+            for ci in (0, 1):
+                powers = [p[i] for p in pw[ci]]
+                later, rem = later_sums(powers), budgets[ci][i]
+                for k, p in enumerate(powers[:-1]):
+                    if p == 0.5 * rem:
+                        assert p - later[k] == 0.0, (i, ci, k, powers)
+                        floors.append(p > 0.0)
+                    rem = rem - p
+
+    check()
+    assert sum(floors) > 0

@@ -7,10 +7,11 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compnoma import (
     PRESETS,
@@ -145,17 +146,108 @@ def test_schema_rejections():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True)]
+    "path, value",
+    [
+        ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
+        ("sweep.step", True), ("output_path", 3), ("radio", None), ("placement", None),
+        ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
+        ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"), ("placement.inter_site_m", True),
+    ],
 )
-def test_config_built_in_code_rejects_what_the_json_reader_rejects(key, value):
-    """A bool or a non-int scenario_id, trials or seed is rejected however
-    the config is built, not only when it is read from JSON."""
-    with pytest.raises(ValidationError, match=key):
-        ExperimentConfig(**{"scenario_id": 1, "schemes": ("JT-NOMA", "JT-OMA"), key: value})
-    with pytest.raises(ValidationError, match=key):
-        replace(PRESETS["fig4"](), **{key: value})
-    with pytest.raises(ValidationError, match=key):
-        config_from_dict({**config_to_dict(PRESETS["fig4"]()), key: value})
+def test_config_built_in_code_rejects_what_the_json_reader_rejects(path, value):
+    """A value not of its field's kind is rejected however the config is
+    built, naming its key: by ExperimentConfig (or RadioParams or
+    PlacementSpec, for a key path in radio or placement), by
+    dataclasses.replace and by the JSON reader.  A list of schemes is JSON's
+    spelling, so only code must give a tuple."""
+    section, _, key = path.rpartition(".")
+    fig4 = PRESETS["fig4"]()
+    if section in ("radio", "placement"):
+        nested = getattr(fig4, section)
+        with pytest.raises(DomainError, match=key):
+            type(nested)(**{key: value})
+        with pytest.raises(DomainError, match=key):
+            replace(nested, **{key: value})
+    else:
+        field = path.replace(".", "_")
+        with pytest.raises(ValidationError, match=re.escape(path)):
+            ExperimentConfig(**{"scenario_id": 1, "schemes": ("JT-NOMA", "JT-OMA"), field: value})
+        with pytest.raises(ValidationError, match=re.escape(path)):
+            replace(fig4, **{field: value})
+    if isinstance(value, list):
+        return
+    data = config_to_dict(fig4)
+    (data[section] if section else data)[key] = value
+    with pytest.raises(ValidationError, match=re.escape(path)):
+        config_from_dict(data)
+
+
+SCALAR = st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=8), st.none())
+JUNK = SCALAR | st.lists(SCALAR, max_size=3) | st.lists(SCALAR, max_size=3).map(tuple)
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))
+
+
+# per field, values that mostly make a usable config (ints where floats are annotated included)
+PLAUSIBLE = {
+    "tx_power_mw": _number(1.0, 1e5),
+    "noise_density_mw_hz": st.floats(1e-18, 1e-12),
+    "bandwidth_hz": _number(1e5, 1e8),
+    "pathloss_exponent": _number(2.0, 5.0),
+    "sic_tolerance": _number(0.0, 10.0),
+    "inter_site_m": _number(900.0, 1200.0),
+    "coverage_m": _number(300.0, 440.0),
+    "edge_region_law": st.sampled_from(["disc", "ring"]),
+    "scenario_id": st.integers(1, 3),
+    "schemes": st.lists(st.sampled_from(["JT-NOMA", "DPS-NOMA", "JT-OMA"]), min_size=1, max_size=3, unique=True).map(tuple),
+    "sweep_start": _number(50.0, 150.0),
+    "sweep_stop": _number(150.0, 300.0),
+    "sweep_step": _number(10.0, 100.0),
+    "trials": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+    **{key: st.sampled_from(choices) for key, choices in CHOICES.items()},
+    "output_path": st.none() | st.text(max_size=8),
+}
+
+
+def test_every_config_is_rejected_by_a_config_error_or_round_trips():
+    """Draw each field of RadioParams, PlacementSpec and ExperimentConfig from
+    its plausible values or, for up to three fields, from bools, ints,
+    floats (nan and inf included), strings, None, lists and tuples.  Building
+    them raises DomainError (RadioParams, PlacementSpec) or ConfigError
+    (ExperimentConfig), never another error, or the config hashes and its
+    dict and JSON forms read back as an equal config."""
+    built = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        junk = data.draw(st.sets(st.sampled_from([*PLAUSIBLE, "radio", "placement"]), max_size=2), label="junk")
+
+        def draw(cls, **given):
+            return {
+                f.name: data.draw(JUNK if f.name in junk else given.get(f.name, PLAUSIBLE.get(f.name)), label=f.name)
+                for f in fields(cls)
+            }
+
+        try:
+            radio = RadioParams(**draw(RadioParams))
+            placement = PlacementSpec(**draw(PlacementSpec))
+        except DomainError:
+            return
+        try:
+            config = ExperimentConfig(**draw(ExperimentConfig, radio=st.just(radio), placement=st.just(placement)))
+        except ConfigError:
+            return
+        hash(config)
+        for form in (config_to_dict(config), json.loads(json.dumps(config_to_dict(config)))):
+            assert config_from_dict(form) == config
+        built.append(config)
+
+    check()
+    assert len(built) >= 10, len(built)  # not vacuous: 35-84 of 300 over 20 seeds
 
 
 UNUSABLE = {
