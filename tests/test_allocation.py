@@ -431,10 +431,10 @@ def test_jt_gains_times_2k_and_budgets_times_2_to_minus_k_change_only_the_powers
 
 def test_floor_sized_positions_leave_an_exactly_zero_gap():
     # with p_tol 0 a non-head position sized at its decodability floor, half
-    # its remaining budget, must see a gap p - later_sums(p) of exactly 0.0
-    # when the powers are summed left to right (allocation.seq_sum); with at
-    # most 3 members per cell every subtraction is exact (Sterbenz), so a
-    # -1 ULP gap would be a reordered sum, not rounding
+    # its remaining budget, must see a gap p - later_sums(p) of exactly 0.0,
+    # so no verdict there rests on rounding; with at most 3 members per cell
+    # the budget subtractions are exact (Sterbenz), so a nonzero gap comes
+    # from how the powers were sized or summed
     floors = []
 
     @settings(max_examples=300, deadline=None)
