@@ -36,7 +36,8 @@ class RadioParams:
     sic_tolerance:      minimum noise-normalized received-power gap between a
                         decoded signal and the not-yet-decoded rest (linear
                         ratio, dimensionless)
-    Construction raises DomainError naming a field that breaks config.py's kind rule or a range.
+    Construction raises DomainError naming a field that breaks config.py's kind rule or a range,
+    or both fields of a noise power that underflows to 0 or overflows to inf.
     """
 
     tx_power_mw: float = dbm_to_mw(REFERENCE_TX_POWER_DBM)
@@ -51,6 +52,10 @@ class RadioParams:
             value, zero_ok = getattr(self, f.name), f.name == "sic_tolerance"
             if not (value >= 0.0 if zero_ok else value > 0.0):
                 raise DomainError(f"{f.name} must be {'non-negative' if zero_ok else 'positive'}, got {value}")
+        if not 0.0 < self.noise_power_mw < math.inf:
+            raise DomainError(
+                f"noise_density_mw_hz * bandwidth_hz must be a positive, finite noise power, got {self.noise_power_mw}"
+            )
 
     @property
     def noise_power_mw(self) -> float:

@@ -10,8 +10,9 @@ key path (``sweep.step``); ``RadioParams`` and ``PlacementSpec`` raise
 ``radio.bandwidth_hz``.  JSON sections hold only their dataclass's fields
 (``sweep_*`` nest under ``sweep``).  The reader converts, each only on a value
 of its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
-milliwatt field and a sweep number to a float.  Every sweep point is built at
-construction, so any config can run.
+milliwatt field and a sweep number to a float; a dBm key is no field, so the
+reader itself rejects one that is not a finite number, by its name.  Every
+sweep point is built at construction, so any config can run.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import REFERENCE_NOISE_DENSITY_DBM_HZ, REFERENCE_TX_POWER_DBM, RadioParams, dbm_to_mw
-from .errors import ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
+from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
-from .scenarios import PlacementSpec, SweepPoint
-from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
+from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, PlacementSpec, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -135,7 +135,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if key in radio:
                 raise ValidationError(f"radio: give {key} or {alias}, not both")
             value = radio.pop(alias)
-            radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value) if finite_number(value) else value
+            if not finite_number(value):
+                raise ValidationError(f"radio.{alias} must be {KINDS['float'][0]}, got {value!r}")
+            radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value)
     placement = _read(d.pop("placement", {}), "placement", {f.name for f in fields(PlacementSpec)})
     return ExperimentConfig(
         scenario,

@@ -12,15 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .allocation import FEASIBLE
 from .errors import DomainError, SweepError
-from .scenarios import SweepPoint, draw_block, evaluate, orthogonal_rates
-from .schemes import JT_NOMA
+from .scenarios import JT_NOMA, SweepPoint, draw_block, evaluate, orthogonal_rates
 
 log = logging.getLogger("compnoma")
 
@@ -152,8 +150,8 @@ def _reduce_point(
     ses = np.asarray(ses, float)
     n = len(ses)
     mean = math.fsum(ses.tolist()) / n
-    if n > 1:  # libm pow(d, 2.0), as d ** 2 gives; d * d differs on some inputs
-        var = math.fsum(map(pow, (ses - mean).tolist(), repeat(2.0))) / (n - 1)
+    if n > 1:  # float_power is libm pow(d, 2.0) per element, as d ** 2; d * d and np.power differ on some inputs
+        var = math.fsum(np.float_power(ses - mean, 2.0).tolist()) / (n - 1)
         ci = _Z95 * math.sqrt(var / n)
     else:
         ci = 0.0

@@ -35,7 +35,13 @@ import numpy as np
 from .allocation import EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
 from .errors import ConfigError, DomainError, SweepError, check_kinds
-from .schemes import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
+
+# the scheme names, which evaluate dispatches on
+JT_NOMA = "JT-NOMA"
+CS_NOMA = "CS-NOMA"
+DPS_NOMA = "DPS-NOMA"
+JT_OMA = "JT-OMA"
+CS_OMA = "CS-OMA"
 
 DISC = "disc"
 RING = "ring"

@@ -1,8 +1,8 @@
 """Scalar references the array kernels are tested against.
 
 Everything here works on one instance at a time with plain Python objects:
-the domain objects of one cluster, the per-user rate and decodability
-formulas, a sweep trial's generator seed, the scalar gain formula, the
+the domain objects of one cluster, the joint-transmission decode-order
+rules, the per-user rate and decodability formulas, a sweep trial's generator seed, the scalar gain formula, the
 edge-placement law, dynamic cell selection, each scheme's guaranteed users,
 and a brute-force grid oracle for the single-cell allocation.  None of it
 shares code with the engine in ``compnoma.allocation``,
@@ -22,12 +22,12 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from compnoma.channel import RadioParams
-from compnoma.errors import ConditionViolation, ConfigError, DomainError
+from compnoma.errors import ConfigError, DomainError
 
 # --- domain objects ----------------------------------------------------------
 
@@ -103,6 +103,61 @@ class PowerAllocation:
         for u, p in self.powers.items():
             if p < 0.0:
                 raise DomainError(f"negative power {p} for user {u}")
+
+# --- joint-transmission decode-order rules -------------------------------------
+
+
+class ConditionViolation(DomainError):
+    """A cluster list breaks one of the joint-transmission decode-order rules.
+
+    which = 1: a coordinated user is decoded after a single-cell user.
+    which = 2: coordinated users appear in different relative orders
+               in two clusters.
+    """
+
+    def __init__(self, which: int, cell_id: int, users: tuple[int, ...], detail: str = ""):
+        self.which = which
+        self.cell_id = cell_id
+        self.users = tuple(users)
+        msg = f"decode-order condition {which} violated in cell {cell_id} (users {self.users})"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
+def validate_jt_conditions(clusters: Sequence, comp_users: Iterable[int]) -> None:
+    """Check the two decode-order rules joint transmission depends on; each
+    cluster has a ``cell_id`` and a ``decode_order``.
+
+    1. In every cluster, jointly served users are decoded before any
+       single-cell user (otherwise a single-cell user would have to cancel a
+       signal it cannot decode everywhere).
+    2. The jointly served users keep one common relative order across all
+       clusters (their superposed copies must be cancellable in lockstep).
+
+    Raises ConditionViolation (which=1 or 2) on the first broken rule.
+    """
+    comp = set(comp_users)
+    reference: tuple[int, ...] | None = None
+    for cluster in clusters:
+        order = cluster.decode_order
+        seen_noncomp = False
+        for u in order:
+            if u in comp:
+                if seen_noncomp:
+                    raise ConditionViolation(
+                        1, cluster.cell_id, order, f"user {u} decoded after a single-cell user"
+                    )
+            else:
+                seen_noncomp = True
+        sub = tuple(u for u in order if u in comp)
+        if reference is None:
+            reference = sub
+        elif sub != reference:
+            raise ConditionViolation(
+                2, cluster.cell_id, order,
+                f"joint users ordered {sub}, expected {reference}",
+            )
 
 
 # --- channel -------------------------------------------------------------------

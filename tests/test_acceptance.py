@@ -13,15 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compnoma import EQUAL_TRANSMIT, PRESETS, harness, run_sweep, validate_jt_conditions
+from compnoma import EQUAL_TRANSMIT, PRESETS, harness, run_sweep
 from compnoma.allocation import FEASIBLE, solve_jt
 from compnoma.channel import RadioParams, gain_array
 from compnoma.cli import format_csv
 from compnoma.allocation import rates
-from compnoma.errors import ConditionViolation
 
 from conftest import jt_order_mutants, one, oracle_agreement, random_problem, solve_one
-from reference import guaranteed_users
+from reference import ConditionViolation, guaranteed_users, validate_jt_conditions
 
 
 def _timed_preset(name):

@@ -142,6 +142,12 @@ def test_schema_rejections():
         with pytest.raises(ValidationError) as err:
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
+    # a dBm key is no field, yet a bad value is reported under its own name
+    for key in ("tx_power_dbm", "noise_density_dbm_hz"):
+        for text in ('"43"', "NaN", "true"):
+            with pytest.raises(ValidationError) as err:
+                config_from_dict(json.loads(f'{{"scenario_id": 1, "radio": {{"{key}": {text}}}}}'))
+            assert str(err.value) == f"radio.{key} must be a finite number, exact as a float, got {json.loads(text)!r}"
     config_from_dict({"scenario_id": 3, "decode_case": "both"})
 
 
@@ -284,6 +290,22 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
             sweep_values(*grid)
         with pytest.raises(ValidationError):
             ExperimentConfig(2, ("JT-NOMA",), *grid)
+
+
+@pytest.mark.parametrize("value", [1e-200, 1e200], ids=["underflows", "overflows"])
+def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
+    # each field is in range, but their product, the noise power, is 0.0 or
+    # inf: the sweep would then divide gains by it
+    fields = {"noise_density_mw_hz": value, "bandwidth_hz": value}
+    with pytest.raises(DomainError, match="noise_density_mw_hz \\* bandwidth_hz"):
+        RadioParams(**fields)
+    with pytest.raises(ValidationError, match="^radio.noise_density_mw_hz \\* bandwidth_hz must be"):
+        config_from_dict({"scenario_id": 2, "radio": fields})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario_id": 2, "radio": fields}))
+    assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radio.noise_density_mw_hz * bandwidth_hz"), err
 
 
 @pytest.mark.parametrize("text", UNUSABLE.values(), ids=UNUSABLE.keys())

@@ -285,6 +285,20 @@ def test_reduce_point_mean_and_ci_are_the_literal_formulas(ses):
         assert (row.mean_se_bps_hz.hex(), row.ci95.hex()) == (mean.hex(), ci.hex())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1e-310, 1e-160, 1e-3, 1.0, 1e100]), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40))
+def test_reduce_point_ci_squares_each_deviation_with_libm_pow(scale, units):
+    # numpy's float_power calls libm pow per element, so ci95 is the literal
+    # pow(d, 2.0) formula bit for bit, for deviations of either sign whose
+    # squares are subnormal or underflow (scale 1e-310, 1e-160), ordinary,
+    # or near 1e200; d * d differs from pow(d, 2.0) on some inputs
+    ses = [u * scale for u in units]
+    n = len(ses)
+    mean = math.fsum(ses) / n
+    ci = 1.96 * math.sqrt(math.fsum(pow(x - mean, 2.0) for x in ses) / (n - 1) / n)
+    assert harness._reduce_point(1.0, "x", ses, 0).ci95.hex() == ci.hex()
+
+
 FIG6_FULL = {
     "schemes": ("JT-NOMA", "DPS-NOMA", "JT-OMA"),
     "interference_mode": "full",

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from compnoma import ConditionViolation, DomainError
+from compnoma import DomainError
 
 from reference import (
     Band,
     ChannelRealization,
+    ConditionViolation,
     NomaCluster,
     PowerAllocation,
     comp_user_rate_jt,

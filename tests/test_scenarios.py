@@ -13,7 +13,6 @@ from compnoma import (
     DomainError,
     PlacementSpec,
     RadioParams,
-    validate_jt_conditions,
 )
 from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
@@ -42,6 +41,7 @@ from reference import (
     noncomp_user_rate,
     sic_feasible,
     user_rate_single_cell,
+    validate_jt_conditions,
 )
 from golden.make_golden import TRIAL_CONFIGS, TRIAL_POINTS, TRIALS_PER_POINT, golden_config
 

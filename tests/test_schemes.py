@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from compnoma import ConditionViolation, ConfigError, config_from_dict, validate_jt_conditions
+from compnoma import ConfigError, config_from_dict
 
 from conftest import jt_order_mutants
-from reference import Band, NomaCluster, dps_select_cell
+from reference import Band, ConditionViolation, NomaCluster, dps_select_cell, validate_jt_conditions
 
 BAND = Band(0, 8.64e6)
 
