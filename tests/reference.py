@@ -2,12 +2,13 @@
 
 Everything here works on one instance at a time with plain Python objects:
 the domain objects of one cluster, the joint-transmission decode-order
-rules, the per-user rate and decodability formulas, a sweep trial's generator seed, the scalar gain formula, the
-edge-placement law, dynamic cell selection, each scheme's guaranteed users,
-and a brute-force grid oracle for the single-cell allocation.  None of it
-shares code with the engine in ``compnoma.allocation``,
-``compnoma.scenarios`` or ``compnoma.harness`` (``test_exports`` checks the
-imports), so an agreement between the two is evidence, not a tautology.
+rules, the per-user rate and decodability formulas, a sweep trial's
+generator seed, the scalar gain formula, the edge-placement law, dynamic
+cell selection, each scheme's guaranteed users, and a brute-force grid
+oracle for the single-cell allocation.  None of it shares code with the
+engine in ``compnoma.allocation``, ``compnoma.scenarios`` or
+``compnoma.harness`` (``test_exports`` checks the imports), so an agreement
+between the two is evidence, not a tautology.
 
 Decode-order convention: ``NomaCluster.decode_order`` lists users in the order
 their signals are decoded.  Position 0 is decoded first by everyone; the last
@@ -103,6 +104,7 @@ class PowerAllocation:
         for u, p in self.powers.items():
             if p < 0.0:
                 raise DomainError(f"negative power {p} for user {u}")
+
 
 # --- joint-transmission decode-order rules -------------------------------------
 
