@@ -23,7 +23,10 @@ from .scenarios import JT_NOMA, SweepPoint, draw_block, evaluate, orthogonal_rat
 log = logging.getLogger("compnoma")
 
 _Z95 = 1.96  # two-sided 95% normal quantile
-_BLOCK = 1024  # most trials per range, i.e. per kernel block; bounds memory (fig6: 1.4 MiB traced)
+# most trials per range, i.e. per kernel block; bounds memory: the tracemalloc peak
+# of one fig6 run_chunk block (full interference, both decode cases) is 1.03 MiB,
+# reached in JT-NOMA's evaluate
+_BLOCK = 1024
 _MAX_POINTS = 10_000  # most values per sweep grid; a config builds each point's geometry
 
 
@@ -89,7 +92,7 @@ def run_chunk(config, start: int, stop: int):
     label = "orthogonal baseline"
     try:
         base = orthogonal_rates(layout, gains)
-        base_sums = np.array(list(map(math.fsum, base.tolist())))
+        base_sums = _row_sums(base)
         for scheme, cols in series.items():
             label = ", ".join(rows[r_i][0] for r_i in cols)
             out, reason = evaluate(
@@ -100,7 +103,7 @@ def run_chunk(config, start: int, stop: int):
             # infeasible trials' rows, and JT-OMA's, are the baseline's bits
             sums = np.tile(base_sums, len(cols))
             if out is not base:
-                sums[ok] = list(map(math.fsum, out[ok].tolist()))
+                sums[ok] = _row_sums(out[ok])
             for a, v in ((se, sums), (feasible, ok)):
                 a[:, cols] = np.reshape(v, (len(cols), -1)).T
     except Exception as e:
@@ -110,6 +113,12 @@ def run_chunk(config, start: int, stop: int):
             f" series={label}: {type(e).__name__}: {e}"
         ) from e
     return se / config.radio.bandwidth_hz, feasible
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D float array, streamed from its columns'
+    memoryviews, so no list of Python floats per row is built."""
+    return np.fromiter(map(math.fsum, zip(*map(memoryview, np.ascontiguousarray(a.T)))), float, len(a))
 
 
 @dataclass(frozen=True)
@@ -149,9 +158,9 @@ def _reduce_point(
 ) -> SweepRow:
     ses = np.asarray(ses, float)
     n = len(ses)
-    mean = math.fsum(ses.tolist()) / n
+    mean = math.fsum(memoryview(ses)) / n
     if n > 1:  # float_power is libm pow(d, 2.0) per element, as d ** 2; d * d and np.power differ on some inputs
-        var = math.fsum(np.float_power(ses - mean, 2.0).tolist()) / (n - 1)
+        var = math.fsum(memoryview(np.float_power(ses - mean, 2.0))) / (n - 1)
         ci = _Z95 * math.sqrt(var / n)
     else:
         ci = 0.0

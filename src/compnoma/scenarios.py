@@ -26,6 +26,7 @@ import _random
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass, replace
 from math import cos, hypot, log, sin, sqrt
 from typing import Sequence
@@ -162,15 +163,33 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     inside either coverage disc (tested with math, not numpy: it decides how
     many draws a trial consumes), then one fading uniform per (cell, user)
     link, cells outer, as one getrandbits word block (least significant word
-    first) turned into random()'s doubles by its formula.  Fading is Exp(1),
-    the squared Rayleigh envelope: -log(1 - U) by libm's log, from which
-    numpy's differs on some inputs.  A failure is re-raised as a SweepError
-    naming the seed, sweep index and trial being drawn, or, once all are, the
-    block's first and last."""
+    first).  No block-sized list of Python objects is built: the edge users'
+    distance terms go to one array("d") and the word blocks, little-endian,
+    to one bytearray, which numpy reads in place, turning each word pair into
+    random()'s double by its formula.  Fading is Exp(1), the squared Rayleigh
+    envelope: -log(1 - U) by libm's log (from which numpy's differs on some
+    inputs), streamed over a memoryview.  A failure is re-raised as a
+    SweepError naming the seed, sweep index and trial being drawn, or, once
+    all are, the block's first and last."""
+    try:
+        return gain_array(*_draw_trials(seed, segments), segments[0][0].radio)
+    except SweepError:
+        raise
+    except Exception as e:
+        (p0, t0), *_, (p1, t1) = [(i, tr[k]) for _, i, tr in segments if len(tr) for k in (0, -1)]
+        where = f"from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
+        raise SweepError(f"seed={seed} {where}: {type(e).__name__}: {e}") from e
+
+
+def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]):
+    """draw_block's (fading, distance terms), each (trials, cells, users).
+    The word and term buffers die on return, before the gains are formed.  A
+    trial's failure is raised as a SweepError naming it."""
     pack, from_bytes = struct.Struct(">Q").pack, int.from_bytes
     rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
     reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
-    edge, words, tries = [], [], range(_MAX_PLACEMENT_DRAWS)
+    edge, words, tries = array("d"), bytearray(), range(_MAX_PLACEMENT_DRAWS)
+    put = edge.append
     for point, sweep_index, trials in segments:
         t = None
         try:
@@ -178,7 +197,7 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
             copy = hashlib.blake2b(prefix, digest_size=16).copy
             radius, law, coverage = point.edge_region
             ring, ((x1, y1), (x2, y2)) = law == RING, point.sites
-            users, power, bits = point.layout.comp, -point.radio.pathloss_exponent, 64 * point.terms.size
+            users, power, size = point.layout.comp, -point.radio.pathloss_exponent, 8 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
@@ -197,22 +216,21 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
                         raise DomainError(
                             "edge-user placement rejected too often; region outside coverage is empty"
                         )
-                    edge += (d1 ** power, d2 ** power)
-                words.append(getrandbits(bits))
+                    put(d1 ** power)
+                    put(d2 ** power)
+                words += getrandbits(8 * size).to_bytes(size, "little")
         except Exception as e:
             raise SweepError(f"seed={seed} sweep_index={sweep_index} trial={t}: {type(e).__name__}: {e}") from e
-    try:
-        terms = np.repeat([p.terms for p, _, _ in segments], [len(tr) for _, _, tr in segments], axis=0)
-        terms[:, :, point.layout.comp] = np.reshape(edge, (len(words), len(users), 2)).transpose(0, 2, 1)
-        raw = b"".join([w.to_bytes(bits // 8, "little") for w in words])
-        a, b = np.frombuffer(raw, "<u4").reshape(-1, 2).T
-        uniforms = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
-        fading = -np.fromiter(map(log, (1.0 - uniforms).tolist()), float, uniforms.size)
-        return gain_array(fading.reshape(terms.shape), terms, point.radio)
-    except Exception as e:
-        (p0, t0), *_, (p1, t1) = [(i, tr[k]) for _, i, tr in segments if len(tr) for k in (0, -1)]
-        where = f"from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
-        raise SweepError(f"seed={seed} {where}: {type(e).__name__}: {e}") from e
+    terms = np.repeat([p.terms for p, _, _ in segments], [len(tr) for _, _, tr in segments], axis=0)
+    terms[:, :, users] = np.frombuffer(edge).reshape(len(terms), len(users), 2).transpose(0, 2, 1)
+    a, b = np.frombuffer(words, "<u4").reshape(-1, 2).T
+    u = (a >> 5) * 2.0**26
+    u += b >> 6
+    u *= 2.0**-53
+    np.subtract(1.0, u, out=u)
+    fading = np.fromiter(map(log, memoryview(u)), float, u.size)
+    np.negative(fading, out=fading)
+    return fading.reshape(terms.shape), terms
 
 
 def _by_gain(key: np.ndarray, cols: Sequence[int]) -> list:
