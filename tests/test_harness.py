@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -278,7 +279,8 @@ def test_reduce_point_mean_and_ci_are_the_literal_formulas(ses):
     n = len(ses)
     mean = math.fsum(ses) / n
     ci = 1.96 * math.sqrt(math.fsum((x - mean) ** 2 for x in ses) / (n - 1) / n) if n > 1 else 0.0
-    # _reduce gets a column of the (trials, series) SE array: a strided view
+    # _reduce gets a column of the (trials, series) SE array: a strided view,
+    # which _reduce_point sums through a memoryview, as the list would be summed
     column = np.column_stack([ses, np.zeros(n)])[:, 0]
     for given_ses in (ses, column):
         row = harness._reduce_point(1.0, "x", given_ses, 0)
@@ -297,6 +299,38 @@ def test_reduce_point_ci_squares_each_deviation_with_libm_pow(scale, units):
     mean = math.fsum(ses) / n
     ci = 1.96 * math.sqrt(math.fsum(pow(x - mean, 2.0) for x in ses) / (n - 1) / n)
     assert harness._reduce_point(1.0, "x", ses, 0).ci95.hex() == ci.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 5), st.data())
+def test_row_sums_are_math_fsum_of_each_listed_row(rows, cols, data):
+    # run_chunk sums each trial's row by math.fsum over the columns'
+    # memoryviews; that must equal fsum over tolist(), bit for bit, on whole
+    # arrays and on views such as out[ok] or a column slice
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150), st.floats(-1e-150, 1e-150))
+    full = np.reshape(data.draw(st.lists(value, min_size=2 * rows * cols, max_size=2 * rows * cols)), (rows, 2 * cols))
+    ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool)
+    for a in (full[:, :cols], full[:, 1::2], full[ok, cols:], np.asfortranarray(full[:, :cols])):
+        want = np.array([math.fsum(r) for r in a.tolist()])
+        assert harness._row_sums(a).tobytes() == want.tobytes()
+
+
+def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
+    # one 1,024-trial oma-baselines block (scenario 2, JT-OMA and CS-OMA)
+    # peaks at 5.1x its gain array's bytes under tracemalloc; block-sized
+    # lists of Python objects (the draw's words, fading inputs or edge terms,
+    # or per-row floats for the sums) take it past the 8x bound, to 11.7x
+    config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), sweep_start=50.0, sweep_stop=400.0,
+                          sweep_step=50.0, trials=1024)
+    run_chunk(config, 0, 1024)  # the first call fills lazy caches outside the trace
+    gains = scenarios.SweepPoint(2, 100.0, config.radio, None).draw(config.seed, 1, range(1024))
+    tracemalloc.start()
+    try:
+        run_chunk(config, 1024, 2048)  # point 1's trials: the block of gains
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * gains.nbytes, peak / gains.nbytes
 
 
 FIG6_FULL = {
