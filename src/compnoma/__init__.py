@@ -8,7 +8,6 @@ from .config import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    emit_defaults,
     parse_config,
 )
 from .errors import ConfigError, DomainError, ParseError, SweepError, ValidationError
@@ -24,7 +23,7 @@ __all__ = [
     "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "config_from_dict", "config_to_dict",
-    "dbm_to_mw", "emit_defaults", "parse_config", "run_sweep",
+    "dbm_to_mw", "parse_config", "run_sweep",
     "sweep_values",
     "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA", "JT_OMA",
 ]

@@ -217,12 +217,11 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
 
     # each cell's remaining budget is its single-cell traffic from here on, so
     # the cross-cell interference its tail sees in full mode is already fixed
-    nonshared = list(rem)
     for ci in range(m):
         if sizes[ci] == q:
             continue
         tail_x = [
-            0.0 if cross is None else seq_sum(nonshared[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci)
+            0.0 if cross is None else seq_sum(rem[oc] * cross[ci][j][oc] for oc in range(m) if oc != ci)
             for j in range(sizes[ci] - q)
         ]
         powers, tail_reason, tail_pos = solve_single_cell(

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from .channel import REFERENCE_NOISE_DENSITY_DBM_HZ, REFERENCE_TX_POWER_DBM, RadioParams, dbm_to_mw
+from .channel import RadioParams, dbm_to_mw
 from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
 from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, PlacementSpec, SweepPoint
@@ -43,11 +43,8 @@ CHOICES = {
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
 }
-# dBm spelling of each power-like radio field: (the field, its reference value in dBm)
-_DBM = {
-    "tx_power_dbm": ("tx_power_mw", REFERENCE_TX_POWER_DBM),
-    "noise_density_dbm_hz": ("noise_density_mw_hz", REFERENCE_NOISE_DENSITY_DBM_HZ),
-}
+# dBm spelling of each power-like radio field
+_DBM = {"tx_power_dbm": "tx_power_mw", "noise_density_dbm_hz": "noise_density_mw_hz"}
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
         d[f"sweep_{key}"] = float(value) if finite_number(value) else value
     radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)} | set(_DBM))
-    for alias, (key, _) in _DBM.items():
+    for alias, key in _DBM.items():
         if alias in radio:
             if key in radio:
                 raise ValidationError(f"radio: give {key} or {alias}, not both")
@@ -173,15 +170,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             out[key] = value
     out["schemes"] = list(config.schemes)
     return out
-
-
-def emit_defaults(scenario_id: int = 1) -> dict:
-    """Writable starting-point config with the dBm convenience keys."""
-    out = config_to_dict(ExperimentConfig(scenario_id, DEFAULT_SCHEMES[scenario_id]))
-    for alias, (key, dbm) in _DBM.items():
-        del out["radio"][key]
-        out["radio"][alias] = dbm
-    return {**out, "output_path": None}
 
 
 PRESETS = {

@@ -39,10 +39,10 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise DomainError("sweep step must be positive")
     if stop < start:
         raise DomainError("sweep stop below start")
-    count = int(math.floor((stop - start) / step * (1.0 + 1e-9))) + 1
-    if count > _MAX_POINTS:
-        raise DomainError(f"sweep has {count} points, more than {_MAX_POINTS}")
-    return tuple(min(start + i * step, stop) for i in range(count))
+    span = (stop - start) / step * (1.0 + 1e-9)  # inf if the grid overflows
+    if span >= _MAX_POINTS:
+        raise DomainError(f"sweep has more than {_MAX_POINTS} points")
+    return tuple(min(start + i * step, stop) for i in range(int(span) + 1))
 
 
 def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
@@ -75,7 +75,10 @@ def run_chunk(config, start: int, stop: int):
     point, and every series is evaluated on it at once, one ``evaluate``
     call per scheme with all its decode cases.  Module-level so process
     pools can pickle it.  Returns (spectral efficiency, feasible), each of
-    shape (trials, series).
+    shape (trials, series).  A failure is re-raised as a SweepError naming
+    the seed, the block's first and last (sweep index, trial) and the series
+    label (``draw`` for the draw); the draw's own SweepError, which names a
+    trial, passes unchanged.
     """
     rows = scheme_rows(config)
     series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
@@ -85,18 +88,18 @@ def run_chunk(config, start: int, stop: int):
     for s_i in range(start // n, (stop - 1) // n + 1):
         point = SweepPoint(config.scenario_id, values[s_i], config.radio, config.placement)
         segments.append((point, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
-    gains = draw_block(seed, segments)
-    layout = point.layout
     shape = (stop - start, len(rows))
     se, feasible = np.empty(shape), np.empty(shape, bool)
-    label = "orthogonal baseline"
+    label = "draw"
     try:
-        base = orthogonal_rates(layout, gains)
+        gains = draw_block(seed, segments)
+        label = "orthogonal baseline"
+        base = orthogonal_rates(point.layout, gains)
         base_sums = _row_sums(base)
         for scheme, cols in series.items():
             label = ", ".join(rows[r_i][0] for r_i in cols)
             out, reason = evaluate(
-                layout, gains, base, scheme, config.interference_mode, config.jt_split,
+                point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
                 [rows[r_i][2] for r_i in cols],
             )
             ok = reason == FEASIBLE
@@ -106,6 +109,8 @@ def run_chunk(config, start: int, stop: int):
                 sums[ok] = _row_sums(out[ok])
             for a, v in ((se, sums), (feasible, ok)):
                 a[:, cols] = np.reshape(v, (len(cols), -1)).T
+    except SweepError:
+        raise
     except Exception as e:
         (p0, t0), (p1, t1) = divmod(start, n), divmod(stop - 1, n)
         raise SweepError(

@@ -47,8 +47,7 @@ CS_OMA = "CS-OMA"
 DISC = "disc"
 RING = "ring"
 
-CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order
-CASE_EDGE_ORDER_CELL1 = "case2"  # edge users decoded in cell-1 gain order
+CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
 
 _MAX_PLACEMENT_DRAWS = 100_000
 _MASK64 = (1 << 64) - 1
@@ -84,25 +83,26 @@ class Layout:
 
     Axis 1 holds cells 1 and 2; axis 2 holds user_ids, ascending.  comp are the
     columns of the jointly served users, tails[ci] those of cell ci's
-    single-cell users (none for cell 2 in scenario 3).
+    single-cell users (none for cell 2 in scenario 3); radio is every
+    cell's.
     """
 
     user_ids: tuple[int, ...]
     comp: tuple[int, ...]
     tails: tuple[tuple[int, ...], ...]
-    power_mw: float
-    bandwidth_hz: float
-    p_tol: float
+    radio: RadioParams
 
 
 class SweepPoint:
-    """One sweep point: its fixed geometry, built once, and each trial's draw.
+    """One sweep point's fixed geometry, built once; ``draw_block`` draws its
+    trials.
 
     The jointly served users are 1 (and 2); cell c's single-cell users are
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
-    0 in the edge users' columns, which ``draw`` fills from each trial's
-    positions in ``edge_region`` (radius, law, coverage) around ``sites``.
+    0 in the edge users' columns, which ``draw_block`` fills from each
+    trial's positions in ``edge_region`` (radius, law, coverage) around
+    ``sites``.
     """
 
     def __init__(
@@ -133,11 +133,8 @@ class SweepPoint:
             ids,
             tuple(range(len(comp_ids))),
             tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
-            radio.tx_power_mw,
-            radio.bandwidth_hz,
-            radio.sic_tolerance,
+            radio,
         )
-        self.radio = radio
         self.edge_region = (radius, spec.edge_region_law, spec.coverage_m)
         alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
@@ -146,15 +143,11 @@ class SweepPoint:
             position = (x + math.copysign(d, x), 0.0)
             self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
 
-    def draw(self, seed: int, sweep_index: int, trials: Sequence[int]) -> np.ndarray:
-        """The one-segment ``draw_block`` of this point's trials."""
-        return draw_block(seed, [(self, sweep_index, trials)])
-
 
 def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:
     """(trials, cells, users) gain array of a kernel block: each (point,
     sweep_index, trials) segment's trials in turn, under master seed seed; the
-    points share one Layout and radio.  Trial t of point i reseeds one
+    points share one Layout, radio included.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
     each masked to 64 bits: (seed, i) is hashed (then copied per trial), and
     the point's edge_region, sites and path-loss exponent unpacked, once per
@@ -168,17 +161,9 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     to one bytearray, which numpy reads in place, turning each word pair into
     random()'s double by its formula.  Fading is Exp(1), the squared Rayleigh
     envelope: -log(1 - U) by libm's log (from which numpy's differs on some
-    inputs), streamed over a memoryview.  A failure is re-raised as a
-    SweepError naming the seed, sweep index and trial being drawn, or, once
-    all are, the block's first and last."""
-    try:
-        return gain_array(*_draw_trials(seed, segments), segments[0][0].radio)
-    except SweepError:
-        raise
-    except Exception as e:
-        (p0, t0), *_, (p1, t1) = [(i, tr[k]) for _, i, tr in segments if len(tr) for k in (0, -1)]
-        where = f"from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
-        raise SweepError(f"seed={seed} {where}: {type(e).__name__}: {e}") from e
+    inputs), streamed over a memoryview.  A trial's failure is re-raised as a
+    SweepError naming the seed, sweep index and trial being drawn."""
+    return gain_array(*_draw_trials(seed, segments), segments[0][0].layout.radio)
 
 
 def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]):
@@ -197,7 +182,7 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
             copy = hashlib.blake2b(prefix, digest_size=16).copy
             radius, law, coverage = point.edge_region
             ring, ((x1, y1), (x2, y2)) = law == RING, point.sites
-            users, power, size = point.layout.comp, -point.radio.pathloss_exponent, 8 * point.terms.size
+            users, power, size = point.layout.comp, -point.layout.radio.pathloss_exponent, 8 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
@@ -254,8 +239,8 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     times the full-band gain (p/B_share times gain*B_share/w cancels), so the
     budget-times-gain product is used directly.
     """
-    p = lay.power_mw
-    width = [lay.bandwidth_hz / (len(lay.tails[ci]) + len(lay.comp)) for ci in (0, 1)]
+    p = lay.radio.tx_power_mw
+    width = [lay.radio.bandwidth_hz / (len(lay.tails[ci]) + len(lay.comp)) for ci in (0, 1)]
     out = np.empty((len(g), len(lay.user_ids)))
     cells = [ci for ci in (0, 1) for _ in lay.tails[ci]]
     cols = [c for ci in (0, 1) for c in lay.tails[ci]]
@@ -314,7 +299,8 @@ def _jt_noma(lay, g, base, full, split, cases):
     order, then their own users by ascending gain."""
     edge = _edge_order(lay, g, cases)
     orders = [edge + _by_gain(g[:, ci, lay.tails[ci]], lay.tails[ci]) for ci in (0, 1)]
-    return _noma_clusters(g, base, edge, orders, [lay.power_mw] * 2, lay.bandwidth_hz, lay.p_tol, split, full)
+    r = lay.radio
+    return _noma_clusters(g, base, edge, orders, [r.tx_power_mw] * 2, r.bandwidth_hz, r.sic_tolerance, split, full)
 
 
 def _dps_noma(lay, g, base, full):
@@ -324,6 +310,7 @@ def _dps_noma(lay, g, base, full):
     trial's non-members lead the order unserved, and a cell left with no
     members transmits nothing."""
     to2 = g[:, 1, lay.comp] > g[:, 0, lay.comp]  # (trials, jointly served users)
+    r = lay.radio
     orders, idle, budgets = [], [], []
     for ci, away in enumerate((to2, ~to2)):
         cols = lay.tails[ci] + lay.comp
@@ -331,10 +318,8 @@ def _dps_noma(lay, g, base, full):
         key[:, len(lay.tails[ci]):][away] = -np.inf
         orders.append(_by_gain(key, cols))
         idle.append(away.sum(axis=1))
-        budgets.append(np.where(idle[ci] < len(cols), lay.power_mw, 0.0))
-    return _noma_clusters(
-        g, base, [], orders, budgets, lay.bandwidth_hz, lay.p_tol, EQUAL_TRANSMIT, full, idle
-    )
+        budgets.append(np.where(idle[ci] < len(cols), r.tx_power_mw, 0.0))
+    return _noma_clusters(g, base, [], orders, budgets, r.bandwidth_hz, r.sic_tolerance, EQUAL_TRANSMIT, full, idle)
 
 
 def _cs_noma(lay, g, base, full):
@@ -352,9 +337,10 @@ def _cs_noma(lay, g, base, full):
     edge, own = np.repeat(lay.comp, n), np.repeat(lay.tails[0] + lay.tails[1], n)
     swap = g[rows, 0, own] < g[rows, 0, edge]  # ascending gain, ties in the order (edge, own)
     orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
+    r = lay.radio
     out, reason = _noma_clusters(
-        g, np.concatenate([base, base]), [], orders, [lay.power_mw / 2.0] * 2, lay.bandwidth_hz / 2.0,
-        lay.p_tol, EQUAL_TRANSMIT, full,
+        g, np.concatenate([base, base]), [], orders, [r.tx_power_mw / 2.0] * 2, r.bandwidth_hz / 2.0,
+        r.sic_tolerance, EQUAL_TRANSMIT, full,
     )
     (out0, out1), (reason0, reason1) = np.split(out, 2), np.split(reason, 2)
     return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0)

@@ -87,12 +87,12 @@ def test_dbm_conversion_round_trip():
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
     point = SweepPoint(1, 100.0, RadioParams(), None)
-    table_a = point.draw(7, 0, [1])
-    table_b = point.draw(7, 0, [1])
+    table_a = draw_block(7, [(point, 0, [1])])
+    table_b = draw_block(7, [(point, 0, [1])])
     assert table_a.tolist() == table_b.tolist()
     assert table_a.shape == (1, 2, len(point.layout.user_ids))
     assert (table_a >= 0.0).all()
-    table_c = point.draw(7, 0, [2])
+    table_c = draw_block(7, [(point, 0, [2])])
     assert table_c.tolist() != table_a.tolist()
 
 
@@ -102,7 +102,7 @@ def fading_of_link(seed: int, trials: int) -> np.ndarray:
     point = SweepPoint(1, 100.0, RadioParams(), None)
     col = point.layout.user_ids.index(12)
     scale = point.terms[0, col] / RadioParams().noise_power_mw
-    gains = point.draw(seed, 0, range(trials))
+    gains = draw_block(seed, [(point, 0, range(trials))])
     return gains[:, 0, col] / scale
 
 
@@ -139,7 +139,7 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
         value = sweep[point_index]
         point = SweepPoint(scenario, value, radio, placement)
         trials = range(first, first + block)
-        got = point.draw(seed, point_index, trials)
+        got = draw_block(seed, [(point, point_index, trials)])
         assert got.shape == (block, 2, len(point.layout.user_ids))
         for i, trial in enumerate(trials):
             users, want = reference_gains(
@@ -170,12 +170,12 @@ def test_block_draw_is_its_segments_drawn_alone(scenario, law):
     for seed, start, stop in ((0, 37, 101), (1703, 49, 151), (2**40, 99, 101), (11, 0, 200)):
         segments = block_segments(points, 50, start, stop)
         got = draw_block(seed, segments)
-        want = np.concatenate([p.draw(seed, i, trials) for p, i, trials in segments])
+        want = np.concatenate([draw_block(seed, [segment]) for segment in segments])
         assert got.shape == (stop - start, 2, len(points[0].layout.user_ids))
         assert got.tobytes() == want.tobytes(), (seed, start, stop)
 
 
-def test_block_draw_failures_name_the_trial_or_the_block(monkeypatch):
+def test_block_draw_failures_name_the_trial(monkeypatch):
     # with one try per edge user, the 50 m point's disc never meets a
     # coverage disc, so the first rejection is the 400 m point's (its trial
     # 2 under seed 2037, mid-segment), named by its sweep index and trial
@@ -200,23 +200,6 @@ def test_block_draw_failures_name_the_trial_or_the_block(monkeypatch):
         f"seed=2037 sweep_index=1 trial={t}: DomainError: edge-user placement rejected too often;"
         " region outside coverage is empty"
     )
-
-    # a failure once every trial is drawn names the block's first and last
-    # (sweep index, trial)
-    monkeypatch.undo()
-
-    def broken(*args):
-        raise FloatingPointError("injected")
-
-    monkeypatch.setattr(scenarios, "gain_array", broken)
-    for segs, where in (
-        (segments, "from sweep_index=0 trial=5 to sweep_index=1 trial=19"),
-        (segments[1:], "from sweep_index=1 trial=0 to sweep_index=1 trial=19"),
-        (block_segments(points, 20, 19, 21), "from sweep_index=0 trial=19 to sweep_index=1 trial=0"),
-    ):
-        with pytest.raises(SweepError) as err:
-            draw_block(seed, segs)
-        assert str(err.value) == f"seed=2037 {where}: FloatingPointError: injected"
 
 
 def reference_gains(scenario, law, value, radio, placement, rng):

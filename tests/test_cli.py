@@ -26,7 +26,6 @@ from compnoma import (
     ValidationError,
     config_from_dict,
     config_to_dict,
-    emit_defaults,
     parse_config,
     sweep_values,
 )
@@ -54,20 +53,16 @@ def row(sweep, scheme, mean=1.0, ci=0.1, infeas=0.0, trials=10):
 
 
 def test_defaults_round_trip_exactly():
-    for scenario in (1, 2, 3):
-        config = config_from_dict(emit_defaults(scenario))
-        again = config_from_dict(config_to_dict(config))
-        assert again == config
     for name, preset in PRESETS.items():
         assert config_from_dict(config_to_dict(preset())) == preset(), name
 
 
 def test_readme_json_example_is_a_valid_config():
-    # the README's example spells out scenario 2's defaults
+    # the README's example spells out the fig5 preset, scenario 2's defaults
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## JSON configuration\n\n```json\n(.*?)^```", readme, re.M | re.S)
     assert block, "README.md has no JSON configuration block"
-    assert config_from_dict(json.loads(block.group(1))) == config_from_dict(emit_defaults(2))
+    assert config_from_dict(json.loads(block.group(1))) == PRESETS["fig5"]()
 
 
 def test_readme_library_example_runs(capsys):
@@ -257,13 +252,42 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
     assert len(built) >= 10, len(built)  # not vacuous: 35-84 of 300 over 20 seeds
 
 
+# each config's JSON and its error message
 UNUSABLE = {
-    "non-finite tolerance": '{"scenario_id": 1, "radio": {"sic_tolerance": NaN}}',
-    "non-finite sweep start": '{"scenario_id": 1, "sweep": {"start": NaN}}',
-    "non-finite bandwidth": '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
-    "coverage reaches the midpoint": '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
-    "single-cell user outside coverage": '{"scenario_id": 2, "placement": {"coverage_m": 240}}',
-    "sweep leaves coverage": '{"scenario_id": 1, "sweep": {"stop": 500}}',
+    "non-finite tolerance": (
+        '{"scenario_id": 1, "radio": {"sic_tolerance": NaN}}',
+        "radio.sic_tolerance must be a finite number, exact as a float, got nan",
+    ),
+    "non-finite sweep start": (
+        '{"scenario_id": 1, "sweep": {"start": NaN}}',
+        "sweep.start must be a finite number, exact as a float, got nan",
+    ),
+    "non-finite bandwidth": (
+        '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
+        "radio.bandwidth_hz must be a finite number, exact as a float, got inf",
+    ),
+    "coverage reaches the midpoint": (
+        '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
+        "placement.inter_site_m must exceed twice coverage_m: coverage discs reach the midpoint",
+    ),
+    "single-cell user outside coverage": (
+        '{"scenario_id": 2, "placement": {"coverage_m": 240}}',
+        "sweep value 50: single-cell user distance 250.0 exceeds coverage 240",
+    ),
+    "sweep leaves coverage": (
+        '{"scenario_id": 1, "sweep": {"stop": 500}}',
+        "sweep value 450: single-cell user distance 450.0 exceeds coverage 400.0",
+    ),
+    # (1e308 - 0) / 1e-300 points overflow a float
+    "sweep point count overflows": (
+        '{"scenario_id": 1, "sweep": {"start": 0, "stop": 1e308, "step": 1e-300}}',
+        "sweep: sweep has more than 10000 points",
+    ),
+    # 1e-20 is below half an ULP of 500, so the swept user sits on its own site
+    "single-cell user on its site": (
+        '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
+        "sweep value 1e-20: user at (-500.0, 0.0) is on top of a cell at (-500.0, 0.0)",
+    ),
 }
 
 
@@ -308,15 +332,17 @@ def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
     assert err.startswith("error: radio.noise_density_mw_hz * bandwidth_hz"), err
 
 
-@pytest.mark.parametrize("text", UNUSABLE.values(), ids=UNUSABLE.keys())
-def test_unusable_configs_are_rejected_when_parsed(text, tmp_path, capsys):
-    # each used to run (to exit 0 or 2) or to escape as a DomainError traceback
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("text, message", UNUSABLE.values(), ids=UNUSABLE.keys())
+def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, capsys):
+    # each is rejected with a message that says what is wrong, by the reader
+    # and by the command line, never run or left to escape as a traceback
+    with pytest.raises(ValidationError) as err:
         config_from_dict(json.loads(text))
+    assert str(err.value) == message
     path = tmp_path / "c.json"
     path.write_text(text)
     assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fixed_scenario_distances_are_unknown_placement_keys():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from compnoma import (
     PRESETS,
+    DomainError,
     ExperimentConfig,
     SweepError,
     config_from_dict,
@@ -23,6 +24,7 @@ from compnoma.cli import format_csv
 from compnoma.config import ALLOWED_SCHEMES
 from compnoma import allocation, harness, scenarios
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
+from compnoma.scenarios import draw_block
 
 from reference import trial_seed
 
@@ -61,8 +63,8 @@ def test_substream_is_deterministic_and_distinct():
     mask = (1 << 64) - 1
     point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio, None)
     for s, w, t in ((0, 0, 0), (2026, 3, 99), (-1, 2**64 + 5, 2**63)):
-        masked = [point.draw(s & mask, w & mask, [u & mask]).tolist()[0] for u in (t - 1, t)]
-        assert point.draw(s, w, [t - 1, t]).tolist() == masked
+        masked = [draw_block(s & mask, [(point, w & mask, [u & mask])]).tolist()[0] for u in (t - 1, t)]
+        assert draw_block(s, [(point, w, [t - 1, t])]).tolist() == masked
 
 
 def test_sweep_values_grid():
@@ -80,6 +82,10 @@ def test_sweep_values_grid():
         sweep_values(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         sweep_values(2.0, 1.0, 0.5)
+    # grids whose point count overflows a float are too long, not an OverflowError
+    for grid in ((0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0)):
+        with pytest.raises(DomainError, match="^sweep has more than 10000 points$"):
+            sweep_values(*grid)
 
 
 def test_sweep_values_clamp_drift_past_stop():
@@ -112,7 +118,7 @@ def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
     point = scenarios.SweepPoint(1, 200.0, config.radio, config.placement)
-    gains = point.draw(config.seed, 0, [0])
+    gains = draw_block(config.seed, [(point, 0, [0])])
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
     for scheme in config.schemes:
@@ -323,7 +329,7 @@ def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
     config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), sweep_start=50.0, sweep_stop=400.0,
                           sweep_step=50.0, trials=1024)
     run_chunk(config, 0, 1024)  # the first call fills lazy caches outside the trace
-    gains = scenarios.SweepPoint(2, 100.0, config.radio, None).draw(config.seed, 1, range(1024))
+    gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio, None), 1, range(1024))])
     tracemalloc.start()
     try:
         run_chunk(config, 1024, 2048)  # point 1's trials: the block of gains
@@ -349,7 +355,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
     se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.placement) for v in values[:3]]
-    gains = np.concatenate([p.draw(config.seed, i, range(config.trials)) for i, p in enumerate(points)])
+    gains = draw_block(config.seed, [(p, i, range(config.trials)) for i, p in enumerate(points)])
     base = scenarios.orthogonal_rates(points[0].layout, gains)
     mixed = []
     for r_i, (label, scheme, case) in enumerate(scheme_rows(config)):
@@ -529,26 +535,27 @@ def test_audit_slack_decides_presence_not_size(monkeypatch):
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
-    # a kernel failure names the block's first and last (sweep index, trial)
-    # and the series label, also when it is raised in a pool worker
+    # a kernel failure, or one in the draw's steps after its loop over the
+    # trials, names the block's first and last (sweep index, trial) and the
+    # series label, also when it is raised in a pool worker
     def broken(*args, **kwargs):
         raise FloatingPointError("injected")
 
-    monkeypatch.setattr(scenarios, "_jt_noma", broken)
     config = small_config(trials=40)
-    with pytest.raises(SweepError) as err:
-        run_sweep(config, workers=workers)
     # serially one block spans all three points; a pool worker gets a shorter range
     last = "sweep_index=2 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
-    assert re.fullmatch(
-        rf"seed=2026 from sweep_index=0 trial=0 to {last} series=JT-NOMA: FloatingPointError: injected",
-        str(err.value),
-    )
+    for name, label in (("_jt_noma", "JT-NOMA"), ("gain_array", "draw")):
+        monkeypatch.setattr(scenarios, name, broken)
+        with pytest.raises(SweepError) as err:
+            run_sweep(config, workers=workers)
+        assert re.fullmatch(
+            rf"seed=2026 from sweep_index=0 trial=0 to {last} series={label}: FloatingPointError: injected",
+            str(err.value),
+        ), name
+        monkeypatch.undo()
 
     # a failure while drawing a trial names that trial: here reseeding the
     # generator with its seed fails
-    monkeypatch.undo()
-
     class Flaky(random.Random):
         def seed(self, a=None, version=2):
             if a == trial_seed(2026, 1, 7):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +17,14 @@ from compnoma import (
 )
 from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
-from compnoma.config import ALLOWED_SCHEMES, config_from_dict
-from compnoma.harness import run_chunk, scheme_rows
+from compnoma.config import ALLOWED_SCHEMES, PRESETS, config_from_dict
+from compnoma.harness import run_chunk, scheme_rows, sweep_values
 from compnoma.scenarios import (
-    CASE_EDGE_ORDER_CELL1,
-    CASE_EDGE_ORDER_CELL2,
     DISC,
     RING,
     SweepPoint,
     _edge_order,
+    draw_block,
     evaluate,
     orthogonal_rates,
 )
@@ -65,12 +65,12 @@ def by_user(point: SweepPoint, row: np.ndarray) -> dict:
 
 
 def edge_positions(point: SweepPoint, rng) -> list:
-    """The jointly served users' positions, drawn as SweepPoint.draw does."""
+    """The jointly served users' positions, drawn as draw_block does."""
     radius, law, coverage = point.edge_region
     return [draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.layout.comp]
 
 
-def run(point, g, scheme, interference_mode="negligible", cases=(CASE_EDGE_ORDER_CELL2,)):
+def run(point, g, scheme, interference_mode="negligible", cases=("case1",)):
     """evaluate on a block: (rates, baseline, feasible, reason), with one
     copy of the block per decode case."""
     base = orthogonal_rates(point.layout, g)
@@ -112,6 +112,21 @@ def test_scenario_2_and_3_shapes():
         assert point.edge_region[0] == 120.0
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= 120.0
+
+
+@pytest.mark.parametrize("preset", ("fig4", "fig5", "fig6"))
+def test_every_point_of_a_grid_shares_one_layout(preset):
+    # run_chunk evaluates a block that crosses points with its last point's
+    # Layout, and draw_block forms every segment's gains with the first
+    # segment's radio: both need every point of a config to have an equal
+    # Layout, its radio included
+    radio = RadioParams(tx_power_mw=5e3, bandwidth_hz=2e6, pathloss_exponent=3.5, sic_tolerance=1.0)
+    for law in (DISC, RING):
+        config = replace(PRESETS[preset](), radio=radio, placement=PlacementSpec(edge_region_law=law))
+        values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+        layouts = {SweepPoint(config.scenario_id, v, config.radio, config.placement).layout for v in values}
+        assert len(values) == 8 and len(layouts) == 1, (law, layouts)
+        assert layouts.pop().radio == radio
 
 
 def test_edge_region_laws():
@@ -240,23 +255,23 @@ def test_edge_decode_order_reference_cell():
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
         return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, (decode_case,)))
 
-    assert order(3, CASE_EDGE_ORDER_CELL2) == (1, 2)
-    assert order(3, CASE_EDGE_ORDER_CELL1) == (2, 1)
-    assert order(2, CASE_EDGE_ORDER_CELL2) == (2, 1)
+    assert order(3, "case1") == (1, 2)
+    assert order(3, "case2") == (2, 1)
+    assert order(2, "case1") == (2, 1)
 
 
 def test_run_trial_dispatch_errors():
     # the config rejects every other unusable input (test_cli.test_schema_rejections)
     s1 = SweepPoint(1, 350.0, RadioParams(), None)
     with pytest.raises(ConfigError):
-        run(s1, s1.draw(14, 0, [0]), "TDMA")
+        run(s1, draw_block(14, [(s1, 0, [0])]), "TDMA")
 
 
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = RadioParams(sic_tolerance=1e12)
     point = SweepPoint(1, 350.0, harsh, None)
-    out, base, feasible, reason = run(point, point.draw(16, 0, [0]), "JT-NOMA")
+    out, base, feasible, reason = run(point, draw_block(16, [(point, 0, [0])]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
     assert out.tolist() == base.tolist()
@@ -264,10 +279,10 @@ def test_infeasible_trial_falls_back_to_baseline():
 
 
 def test_feasible_trials_meet_guarantees():
-    both = (CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1)
+    both = ("case1", "case2")
     for scenario, schemes in ALLOWED_SCHEMES.items():
         point = SweepPoint(scenario, 200.0, RadioParams(), None)
-        lay, g = point.layout, point.draw(17, 0, range(60))
+        lay, g = point.layout, draw_block(17, [(point, 0, range(60))])
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
             cases = both if scenario == 3 and scheme == "JT-NOMA" else both[:1]
             out, base, feasible, _ = run(point, g, scheme, cases=cases)
@@ -286,7 +301,7 @@ def test_spectral_efficiency_is_sum_over_band():
     )
     se, _ = run_chunk(config, 0, 4)
     point = SweepPoint(3, 150.0, config.radio, config.placement)
-    g = point.draw(config.seed, 0, range(4))
+    g = draw_block(config.seed, [(point, 0, range(4))])
     out, base, _, _ = run(point, g, "JT-NOMA")
     for t in range(4):
         assert se[t, 0] == math.fsum(out[t].tolist()) / 8.64e6
@@ -295,7 +310,7 @@ def test_spectral_efficiency_is_sum_over_band():
 
 def test_interference_mode_full_never_exceeds_negligible():
     point = SweepPoint(2, 200.0, RadioParams(), None)
-    g = point.draw(19, 0, range(40))
+    g = draw_block(19, [(point, 0, range(40))])
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
         clean, _, clean_ok, _ = run(point, g, scheme, interference_mode="negligible")
@@ -329,8 +344,8 @@ def per_cell_reference(lay, g, base, scheme, full):
     rates = np.zeros(len(lay.user_ids))
     feasible = True
     for band_id, (fraction, members) in enumerate(bands):
-        band = Band(band_id, fraction * lay.bandwidth_hz)
-        budget = fraction * lay.power_mw
+        band = Band(band_id, fraction * lay.radio.bandwidth_hz)
+        budget = fraction * lay.radio.tx_power_mw
         eff = g / fraction
         table = ChannelRealization({(ci, c): eff[ci, c] for ci in (0, 1) for c in range(eff.shape[1])})
         solved = {}
@@ -342,7 +357,7 @@ def per_cell_reference(lay, g, base, scheme, full):
             busy = [oc for oc in members if oc != ci and members[oc]]
             x = [budget * eff[busy[0], c] if full and busy else 0.0 for c in order]
             powers, reason, _ = solve_one(
-                [eff[ci, c] for c in order], [base[c] for c in order[:-1]], budget, lay.p_tol,
+                [eff[ci, c] for c in order], [base[c] for c in order[:-1]], budget, lay.radio.sic_tolerance,
                 band.width_hz, x,
             )
             feasible &= reason == FEASIBLE
@@ -361,7 +376,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 @pytest.mark.parametrize("scenario, scheme", [(2, "CS-NOMA"), (2, "DPS-NOMA"), (3, "DPS-NOMA")])
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
     point = SweepPoint(scenario, 200.0, RadioParams(), None)
-    g = point.draw(41, 0, range(200))
+    g = draw_block(41, [(point, 0, range(200))])
     out, base, feasible, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
     if scenario == 3:
@@ -466,8 +481,8 @@ def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
 
 def test_one_draw_per_block(monkeypatch):
     # run_sweep draws each kernel block in one draw_block call, one segment
-    # per point the block crosses; SweepPoint.draw is a draw_block call too,
-    # so a draw per point would show as more calls
+    # per point the block crosses, so a draw per point would show as more
+    # calls
     calls = []
     real = scenarios.draw_block
 
@@ -496,14 +511,14 @@ def test_evaluate_rows_are_independent(scenario, scheme):
     # must not let one trial's row reach another's
     point = SweepPoint(scenario, 200.0, RadioParams(), None)
     n = 96
-    g = point.draw(23, 0, range(n))
+    g = draw_block(23, [(point, 0, range(n))])
     perm = np.random.default_rng(5).permutation(n)
     base = orthogonal_rates(point.layout, g)
     assert orthogonal_rates(point.layout, g[perm]).tobytes() == base[perm].tobytes()
-    stacked = [(CASE_EDGE_ORDER_CELL2, CASE_EDGE_ORDER_CELL1)] if scenario == 3 else []
+    stacked = [("case1", "case2")] if scenario == 3 else []
     for mode in ("negligible", "full"):
         for split in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
-            for cases in [(CASE_EDGE_ORDER_CELL2,), *stacked]:
+            for cases in [("case1",), *stacked]:
                 whole = evaluate(point.layout, g, base, scheme, mode, split, cases)
                 shuffled = evaluate(point.layout, g[perm], base[perm], scheme, mode, split, cases)
                 for a, b in zip(whole, shuffled):
@@ -524,7 +539,7 @@ def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, decode_c
     run_chunk(config, 0, n)
     [((raw, tails, *_), _)] = jt_calls
     point = SweepPoint(scenario, 200.0, config.radio, config.placement)
-    g, lay = point.draw(config.seed, 0, range(n)), point.layout
+    g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
     shared = set()
     for i in range(len(raw[0][0])):  # one block of n trials per decode case
