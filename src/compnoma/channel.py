@@ -15,7 +15,11 @@ from .errors import DomainError, check_kinds
 
 
 def dbm_to_mw(value_dbm: float) -> float:
-    return 10.0 ** (value_dbm / 10.0)
+    """Milliwatts of value_dbm; raises DomainError naming a value whose milliwatts overflow a float."""
+    try:
+        return 10.0 ** (value_dbm / 10.0)
+    except OverflowError as e:
+        raise DomainError(f"{value_dbm} dB above 1 mW overflows a float") from e
 
 
 REFERENCE_TX_POWER_DBM = 43.0
@@ -76,8 +80,12 @@ def gain_array(fading, distance_terms, params: RadioParams):
 
 def distance_term(a: tuple[float, float], b: tuple[float, float], alpha: float) -> float:
     """d^(-alpha) between two positions; computed with math, not numpy, so it
-    is bit-identical wherever it is evaluated."""
+    is bit-identical wherever it is evaluated.  Raises DomainError naming a
+    distance that is 0 or whose d^(-alpha) overflows a float."""
     d = math.hypot(a[0] - b[0], a[1] - b[1])
     if d <= 0.0:
         raise DomainError(f"user at {a} is on top of a cell at {b}")
-    return d ** (-alpha)
+    try:
+        return d ** (-alpha)
+    except OverflowError as e:
+        raise DomainError(f"distance {d} m to the power {-alpha} overflows a float") from e

@@ -100,7 +100,7 @@ def _ranged(where: str, make, *args, **kwargs):
     """make(*args, **kwargs), a range error it raises re-raised as a ValidationError after where."""
     try:
         return make(*args, **kwargs)
-    except (DomainError, OverflowError) as e:
+    except DomainError as e:
         raise ValidationError(f"{where}{e}") from e
 
 

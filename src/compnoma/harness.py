@@ -146,14 +146,6 @@ class SweepResult:
     def series(self, scheme: str) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if r.scheme == scheme)
 
-    @property
-    def schemes(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.scheme not in seen:
-                seen.append(r.scheme)
-        return tuple(seen)
-
 
 def _reduce_point(
     sweep_value: float,

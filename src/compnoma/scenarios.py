@@ -105,14 +105,11 @@ class SweepPoint:
     ``sites``.
     """
 
-    def __init__(
-        self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec | None
-    ):
+    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
         if not 0.0 < sweep_value < math.inf:
             raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
-        spec = placement or PlacementSpec()
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
             radius = 200.0
             distances = (sweep_value, 300.0)
@@ -122,9 +119,9 @@ class SweepPoint:
             distances = (250.0,)
             comp_ids = (1, 2)
         for d in distances:
-            if d > spec.coverage_m:
-                raise DomainError(f"single-cell user distance {d} exceeds coverage {spec.coverage_m}")
-        half = spec.inter_site_m / 2.0
+            if d > placement.coverage_m:
+                raise DomainError(f"single-cell user distance {d} exceeds coverage {placement.coverage_m}")
+        half = placement.inter_site_m / 2.0
         self.sites = ((-half, 0.0), (half, 0.0))
         cells = (1,) if scenario_id == 3 else (1, 2)  # scenario 3: cell 2 serves edge users only
         tails = [(c, 10 * c + 1 + i, d) for c in cells for i, d in enumerate(distances)]
@@ -135,7 +132,7 @@ class SweepPoint:
             tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
             radio,
         )
-        self.edge_region = (radius, spec.edge_region_law, spec.coverage_m)
+        self.edge_region = (radius, placement.edge_region_law, placement.coverage_m)
         alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
         for c, u, d in tails:
@@ -325,22 +322,23 @@ def _dps_noma(lay, g, base, full):
 def _cs_noma(lay, g, base, full):
     """The orthogonal 50/50 band plan: on half band b, cell b superposes edge
     user b on its single-cell user and the other cell serves its single-cell
-    user alone, each at half power.  In-band noise halves with the band, so
-    gains double.  One call solves both bands: band 1's trials follow band
-    0's with the cells swapped, so cell 1 always superposes (the other
-    cell's lone head can flag nothing, so the reason codes are unchanged).
-    The two bands' rates add; the reason is band 0's unless that is
-    feasible."""
+    user alone, each at half power.  Half the power over half the noise
+    leaves every SNR at its full-band value, so the full-band gains and
+    budgets are solved as they are, and the half band is only the rate's
+    width.  One call solves both bands: band 1's trials follow band 0's with
+    the cells swapped, so cell 1 always superposes (the other cell's lone
+    head can flag nothing, so the reason codes are unchanged).  The two
+    bands' rates add; the reason is band 0's unless that is feasible."""
     n = len(g)
-    g = np.concatenate([g, g[:, ::-1]]) * 2.0
+    g = np.concatenate([g, g[:, ::-1]])
     rows = np.arange(2 * n)
     edge, own = np.repeat(lay.comp, n), np.repeat(lay.tails[0] + lay.tails[1], n)
     swap = g[rows, 0, own] < g[rows, 0, edge]  # ascending gain, ties in the order (edge, own)
     orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
     r = lay.radio
     out, reason = _noma_clusters(
-        g, np.concatenate([base, base]), [], orders, [r.tx_power_mw / 2.0] * 2, r.bandwidth_hz / 2.0,
-        r.sic_tolerance, EQUAL_TRANSMIT, full,
+        g, np.concatenate([base, base]), [], orders, [r.tx_power_mw] * 2, r.bandwidth_hz / 2.0, r.sic_tolerance,
+        EQUAL_TRANSMIT, full,
     )
     (out0, out1), (reason0, reason1) = np.split(out, 2), np.split(reason, 2)
     return out0 + out1, np.where(reason0 == FEASIBLE, reason1, reason0)

@@ -83,10 +83,12 @@ def test_dbm_conversion_round_trip():
     assert dbm_to_mw(0.0) == 1.0
     assert dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
     assert dbm_to_mw(43.0) == pytest.approx(19952.62314968879, rel=1e-12)
+    with pytest.raises(DomainError, match="^4000.0 dB above 1 mW overflows a float$"):
+        dbm_to_mw(4000.0)
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
-    point = SweepPoint(1, 100.0, RadioParams(), None)
+    point = SweepPoint(1, 100.0, RadioParams(), PlacementSpec())
     table_a = draw_block(7, [(point, 0, [1])])
     table_b = draw_block(7, [(point, 0, [1])])
     assert table_a.tolist() == table_b.tolist()
@@ -99,7 +101,7 @@ def test_realization_covers_every_link_and_is_seed_deterministic():
 def fading_of_link(seed: int, trials: int) -> np.ndarray:
     """Back out the fading factor from the gains of one fixed link (cell 1,
     user 12) over trials 0..trials-1 of one sweep point."""
-    point = SweepPoint(1, 100.0, RadioParams(), None)
+    point = SweepPoint(1, 100.0, RadioParams(), PlacementSpec())
     col = point.layout.user_ids.index(12)
     scale = point.terms[0, col] / RadioParams().noise_power_mw
     gains = draw_block(seed, [(point, 0, range(trials))])
@@ -179,7 +181,7 @@ def test_block_draw_failures_name_the_trial(monkeypatch):
     # with one try per edge user, the 50 m point's disc never meets a
     # coverage disc, so the first rejection is the 400 m point's (its trial
     # 2 under seed 2037, mid-segment), named by its sweep index and trial
-    points = [SweepPoint(2, v, RadioParams(), None) for v in (50.0, 400.0)]
+    points = [SweepPoint(2, v, RadioParams(), PlacementSpec()) for v in (50.0, 400.0)]
     segments = block_segments(points, 20, 5, 40)
     seed = 2037
 

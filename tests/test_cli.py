@@ -288,6 +288,20 @@ UNUSABLE = {
         '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
         "sweep value 1e-20: user at (-500.0, 0.0) is on top of a cell at (-500.0, 0.0)",
     ),
+    "dBm power overflows": (
+        '{"scenario_id": 1, "radio": {"tx_power_dbm": 1e6}}',
+        "radio.tx_power_dbm: 1000000.0 dB above 1 mW overflows a float",
+    ),
+    "dBm noise density overflows": (
+        '{"scenario_id": 1, "radio": {"noise_density_dbm_hz": 4000}}',
+        "radio.noise_density_dbm_hz: 4000 dB above 1 mW overflows a float",
+    ),
+    # the swept user sits about 1e-10 m from its site, and d^-40 passes float range
+    "distance term overflows": (
+        '{"scenario_id": 1, "sweep": {"start": 1e-10, "stop": 1e-10, "step": 1},'
+        ' "radio": {"pathloss_exponent": 40.0}}',
+        "sweep value 1e-10: distance 9.99875737761613e-11 m to the power -40.0 overflows a float",
+    ),
 }
 
 
@@ -308,7 +322,7 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
         with pytest.raises(DomainError):
             PlacementSpec(**{key: bad})
     with pytest.raises(DomainError):
-        SweepPoint(2, bad, RadioParams(), None)
+        SweepPoint(2, bad, RadioParams(), PlacementSpec())
     for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
         with pytest.raises(DomainError):
             sweep_values(*grid)

@@ -1,5 +1,5 @@
-"""The package's hand-kept export list, the references' independence, and
-the one Shannon formula."""
+"""The package's hand-kept export list, the references' independence,
+the one Shannon formula and the fixed-order float sums."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,18 @@ def test_only_allocation_rates_takes_a_log2():
     package = Path(compnoma.__file__).parent
     scopes = [scope for path in sorted(package.glob("*.py")) for scope in log2_scopes(path)]
     assert scopes == ["allocation.rates"], scopes
+
+
+def test_no_builtin_sum_in_the_package():
+    # from Python 3.12 on, sum() adds floats with compensated summation, so
+    # its result would depend on the interpreter; the package sums in a fixed
+    # order (allocation.seq_sum, math.fsum), which decides floor-bound
+    # verdicts.  An array's own .sum(...) is an attribute, not this name.
+    package = Path(compnoma.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert not calls, calls

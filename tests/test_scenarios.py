@@ -79,7 +79,7 @@ def run(point, g, scheme, interference_mode="negligible", cases=("case1",)):
 
 
 def test_scenario_1_shape():
-    point = SweepPoint(1, 350.0, RadioParams(), None)
+    point = SweepPoint(1, 350.0, RadioParams(), PlacementSpec())
     lay = point.layout
     assert lay.user_ids == (1, 11, 12, 21, 22)
     assert [lay.user_ids[c] for c in lay.comp] == [1]
@@ -99,13 +99,13 @@ def test_scenario_1_shape():
 
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
-    s2 = SweepPoint(2, 120.0, RadioParams(), None)
+    s2 = SweepPoint(2, 120.0, RadioParams(), PlacementSpec())
     assert s2.layout.user_ids == (1, 2, 11, 21)
     assert s2.layout.comp == (0, 1)
     assert s2.layout.tails == ((2,), (3,))
     assert s2.terms[:, 2].tolist() == [250.0 ** -4.0, 1250.0 ** -4.0]
     assert s2.terms[:, 3].tolist() == [1250.0 ** -4.0, 250.0 ** -4.0]
-    s3 = SweepPoint(3, 120.0, RadioParams(), None)
+    s3 = SweepPoint(3, 120.0, RadioParams(), PlacementSpec())
     assert s3.layout.user_ids == (1, 2, 11)
     assert s3.layout.tails == ((2,), ())
     for point in (s2, s3):
@@ -132,7 +132,7 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
 def test_edge_region_laws():
     rng = random.Random(7)
     for sweep in (50.0, 175.0, 400.0):
-        point = SweepPoint(2, sweep, RadioParams(), None)
+        point = SweepPoint(2, sweep, RadioParams(), PlacementSpec())
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= sweep + 1e-9
     ring = PlacementSpec(edge_region_law=RING)
@@ -198,15 +198,15 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
 
 def test_builder_validation():
     with pytest.raises(ConfigError):
-        SweepPoint(4, 100.0, RadioParams(), None)
+        SweepPoint(4, 100.0, RadioParams(), PlacementSpec())
     with pytest.raises(DomainError):
-        SweepPoint(1, 0.0, RadioParams(), None)
+        SweepPoint(1, 0.0, RadioParams(), PlacementSpec())
     with pytest.raises(DomainError):
-        SweepPoint(1, -5.0, RadioParams(), None)
+        SweepPoint(1, -5.0, RadioParams(), PlacementSpec())
     # swept single-cell distance is capped by the coverage radius, inclusive
-    SweepPoint(1, 400.0, RadioParams(), None)
+    SweepPoint(1, 400.0, RadioParams(), PlacementSpec())
     with pytest.raises(DomainError):
-        SweepPoint(1, 400.0001, RadioParams(), None)
+        SweepPoint(1, 400.0001, RadioParams(), PlacementSpec())
     # ... and so is the fixed one
     with pytest.raises(DomainError):
         SweepPoint(1, 100.0, RadioParams(), PlacementSpec(coverage_m=290.0))
@@ -217,7 +217,7 @@ def test_builder_validation():
 
 
 def test_oma_identities_scenario_1():
-    point = SweepPoint(1, 350.0, UNIT_RADIO, None)
+    point = SweepPoint(1, 350.0, UNIT_RADIO, PlacementSpec())
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # each cell serves three users on thirds of the band at SNR 3
     for uid in (11, 12, 21, 22):
@@ -229,7 +229,7 @@ def test_oma_identities_scenario_1():
 
 
 def test_oma_identities_scenario_3():
-    point = SweepPoint(3, 120.0, UNIT_RADIO, None)
+    point = SweepPoint(3, 120.0, UNIT_RADIO, PlacementSpec())
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # cell 1 splits into thirds, cell 2 into halves; the aligned share is a
     # third and cell 2 contributes its leftover sixth at single-cell SNR
@@ -240,7 +240,7 @@ def test_oma_identities_scenario_3():
 
 
 def test_cs_oma_halves():
-    point = SweepPoint(2, 120.0, UNIT_RADIO, None)
+    point = SweepPoint(2, 120.0, UNIT_RADIO, PlacementSpec())
     out, _, _, _ = run(point, all_ones_gains(point), "CS-OMA")
     rates = by_user(point, out[0])
     for uid in (1, 2, 11, 21):
@@ -251,7 +251,7 @@ def test_edge_decode_order_reference_cell():
     table = {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9}  # other links 1.0
 
     def order(scenario, decode_case):
-        lay = SweepPoint(scenario, 120.0, RadioParams(), None).layout
+        lay = SweepPoint(scenario, 120.0, RadioParams(), PlacementSpec()).layout
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
         return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, (decode_case,)))
 
@@ -260,9 +260,9 @@ def test_edge_decode_order_reference_cell():
     assert order(2, "case1") == (2, 1)
 
 
-def test_run_trial_dispatch_errors():
+def test_evaluate_rejects_an_unknown_scheme():
     # the config rejects every other unusable input (test_cli.test_schema_rejections)
-    s1 = SweepPoint(1, 350.0, RadioParams(), None)
+    s1 = SweepPoint(1, 350.0, RadioParams(), PlacementSpec())
     with pytest.raises(ConfigError):
         run(s1, draw_block(14, [(s1, 0, [0])]), "TDMA")
 
@@ -270,7 +270,7 @@ def test_run_trial_dispatch_errors():
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = RadioParams(sic_tolerance=1e12)
-    point = SweepPoint(1, 350.0, harsh, None)
+    point = SweepPoint(1, 350.0, harsh, PlacementSpec())
     out, base, feasible, reason = run(point, draw_block(16, [(point, 0, [0])]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
@@ -281,7 +281,7 @@ def test_infeasible_trial_falls_back_to_baseline():
 def test_feasible_trials_meet_guarantees():
     both = ("case1", "case2")
     for scenario, schemes in ALLOWED_SCHEMES.items():
-        point = SweepPoint(scenario, 200.0, RadioParams(), None)
+        point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
         lay, g = point.layout, draw_block(17, [(point, 0, range(60))])
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
             cases = both if scenario == 3 and scheme == "JT-NOMA" else both[:1]
@@ -309,7 +309,7 @@ def test_spectral_efficiency_is_sum_over_band():
 
 
 def test_interference_mode_full_never_exceeds_negligible():
-    point = SweepPoint(2, 200.0, RadioParams(), None)
+    point = SweepPoint(2, 200.0, RadioParams(), PlacementSpec())
     g = draw_block(19, [(point, 0, range(40))])
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
@@ -375,7 +375,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 @pytest.mark.parametrize("mode", ["negligible", "full"])
 @pytest.mark.parametrize("scenario, scheme", [(2, "CS-NOMA"), (2, "DPS-NOMA"), (3, "DPS-NOMA")])
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
-    point = SweepPoint(scenario, 200.0, RadioParams(), None)
+    point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
     g = draw_block(41, [(point, 0, range(200))])
     out, base, feasible, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
@@ -509,7 +509,7 @@ def test_evaluate_rows_are_independent(scenario, scheme):
     # modes and splits and with stacked decode cases: what stacks trials
     # (DPS-NOMA's -1 idle column, CS-NOMA's two bands, the decode cases)
     # must not let one trial's row reach another's
-    point = SweepPoint(scenario, 200.0, RadioParams(), None)
+    point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
     n = 96
     g = draw_block(23, [(point, 0, range(n))])
     perm = np.random.default_rng(5).permutation(n)
