@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", dest="output_path", help="CSV output path (default: stdout)")
+    parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument(
         "--case",
         dest="decode_case",
@@ -168,12 +168,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "sweep_m=%g %s: infeasible in all %d trials; its row is the fallback's rates, "
                     "those of the orthogonal baseline (JT-OMA)", row.sweep_value, row.scheme, row.trials,
                 )
-        emit_csv(result, config.output_path)
-        if config.output_path:
-            sidecar = config.output_path + ".config.json"
+        emit_csv(result, args.out)
+        if args.out:
+            sidecar = args.out + ".config.json"
             with open(sidecar, "w", encoding="utf-8") as fh:
                 json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-            log.info("wrote %s and %s", config.output_path, sidecar)
+            log.info("wrote %s and %s", args.out, sidecar)
     except Exception:
         traceback.print_exc()
         return 2

@@ -61,7 +61,6 @@ class ExperimentConfig:
     jt_split: str = EQUAL_TRANSMIT
     radio: RadioParams = RadioParams()
     placement: PlacementSpec = PlacementSpec()
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         check_kinds(self, ValidationError, lambda key: key.replace("sweep_", "sweep."))
@@ -160,13 +159,12 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form; feeding it back through config_from_dict yields an
-    equal config (linear radio keys round-trip exactly).  Unset optionals are
-    omitted rather than written as null: the schema has no null values."""
+    equal config (linear radio keys round-trip exactly)."""
     out = {}
     for key, value in asdict(config).items():
         if key.startswith("sweep_"):
             out.setdefault("sweep", {})[key[len("sweep_"):]] = value
-        elif value is not None:
+        else:
             out[key] = value
     out["schemes"] = list(config.schemes)
     return out

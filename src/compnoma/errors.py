@@ -15,7 +15,6 @@ KINDS = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "float": ("a finite number, exact as a float", finite_number),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
     "tuple[str, ...]": ("a tuple of strings (a list in JSON)",
                         lambda v: isinstance(v, tuple) and all(isinstance(s, str) for s in v)),
 }

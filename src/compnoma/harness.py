@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,8 +178,8 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     The sweep's trials are numbered point by point (see run_chunk) and cut
     into contiguous ranges that may cross points, each one kernel block of
     at most _BLOCK trials and at most a worker's share.  A serial run
-    evaluates them in order in this process; more workers share one
-    sweep-wide pool of at most one worker per range, a task per range.  Each
+    evaluates them in order in this process; more workers share one pool of
+    at most one process per range and per CPU, a task per range.  Each
     point is reduced in trial order once all its trials are back.
     """
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
@@ -188,7 +189,7 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     if workers <= 1:
         return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))
     from concurrent.futures import ProcessPoolExecutor  # only pools pay for importing it
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(run_chunk, config, lo, hi) for lo, hi in ranges]
         try:
             return _reduce(config, values, (f.result() for f in futures))

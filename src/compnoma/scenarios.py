@@ -196,7 +196,8 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
                                 break
                     else:
                         raise DomainError(
-                            "edge-user placement rejected too often; region outside coverage is empty"
+                            f"edge-user placement: {_MAX_PLACEMENT_DRAWS} draws in a row fell inside"
+                            f" a coverage disc (edge region radius {radius:g} m)"
                         )
                     put(d1 ** power)
                     put(d2 ** power)

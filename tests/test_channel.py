@@ -199,8 +199,8 @@ def test_block_draw_failures_name_the_trial(monkeypatch):
     with pytest.raises(SweepError) as err:
         draw_block(seed, segments)
     assert str(err.value) == (
-        f"seed=2037 sweep_index=1 trial={t}: DomainError: edge-user placement rejected too often;"
-        " region outside coverage is empty"
+        f"seed=2037 sweep_index=1 trial={t}: DomainError: edge-user placement: 1 draws in a row fell"
+        " inside a coverage disc (edge region radius 400 m)"
     )
 
 

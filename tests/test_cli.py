@@ -118,6 +118,7 @@ def test_schema_rejections():
         {"decode_case": "caseX"},
         {"seed": -1},
         {"seed": 2**64},
+        {"output_path": "run.csv"},  # the CSV path is the --out flag, not part of the experiment
     ):
         with pytest.raises(ValidationError):
             config_from_dict({"scenario_id": 1, **rejected})
@@ -150,7 +151,7 @@ def test_schema_rejections():
     "path, value",
     [
         ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
-        ("sweep.step", True), ("output_path", 3), ("radio", None), ("placement", None),
+        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("placement", None),
         ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
         ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"), ("placement.inter_site_m", True),
     ],
@@ -210,7 +211,6 @@ PLAUSIBLE = {
     "trials": st.integers(1, 10**6),
     "seed": st.integers(0, 2**64 - 1),
     **{key: st.sampled_from(choices) for key, choices in CHOICES.items()},
-    "output_path": st.none() | st.text(max_size=8),
 }
 
 
@@ -265,6 +265,10 @@ UNUSABLE = {
     "non-finite bandwidth": (
         '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
         "radio.bandwidth_hz must be a finite number, exact as a float, got inf",
+    ),
+    "an output path": (
+        '{"scenario_id": 1, "output_path": "run.csv"}',
+        "unknown key 'output_path' in config root",
     ),
     "coverage reaches the midpoint": (
         '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
@@ -553,6 +557,22 @@ def test_main_writes_csv_and_sidecar(tmp_path, capsys):
     assert main(argv) == 0
     assert out.read_text() == first
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_preset_sidecar_is_the_preset_and_reruns_to_stdout(preset, tmp_path, capsys):
+    # the sidecar holds the experiment, not where its CSV went, so it reads
+    # back as the preset, and a rerun without --out leaves that CSV alone
+    out = tmp_path / f"{preset}.csv"
+    assert main([preset, "--trials", "2", "--quiet", "--out", str(out)]) == 0
+    sidecar = f"{out}.config.json"
+    with open(sidecar, encoding="utf-8") as fh:
+        assert config_from_dict(json.load(fh)) == replace(PRESETS[preset](), trials=2)
+    os.utime(out, ns=(0, 0))  # a rewrite shows even where the clock ticks coarsely
+    capsys.readouterr()
+    assert main(["--config", sidecar, "--quiet"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert out.stat().st_mtime_ns == 0
 
 
 def test_main_streams_to_stdout(capsys):

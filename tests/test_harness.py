@@ -1,6 +1,7 @@
 """Sweep driver: trial seeds, grids, series labels, reductions, worker parity."""
 
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -147,6 +148,7 @@ def test_worker_count_does_not_change_output():
 def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
     import concurrent.futures
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     started = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -158,6 +160,32 @@ def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
     config = small_config(trials=1, sweep_stop=200.0)  # 2 trials, so 2 one-trial ranges
     parallel = run_sweep(config, workers=6)
     assert started == [2]
+    assert format_csv(parallel) == format_csv(run_sweep(config, workers=1))
+
+
+@pytest.mark.parametrize("cpus, processes", ((3, 3), (None, 1)))
+def test_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus, processes):
+    # the stand-in records the pool size asked for but starts at most 2
+    # processes, so a run_sweep that asks for one per range starts no more
+    import concurrent.futures
+
+    asked, ranges = [], []
+
+    class Capped(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        def submit(self, fn, *args):
+            ranges.append(args[1:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Capped)
+    config = small_config(trials=8)  # 24 trials, cut by the 64 workers asked for, not by the CPUs
+    parallel = run_sweep(config, workers=64)
+    assert asked == [processes]
+    assert ranges == [(t, t + 1) for t in range(24)]
     assert format_csv(parallel) == format_csv(run_sweep(config, workers=1))
 
 
@@ -578,6 +606,24 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
     with pytest.raises(SweepError) as err:
         run_sweep(config, workers=workers)
     assert str(err.value) == (
-        "seed=2028 sweep_index=1 trial=7: DomainError: edge-user placement rejected too often;"
-        " region outside coverage is empty"
+        "seed=2028 sweep_index=1 trial=7: DomainError: edge-user placement: 1 draws in a row fell"
+        " inside a coverage disc (edge region radius 120 m)"
+    )
+
+
+@pytest.mark.parametrize("law, trial", (("ring", 4), ("disc", 3)))
+def test_an_edge_region_almost_inside_coverage_fails_mid_sweep(law, trial):
+    # the config check accepts this region, whose centre lies outside both
+    # coverage discs, yet only ~1e-5 of it does, so the draw gives up on a
+    # trial; ROADMAP item 4's exact placement removes the loop that gives up
+    config = config_from_dict({
+        "scenario_id": 2, "schemes": ["JT-OMA"], "trials": 20, "seed": 3,
+        "sweep": {"start": 0.01, "stop": 0.01, "step": 1.0},
+        "placement": {"coverage_m": 499.9999999, "edge_region_law": law},
+    })
+    with pytest.raises(SweepError) as err:
+        run_sweep(config)
+    assert str(err.value) == (
+        f"seed=3 sweep_index=0 trial={trial}: DomainError: edge-user placement: 100000 draws in a row"
+        " fell inside a coverage disc (edge region radius 0.01 m)"
     )
