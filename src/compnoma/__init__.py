@@ -12,14 +12,14 @@ from .config import (
 )
 from .errors import ConfigError, DomainError, ParseError, SweepError, ValidationError
 from .harness import SweepResult, SweepRow, run_sweep, sweep_values
-from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, PlacementSpec
+from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DomainError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
-    "PRESETS", "ParseError", "PlacementSpec",
+    "PRESETS", "ParseError",
     "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
     "ValidationError", "config_from_dict", "config_to_dict",

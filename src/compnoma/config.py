@@ -3,16 +3,16 @@
 The dataclasses are the schema, and constructing one checks it, however it is
 built.  Each field must be of its annotation's kind (``errors.KINDS``): a bool
 is never a number, an int stands for a float, numbers are finite, ``radio``
-and ``placement`` are instances of their dataclass, and ``schemes`` is a tuple
-(a list in JSON).  ``ExperimentConfig`` raises ``ValidationError`` naming the
-key path (``sweep.step``); ``RadioParams`` and ``PlacementSpec`` raise
-``DomainError`` naming the field, which the reader re-raises as
-``radio.bandwidth_hz``.  JSON sections hold only their dataclass's fields
-(``sweep_*`` nest under ``sweep``).  The reader converts, each only on a value
-of its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
-milliwatt field and a sweep number to a float; a dBm key is no field, so the
-reader itself rejects one that is not a finite number, by its name.  Every
-sweep point is built at construction, so any config can run.
+is a ``RadioParams``, and ``schemes`` is a tuple (a list in JSON).
+``ExperimentConfig`` raises ``ValidationError`` naming the key path
+(``sweep.step``); ``RadioParams`` raises ``DomainError`` naming the field,
+which the reader re-raises as ``radio.bandwidth_hz``.  JSON sections hold
+only their dataclass's fields (``sweep_*`` nest under ``sweep``).  The
+reader converts, each only on a value of its JSON kind, a scheme list to an
+upper-cased tuple, a dBm key to its milliwatt field and a sweep number to a
+float; a dBm key is no field, so the reader itself rejects one that is not a
+finite number, by its name.  Every sweep point is built at construction, so
+any config can run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
 from .channel import RadioParams, dbm_to_mw
 from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
-from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, PlacementSpec, SweepPoint
+from .scenarios import CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, RING, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -42,6 +42,7 @@ CHOICES = {
     "decode_case": ("case1", "case2", "both"),
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
+    "edge_region_law": (DISC, RING),
 }
 # dBm spelling of each power-like radio field
 _DBM = {"tx_power_dbm": "tx_power_mw", "noise_density_dbm_hz": "noise_density_mw_hz"}
@@ -59,8 +60,8 @@ class ExperimentConfig:
     decode_case: str = "case1"
     interference_mode: str = "negligible"
     jt_split: str = EQUAL_TRANSMIT
+    edge_region_law: str = DISC
     radio: RadioParams = RadioParams()
-    placement: PlacementSpec = PlacementSpec()
 
     def __post_init__(self) -> None:
         check_kinds(self, ValidationError, lambda key: key.replace("sweep_", "sweep."))
@@ -92,7 +93,7 @@ class ExperimentConfig:
         if self.decode_case != "case1" and scenario != 3:
             raise ValidationError(f"decode_case {self.decode_case!r} applies to scenario 3 only")
         for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
-            _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio, self.placement)
+            _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio, self.edge_region_law)
 
 
 def _ranged(where: str, make, *args, **kwargs):
@@ -134,14 +135,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if not finite_number(value):
                 raise ValidationError(f"radio.{alias} must be {KINDS['float'][0]}, got {value!r}")
             radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value)
-    placement = _read(d.pop("placement", {}), "placement", {f.name for f in fields(PlacementSpec)})
-    return ExperimentConfig(
-        scenario,
-        schemes,
-        radio=_ranged("radio.", RadioParams, **radio),
-        placement=_ranged("placement.", PlacementSpec, **placement),
-        **d,
-    )
+    return ExperimentConfig(scenario, schemes, radio=_ranged("radio.", RadioParams, **radio), **d)
 
 
 def parse_config(path: str) -> ExperimentConfig:

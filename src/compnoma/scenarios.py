@@ -1,7 +1,8 @@
 """Two-cell evaluation scenarios: geometry builders, orthogonal-access
 baselines, and the scheme kernels every trial is evaluated with.
 
-Three layouts are modeled, all with base stations 1 km apart:
+Three layouts are modeled, all with base stations 1 km apart, each covering
+400 m:
 
 1. one cell-edge user served jointly, drawn from a 200 m edge region, two
    single-cell users per cell (one at a swept distance, one fixed at 300 m);
@@ -35,7 +36,7 @@ import numpy as np
 
 from .allocation import EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
-from .errors import ConfigError, DomainError, SweepError, check_kinds
+from .errors import ConfigError, DomainError, SweepError
 
 # the scheme names, which evaluate dispatches on
 JT_NOMA = "JT-NOMA"
@@ -49,32 +50,14 @@ RING = "ring"
 
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
 
-_MAX_PLACEMENT_DRAWS = 100_000
+# every scenario's two sites, 1 km apart on the x axis, and their coverage
+# radius: discs that stop short of the midpoint, so edge users can be placed
+INTER_SITE_M = 1000.0
+COVERAGE_M = 400.0
+_HALF_SITE_M = INTER_SITE_M / 2.0
+_SITES = ((-_HALF_SITE_M, 0.0), (_HALF_SITE_M, 0.0))
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class PlacementSpec:
-    """Geometry knobs that apply to every scenario.  The rest is fixed per
-    scenario (see SweepPoint): scenario 1 draws its edge user from a 200 m
-    edge region and puts its second single-cell user at 300 m; scenarios 2
-    and 3 put one single-cell user per cell at 250 m.  Construction raises
-    DomainError naming a field that breaks config.py's kind rule or a range.
-    """
-
-    inter_site_m: float = 1000.0
-    coverage_m: float = 400.0
-    edge_region_law: str = DISC
-
-    def __post_init__(self) -> None:
-        check_kinds(self, DomainError)
-        if not self.coverage_m > 0.0:
-            raise DomainError(f"coverage_m must be positive, got {self.coverage_m}")
-        if self.inter_site_m / 2.0 <= self.coverage_m:
-            raise DomainError("inter_site_m must exceed twice coverage_m: coverage discs reach the midpoint")
-        if self.edge_region_law not in (DISC, RING):
-            raise DomainError(f"edge_region_law must be {DISC!r} or {RING!r}, got {self.edge_region_law!r}")
 
 
 @dataclass(frozen=True)
@@ -101,16 +84,17 @@ class SweepPoint:
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
     0 in the edge users' columns, which ``draw_block`` fills from each
-    trial's positions in ``edge_region`` (radius, law, coverage) around
-    ``sites``.
+    trial's positions in ``edge_region`` (radius, law) around the midpoint.
     """
 
-    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, placement: PlacementSpec):
+    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, edge_region_law: str):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
         if not 0.0 < sweep_value < math.inf:
             raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
+            if sweep_value > COVERAGE_M:
+                raise DomainError(f"single-cell user distance {sweep_value} exceeds coverage {COVERAGE_M}")
             radius = 200.0
             distances = (sweep_value, 300.0)
             comp_ids = (1,)
@@ -118,11 +102,6 @@ class SweepPoint:
             radius = sweep_value
             distances = (250.0,)
             comp_ids = (1, 2)
-        for d in distances:
-            if d > placement.coverage_m:
-                raise DomainError(f"single-cell user distance {d} exceeds coverage {placement.coverage_m}")
-        half = placement.inter_site_m / 2.0
-        self.sites = ((-half, 0.0), (half, 0.0))
         cells = (1,) if scenario_id == 3 else (1, 2)  # scenario 3: cell 2 serves edge users only
         tails = [(c, 10 * c + 1 + i, d) for c in cells for i, d in enumerate(distances)]
         ids = comp_ids + tuple(u for _, u, _ in tails)
@@ -132,13 +111,13 @@ class SweepPoint:
             tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
             radio,
         )
-        self.edge_region = (radius, placement.edge_region_law, placement.coverage_m)
+        self.edge_region = (radius, edge_region_law)
         alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
         for c, u, d in tails:
-            x = self.sites[c - 1][0]
+            x = _SITES[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
-            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in self.sites]
+            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in _SITES]
 
 
 def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:
@@ -147,13 +126,12 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     points share one Layout, radio included.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
     each masked to 64 bits: (seed, i) is hashed (then copied per trial), and
-    the point's edge_region, sites and path-loss exponent unpacked, once per
-    segment.  A trial draws the edge users' positions in user-id order, each
-    uniform in the point's midpoint disc (or on its rim) and redrawn while
-    inside either coverage disc (tested with math, not numpy: it decides how
-    many draws a trial consumes), then one fading uniform per (cell, user)
-    link, cells outer, as one getrandbits word block (least significant word
-    first).  No block-sized list of Python objects is built: the edge users'
+    the point's edge_region and path-loss exponent unpacked, once per segment.
+    A trial draws the edge users' positions in user-id order, each uniform in
+    the point's midpoint disc (or on its rim) and redrawn while inside either
+    coverage disc (tested with math, not numpy: it decides how many draws a
+    trial consumes), then one fading uniform per (cell, user) link, cells
+    outer, as one getrandbits word block (least significant word first).  No block-sized list of Python objects is built: the edge users'
     distance terms go to one array("d") and the word blocks, little-endian,
     to one bytearray, which numpy reads in place, turning each word pair into
     random()'s double by its formula.  Fading is Exp(1), the squared Rayleigh
@@ -170,35 +148,33 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
     pack, from_bytes = struct.Struct(">Q").pack, int.from_bytes
     rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
     reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
-    edge, words, tries = array("d"), bytearray(), range(_MAX_PLACEMENT_DRAWS)
-    put = edge.append
+    edge, words = array("d"), bytearray()
+    put, half, coverage = edge.append, _HALF_SITE_M, COVERAGE_M
     for point, sweep_index, trials in segments:
         t = None
         try:
             prefix = struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64)
             copy = hashlib.blake2b(prefix, digest_size=16).copy
-            radius, law, coverage = point.edge_region
-            ring, ((x1, y1), (x2, y2)) = law == RING, point.sites
+            radius, law = point.edge_region
+            ring = law == RING
             users, power, size = point.layout.comp, -point.layout.radio.pathloss_exponent, 8 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
                 reseed(rng, from_bytes(h.digest(), "big"))
                 for _ in users:
-                    for _ in tries:
+                    # ends: at the fixed geometry a draw lands outside both
+                    # discs with probability at least 0.40 under either law,
+                    # whatever the radius (test_scenarios checks the bound)
+                    while True:
                         theta = _TWO_PI * random()
                         r = radius if ring else radius * sqrt(random())
                         x, y = r * cos(theta), r * sin(theta)
-                        d1 = hypot(x - x1, y - y1)
+                        d1 = hypot(x + half, y)  # hypot(x - site x, y - site y), bit for bit
                         if d1 > coverage:
-                            d2 = hypot(x - x2, y - y2)
+                            d2 = hypot(x - half, y)
                             if d2 > coverage:
                                 break
-                    else:
-                        raise DomainError(
-                            f"edge-user placement: {_MAX_PLACEMENT_DRAWS} draws in a row fell inside"
-                            f" a coverage disc (edge region radius {radius:g} m)"
-                        )
                     put(d1 ** power)
                     put(d2 ** power)
                 words += getrandbits(8 * size).to_bytes(size, "little")

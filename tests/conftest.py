@@ -18,6 +18,11 @@ from reference import Band, NomaCluster, PowerAllocation, brute_force_oracle, su
 
 REF_BUDGET_MW = 10.0 ** 4.3  # 43 dBm
 
+# the engine's fixed two-cell geometry, restated (test_scenarios checks it):
+# sites 1 km apart on the x axis, each covering 400 m
+INTER_SITE_M, COVERAGE_M = 1000.0, 400.0
+SITES = ((-INTER_SITE_M / 2.0, 0.0), (INTER_SITE_M / 2.0, 0.0))
+
 
 class Instance(NamedTuple):
     """One single-cell allocation instance, positions in decode order;
@@ -111,18 +116,16 @@ def oracle_agreement(problem: Instance, grid_points: int = 1000):
     return False, f"sum-rate gap {gap:.3e} (closed {closed_sum}, oracle {oracle.sum_rate_bps})"
 
 
-def draw_edge_position(rng, radius, law, sites, coverage, tries=100_000):
-    """Reference edge-user placement, independent of SweepPoint.draw: a
-    uniform point in the midpoint disc (on its rim for the ring law),
-    redrawn while it falls inside either cell's coverage disc, at most
-    tries draws in all."""
-    for _ in range(tries):
+def draw_edge_position(rng, radius, law):
+    """Reference edge-user placement, independent of draw_block: a uniform
+    point in the midpoint disc (on its rim for the ring law), redrawn while
+    it falls inside either cell's coverage disc."""
+    while True:
         theta = 2.0 * math.pi * rng.random()
         r = radius if law == "ring" else radius * math.sqrt(rng.random())
         x, y = r * math.cos(theta), r * math.sin(theta)
-        if all(math.hypot(x - cx, y - cy) > coverage for cx, cy in sites):
+        if all(math.hypot(x - cx, y - cy) > COVERAGE_M for cx, cy in SITES):
             return (x, y)
-    raise AssertionError("edge region lies inside coverage")
 
 
 def jt_order_mutants(rng: random.Random, count: int):

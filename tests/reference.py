@@ -23,6 +23,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -191,10 +192,11 @@ def normalized_gain(distance_m: float, fading_power: float, params: RadioParams)
 
 def lens_area(r: float, rho: float, h: float) -> float:
     """Area shared by a disc of radius r and one of radius rho whose centres
-    are h apart, neither disc inside the other (E. W. Weisstein,
-    "Circle-Circle Intersection", MathWorld)."""
+    are h apart (E. W. Weisstein, "Circle-Circle Intersection", MathWorld)."""
     if r + rho <= h:
         return 0.0
+    if abs(r - rho) >= h:  # one disc inside the other
+        return math.pi * min(r, rho) ** 2
     a = (h * h + r * r - rho * rho) / (2.0 * h * r)
     b = (h * h + rho * rho - r * r) / (2.0 * h * rho)
     kite = (-h + r + rho) * (h + r - rho) * (h - r + rho) * (h + r + rho)
@@ -443,6 +445,28 @@ def _left_sum(terms):
     return total
 
 
+def _simplex(spans, budget: float) -> list:
+    """Grid points (as columns) of spans whose free powers fit in budget."""
+    if len(spans) < 2:
+        return list(spans)
+    a, b = np.meshgrid(*spans, indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    keep = a + b <= budget
+    return [a[keep], b[keep]]
+
+
+@lru_cache(maxsize=4)
+def _full_grid(budget: float, grid_points: int, dims: int) -> tuple:
+    """_simplex of the full-budget grid of dims free powers, grid_points
+    steps each, built once per key: the random instances all have one
+    budget.  Every caller shares its columns, so they are read-only."""
+    axis = np.linspace(0.0, budget, grid_points)
+    columns = _simplex([axis] * dims, budget)
+    for column in columns:
+        column.flags.writeable = False
+    return tuple(columns)
+
+
 def brute_force_oracle(
     gains: Sequence[float],
     guarantees: Sequence[float],
@@ -488,17 +512,7 @@ def brute_force_oracle(
         sums[~feasible] = -math.inf
         return feasible, sums
 
-    def simplex(spans):
-        # grid points (as columns) whose free powers fit in the budget
-        if len(spans) < 2:
-            return list(spans)
-        a, b = np.meshgrid(*spans, indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        keep = a + b <= budget
-        return [a[keep], b[keep]]
-
-    axis = np.linspace(0.0, budget, grid_points)
-    free = simplex([axis] * (n - 1))
+    free = list(_full_grid(budget, grid_points, n - 1))
     feasible, sums = evaluate(free)
     if not feasible.any():
         return OracleResult((0.0,) * n, False, math.nan)
@@ -515,7 +529,7 @@ def brute_force_oracle(
             )
             for c in best_free
         ]
-        cand = [np.append(c, best) for c, best in zip(simplex(spans), best_free)]
+        cand = [np.append(c, best) for c, best in zip(_simplex(spans, budget), best_free)]
         c_feasible, c_sums = evaluate(cand)
         c_best = int(np.argmax(c_sums))
         if c_sums[c_best] > best_sum:

@@ -2,15 +2,16 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from compnoma import DomainError, PlacementSpec, RadioParams, SweepError, dbm_to_mw
+from compnoma import DomainError, RadioParams, SweepError, dbm_to_mw
 from compnoma import scenarios
 from compnoma.scenarios import DISC, RING, SweepPoint, draw_block
 
-from conftest import draw_edge_position
+from conftest import SITES, draw_edge_position
 from reference import ChannelRealization, normalized_gain, trial_seed
 
 
@@ -88,7 +89,7 @@ def test_dbm_conversion_round_trip():
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():
-    point = SweepPoint(1, 100.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(1, 100.0, RadioParams(), DISC)
     table_a = draw_block(7, [(point, 0, [1])])
     table_b = draw_block(7, [(point, 0, [1])])
     assert table_a.tolist() == table_b.tolist()
@@ -101,7 +102,7 @@ def test_realization_covers_every_link_and_is_seed_deterministic():
 def fading_of_link(seed: int, trials: int) -> np.ndarray:
     """Back out the fading factor from the gains of one fixed link (cell 1,
     user 12) over trials 0..trials-1 of one sweep point."""
-    point = SweepPoint(1, 100.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(1, 100.0, RadioParams(), DISC)
     col = point.layout.user_ids.index(12)
     scale = point.terms[0, col] / RadioParams().noise_power_mw
     gains = draw_block(seed, [(point, 0, range(trials))])
@@ -134,19 +135,17 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario, law):
     # outer; 512 trials per block, so a transcendental that is off on a small
     # share of inputs shows
     radio = RadioParams(pathloss_exponent=3.7)
-    placement = PlacementSpec(edge_region_law=law, inter_site_m=1100.0)
     sweep = (80.0, 260.0, 400.0)
     block = 512
     for seed, point_index, first in ((0, 0, 0), (11, 1, 7), (1703, 2, 123), (2**40, 1, 99_999)):
         value = sweep[point_index]
-        point = SweepPoint(scenario, value, radio, placement)
+        point = SweepPoint(scenario, value, radio, law)
         trials = range(first, first + block)
         got = draw_block(seed, [(point, point_index, trials)])
         assert got.shape == (block, 2, len(point.layout.user_ids))
         for i, trial in enumerate(trials):
-            users, want = reference_gains(
-                scenario, law, value, radio, placement, random.Random(trial_seed(seed, point_index, trial))
-            )
+            rng = random.Random(trial_seed(seed, point_index, trial))
+            users, want = reference_gains(scenario, law, value, radio, rng)
             assert users == list(point.layout.user_ids)
             assert got[i].tolist() == want, (seed, point_index, trial)
 
@@ -167,8 +166,7 @@ def test_block_draw_is_its_segments_drawn_alone(scenario, law):
     # a kernel block's one draw is its segments' one-segment draws stacked,
     # byte for byte: blocks that start and end inside a point, one-trial
     # segments at either end, and whole points between
-    placement = PlacementSpec(edge_region_law=law)
-    points = [SweepPoint(scenario, v, RadioParams(), placement) for v in (100.0, 200.0, 300.0, 400.0)]
+    points = [SweepPoint(scenario, v, RadioParams(), law) for v in (100.0, 200.0, 300.0, 400.0)]
     for seed, start, stop in ((0, 37, 101), (1703, 49, 151), (2**40, 99, 101), (11, 0, 200)):
         segments = block_segments(points, 50, start, stop)
         got = draw_block(seed, segments)
@@ -178,50 +176,38 @@ def test_block_draw_is_its_segments_drawn_alone(scenario, law):
 
 
 def test_block_draw_failures_name_the_trial(monkeypatch):
-    # with one try per edge user, the 50 m point's disc never meets a
-    # coverage disc, so the first rejection is the 400 m point's (its trial
-    # 2 under seed 2037, mid-segment), named by its sweep index and trial
-    points = [SweepPoint(2, v, RadioParams(), PlacementSpec()) for v in (50.0, 400.0)]
+    # a failure while drawing a trial names its sweep index and trial: here
+    # reseeding the generator fails at the 400 m point's trial 12 under seed
+    # 2037, mid-segment of a block that starts inside the 50 m point
+    points = [SweepPoint(2, v, RadioParams(), DISC) for v in (50.0, 400.0)]
     segments = block_segments(points, 20, 5, 40)
     seed = 2037
 
-    def rejected(trial):
-        rng = random.Random(trial_seed(seed, 1, trial))
-        try:
-            for _ in points[1].layout.comp:
-                draw_edge_position(rng, 400.0, DISC, points[1].sites, 400.0, tries=1)
-        except AssertionError:
-            return True
-        return False
+    class Flaky(random.Random):
+        def seed(self, a=None, version=2):
+            if a == trial_seed(seed, 1, 12):
+                raise ValueError("bad stream")
+            super().seed(a, version)
 
-    t = next(t for t in segments[1][2] if rejected(t))
-    monkeypatch.setattr(scenarios, "_MAX_PLACEMENT_DRAWS", 1)
+    monkeypatch.setattr(scenarios, "_random", SimpleNamespace(Random=Flaky))
     with pytest.raises(SweepError) as err:
         draw_block(seed, segments)
-    assert str(err.value) == (
-        f"seed=2037 sweep_index=1 trial={t}: DomainError: edge-user placement: 1 draws in a row fell"
-        " inside a coverage disc (edge region radius 400 m)"
-    )
+    assert str(err.value) == "seed=2037 sweep_index=1 trial=12: ValueError: bad stream"
 
 
-def reference_gains(scenario, law, value, radio, placement, rng):
+def reference_gains(scenario, law, value, radio, rng):
     """One trial's user ids and (cells, users) gains, drawn from rng link by
     link and computed with the scalar gain formula."""
-    half = placement.inter_site_m / 2.0
-    sites = ((-half, 0.0), (half, 0.0))
     radius = 200.0 if scenario == 1 else value
-    positions = {
-        u: draw_edge_position(rng, radius, law, sites, placement.coverage_m)
-        for u in ((1,) if scenario == 1 else (1, 2))
-    }
+    positions = {u: draw_edge_position(rng, radius, law) for u in ((1,) if scenario == 1 else (1, 2))}
     distances = (value, 300.0) if scenario == 1 else (250.0,)
-    for c, (x, _) in enumerate(sites[: 1 if scenario == 3 else 2], start=1):
+    for c, (x, _) in enumerate(SITES[: 1 if scenario == 3 else 2], start=1):
         outward = -1.0 if x < 0.0 else 1.0
         for i, d in enumerate(distances):
             positions[10 * c + 1 + i] = (x + outward * d, 0.0)
     users = sorted(positions)
     gains = []
-    for sx, sy in sites:
+    for sx, sy in SITES:
         row = []
         for u in users:
             x, y = positions[u]

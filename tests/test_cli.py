@@ -19,7 +19,6 @@ from compnoma import (
     DomainError,
     ExperimentConfig,
     ParseError,
-    PlacementSpec,
     RadioParams,
     SweepResult,
     SweepRow,
@@ -130,8 +129,6 @@ def test_schema_rejections():
         config_from_dict({"scenario_id": 1, "sweep": {"start": 300, "stop": 100}})
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
-    with pytest.raises(ValidationError):
-        config_from_dict({"scenario_id": 1, "placement": {"coverage_m": -5}})
     # json.loads accepts NaN and Infinity; the schema does not
     for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
                                ("radio", "bandwidth_hz", "Infinity")):
@@ -151,25 +148,23 @@ def test_schema_rejections():
     "path, value",
     [
         ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
-        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("placement", None),
+        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("edge_region_law", None),
         ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
-        ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"), ("placement.inter_site_m", True),
+        ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"),
     ],
 )
 def test_config_built_in_code_rejects_what_the_json_reader_rejects(path, value):
     """A value not of its field's kind is rejected however the config is
-    built, naming its key: by ExperimentConfig (or RadioParams or
-    PlacementSpec, for a key path in radio or placement), by
-    dataclasses.replace and by the JSON reader.  A list of schemes is JSON's
-    spelling, so only code must give a tuple."""
+    built, naming its key: by ExperimentConfig (or RadioParams, for a key
+    path in radio), by dataclasses.replace and by the JSON reader.  A list of
+    schemes is JSON's spelling, so only code must give a tuple."""
     section, _, key = path.rpartition(".")
     fig4 = PRESETS["fig4"]()
-    if section in ("radio", "placement"):
-        nested = getattr(fig4, section)
+    if section == "radio":
         with pytest.raises(DomainError, match=key):
-            type(nested)(**{key: value})
+            RadioParams(**{key: value})
         with pytest.raises(DomainError, match=key):
-            replace(nested, **{key: value})
+            replace(fig4.radio, **{key: value})
     else:
         field = path.replace(".", "_")
         with pytest.raises(ValidationError, match=re.escape(path)):
@@ -199,9 +194,6 @@ PLAUSIBLE = {
     "bandwidth_hz": _number(1e5, 1e8),
     "pathloss_exponent": _number(2.0, 5.0),
     "sic_tolerance": _number(0.0, 10.0),
-    "inter_site_m": _number(900.0, 1200.0),
-    "coverage_m": _number(300.0, 440.0),
-    "edge_region_law": st.sampled_from(["disc", "ring"]),
     "scenario_id": st.integers(1, 3),
     "schemes": st.lists(st.sampled_from(["JT-NOMA", "DPS-NOMA", "JT-OMA"]), min_size=1, max_size=3, unique=True)
     .map(tuple),
@@ -215,18 +207,18 @@ PLAUSIBLE = {
 
 
 def test_every_config_is_rejected_by_a_config_error_or_round_trips():
-    """Draw each field of RadioParams, PlacementSpec and ExperimentConfig from
-    its plausible values or, for up to two fields, from bools, ints,
-    floats (nan and inf included), strings, None, lists and tuples.  Building
-    them raises DomainError (RadioParams, PlacementSpec) or ConfigError
-    (ExperimentConfig), never another error, or the config hashes and its
-    dict and JSON forms read back as an equal config."""
+    """Draw each field of RadioParams and ExperimentConfig from its
+    plausible values or, for up to two fields, from bools, ints, floats (nan
+    and inf included), strings, None, lists and tuples.  Building them raises
+    DomainError (RadioParams) or ConfigError (ExperimentConfig), never
+    another error, or the config hashes and its dict and JSON forms read
+    back as an equal config."""
     built = []
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def check(data):
-        junk = data.draw(st.sets(st.sampled_from([*PLAUSIBLE, "radio", "placement"]), max_size=2), label="junk")
+        junk = data.draw(st.sets(st.sampled_from([*PLAUSIBLE, "radio"]), max_size=2), label="junk")
 
         def draw(cls, **given):
             values = {**PLAUSIBLE, **given}
@@ -236,11 +228,10 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
 
         try:
             radio = RadioParams(**draw(RadioParams))
-            placement = PlacementSpec(**draw(PlacementSpec))
         except DomainError:
             return
         try:
-            config = ExperimentConfig(**draw(ExperimentConfig, radio=st.just(radio), placement=st.just(placement)))
+            config = ExperimentConfig(**draw(ExperimentConfig, radio=st.just(radio)))
         except ConfigError:
             return
         hash(config)
@@ -249,7 +240,7 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
         built.append(config)
 
     check()
-    assert len(built) >= 10, len(built)  # not vacuous: 35-84 of 300 over 20 seeds
+    assert len(built) >= 10, len(built)  # not vacuous: 32-82 of 300 over 20 seeds
 
 
 # each config's JSON and its error message
@@ -270,13 +261,14 @@ UNUSABLE = {
         '{"scenario_id": 1, "output_path": "run.csv"}',
         "unknown key 'output_path' in config root",
     ),
-    "coverage reaches the midpoint": (
+    # the two sites and their coverage are fixed, so no placement section exists
+    "a placement section": (
         '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
-        "placement.inter_site_m must exceed twice coverage_m: coverage discs reach the midpoint",
+        "unknown key 'placement' in config root",
     ),
     "single-cell user outside coverage": (
-        '{"scenario_id": 2, "placement": {"coverage_m": 240}}',
-        "sweep value 50: single-cell user distance 250.0 exceeds coverage 240",
+        '{"scenario_id": 1, "sweep": {"start": 401, "stop": 401, "step": 1}}',
+        "sweep value 401: single-cell user distance 401.0 exceeds coverage 400.0",
     ),
     "sweep leaves coverage": (
         '{"scenario_id": 1, "sweep": {"stop": 500}}',
@@ -322,11 +314,8 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
     for key in ("tx_power_mw", "noise_density_mw_hz", "bandwidth_hz", "pathloss_exponent", "sic_tolerance"):
         with pytest.raises(DomainError, match=key):
             RadioParams(**{key: bad})
-    for key in ("inter_site_m", "coverage_m"):
-        with pytest.raises(DomainError):
-            PlacementSpec(**{key: bad})
     with pytest.raises(DomainError):
-        SweepPoint(2, bad, RadioParams(), PlacementSpec())
+        SweepPoint(2, bad, RadioParams(), "disc")
     for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
         with pytest.raises(DomainError):
             sweep_values(*grid)
@@ -364,13 +353,15 @@ def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, caps
 
 
 def test_fixed_scenario_distances_are_unknown_placement_keys():
-    # the edge-region radius and single-cell distances that the sweep does
-    # not set are fixed per scenario, so no config can set them
+    # the sites' distance and coverage, and the edge-region radius and
+    # single-cell distances that the sweep does not set, are fixed, so no
+    # config can set them
     for scenario in (1, 2, 3):
-        for key in ("edge_region_radius_m", "primary_distance_m", "secondary_distance_m"):
+        for key in ("inter_site_m", "coverage_m", "edge_region_radius_m", "primary_distance_m",
+                    "secondary_distance_m"):
             with pytest.raises(ValidationError) as err:
-                config_from_dict({"scenario_id": scenario, "placement": {key: 150.0}})
-            assert f"unknown key {key!r} in placement" in str(err.value)
+                config_from_dict({"scenario_id": scenario, key: 150.0})
+            assert str(err.value) == f"unknown key {key!r} in config root"
 
 
 def test_decode_case_applies_to_scenario_3_only(capsys):

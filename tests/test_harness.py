@@ -16,7 +16,6 @@ from compnoma import (
     PRESETS,
     DomainError,
     ExperimentConfig,
-    PlacementSpec,
     SweepError,
     config_from_dict,
     run_sweep,
@@ -63,7 +62,7 @@ def test_trial_seeds_are_deterministic_distinct_and_masked_to_64_bits():
     # on the other trials of the call (test_channel pins every link of a
     # draw to a generator seeded with trial_seed)
     mask = (1 << 64) - 1
-    point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio, PlacementSpec())
+    point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio, scenarios.DISC)
     for s, w, t in ((0, 0, 0), (2026, 3, 99), (-1, 2**64 + 5, 2**63)):
         masked = [draw_block(s & mask, [(point, w & mask, [u & mask])]).tolist()[0] for u in (t - 1, t)]
         assert draw_block(s, [(point, w, [t - 1, t])]).tolist() == masked
@@ -119,7 +118,7 @@ def test_scheme_rows_split_decode_cases():
 def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
-    point = scenarios.SweepPoint(1, 200.0, config.radio, config.placement)
+    point = scenarios.SweepPoint(1, 200.0, config.radio, config.edge_region_law)
     gains = draw_block(config.seed, [(point, 0, [0])])
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
@@ -359,7 +358,7 @@ def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
     config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), sweep_start=50.0, sweep_stop=400.0,
                           sweep_step=50.0, trials=1024)
     run_chunk(config, 0, 1024)  # the first call fills lazy caches outside the trace
-    gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio, PlacementSpec()), 1, range(1024))])
+    gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio, scenarios.DISC), 1, range(1024))])
     tracemalloc.start()
     try:
         run_chunk(config, 1024, 2048)  # point 1's trials: the block of gains
@@ -384,7 +383,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
     config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
     se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.placement) for v in values[:3]]
+    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.edge_region_law) for v in values[:3]]
     gains = draw_block(config.seed, [(p, i, range(config.trials)) for i, p in enumerate(points)])
     base = scenarios.orthogonal_rates(points[0].layout, gains)
     mixed = []
@@ -596,34 +595,3 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
     with pytest.raises(SweepError) as err:
         run_sweep(small_config(trials=40), workers=workers)
     assert str(err.value) == "seed=2026 sweep_index=1 trial=7: ValueError: bad stream"
-
-    # ... and here its placement: with one try per edge user, point 0's 50 m
-    # edge region never meets coverage, and point 1's 120 m region first does
-    # at trial 7 under seed 2028, in the middle of the block's draw
-    monkeypatch.undo()
-    monkeypatch.setattr(scenarios, "_MAX_PLACEMENT_DRAWS", 1)
-    config = small_config(scenario_id=2, sweep_start=50.0, sweep_stop=190.0, sweep_step=70.0, seed=2028)
-    with pytest.raises(SweepError) as err:
-        run_sweep(config, workers=workers)
-    assert str(err.value) == (
-        "seed=2028 sweep_index=1 trial=7: DomainError: edge-user placement: 1 draws in a row fell"
-        " inside a coverage disc (edge region radius 120 m)"
-    )
-
-
-@pytest.mark.parametrize("law, trial", (("ring", 4), ("disc", 3)))
-def test_an_edge_region_almost_inside_coverage_fails_mid_sweep(law, trial):
-    # the config check accepts this region, whose centre lies outside both
-    # coverage discs, yet only ~1e-5 of it does, so the draw gives up on a
-    # trial; ROADMAP item 4's exact placement removes the loop that gives up
-    config = config_from_dict({
-        "scenario_id": 2, "schemes": ["JT-OMA"], "trials": 20, "seed": 3,
-        "sweep": {"start": 0.01, "stop": 0.01, "step": 1.0},
-        "placement": {"coverage_m": 499.9999999, "edge_region_law": law},
-    })
-    with pytest.raises(SweepError) as err:
-        run_sweep(config)
-    assert str(err.value) == (
-        f"seed=3 sweep_index=0 trial={trial}: DomainError: edge-user placement: 100000 draws in a row"
-        " fell inside a coverage disc (edge region radius 0.01 m)"
-    )

@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compnoma import (
     EQUAL_RECEIVED,
     EQUAL_TRANSMIT,
     ConfigError,
     DomainError,
-    PlacementSpec,
     RadioParams,
 )
 from compnoma import harness, scenarios
@@ -23,13 +23,14 @@ from compnoma.scenarios import (
     DISC,
     RING,
     SweepPoint,
+    _draw_trials,
     _edge_order,
     draw_block,
     evaluate,
     orthogonal_rates,
 )
 
-from conftest import draw_edge_position, solve_one
+from conftest import COVERAGE_M, INTER_SITE_M, SITES, draw_edge_position, solve_one
 from reference import (
     Band,
     ChannelRealization,
@@ -38,6 +39,7 @@ from reference import (
     dps_select_cell,
     edge_radius_cdf,
     guaranteed_users,
+    lens_area,
     noncomp_user_rate,
     sic_feasible,
     user_rate_single_cell,
@@ -66,8 +68,8 @@ def by_user(point: SweepPoint, row: np.ndarray) -> dict:
 
 def edge_positions(point: SweepPoint, rng) -> list:
     """The jointly served users' positions, drawn as draw_block does."""
-    radius, law, coverage = point.edge_region
-    return [draw_edge_position(rng, radius, law, point.sites, coverage) for _ in point.layout.comp]
+    radius, law = point.edge_region
+    return [draw_edge_position(rng, radius, law) for _ in point.layout.comp]
 
 
 def run(point, g, scheme, interference_mode="negligible", cases=("case1",)):
@@ -79,7 +81,7 @@ def run(point, g, scheme, interference_mode="negligible", cases=("case1",)):
 
 
 def test_scenario_1_shape():
-    point = SweepPoint(1, 350.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(1, 350.0, RadioParams(), DISC)
     lay = point.layout
     assert lay.user_ids == (1, 11, 12, 21, 22)
     assert [lay.user_ids[c] for c in lay.comp] == [1]
@@ -89,23 +91,27 @@ def test_scenario_1_shape():
     for uid, (d1, d2) in distances.items():
         assert point.terms[:, lay.user_ids.index(uid)].tolist() == [d1 ** -4.0, d2 ** -4.0]
     assert point.terms[:, lay.comp].tolist() == [[0.0], [0.0]]
-    assert point.edge_region == (200.0, DISC, 400.0)
+    assert point.edge_region == (200.0, DISC)
     # edge user: inside the midpoint disc, outside both coverage discs
     [(x, y)] = edge_positions(point, random.Random(5))
     assert math.hypot(x, y) <= 200.0
-    for cx, cy in point.sites:
+    for cx, cy in SITES:
         assert math.hypot(x - cx, y - cy) > 400.0
+
+
+def test_reference_geometry_is_the_engines():
+    assert (INTER_SITE_M, COVERAGE_M) == (scenarios.INTER_SITE_M, scenarios.COVERAGE_M)
 
 
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
-    s2 = SweepPoint(2, 120.0, RadioParams(), PlacementSpec())
+    s2 = SweepPoint(2, 120.0, RadioParams(), DISC)
     assert s2.layout.user_ids == (1, 2, 11, 21)
     assert s2.layout.comp == (0, 1)
     assert s2.layout.tails == ((2,), (3,))
     assert s2.terms[:, 2].tolist() == [250.0 ** -4.0, 1250.0 ** -4.0]
     assert s2.terms[:, 3].tolist() == [1250.0 ** -4.0, 250.0 ** -4.0]
-    s3 = SweepPoint(3, 120.0, RadioParams(), PlacementSpec())
+    s3 = SweepPoint(3, 120.0, RadioParams(), DISC)
     assert s3.layout.user_ids == (1, 2, 11)
     assert s3.layout.tails == ((2,), ())
     for point in (s2, s3):
@@ -122,9 +128,9 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
     # Layout, its radio included
     radio = RadioParams(tx_power_mw=5e3, bandwidth_hz=2e6, pathloss_exponent=3.5, sic_tolerance=1.0)
     for law in (DISC, RING):
-        config = replace(PRESETS[preset](), radio=radio, placement=PlacementSpec(edge_region_law=law))
+        config = replace(PRESETS[preset](), radio=radio, edge_region_law=law)
         values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-        layouts = {SweepPoint(config.scenario_id, v, config.radio, config.placement).layout for v in values}
+        layouts = {SweepPoint(config.scenario_id, v, config.radio, config.edge_region_law).layout for v in values}
         assert len(values) == 8 and len(layouts) == 1, (law, layouts)
         assert layouts.pop().radio == radio
 
@@ -132,15 +138,14 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
 def test_edge_region_laws():
     rng = random.Random(7)
     for sweep in (50.0, 175.0, 400.0):
-        point = SweepPoint(2, sweep, RadioParams(), PlacementSpec())
+        point = SweepPoint(2, sweep, RadioParams(), DISC)
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= sweep + 1e-9
-    ring = PlacementSpec(edge_region_law=RING)
     for sweep in (50.0, 300.0):
-        point = SweepPoint(2, sweep, RadioParams(), ring)
+        point = SweepPoint(2, sweep, RadioParams(), RING)
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) == pytest.approx(sweep, rel=1e-12)
-            for cx, cy in point.sites:
+            for cx, cy in SITES:
                 assert math.hypot(x - cx, y - cy) > 400.0
 
 
@@ -160,16 +165,16 @@ def test_edge_placement_follows_the_closed_form_laws():
     # size and radii were fixed before the first run; 1.95 / sqrt(n) is about
     # the 0.1% critical value.  The reference draw is SweepPoint.draw's, bit
     # for bit (test_channel).
-    n, h, rho = 20_000, 500.0, 400.0
-    sites, limit = ((-h, 0.0), (h, 0.0)), 1.95 / math.sqrt(n)
+    n, h, rho = 20_000, INTER_SITE_M / 2.0, COVERAGE_M
+    limit = 1.95 / math.sqrt(n)
     rng = random.Random(1703)
     for radius in (80.0, 200.0, 300.0, 400.0):  # 80 m lies inside h - rho: no rejection
-        r = [math.hypot(*draw_edge_position(rng, radius, DISC, sites, rho)) for _ in range(n)]
+        r = [math.hypot(*draw_edge_position(rng, radius, DISC)) for _ in range(n)]
         d = ks_distance(r, lambda x: edge_radius_cdf(x, radius, rho, h))
         assert d < limit, ("disc", radius, d)
     for radius in (50.0, 200.0, 300.0, 400.0):
         lo = math.acos(min(1.0, (radius ** 2 + h * h - rho * rho) / (2.0 * radius * h)))
-        x = [draw_edge_position(rng, radius, RING, sites, rho)[0] for _ in range(n)]
+        x = [draw_edge_position(rng, radius, RING)[0] for _ in range(n)]
         phi = [math.acos(min(1.0, abs(v) / radius)) for v in x]
         d = ks_distance(phi, lambda a: (a - lo) / (math.pi / 2.0 - lo))
         assert d < limit, ("ring", radius, d)
@@ -183,12 +188,12 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
     # below is Uniform(0, 1) whatever r's law.
     # Each radius draws from its own generator seeded 1703; seed, sample size
     # and limit were fixed before the first run, as in the test above.
-    n, h, rho = 20_000, 500.0, 400.0
-    sites, limit = ((-h, 0.0), (h, 0.0)), 1.95 / math.sqrt(n)
+    n, h, rho = 20_000, INTER_SITE_M / 2.0, COVERAGE_M
+    limit = 1.95 / math.sqrt(n)
     for radius in (80.0, 200.0, 300.0, 400.0):
         rng, v = random.Random(1703), []
         for _ in range(n):
-            x, y = draw_edge_position(rng, radius, DISC, sites, rho)
+            x, y = draw_edge_position(rng, radius, DISC)
             r = math.hypot(x, y)
             lo = math.acos(min(1.0, (r * r + h * h - rho * rho) / (2.0 * r * h)))
             v.append((math.acos(min(1.0, abs(x) / r)) - lo) / (math.pi / 2.0 - lo))
@@ -196,28 +201,50 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
         assert d < limit, (radius, d)
 
 
+def test_every_edge_region_admits_a_fixed_share_of_draws():
+    # draw_block redraws an edge user, with no bound on the tries, until it
+    # lands outside both coverage discs.  That ends because at the fixed
+    # geometry every edge-region radius admits at least 0.409 of the ring
+    # law's draws (the least, 1 - 2 arccos(0.6) / pi, at 300 m) and 0.470 of
+    # the disc law's (its midpoint disc minus two lenses; the least near
+    # 489 m).  Both bounds were fixed before the first run.
+    h, rho = INTER_SITE_M / 2.0, COVERAGE_M
+    for radius in [10.0 ** (k / 20.0) for k in range(-40, 121)] + [300.0, 489.1]:
+        c = (radius ** 2 + h * h - rho * rho) / (2.0 * radius * h)
+        ring = 1.0 - 2.0 * math.acos(min(1.0, c)) / math.pi
+        disc = 1.0 - 2.0 * lens_area(radius, rho, h) / (math.pi * radius ** 2)
+        assert ring >= 0.409, (radius, ring)
+        assert disc >= 0.470, (radius, disc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([DISC, RING]), st.floats(-3.0, 6.0), st.integers(0, 2**64 - 1))
+def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, law, exponent, seed):
+    # edge-region radii log-uniform on [1e-3, 1e6] m: the draw ends, and
+    # every edge user's distance terms are those of a point beyond both
+    # coverage discs
+    point = SweepPoint(scenario, 10.0 ** exponent, RadioParams(), law)
+    _, terms = _draw_trials(seed, [(point, 0, range(8))])
+    edge = terms[:, :, list(point.layout.comp)]
+    assert (edge > 0.0).all()
+    assert (edge <= COVERAGE_M ** -point.layout.radio.pathloss_exponent).all()
+
+
 def test_builder_validation():
     with pytest.raises(ConfigError):
-        SweepPoint(4, 100.0, RadioParams(), PlacementSpec())
+        SweepPoint(4, 100.0, RadioParams(), DISC)
     with pytest.raises(DomainError):
-        SweepPoint(1, 0.0, RadioParams(), PlacementSpec())
+        SweepPoint(1, 0.0, RadioParams(), DISC)
     with pytest.raises(DomainError):
-        SweepPoint(1, -5.0, RadioParams(), PlacementSpec())
+        SweepPoint(1, -5.0, RadioParams(), DISC)
     # swept single-cell distance is capped by the coverage radius, inclusive
-    SweepPoint(1, 400.0, RadioParams(), PlacementSpec())
-    with pytest.raises(DomainError):
-        SweepPoint(1, 400.0001, RadioParams(), PlacementSpec())
-    # ... and so is the fixed one
-    with pytest.raises(DomainError):
-        SweepPoint(1, 100.0, RadioParams(), PlacementSpec(coverage_m=290.0))
-    with pytest.raises(DomainError):
-        PlacementSpec(inter_site_m=700.0, coverage_m=400.0)
-    with pytest.raises(DomainError):
-        PlacementSpec(edge_region_law="square")
+    SweepPoint(1, 400.0, RadioParams(), DISC)
+    with pytest.raises(DomainError, match="^single-cell user distance 400.0001 exceeds coverage 400.0$"):
+        SweepPoint(1, 400.0001, RadioParams(), DISC)
 
 
 def test_oma_identities_scenario_1():
-    point = SweepPoint(1, 350.0, UNIT_RADIO, PlacementSpec())
+    point = SweepPoint(1, 350.0, UNIT_RADIO, DISC)
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # each cell serves three users on thirds of the band at SNR 3
     for uid in (11, 12, 21, 22):
@@ -229,7 +256,7 @@ def test_oma_identities_scenario_1():
 
 
 def test_oma_identities_scenario_3():
-    point = SweepPoint(3, 120.0, UNIT_RADIO, PlacementSpec())
+    point = SweepPoint(3, 120.0, UNIT_RADIO, DISC)
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # cell 1 splits into thirds, cell 2 into halves; the aligned share is a
     # third and cell 2 contributes its leftover sixth at single-cell SNR
@@ -240,7 +267,7 @@ def test_oma_identities_scenario_3():
 
 
 def test_cs_oma_halves():
-    point = SweepPoint(2, 120.0, UNIT_RADIO, PlacementSpec())
+    point = SweepPoint(2, 120.0, UNIT_RADIO, DISC)
     out, _, _, _ = run(point, all_ones_gains(point), "CS-OMA")
     rates = by_user(point, out[0])
     for uid in (1, 2, 11, 21):
@@ -251,7 +278,7 @@ def test_edge_decode_order_reference_cell():
     table = {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9}  # other links 1.0
 
     def order(scenario, decode_case):
-        lay = SweepPoint(scenario, 120.0, RadioParams(), PlacementSpec()).layout
+        lay = SweepPoint(scenario, 120.0, RadioParams(), DISC).layout
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
         return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, (decode_case,)))
 
@@ -262,7 +289,7 @@ def test_edge_decode_order_reference_cell():
 
 def test_evaluate_rejects_an_unknown_scheme():
     # the config rejects every other unusable input (test_cli.test_schema_rejections)
-    s1 = SweepPoint(1, 350.0, RadioParams(), PlacementSpec())
+    s1 = SweepPoint(1, 350.0, RadioParams(), DISC)
     with pytest.raises(ConfigError):
         run(s1, draw_block(14, [(s1, 0, [0])]), "TDMA")
 
@@ -270,7 +297,7 @@ def test_evaluate_rejects_an_unknown_scheme():
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = RadioParams(sic_tolerance=1e12)
-    point = SweepPoint(1, 350.0, harsh, PlacementSpec())
+    point = SweepPoint(1, 350.0, harsh, DISC)
     out, base, feasible, reason = run(point, draw_block(16, [(point, 0, [0])]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
@@ -281,7 +308,7 @@ def test_infeasible_trial_falls_back_to_baseline():
 def test_feasible_trials_meet_guarantees():
     both = ("case1", "case2")
     for scenario, schemes in ALLOWED_SCHEMES.items():
-        point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
+        point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
         lay, g = point.layout, draw_block(17, [(point, 0, range(60))])
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
             cases = both if scenario == 3 and scheme == "JT-NOMA" else both[:1]
@@ -300,7 +327,7 @@ def test_spectral_efficiency_is_sum_over_band():
         {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
     )
     se, _ = run_chunk(config, 0, 4)
-    point = SweepPoint(3, 150.0, config.radio, config.placement)
+    point = SweepPoint(3, 150.0, config.radio, config.edge_region_law)
     g = draw_block(config.seed, [(point, 0, range(4))])
     out, base, _, _ = run(point, g, "JT-NOMA")
     for t in range(4):
@@ -309,7 +336,7 @@ def test_spectral_efficiency_is_sum_over_band():
 
 
 def test_interference_mode_full_never_exceeds_negligible():
-    point = SweepPoint(2, 200.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(2, 200.0, RadioParams(), DISC)
     g = draw_block(19, [(point, 0, range(40))])
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
@@ -375,7 +402,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 @pytest.mark.parametrize("mode", ["negligible", "full"])
 @pytest.mark.parametrize("scenario, scheme", [(2, "CS-NOMA"), (2, "DPS-NOMA"), (3, "DPS-NOMA")])
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
-    point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
     g = draw_block(41, [(point, 0, range(200))])
     out, base, feasible, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
@@ -509,7 +536,7 @@ def test_evaluate_rows_are_independent(scenario, scheme):
     # modes and splits and with stacked decode cases: what stacks trials
     # (DPS-NOMA's -1 idle column, CS-NOMA's two bands, the decode cases)
     # must not let one trial's row reach another's
-    point = SweepPoint(scenario, 200.0, RadioParams(), PlacementSpec())
+    point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
     n = 96
     g = draw_block(23, [(point, 0, range(n))])
     perm = np.random.default_rng(5).permutation(n)
@@ -538,7 +565,7 @@ def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, decode_c
     )
     run_chunk(config, 0, n)
     [((raw, tails, *_), _)] = jt_calls
-    point = SweepPoint(scenario, 200.0, config.radio, config.placement)
+    point = SweepPoint(scenario, 200.0, config.radio, config.edge_region_law)
     g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
     shared = set()
