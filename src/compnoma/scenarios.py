@@ -50,12 +50,11 @@ RING = "ring"
 
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
 
-# every scenario's two sites, 1 km apart on the x axis, and their coverage
-# radius: discs that stop short of the midpoint, so edge users can be placed
-INTER_SITE_M = 1000.0
+# every scenario's two sites, 1 km apart on the x axis with the midpoint at
+# the origin, and their coverage radius: discs that stop short of the
+# midpoint, so edge users can be placed
+SITES = ((-500.0, 0.0), (500.0, 0.0))
 COVERAGE_M = 400.0
-_HALF_SITE_M = INTER_SITE_M / 2.0
-_SITES = ((-_HALF_SITE_M, 0.0), (_HALF_SITE_M, 0.0))
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 
@@ -90,6 +89,8 @@ class SweepPoint:
     def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, edge_region_law: str):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
+        if edge_region_law not in (DISC, RING):
+            raise DomainError(f"edge_region_law must be {DISC!r} or {RING!r}, got {edge_region_law!r}")
         if not 0.0 < sweep_value < math.inf:
             raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
@@ -115,9 +116,9 @@ class SweepPoint:
         alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
         for c, u, d in tails:
-            x = _SITES[c - 1][0]
+            x = SITES[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
-            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in _SITES]
+            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in SITES]
 
 
 def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:
@@ -131,9 +132,10 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     the point's midpoint disc (or on its rim) and redrawn while inside either
     coverage disc (tested with math, not numpy: it decides how many draws a
     trial consumes), then one fading uniform per (cell, user) link, cells
-    outer, as one getrandbits word block (least significant word first).  No block-sized list of Python objects is built: the edge users'
-    distance terms go to one array("d") and the word blocks, little-endian,
-    to one bytearray, which numpy reads in place, turning each word pair into
+    outer, as one getrandbits word block (least significant word first).
+    No block-sized list of Python objects is built: the edge users' distance
+    terms go to one array("d") and the word blocks, little-endian, to one
+    bytearray, which numpy reads in place, turning each word pair into
     random()'s double by its formula.  Fading is Exp(1), the squared Rayleigh
     envelope: -log(1 - U) by libm's log (from which numpy's differs on some
     inputs), streamed over a memoryview.  A trial's failure is re-raised as a
@@ -149,7 +151,7 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
     rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
     reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
     edge, words = array("d"), bytearray()
-    put, half, coverage = edge.append, _HALF_SITE_M, COVERAGE_M
+    put, half, coverage = edge.append, SITES[1][0], COVERAGE_M
     for point, sweep_index, trials in segments:
         t = None
         try:

@@ -13,15 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from compnoma.allocation import FEASIBLE, solve_single_cell
+from compnoma.scenarios import COVERAGE_M, SITES
 
 from reference import Band, NomaCluster, PowerAllocation, brute_force_oracle, sum_rate_single_cell
 
 REF_BUDGET_MW = 10.0 ** 4.3  # 43 dBm
-
-# the engine's fixed two-cell geometry, restated (test_scenarios checks it):
-# sites 1 km apart on the x axis, each covering 400 m
-INTER_SITE_M, COVERAGE_M = 1000.0, 400.0
-SITES = ((-INTER_SITE_M / 2.0, 0.0), (INTER_SITE_M / 2.0, 0.0))
 
 
 class Instance(NamedTuple):

@@ -114,6 +114,7 @@ def test_schema_rejections():
         {"schemes": ["TDMA"]},
         {"interference_mode": "sometimes"},
         {"jt_split": "thirds"},
+        {"edge_region_law": "square"},
         {"decode_case": "caseX"},
         {"seed": -1},
         {"seed": 2**64},

@@ -30,7 +30,7 @@ from compnoma.scenarios import (
     orthogonal_rates,
 )
 
-from conftest import COVERAGE_M, INTER_SITE_M, SITES, draw_edge_position, solve_one
+from conftest import COVERAGE_M, SITES, draw_edge_position, solve_one
 from reference import (
     Band,
     ChannelRealization,
@@ -99,10 +99,6 @@ def test_scenario_1_shape():
         assert math.hypot(x - cx, y - cy) > 400.0
 
 
-def test_reference_geometry_is_the_engines():
-    assert (INTER_SITE_M, COVERAGE_M) == (scenarios.INTER_SITE_M, scenarios.COVERAGE_M)
-
-
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
     s2 = SweepPoint(2, 120.0, RadioParams(), DISC)
@@ -165,7 +161,7 @@ def test_edge_placement_follows_the_closed_form_laws():
     # size and radii were fixed before the first run; 1.95 / sqrt(n) is about
     # the 0.1% critical value.  The reference draw is SweepPoint.draw's, bit
     # for bit (test_channel).
-    n, h, rho = 20_000, INTER_SITE_M / 2.0, COVERAGE_M
+    n, h, rho = 20_000, SITES[1][0], COVERAGE_M
     limit = 1.95 / math.sqrt(n)
     rng = random.Random(1703)
     for radius in (80.0, 200.0, 300.0, 400.0):  # 80 m lies inside h - rho: no rejection
@@ -188,7 +184,7 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
     # below is Uniform(0, 1) whatever r's law.
     # Each radius draws from its own generator seeded 1703; seed, sample size
     # and limit were fixed before the first run, as in the test above.
-    n, h, rho = 20_000, INTER_SITE_M / 2.0, COVERAGE_M
+    n, h, rho = 20_000, SITES[1][0], COVERAGE_M
     limit = 1.95 / math.sqrt(n)
     for radius in (80.0, 200.0, 300.0, 400.0):
         rng, v = random.Random(1703), []
@@ -208,7 +204,7 @@ def test_every_edge_region_admits_a_fixed_share_of_draws():
     # law's draws (the least, 1 - 2 arccos(0.6) / pi, at 300 m) and 0.470 of
     # the disc law's (its midpoint disc minus two lenses; the least near
     # 489 m).  Both bounds were fixed before the first run.
-    h, rho = INTER_SITE_M / 2.0, COVERAGE_M
+    h, rho = SITES[1][0], COVERAGE_M
     for radius in [10.0 ** (k / 20.0) for k in range(-40, 121)] + [300.0, 489.1]:
         c = (radius ** 2 + h * h - rho * rho) / (2.0 * radius * h)
         ring = 1.0 - 2.0 * math.acos(min(1.0, c)) / math.pi
@@ -241,6 +237,10 @@ def test_builder_validation():
     SweepPoint(1, 400.0, RadioParams(), DISC)
     with pytest.raises(DomainError, match="^single-cell user distance 400.0001 exceeds coverage 400.0$"):
         SweepPoint(1, 400.0001, RadioParams(), DISC)
+    with pytest.raises(DomainError, match="^edge_region_law must be 'disc' or 'ring', got 'square'$"):
+        SweepPoint(2, 300.0, RadioParams(), "square")
+    with pytest.raises(DomainError):
+        SweepPoint(2, 300.0, RadioParams(), "Ring")
 
 
 def test_oma_identities_scenario_1():
