@@ -21,11 +21,12 @@ import json
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
+from . import scenarios
+from .allocation import EQUAL_TRANSMIT
 from .channel import RadioParams, dbm_to_mw
 from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
-from .scenarios import CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, RING, SweepPoint
+from .scenarios import CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -38,12 +39,8 @@ DEFAULT_SCHEMES = {
     3: (JT_NOMA, JT_OMA),
 }
 _REJECTED_SCHEMES = ("CB", "CB-NOMA")
-CHOICES = {
-    "decode_case": ("case1", "case2", "both"),
-    "interference_mode": ("negligible", "full"),
-    "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
-    "edge_region_law": (DISC, RING),
-}
+# scenarios' choices, and "both" decode cases: one series per case
+CHOICES = {**scenarios.CHOICES, "decode_case": scenarios.CHOICES["decode_case"] + ("both",)}
 # dBm spelling of each power-like radio field
 _DBM = {"tx_power_dbm": "tx_power_mw", "noise_density_dbm_hz": "noise_density_mw_hz"}
 

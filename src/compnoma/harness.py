@@ -25,8 +25,8 @@ log = logging.getLogger("compnoma")
 
 _Z95 = 1.96  # two-sided 95% normal quantile
 # most trials per range, i.e. per kernel block; bounds memory: the tracemalloc peak
-# of one fig6 run_chunk block (full interference, both decode cases) is 1.03 MiB,
-# reached in JT-NOMA's evaluate
+# of one run_chunk block of scenario 3 (every scheme, full interference, both
+# decode cases) is 663 KiB, reached in DPS-NOMA's evaluate
 _BLOCK = 1024
 _MAX_POINTS = 10_000  # most values per sweep grid; a config builds each point's geometry
 
@@ -73,16 +73,15 @@ def run_chunk(config, start: int, stop: int):
     The caller sizes the block (run_sweep cuts at most _BLOCK trials), and
     it may cross points, which all share one Layout: one ``draw_block`` call
     draws the block's (trials, cells, users) gain array, one segment per
-    point, and every series is evaluated on it at once, one ``evaluate``
-    call per scheme with all its decode cases.  Module-level so process
-    pools can pickle it.  Returns (spectral efficiency, feasible), each of
-    shape (trials, series).  A failure is re-raised as a SweepError naming
-    the seed, the block's first and last (sweep index, trial) and the series
-    label (``draw`` for the draw); the draw's own SweepError, which names a
-    trial, passes unchanged.
+    point, and every series is evaluated on it, one ``evaluate`` call per
+    ``scheme_rows`` row.  Module-level so process pools can pickle it.
+    Returns (spectral efficiency, feasible), each of shape (trials, series).
+    A failure is re-raised as a SweepError naming the seed, the block's
+    first and last (sweep index, trial) and the one series label (``draw``
+    for the draw); the draw's own SweepError, which names a trial, passes
+    unchanged.
     """
     rows = scheme_rows(config)
-    series = {scheme: [r_i for r_i, row in enumerate(rows) if row[1] == scheme] for _, scheme, _ in rows}
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
     segments = []
@@ -97,19 +96,13 @@ def run_chunk(config, start: int, stop: int):
         label = "orthogonal baseline"
         base = orthogonal_rates(point.layout, gains)
         base_sums = _row_sums(base)
-        for scheme, cols in series.items():
-            label = ", ".join(rows[r_i][0] for r_i in cols)
-            out, reason = evaluate(
-                point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
-                [rows[r_i][2] for r_i in cols],
-            )
-            ok = reason == FEASIBLE
+        for r_i, (label, scheme, case) in enumerate(rows):
+            out, reason = evaluate(point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case)
+            ok = feasible[:, r_i] = reason == FEASIBLE
             # infeasible trials' rows, and JT-OMA's, are the baseline's bits
-            sums = np.tile(base_sums, len(cols))
+            se[:, r_i] = base_sums
             if out is not base:
-                sums[ok] = _row_sums(out[ok])
-            for a, v in ((se, sums), (feasible, ok)):
-                a[:, cols] = np.reshape(v, (len(cols), -1)).T
+                se[ok, r_i] = _row_sums(out[ok])
     except SweepError:
         raise
     except Exception as e:

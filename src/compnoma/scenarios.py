@@ -12,8 +12,9 @@ Three layouts are modeled, all with base stations 1 km apart, each covering
    users alone and the later-decoded edge user is cell 2's cluster head.
 
 Single-cell users sit on the ray pointing away from the opposite base station
-so their geometry is deterministic; edge users are drawn uniformly from a disc
-at the midpoint, rejecting draws inside either cell's coverage radius.
+so their geometry is deterministic; edge users are drawn around the midpoint,
+uniformly in the edge region (``disc``) or on its rim (``ring``), rejecting
+draws inside either cell's coverage radius.
 
 ``draw_block`` turns a kernel block's trials, one segment per sweep point,
 into a (trials, cells, users) gain array, whose user columns are the user ids
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
+from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
 from .errors import ConfigError, DomainError, SweepError
 
@@ -49,6 +50,14 @@ DISC = "disc"
 RING = "ring"
 
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
+
+# valid values of the string choices evaluate and SweepPoint take, by config key
+CHOICES = {
+    "decode_case": (CASE_EDGE_ORDER_CELL2, "case2"),
+    "interference_mode": ("negligible", "full"),
+    "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
+    "edge_region_law": (DISC, RING),
+}
 
 # every scenario's two sites, 1 km apart on the x axis with the midpoint at
 # the origin, and their coverage radius: discs that stop short of the
@@ -89,7 +98,7 @@ class SweepPoint:
     def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, edge_region_law: str):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
-        if edge_region_law not in (DISC, RING):
+        if edge_region_law not in CHOICES["edge_region_law"]:
             raise DomainError(f"edge_region_law must be {DISC!r} or {RING!r}, got {edge_region_law!r}")
         if not 0.0 < sweep_value < math.inf:
             raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
@@ -232,15 +241,12 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_order(lay: Layout, g: np.ndarray, cases: Sequence[str]) -> list:
+def _edge_order(lay: Layout, g: np.ndarray, case: str) -> list:
     """Shared decode order of the jointly served users: ascending realized
     gain in the reference cell: cell 2 in decode case 1 of a layout whose
-    cell 2 serves no single-cell user (scenario 3), cell 1 otherwise.  g
-    holds one block of trials per decode case."""
-    n = len(g) // len(cases)
-    ref = [1 if not lay.tails[1] and case == CASE_EDGE_ORDER_CELL2 else 0 for case in cases]
-    parts = [g[i * n:(i + 1) * n, r, lay.comp] for i, r in enumerate(ref)]
-    return _by_gain(np.concatenate(parts) if len(parts) > 1 else parts[0], lay.comp)
+    cell 2 serves no single-cell user (scenario 3), cell 1 otherwise."""
+    ref = 1 if not lay.tails[1] and case == CASE_EDGE_ORDER_CELL2 else 0
+    return _by_gain(g[:, ref, lay.comp], lay.comp)
 
 
 def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, idle=None):
@@ -270,10 +276,10 @@ def _noma_clusters(g, base, edge, orders, budgets, width, p_tol, split, full, id
     return out[:, :users], reason
 
 
-def _jt_noma(lay, g, base, full, split, cases):
-    """Both cells decode the jointly served users first, in the shared edge
-    order, then their own users by ascending gain."""
-    edge = _edge_order(lay, g, cases)
+def _jt_noma(lay, g, base, full, split, case):
+    """Both cells decode the jointly served users first, in the case's shared
+    edge order, then their own users by ascending gain."""
+    edge = _edge_order(lay, g, case)
     orders = [edge + _by_gain(g[:, ci, lay.tails[ci]], lay.tails[ci]) for ci in (0, 1)]
     r = lay.radio
     return _noma_clusters(g, base, edge, orders, [r.tx_power_mw] * 2, r.bandwidth_hz, r.sic_tolerance, split, full)
@@ -325,18 +331,20 @@ def _cs_noma(lay, g, base, full):
 
 def evaluate(
     lay: Layout, g: np.ndarray, base: np.ndarray, scheme: str,
-    interference_mode: str, jt_split: str, cases: Sequence[str],
+    interference_mode: str, jt_split: str, case: str,
 ):
-    """One scheme on a block of trials: (rates, reason code), each with a
-    leading trials axis; a trial is feasible where its reason is FEASIBLE.
+    """One scheme on a block of trials under one decode case: (rates, reason
+    code), each with a leading trials axis; a trial is feasible where its
+    reason is FEASIBLE.
 
     base is the orthogonal baseline: it supplies the non-head rate
-    guarantees and the fallback rates of infeasible trials.  cases is a
-    sequence of decode cases, evaluated in one call as that many copies of
-    the block stacked along the trials axis.
+    guarantees and the fallback rates of infeasible trials.  Only JT-NOMA
+    reads case.  An unknown scheme, interference mode, split or case raises
+    ConfigError.
     """
-    if len(cases) > 1:
-        g, base = np.concatenate([g] * len(cases)), np.concatenate([base] * len(cases))
+    for key, value in (("interference_mode", interference_mode), ("jt_split", jt_split), ("decode_case", case)):
+        if value not in CHOICES[key]:
+            raise ConfigError(f"unknown {key} {value!r}")
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
         if scheme == CS_OMA:  # the 50/50 plan: cell b serves edge user b and its own single-cell user
@@ -344,7 +352,7 @@ def evaluate(
             base = orthogonal_rates(halves, g)
         return base, np.zeros(len(g), np.int8)
     if scheme == JT_NOMA:
-        out, reason = _jt_noma(lay, g, base, full, jt_split, cases)
+        out, reason = _jt_noma(lay, g, base, full, jt_split, case)
     elif scheme == DPS_NOMA:
         out, reason = _dps_noma(lay, g, base, full)
     elif scheme == CS_NOMA:

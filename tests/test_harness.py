@@ -124,8 +124,7 @@ def test_single_trial_matches_direct_evaluation():
     direct = {}
     for scheme in config.schemes:
         out, reason = scenarios.evaluate(
-            point.layout, gains, base, scheme, config.interference_mode, config.jt_split,
-            (config.decode_case,),
+            point.layout, gains, base, scheme, config.interference_mode, config.jt_split, config.decode_case
         )
         direct[scheme] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, reason[0] == FEASIBLE)
     assert len(result.rows) == 2
@@ -389,7 +388,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
     mixed = []
     for r_i, (label, scheme, case) in enumerate(scheme_rows(config)):
         out, reason = scenarios.evaluate(
-            points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, (case,)
+            points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
         ok = reason == FEASIBLE
         want = np.array([math.fsum(row) for row in out.tolist()]) / config.radio.bandwidth_hz
@@ -406,7 +405,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
 def test_block_placement_does_not_change_results(monkeypatch):
     # 150 trials per point: with any of these block sizes, blocks start and
     # end inside points and mix trials of neighbouring points, whose DPS-NOMA
-    # cell choices and JT-NOMA decode cases each block solves in one call
+    # cell choices each block solves in one call
     config = config_from_dict(
         {
             "scenario_id": 3,
@@ -566,21 +565,25 @@ def test_audit_slack_decides_presence_not_size(monkeypatch):
 def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
     # a kernel failure, or one in the draw's steps after its loop over the
     # trials, names the block's first and last (sweep index, trial) and the
-    # series label, also when it is raised in a pool worker
+    # one series label, also when it is raised in a pool worker; with both
+    # decode cases, JT-NOMA's first series fails first
     def broken(*args, **kwargs):
         raise FloatingPointError("injected")
 
     config = small_config(trials=40)
+    both = small_config(trials=40, scenario_id=3, decode_case="both")
     # serially one block spans all three points; a pool worker gets a shorter range
     last = "sweep_index=2 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
-    for name, label in (("_jt_noma", "JT-NOMA"), ("gain_array", "draw")):
+    for conf, name, label in (
+        (config, "_jt_noma", "JT-NOMA"), (config, "gain_array", "draw"), (both, "_jt_noma", "JT-NOMA-case1"),
+    ):
         monkeypatch.setattr(scenarios, name, broken)
         with pytest.raises(SweepError) as err:
-            run_sweep(config, workers=workers)
+            run_sweep(conf, workers=workers)
         assert re.fullmatch(
             rf"seed=2026 from sweep_index=0 trial=0 to {last} series={label}: FloatingPointError: injected",
             str(err.value),
-        ), name
+        ), (name, label)
         monkeypatch.undo()
 
     # a failure while drawing a trial names that trial: here reseeding the

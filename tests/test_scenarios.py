@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,12 +73,12 @@ def edge_positions(point: SweepPoint, rng) -> list:
     return [draw_edge_position(rng, radius, law) for _ in point.layout.comp]
 
 
-def run(point, g, scheme, interference_mode="negligible", cases=("case1",)):
-    """evaluate on a block: (rates, baseline, feasible, reason), with one
-    copy of the block per decode case."""
+def run(point, g, scheme, interference_mode="negligible", case="case1"):
+    """evaluate on a block under one decode case: (rates, baseline,
+    feasible, reason)."""
     base = orthogonal_rates(point.layout, g)
-    out, reason = evaluate(point.layout, g, base, scheme, interference_mode, EQUAL_TRANSMIT, cases)
-    return out, np.concatenate([base] * len(cases)), reason == FEASIBLE, reason
+    out, reason = evaluate(point.layout, g, base, scheme, interference_mode, EQUAL_TRANSMIT, case)
+    return out, base, reason == FEASIBLE, reason
 
 
 def test_scenario_1_shape():
@@ -280,18 +281,32 @@ def test_edge_decode_order_reference_cell():
     def order(scenario, decode_case):
         lay = SweepPoint(scenario, 120.0, RadioParams(), DISC).layout
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
-        return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, (decode_case,)))
+        return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, decode_case))
 
     assert order(3, "case1") == (1, 2)
     assert order(3, "case2") == (2, 1)
     assert order(2, "case1") == (2, 1)
 
 
-def test_evaluate_rejects_an_unknown_scheme():
-    # the config rejects every other unusable input (test_cli.test_schema_rejections)
-    s1 = SweepPoint(1, 350.0, RadioParams(), DISC)
-    with pytest.raises(ConfigError):
-        run(s1, draw_block(14, [(s1, 0, [0])]), "TDMA")
+def test_evaluate_rejects_an_unknown_choice():
+    # the config rejects the same values (test_cli.test_schema_rejections);
+    # a library caller of evaluate gets an error naming the value, not a
+    # default, and a decode case is one string, never a sequence of them
+    s3 = SweepPoint(3, 150.0, RadioParams(), DISC)
+    g = draw_block(14, [(s3, 0, [0])])
+    base = orthogonal_rates(s3.layout, g)
+    good = ("JT-NOMA", "negligible", EQUAL_TRANSMIT, "case1")
+    for i, value, name in (
+        (0, "TDMA", "scheme 'TDMA'"),
+        (1, "partial", "interference_mode 'partial'"),
+        (2, "equal", "jt_split 'equal'"),
+        (3, "case3", "decode_case 'case3'"),
+        (3, ("case1",), "decode_case ('case1',)"),
+    ):
+        args = good[:i] + (value,) + good[i + 1:]
+        with pytest.raises(ConfigError, match=f"^unknown {re.escape(name)}$"):
+            evaluate(s3.layout, g, base, *args)
+    evaluate(s3.layout, g, base, *good)
 
 
 def test_infeasible_trial_falls_back_to_baseline():
@@ -306,18 +321,17 @@ def test_infeasible_trial_falls_back_to_baseline():
 
 
 def test_feasible_trials_meet_guarantees():
-    both = ("case1", "case2")
     for scenario, schemes in ALLOWED_SCHEMES.items():
         point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
         lay, g = point.layout, draw_block(17, [(point, 0, range(60))])
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
-            cases = both if scenario == 3 and scheme == "JT-NOMA" else both[:1]
-            out, base, feasible, _ = run(point, g, scheme, cases=cases)
-            owed = guaranteed_users(lay.comp, lay.tails, np.concatenate([g] * len(cases)), scheme)
-            assert out[~feasible].tolist() == base[~feasible].tolist()
-            assert (out >= base * (1.0 - 1e-9))[owed & feasible[:, None]].all(), (scenario, scheme)
-            floor = 5 if scheme == "CS-NOMA" else 10
-            assert feasible.sum() > floor * len(cases), (scenario, scheme)
+            owed = guaranteed_users(lay.comp, lay.tails, g, scheme)
+            for case in ("case1", "case2") if scenario == 3 and scheme == "JT-NOMA" else ("case1",):
+                out, base, feasible, _ = run(point, g, scheme, case=case)
+                assert out[~feasible].tolist() == base[~feasible].tolist()
+                assert (out >= base * (1.0 - 1e-9))[owed & feasible[:, None]].all(), (scenario, scheme, case)
+                floor = 5 if scheme == "CS-NOMA" else 10
+                assert feasible.sum() > floor, (scenario, scheme, case)
 
 
 def test_spectral_efficiency_is_sum_over_band():
@@ -487,9 +501,10 @@ def test_decodability_audit_forgives_rounding_only(jt_calls):
     "preset, scheme",
     [("fig5", "JT-NOMA"), ("fig5", "CS-NOMA"), ("fig6", "JT-NOMA"), ("fig6", "DPS-NOMA")],
 )
-def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
-    # fig6 evaluates JT-NOMA under both decode cases, and DPS-NOMA's cells
-    # take every cell choice, yet each block is one solve_jt call
+def test_one_solve_per_noma_series_and_block(monkeypatch, preset, scheme):
+    # DPS-NOMA's cells take every cell choice and CS-NOMA solves both half
+    # bands, yet each block is one solve_jt call per series: fig6 splits
+    # JT-NOMA into one series per decode case, each solved on its own
     calls = []
     real = scenarios.solve_jt
 
@@ -502,8 +517,11 @@ def test_one_solve_per_noma_scheme_and_block(monkeypatch, preset, scheme):
     overrides = {"schemes": [scheme, "JT-OMA"], "interference_mode": "full"}
     config = golden_config(preset, overrides, trials=20)
     harness.run_sweep(config)  # 160 trials: blocks of 64, 64 and 32
-    stacked = 2 if scheme == "CS-NOMA" or preset == "fig6" and scheme == "JT-NOMA" else 1
-    assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
+    if preset == "fig6" and scheme == "JT-NOMA":
+        assert calls == [64, 64, 64, 64, 32, 32]  # case 1, then case 2, per block
+    else:
+        stacked = 2 if scheme == "CS-NOMA" else 1
+        assert calls == [64 * stacked, 64 * stacked, 32 * stacked]
 
 
 def test_one_draw_per_block(monkeypatch):
@@ -533,24 +551,22 @@ def test_one_draw_per_block(monkeypatch):
 )
 def test_evaluate_rows_are_independent(scenario, scheme):
     # a permuted block gives the permuted outputs bit for bit, under both
-    # modes and splits and with stacked decode cases: what stacks trials
-    # (DPS-NOMA's -1 idle column, CS-NOMA's two bands, the decode cases)
-    # must not let one trial's row reach another's
+    # modes and splits and (scenario 3) both decode cases: what stacks
+    # trials (DPS-NOMA's -1 idle column, CS-NOMA's two bands) must not let
+    # one trial's row reach another's
     point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
     n = 96
     g = draw_block(23, [(point, 0, range(n))])
     perm = np.random.default_rng(5).permutation(n)
     base = orthogonal_rates(point.layout, g)
     assert orthogonal_rates(point.layout, g[perm]).tobytes() == base[perm].tobytes()
-    stacked = [("case1", "case2")] if scenario == 3 else []
     for mode in ("negligible", "full"):
         for split in (EQUAL_RECEIVED, EQUAL_TRANSMIT):
-            for cases in [("case1",), *stacked]:
-                whole = evaluate(point.layout, g, base, scheme, mode, split, cases)
-                shuffled = evaluate(point.layout, g[perm], base[perm], scheme, mode, split, cases)
+            for case in ("case1", "case2") if scenario == 3 else ("case1",):
+                whole = evaluate(point.layout, g, base, scheme, mode, split, case)
+                shuffled = evaluate(point.layout, g[perm], base[perm], scheme, mode, split, case)
                 for a, b in zip(whole, shuffled):
-                    want = a.reshape(len(cases), n, *a.shape[1:])[:, perm].reshape(a.shape)
-                    assert want.tobytes() == b.tobytes(), (mode, split, cases)
+                    assert a[perm].tobytes() == b.tobytes(), (mode, split, case)
 
 
 @pytest.mark.parametrize("scenario, decode_case", [(1, "case1"), (2, "case1"), (3, "both")])
@@ -564,19 +580,21 @@ def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, decode_c
          "sweep": {"start": 200, "stop": 200}}
     )
     run_chunk(config, 0, n)
-    [((raw, tails, *_), _)] = jt_calls
+    assert len(jt_calls) == (2 if decode_case == "both" else 1)  # one solve per decode case
     point = SweepPoint(scenario, 200.0, config.radio, config.edge_region_law)
     g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
     shared = set()
-    for i in range(len(raw[0][0])):  # one block of n trials per decode case
-        clusters = []
-        for ci in (0, 1):
-            user_of = {float(x): u for u, x in zip(lay.user_ids, g[i % n, ci])}
-            assert len(user_of) == len(lay.user_ids)
-            order = tuple(user_of[float(x[i])] for x in [*raw[ci], *tails[ci]])
-            clusters.append(NomaCluster(ci + 1, Band(0, 1.0), order))
-        validate_jt_conditions(clusters, comp)
-        shared.add((i // n, clusters[0].decode_order[: len(comp)]))
+    for k, ((raw, tails, *_), _) in enumerate(jt_calls):
+        assert len(raw[0][0]) == n
+        for i in range(n):
+            clusters = []
+            for ci in (0, 1):
+                user_of = {float(x): u for u, x in zip(lay.user_ids, g[i, ci])}
+                assert len(user_of) == len(lay.user_ids)
+                order = tuple(user_of[float(x[i])] for x in [*raw[ci], *tails[ci]])
+                clusters.append(NomaCluster(ci + 1, Band(0, 1.0), order))
+            validate_jt_conditions(clusters, comp)
+            shared.add((k, clusters[0].decode_order[: len(comp)]))
     # the read-back is not vacuous: every edge order shows up under each case
-    assert len(shared) == len(raw[0][0]) // n * math.factorial(len(comp))
+    assert len(shared) == len(jt_calls) * math.factorial(len(comp))
