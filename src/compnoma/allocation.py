@@ -101,10 +101,10 @@ def _suffix(reduce, columns) -> list:
 def _flag(reason, pos, cell, bad, code, k, ci=0) -> None:
     """Record code at decode position k (of cell ci) where bad and no earlier
     code is set: the first failure in solve order is the one reported."""
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     new = bad & (reason == FEASIBLE)
-    if new.any():
+    if np.count_nonzero(new):
         reason[new] = code
         np.copyto(pos, k, where=new)
         if cell is not None:
@@ -140,7 +140,7 @@ def solve_single_cell(g, x, r, budget, p_tol: float, width: float, idle=None):
         powers.append(p)
         rem = rem - p
     powers.append(rem)
-    if reason.any():
+    if np.count_nonzero(reason):
         powers = [np.where(reason == FEASIBLE, p, 0.0) for p in powers]
     return powers, reason, pos
 
@@ -209,7 +209,7 @@ def solve_jt(raw, tails, r, cross, budgets, p_tol: float, width: float, split: s
                     share = _over(need, seq_sum(raw[mi][k] for mi in nonheads))
                 p = np.maximum(share, _floor(rem[ci], p_tol, g_min[ci][k]))
                 bad = ~(p <= rem[ci])
-                if bad.any():
+                if np.count_nonzero(bad):
                     _flag(reason, pos, cell, bad, RATE_SHORT, k, ci)
                     p = np.where(bad, rem[ci], p)
             pw[ci][k] = p

@@ -82,10 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         "preset",
         nargs="?",
         choices=sorted(PRESETS),
-        help="named sweep preset; omit when using --config or --scenario",
+        help="paper figure to reproduce: fig4-fig6 run scenarios 1-3 at their defaults; omit when using --config",
     )
     parser.add_argument("--config", help="JSON config path")
-    parser.add_argument("--scenario", dest="scenario_id", type=int, help="scenario id (1, 2 or 3)")
     parser.add_argument(
         "--scheme",
         action="append",
@@ -94,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument(
-        "--case",
-        dest="decode_case",
-        type=lambda v: {"1": "case1", "2": "case2"}.get(v, v),
-        choices=CHOICES["decode_case"],
-        help="shared decode order of scenario 3, the asymmetric one (1/2 are aliases)",
-    )
     parser.add_argument(
         "--interference",
         dest="interference_mode",
@@ -125,17 +117,8 @@ def _resolve_config(args: argparse.Namespace):
         base = config_to_dict(PRESETS[args.preset]())
     elif args.config:
         base = config_to_dict(parse_config(args.config))
-    elif args.scenario_id is not None:
-        base = {}
     else:
-        raise ConfigError("a preset, --config, or --scenario is required")
-
-    if args.scenario_id is not None:
-        # a scenario change invalidates inherited schemes, and drops an
-        # inherited decode case, which only scenario 3 uses
-        base.pop("schemes", None)
-        if args.scenario_id != 3:
-            base.pop("decode_case", None)
+        raise ConfigError("a preset or --config is required")
     if args.scheme:
         base["schemes"] = [s.strip() for chunk in args.scheme for s in chunk.split(",") if s.strip()]
     # every flag whose dest is a config field overrides that key

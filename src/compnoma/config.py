@@ -12,7 +12,9 @@ reader converts, each only on a value of its JSON kind, a scheme list to an
 upper-cased tuple, a dBm key to its milliwatt field and a sweep number to a
 float; a dBm key is no field, so the reader itself rejects one that is not a
 finite number, by its name.  Every sweep point is built at construction, so
-any config can run.
+any config can run.  No setting picks JT-NOMA's decode case: scenario 3
+always reports both (``scenarios.decode_cases``).  So each preset, named for
+the paper figure it reproduces, is its scenario's defaults.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import json
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from . import scenarios
 from .allocation import EQUAL_TRANSMIT
 from .channel import RadioParams, dbm_to_mw
 from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
-from .scenarios import CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
+from .scenarios import CHOICES, CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -39,8 +40,6 @@ DEFAULT_SCHEMES = {
     3: (JT_NOMA, JT_OMA),
 }
 _REJECTED_SCHEMES = ("CB", "CB-NOMA")
-# scenarios' choices, and "both" decode cases: one series per case
-CHOICES = {**scenarios.CHOICES, "decode_case": scenarios.CHOICES["decode_case"] + ("both",)}
 # dBm spelling of each power-like radio field
 _DBM = {"tx_power_dbm": "tx_power_mw", "noise_density_dbm_hz": "noise_density_mw_hz"}
 
@@ -54,7 +53,6 @@ class ExperimentConfig:
     sweep_step: float = 50.0
     trials: int = 50_000
     seed: int = 2026
-    decode_case: str = "case1"
     interference_mode: str = "negligible"
     jt_split: str = EQUAL_TRANSMIT
     edge_region_law: str = DISC
@@ -87,8 +85,6 @@ class ExperimentConfig:
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
-        if self.decode_case != "case1" and scenario != 3:
-            raise ValidationError(f"decode_case {self.decode_case!r} applies to scenario 3 only")
         for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
             _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio, self.edge_region_law)
 
@@ -164,5 +160,5 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 PRESETS = {
     "fig4": partial(ExperimentConfig, 1, DEFAULT_SCHEMES[1]),
     "fig5": partial(ExperimentConfig, 2, DEFAULT_SCHEMES[2]),
-    "fig6": partial(ExperimentConfig, 3, DEFAULT_SCHEMES[3], decode_case="both"),
+    "fig6": partial(ExperimentConfig, 3, DEFAULT_SCHEMES[3]),
 }

@@ -19,7 +19,7 @@ import numpy as np
 
 from .allocation import FEASIBLE
 from .errors import DomainError, SweepError
-from .scenarios import JT_NOMA, SweepPoint, draw_block, evaluate, orthogonal_rates
+from .scenarios import JT_NOMA, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
 
 log = logging.getLogger("compnoma")
 
@@ -49,19 +49,17 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
 def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
     """(csv label, scheme, decode case) per output series.
 
-    Requesting both decode cases splits the jointly-transmitted series in two;
+    JT-NOMA gives one series per decode case of the scenario
+    (``scenarios.decode_cases``), labelled by its case where there are two;
     other schemes do not depend on the shared decode order.
     """
+    cases = decode_cases(config.scenario_id)
     rows: list[tuple[str, str, str]] = []
     for scheme in config.schemes:
-        if config.decode_case == "both":
-            if scheme == JT_NOMA:
-                rows.append((f"{scheme}-case1", scheme, "case1"))
-                rows.append((f"{scheme}-case2", scheme, "case2"))
-            else:
-                rows.append((scheme, scheme, "case1"))
+        if scheme == JT_NOMA and len(cases) > 1:
+            rows += [(f"{scheme}-{case}", scheme, case) for case in cases]
         else:
-            rows.append((scheme, scheme, config.decode_case))
+            rows.append((scheme, scheme, cases[0]))
     return tuple(rows)
 
 
@@ -206,7 +204,7 @@ def _reduce(config, values, parts) -> SweepResult:
             se, feasible = (np.concatenate(a) for a in zip(*pending))
             pending, have = [(se[n:], feasible[n:])], have - n
             value = next(points)
-            infeasible = (~feasible[:n]).sum(axis=0).tolist()
+            infeasible = np.count_nonzero(~feasible[:n], axis=0).tolist()
             for r_i, (label, _, _) in enumerate(rows):
                 out_rows.append(_reduce_point(value, label, se[:n, r_i], infeasible[r_i]))
             log.info("sweep point %g done (%d trials, %d series)", value, n, len(rows))

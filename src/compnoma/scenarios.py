@@ -50,10 +50,10 @@ DISC = "disc"
 RING = "ring"
 
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
+DECODE_CASES = (CASE_EDGE_ORDER_CELL2, "case2")  # the cases evaluate takes
 
 # valid values of the string choices evaluate and SweepPoint take, by config key
 CHOICES = {
-    "decode_case": (CASE_EDGE_ORDER_CELL2, "case2"),
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
     "edge_region_law": (DISC, RING),
@@ -241,10 +241,19 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def decode_cases(scenario_id: int) -> tuple[str, ...]:
+    """The decode cases a scenario's JT-NOMA is evaluated under, one series
+    each.  Only scenario 3's cell 2 serves no single-cell user, so only there
+    may its gain order lead the shared decode order (see ``_edge_order``):
+    it has both cases, and every other scenario case 1 alone."""
+    return DECODE_CASES if scenario_id == 3 else DECODE_CASES[:1]
+
+
 def _edge_order(lay: Layout, g: np.ndarray, case: str) -> list:
     """Shared decode order of the jointly served users: ascending realized
     gain in the reference cell: cell 2 in decode case 1 of a layout whose
-    cell 2 serves no single-cell user (scenario 3), cell 1 otherwise."""
+    cell 2 serves no single-cell user (scenario 3), cell 1 otherwise, so
+    case 2 and every case of scenarios 1-2 order them by cell 1's gains."""
     ref = 1 if not lay.tails[1] and case == CASE_EDGE_ORDER_CELL2 else 0
     return _by_gain(g[:, ref, lay.comp], lay.comp)
 
@@ -299,7 +308,7 @@ def _dps_noma(lay, g, base, full):
         key = g[:, ci, cols]  # non-members at -inf lead; the stable sort keeps ties in cols' order
         key[:, len(lay.tails[ci]):][away] = -np.inf
         orders.append(_by_gain(key, cols))
-        idle.append(away.sum(axis=1))
+        idle.append(np.count_nonzero(away, axis=1))
         budgets.append(np.where(idle[ci] < len(cols), r.tx_power_mw, 0.0))
     return _noma_clusters(g, base, [], orders, budgets, r.bandwidth_hz, r.sic_tolerance, EQUAL_TRANSMIT, full, idle)
 
@@ -342,9 +351,11 @@ def evaluate(
     reads case.  An unknown scheme, interference mode, split or case raises
     ConfigError.
     """
-    for key, value in (("interference_mode", interference_mode), ("jt_split", jt_split), ("decode_case", case)):
+    for key, value in (("interference_mode", interference_mode), ("jt_split", jt_split)):
         if value not in CHOICES[key]:
             raise ConfigError(f"unknown {key} {value!r}")
+    if case not in DECODE_CASES:
+        raise ConfigError(f"unknown decode_case {case!r}")
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
         if scheme == CS_OMA:  # the 50/50 plan: cell b serves edge user b and its own single-cell user

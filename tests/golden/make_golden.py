@@ -39,14 +39,11 @@ SWEEPS = {
     "s2-all-received": ("fig5", {"schemes": ALL_SCHEMES[2], "jt_split": "equal_received"}),
     "s2-ring": ("fig5", {"schemes": ALL_SCHEMES[2], "edge_region_law": "ring"}),
     "s3-dps": ("fig6", {"schemes": ALL_SCHEMES[3]}),
+    # both decode cases, as every scenario-3 sweep; "case2" names the series
+    # it was first captured with, whose rows are its JT-NOMA-case2 rows
     "s3-full-received-case2": (
         "fig6",
-        {
-            "schemes": ALL_SCHEMES[3],
-            "decode_case": "case2",
-            "interference_mode": "full",
-            "jt_split": "equal_received",
-        },
+        {"schemes": ALL_SCHEMES[3], "interference_mode": "full", "jt_split": "equal_received"},
     ),
 }
 

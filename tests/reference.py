@@ -455,16 +455,29 @@ def _simplex(spans, budget: float) -> list:
     return [a[keep], b[keep]]
 
 
+def _powers(free: list, budget: float) -> tuple:
+    """(p, later, gaps) of the power columns free of positions 1..n-1:
+    every position's power, position 0 taking the budget remainder; the
+    power decoded after each position; and each non-head position's gap
+    p[i] - later[i].  Column sums run left to right, as an (N, n) matrix's
+    row sums do, without its strided reductions and copies."""
+    p = [np.atleast_1d(budget - _left_sum(free))] + free
+    later = [_left_sum(p[i + 1:]) for i in range(len(p))]
+    return p, later, [p[i] - later[i] for i in range(len(p) - 1)]
+
+
 @lru_cache(maxsize=4)
 def _full_grid(budget: float, grid_points: int, dims: int) -> tuple:
-    """_simplex of the full-budget grid of dims free powers, grid_points
-    steps each, built once per key: the random instances all have one
-    budget.  Every caller shares its columns, so they are read-only."""
+    """_powers of the full-budget grid of dims free powers (_simplex's
+    columns, grid_points steps each), built once per key: the random
+    instances all have one budget, so only their gains and guarantees
+    differ.  Every caller shares these arrays, so they are read-only."""
     axis = np.linspace(0.0, budget, grid_points)
-    columns = _simplex([axis] * dims, budget)
-    for column in columns:
-        column.flags.writeable = False
-    return tuple(columns)
+    p, later, gaps = _powers(_simplex([axis] * dims, budget), budget)
+    for column in (*p, *later, *gaps):
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return p, later, gaps
 
 
 def brute_force_oracle(
@@ -493,15 +506,10 @@ def brute_force_oracle(
         raise DomainError("need at least 2 grid points per free dimension")
     g = np.array(gains, dtype=float)
 
-    def evaluate(free):
-        # free holds the power columns of positions 1..n-1; position 0 takes
-        # the budget remainder.  Column sums run left to right, as an (N, n)
-        # matrix's row sums do, without its strided reductions and copies
-        p = [np.atleast_1d(budget - _left_sum(free))] + free
-        later = [_left_sum(p[i + 1:]) for i in range(n)]
+    def evaluate(p, later, gaps):
+        # _powers' columns: only the gains and guarantees are this instance's
         feasible = np.ones(len(p[0]), dtype=bool)
-        for i in range(n - 1):
-            gap = p[i] - later[i]
+        for i, gap in enumerate(gaps):
             worst = np.where(gap >= 0.0, gap * g[i:].min(), gap * g[i:].max())
             feasible &= worst >= p_tol
         out = [np.log2(1.0 + p[i] * g[i] / (g[i] * later[i] + 1.0)) for i in range(n)]
@@ -512,12 +520,12 @@ def brute_force_oracle(
         sums[~feasible] = -math.inf
         return feasible, sums
 
-    free = list(_full_grid(budget, grid_points, n - 1))
-    feasible, sums = evaluate(free)
+    grid = _full_grid(budget, grid_points, n - 1)
+    feasible, sums = evaluate(*grid)
     if not feasible.any():
         return OracleResult((0.0,) * n, False, math.nan)
     best_idx = int(np.argmax(sums))
-    best_free = [c[best_idx] for c in free]
+    best_free = [c[best_idx] for c in grid[0][1:]]
     best_sum = float(sums[best_idx])
 
     half = budget / (grid_points - 1)
@@ -530,7 +538,7 @@ def brute_force_oracle(
             for c in best_free
         ]
         cand = [np.append(c, best) for c, best in zip(_simplex(spans, budget), best_free)]
-        c_feasible, c_sums = evaluate(cand)
+        c_feasible, c_sums = evaluate(*_powers(cand, budget))
         c_best = int(np.argmax(c_sums))
         if c_sums[c_best] > best_sum:
             best_sum = float(c_sums[c_best])

@@ -26,6 +26,7 @@ from compnoma import (
     config_from_dict,
     config_to_dict,
     parse_config,
+    run_sweep,
     sweep_values,
 )
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
@@ -125,8 +126,6 @@ def test_schema_rejections():
     for seed in (0, 2**64 - 1):
         assert config_from_dict({"scenario_id": 1, "seed": seed}).seed == seed
     with pytest.raises(ValidationError):
-        config_from_dict({"scenario_id": 2, "decode_case": "both"})
-    with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "sweep": {"start": 300, "stop": 100}})
     with pytest.raises(ValidationError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
@@ -142,7 +141,6 @@ def test_schema_rejections():
             with pytest.raises(ValidationError) as err:
                 config_from_dict(json.loads(f'{{"scenario_id": 1, "radio": {{"{key}": {text}}}}}'))
             assert str(err.value) == f"radio.{key} must be a finite number, exact as a float, got {json.loads(text)!r}"
-    config_from_dict({"scenario_id": 3, "decode_case": "both"})
 
 
 @pytest.mark.parametrize(
@@ -262,6 +260,11 @@ UNUSABLE = {
         '{"scenario_id": 1, "output_path": "run.csv"}',
         "unknown key 'output_path' in config root",
     ),
+    # scenario 3 always reports both decode cases, so no config picks one
+    "a decode case": (
+        '{"scenario_id": 3, "decode_case": "case2"}',
+        "unknown key 'decode_case' in config root",
+    ),
     # the two sites and their coverage are fixed, so no placement section exists
     "a placement section": (
         '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
@@ -366,13 +369,18 @@ def test_fixed_scenario_distances_are_unknown_placement_keys():
 
 
 def test_decode_case_applies_to_scenario_3_only(capsys):
-    for scenario in (1, 2):
-        for case in ("case2", "both"):
-            with pytest.raises(ValidationError) as err:
+    # scenario 3 reports JT-NOMA once per decode case, through the CLI as
+    # through run_sweep; scenarios 1-2 report one JT-NOMA series; no config
+    # of any scenario picks a case
+    for preset, scenario, jt in (("fig4", 1, ["JT-NOMA"]), ("fig5", 2, ["JT-NOMA"]),
+                                 ("fig6", 3, ["JT-NOMA-case1", "JT-NOMA-case2"])):
+        for case in ("case1", "case2", "both"):
+            with pytest.raises(ValidationError, match="^unknown key 'decode_case' in config root$"):
                 config_from_dict({"scenario_id": scenario, "decode_case": case})
-            assert f"decode_case {case!r} applies to scenario 3 only" in str(err.value)
-    assert main(["--scenario", "2", "--case", "2"]) == 1
-    assert "scenario 3 only" in capsys.readouterr().err
+        config = replace(PRESETS[preset](), schemes=("JT-NOMA", "JT-OMA"), trials=1)
+        assert sorted({row.scheme for row in run_sweep(config).rows}) == [*jt, "JT-OMA"]
+        assert main([preset, "--scheme", "JT-NOMA", "--trials", "1", "--quiet"]) == 0
+        assert sorted({line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]}) == jt
 
 
 def test_beamforming_is_rejected_with_reason():
@@ -454,51 +462,42 @@ def test_emit_csv_targets(tmp_path, capsys):
 # --- command line -------------------------------------------------------------
 
 
-def test_case_flag_aliases():
+def test_choice_flags_accept_every_config_value():
     parser = build_parser()
-    for flag, expected in (("1", "case1"), ("2", "case2"), ("case2", "case2"), ("both", "both")):
-        args = parser.parse_args(["--scenario", "3", "--case", flag, "--trials", "1"])
-        assert _resolve_config(args).decode_case == expected
-    # every value the config accepts is a choice of its flag
-    flags = {"decode_case": "--case", "interference_mode": "--interference", "jt_split": "--split"}
+    flags = {"interference_mode": "--interference", "jt_split": "--split"}
     for key, flag in flags.items():
         for value in CHOICES[key]:
-            args = parser.parse_args(["--scenario", "3", flag, value])
+            args = parser.parse_args(["fig6", flag, value])
             assert getattr(_resolve_config(args), key) == value
 
 
 def test_scheme_flag_accepts_commas_and_repeats():
     parser = build_parser()
     args = parser.parse_args(
-        ["--scenario", "2", "--scheme", "jt-noma,cs-noma", "--scheme", "JT-OMA"]
+        ["fig5", "--scheme", "jt-noma,cs-noma", "--scheme", "JT-OMA"]
     )
     assert _resolve_config(args).schemes == ("JT-NOMA", "CS-NOMA", "JT-OMA")
 
 
-def test_scenario_override_drops_preset_schemes():
-    parser = build_parser()
-    args = parser.parse_args(["fig5", "--scenario", "1"])
-    config = _resolve_config(args)
-    assert config.scenario_id == 1
-    assert config.schemes == ("JT-NOMA", "JT-OMA")
+def test_case_and_scenario_flags_are_rejected(capsys):
+    # a run starts from a preset or a config file: no flag picks a decode
+    # case, and none a scenario, which only a preset's name would restate
+    for argv in (["fig6", "--case", "2"], ["fig6", "--case", "both"], ["fig5", "--scenario", "1"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
+    # without a preset, the flag's value is read as one, and refused
+    for argv in (["--scenario", "3"], ["--case", "2", "--trials", "1"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: argument preset: invalid choice"), argv
 
 
-def test_scenario_override_drops_values_the_new_scenario_rejects(capsys):
+def test_every_preset_is_its_scenarios_defaults():
     parser = build_parser()
-    # fig6 carries decode_case "both" (scenario 3 only), which a change to
-    # scenario 1 or 2 drops; fig4 carries nothing scenario-specific
-    for argv, scenario in ((["fig4", "--scenario", "2"], 2), (["fig4", "--scenario", "3"], 3),
-                           (["fig6", "--scenario", "2"], 2), (["fig6", "--scenario", "1"], 1)):
-        config = _resolve_config(parser.parse_args(argv))
-        assert config.scenario_id == scenario
-        assert config.decode_case == "case1"
-        assert main(argv + ["--trials", "1", "--quiet"]) == 0, argv
-    capsys.readouterr()
-    # values the new scenario accepts are kept, and explicit flags still apply
-    config = _resolve_config(parser.parse_args(["fig6", "--scenario", "3"]))
-    assert config.decode_case == "both"
-    assert main(["fig6", "--scenario", "2", "--case", "both"]) == 1
-    assert "scenario 3 only" in capsys.readouterr().err
+    for name, scenario in (("fig4", 1), ("fig5", 2), ("fig6", 3)):
+        config = config_from_dict({"scenario_id": scenario})
+        assert PRESETS[name]() == config
+        assert _resolve_config(parser.parse_args([name])) == config
+    assert sorted(PRESETS) == ["fig4", "fig5", "fig6"]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -508,24 +507,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["fig4", "--config", "x.json"]) == 1
     capsys.readouterr()
-    assert main(["--scenario", "5"]) == 1
+    assert main(["fig7"]) == 1
     capsys.readouterr()
     for workers in ("0", "-2", "two"):
-        assert main(["--scenario", "1", "--workers", workers]) == 1
+        assert main(["fig4", "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
     # parser-level rejections must use the same clean error line, no traceback
-    assert main(["--scenario", "2", "--case", "3"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
     for argv in (["--split", "thirds"], ["--interference", "sometimes"], ["--seed", "-1"]):
-        assert main(["--scenario", "1", *argv]) == 1, argv
+        assert main(["fig4", *argv]) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
-    assert main(["--scenario", "1", "--no-such-flag"]) == 1
+    assert main(["fig4", "--no-such-flag"]) == 1
     assert capsys.readouterr().err.startswith("error:")
-    assert main(["--scenario", "2", "--scheme", "CB"]) == 1
+    assert main(["fig5", "--scheme", "CB"]) == 1
     assert "beamforming" in capsys.readouterr().err
     out = tmp_path / "missing-dir" / "o.csv"
     code = main(
-        ["--scenario", "1", "--trials", "1", "--quiet",
+        ["fig4", "--trials", "1", "--quiet",
          "--out", str(out)]
     )
     assert code == 2
@@ -534,7 +531,7 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_writes_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "run.csv"
     argv = [
-        "--scenario", "1", "--trials", "2", "--seed", "7", "--quiet",
+        "fig4", "--trials", "2", "--seed", "7", "--quiet",
         "--out", str(out),
     ]
     assert main(argv) == 0
@@ -568,18 +565,18 @@ def test_a_preset_sidecar_is_the_preset_and_reruns_to_stdout(preset, tmp_path, c
 
 
 def test_main_streams_to_stdout(capsys):
-    assert main(["--scenario", "1", "--trials", "1", "--quiet"]) == 0
+    assert main(["fig4", "--trials", "1", "--quiet"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(CSV_HEADER)
     # an empty --out also means stdout
-    assert main(["--scenario", "1", "--trials", "1", "--quiet", "--out", ""]) == 0
+    assert main(["fig4", "--trials", "1", "--quiet", "--out", ""]) == 0
     assert capsys.readouterr().out == captured.out
 
 
 def test_quiet_is_read_on_every_call(caplog, capsys):
     # logging is already configured here (pytest's handlers sit on the root
     # logger), as in a host application, so main must set the level itself
-    argv = ["--scenario", "2", "--scheme", "JT-OMA", "--trials", "1"]
+    argv = ["fig5", "--scheme", "JT-OMA", "--trials", "1"]
 
     def resolved():
         return [

@@ -113,6 +113,10 @@ def test_scheme_rows_split_decode_cases():
         ("CS-NOMA", "CS-NOMA", "case1"),
         ("JT-OMA", "JT-OMA", "case1"),
     )
+    # the cases are the scenario's, wherever JT-NOMA sits in the list
+    assert [scenarios.decode_cases(i) for i in (1, 2, 3)] == [("case1",), ("case1",), ("case1", "case2")]
+    listed = replace(fig6, schemes=("DPS-NOMA", "JT-NOMA"))
+    assert [label for label, _, _ in scheme_rows(listed)] == ["DPS-NOMA", "JT-NOMA-case1", "JT-NOMA-case2"]
 
 
 def test_single_trial_matches_direct_evaluation():
@@ -122,11 +126,11 @@ def test_single_trial_matches_direct_evaluation():
     gains = draw_block(config.seed, [(point, 0, [0])])
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
-    for scheme in config.schemes:
+    for label, scheme, case in scheme_rows(config):
         out, reason = scenarios.evaluate(
-            point.layout, gains, base, scheme, config.interference_mode, config.jt_split, config.decode_case
+            point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
-        direct[scheme] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, reason[0] == FEASIBLE)
+        direct[label] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, reason[0] == FEASIBLE)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.trials == 1
@@ -299,12 +303,17 @@ def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
 def test_default_config_is_not_degenerate(scenario):
     # a run without a preset uses the reference radio, so its superposed
     # series are the scheme's own rates: none falls back to the baseline in
-    # every trial of a point, and JT-NOMA beats JT-OMA at every point
-    result = run_sweep(config_from_dict({"scenario_id": scenario, "trials": 300, "seed": 3}))
+    # every trial of a point, and JT-NOMA, under each decode case, beats
+    # JT-OMA at every point
+    config = config_from_dict({"scenario_id": scenario, "trials": 300, "seed": 3})
+    result = run_sweep(config)
     for row in result.rows:
         assert "NOMA" not in row.scheme or row.infeasible_frac < 1.0, row
-    for jt, oma in zip(result.series("JT-NOMA"), result.series("JT-OMA"), strict=True):
-        assert jt.mean_se_bps_hz > oma.mean_se_bps_hz, (jt, oma)
+    jt_labels = [label for label, scheme, _ in scheme_rows(config) if scheme == "JT-NOMA"]
+    assert len(jt_labels) == (2 if scenario == 3 else 1)
+    for label in jt_labels:
+        for jt, oma in zip(result.series(label), result.series("JT-OMA"), strict=True):
+            assert jt.mean_se_bps_hz > oma.mean_se_bps_hz, (jt, oma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,7 +419,6 @@ def test_block_placement_does_not_change_results(monkeypatch):
         {
             "scenario_id": 3,
             "schemes": ["JT-NOMA", "DPS-NOMA", "JT-OMA"],
-            "decode_case": "both",
             "interference_mode": "full",
             "jt_split": "equal_received",
             "trials": 150,
@@ -442,7 +450,6 @@ def scaling_configs(scenario, trials, **grid):
                     {
                         "scenario_id": scenario,
                         "schemes": list(ALLOWED_SCHEMES[scenario]),
-                        "decode_case": "both" if scenario == 3 else "case1",
                         "interference_mode": mode,
                         "jt_split": split,
                         "trials": trials,
@@ -524,7 +531,6 @@ def test_scenario_3_jt_noma_does_not_depend_on_interference_mode(split):
                 {
                     "scenario_id": 3,
                     "schemes": ["JT-NOMA", "DPS-NOMA", "JT-OMA"],
-                    "decode_case": "both",
                     "interference_mode": mode,
                     "jt_split": split,
                     "trials": 500,
@@ -571,7 +577,7 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
         raise FloatingPointError("injected")
 
     config = small_config(trials=40)
-    both = small_config(trials=40, scenario_id=3, decode_case="both")
+    both = small_config(trials=40, scenario_id=3)
     # serially one block spans all three points; a pool worker gets a shorter range
     last = "sweep_index=2 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
     for conf, name, label in (

@@ -289,7 +289,8 @@ def test_edge_decode_order_reference_cell():
 
 
 def test_evaluate_rejects_an_unknown_choice():
-    # the config rejects the same values (test_cli.test_schema_rejections);
+    # the config rejects the same values (test_cli.test_schema_rejections),
+    # and has no decode case: the sweep runs each of its scenario's cases;
     # a library caller of evaluate gets an error naming the value, not a
     # default, and a decode case is one string, never a sequence of them
     s3 = SweepPoint(3, 150.0, RadioParams(), DISC)
@@ -336,17 +337,19 @@ def test_feasible_trials_meet_guarantees():
 
 def test_spectral_efficiency_is_sum_over_band():
     # the sweep's per-trial spectral efficiency is the scheme's rates summed
-    # over users and divided by the band; JT-OMA is the orthogonal baseline
+    # over users and divided by the band; JT-OMA is the orthogonal baseline,
+    # and scenario 3's JT-NOMA series are its two decode cases
     config = config_from_dict(
         {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
     )
     se, _ = run_chunk(config, 0, 4)
     point = SweepPoint(3, 150.0, config.radio, config.edge_region_law)
     g = draw_block(config.seed, [(point, 0, range(4))])
-    out, base, _, _ = run(point, g, "JT-NOMA")
+    case1, case2 = (run(point, g, "JT-NOMA", case=case)[0] for case in ("case1", "case2"))
+    base = orthogonal_rates(point.layout, g)
     for t in range(4):
-        assert se[t, 0] == math.fsum(out[t].tolist()) / 8.64e6
-        assert se[t, 1] == math.fsum(base[t].tolist()) / 8.64e6
+        for r_i, out in enumerate((case1, case2, base)):
+            assert se[t, r_i] == math.fsum(out[t].tolist()) / 8.64e6, (t, r_i)
 
 
 def test_interference_mode_full_never_exceeds_negligible():
@@ -569,18 +572,20 @@ def test_evaluate_rows_are_independent(scenario, scheme):
                     assert a[perm].tobytes() == b.tobytes(), (mode, split, case)
 
 
-@pytest.mark.parametrize("scenario, decode_case", [(1, "case1"), (2, "case1"), (3, "both")])
-def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, decode_case):
+@pytest.mark.parametrize("scenario, cases", [(1, "case1"), (2, "case1"), (3, "both")])
+def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, cases):
     # JT-NOMA's per-cell decode orders, read back from the solve_jt call the
     # sweep makes (a position's gain names its user), pass the acceptance
-    # gate's decode-order rules in every trial, under each decode case
+    # gate's decode-order rules in every trial, under each decode case: case
+    # 1 alone in scenarios 1-2, both in scenario 3
     n = 200
     config = config_from_dict(
-        {"scenario_id": scenario, "schemes": ["JT-NOMA"], "decode_case": decode_case, "trials": n,
-         "sweep": {"start": 200, "stop": 200}}
+        {"scenario_id": scenario, "schemes": ["JT-NOMA"], "trials": n, "sweep": {"start": 200, "stop": 200}}
     )
     run_chunk(config, 0, n)
-    assert len(jt_calls) == (2 if decode_case == "both" else 1)  # one solve per decode case
+    expected = ["case1", "case2"] if cases == "both" else ["case1"]
+    assert [case for _, _, case in scheme_rows(config)] == expected
+    assert len(jt_calls) == len(expected)  # one solve per decode case
     point = SweepPoint(scenario, 200.0, config.radio, config.edge_region_law)
     g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
