@@ -27,7 +27,7 @@ from .allocation import EQUAL_TRANSMIT
 from .channel import RadioParams, dbm_to_mw
 from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
 from .harness import sweep_values
-from .scenarios import CHOICES, CS_NOMA, CS_OMA, DISC, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
+from .scenarios import CHOICES, CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -55,7 +55,6 @@ class ExperimentConfig:
     seed: int = 2026
     interference_mode: str = "negligible"
     jt_split: str = EQUAL_TRANSMIT
-    edge_region_law: str = DISC
     radio: RadioParams = RadioParams()
 
     def __post_init__(self) -> None:
@@ -86,7 +85,7 @@ class ExperimentConfig:
             if getattr(self, key) not in choices:
                 raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
-            _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio, self.edge_region_law)
+            _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio)
 
 
 def _ranged(where: str, make, *args, **kwargs):

@@ -84,7 +84,7 @@ def run_chunk(config, start: int, stop: int):
     seed, n = config.seed, config.trials
     segments = []
     for s_i in range(start // n, (stop - 1) // n + 1):
-        point = SweepPoint(config.scenario_id, values[s_i], config.radio, config.edge_region_law)
+        point = SweepPoint(config.scenario_id, values[s_i], config.radio)
         segments.append((point, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
     shape = (stop - start, len(rows))
     se, feasible = np.empty(shape), np.empty(shape, bool)

@@ -12,9 +12,9 @@ Three layouts are modeled, all with base stations 1 km apart, each covering
    users alone and the later-decoded edge user is cell 2's cluster head.
 
 Single-cell users sit on the ray pointing away from the opposite base station
-so their geometry is deterministic; edge users are drawn around the midpoint,
-uniformly in the edge region (``disc``) or on its rim (``ring``), rejecting
-draws inside either cell's coverage radius.
+so their geometry is deterministic; edge users are drawn uniformly in the
+edge region, a disc around the midpoint, rejecting draws inside either cell's
+coverage radius.
 
 ``draw_block`` turns a kernel block's trials, one segment per sweep point,
 into a (trials, cells, users) gain array, whose user columns are the user ids
@@ -46,17 +46,13 @@ DPS_NOMA = "DPS-NOMA"
 JT_OMA = "JT-OMA"
 CS_OMA = "CS-OMA"
 
-DISC = "disc"
-RING = "ring"
-
 CASE_EDGE_ORDER_CELL2 = "case1"  # edge users decoded in cell-2 gain order; "case2" uses cell 1's
 DECODE_CASES = (CASE_EDGE_ORDER_CELL2, "case2")  # the cases evaluate takes
 
-# valid values of the string choices evaluate and SweepPoint take, by config key
+# valid values of the string choices evaluate takes, by config key
 CHOICES = {
     "interference_mode": ("negligible", "full"),
     "jt_split": (EQUAL_RECEIVED, EQUAL_TRANSMIT),
-    "edge_region_law": (DISC, RING),
 }
 
 # every scenario's two sites, 1 km apart on the x axis with the midpoint at
@@ -92,14 +88,12 @@ class SweepPoint:
     10c+1 (and 10c+2), on the ray pointing away from the other site.
     ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
     0 in the edge users' columns, which ``draw_block`` fills from each
-    trial's positions in ``edge_region`` (radius, law) around the midpoint.
+    trial's positions in the disc of ``radius`` around the midpoint.
     """
 
-    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams, edge_region_law: str):
+    def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams):
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
-        if edge_region_law not in CHOICES["edge_region_law"]:
-            raise DomainError(f"edge_region_law must be {DISC!r} or {RING!r}, got {edge_region_law!r}")
         if not 0.0 < sweep_value < math.inf:
             raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
@@ -121,7 +115,7 @@ class SweepPoint:
             tuple(tuple(ids.index(u) for c, u, _ in tails if c == cell) for cell in (1, 2)),
             radio,
         )
-        self.edge_region = (radius, edge_region_law)
+        self.radius = radius
         alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
         for c, u, d in tails:
@@ -136,12 +130,12 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     points share one Layout, radio included.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
     each masked to 64 bits: (seed, i) is hashed (then copied per trial), and
-    the point's edge_region and path-loss exponent unpacked, once per segment.
-    A trial draws the edge users' positions in user-id order, each uniform in
-    the point's midpoint disc (or on its rim) and redrawn while inside either
-    coverage disc (tested with math, not numpy: it decides how many draws a
-    trial consumes), then one fading uniform per (cell, user) link, cells
-    outer, as one getrandbits word block (least significant word first).
+    the point's radius and path-loss exponent read, once per segment.  A
+    trial draws the edge users' positions in user-id order, each uniform in
+    the point's midpoint disc and redrawn while inside either coverage disc
+    (tested with math, not numpy: it decides how many draws a trial
+    consumes), then one fading uniform per (cell, user) link, cells outer,
+    as one getrandbits word block (least significant word first).
     No block-sized list of Python objects is built: the edge users' distance
     terms go to one array("d") and the word blocks, little-endian, to one
     bytearray, which numpy reads in place, turning each word pair into
@@ -166,8 +160,7 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
         try:
             prefix = struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64)
             copy = hashlib.blake2b(prefix, digest_size=16).copy
-            radius, law = point.edge_region
-            ring = law == RING
+            radius = point.radius
             users, power, size = point.layout.comp, -point.layout.radio.pathloss_exponent, 8 * point.terms.size
             for t in trials:
                 h = copy()
@@ -175,11 +168,11 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
                 reseed(rng, from_bytes(h.digest(), "big"))
                 for _ in users:
                     # ends: at the fixed geometry a draw lands outside both
-                    # discs with probability at least 0.40 under either law,
-                    # whatever the radius (test_scenarios checks the bound)
+                    # discs with probability at least 0.47, whatever the
+                    # radius (test_scenarios checks the bound)
                     while True:
                         theta = _TWO_PI * random()
-                        r = radius if ring else radius * sqrt(random())
+                        r = radius * sqrt(random())
                         x, y = r * cos(theta), r * sin(theta)
                         d1 = hypot(x + half, y)  # hypot(x - site x, y - site y), bit for bit
                         if d1 > coverage:
@@ -349,13 +342,17 @@ def evaluate(
     base is the orthogonal baseline: it supplies the non-head rate
     guarantees and the fallback rates of infeasible trials.  Only JT-NOMA
     reads case.  An unknown scheme, interference mode, split or case raises
-    ConfigError.
+    ConfigError, as does CS-NOMA or CS-OMA on a layout other than scenario
+    2's: their 50/50 plan needs two jointly served users and one single-cell
+    user per cell.
     """
     for key, value in (("interference_mode", interference_mode), ("jt_split", jt_split)):
         if value not in CHOICES[key]:
             raise ConfigError(f"unknown {key} {value!r}")
     if case not in DECODE_CASES:
         raise ConfigError(f"unknown decode_case {case!r}")
+    if scheme in (CS_NOMA, CS_OMA) and (len(lay.comp), *map(len, lay.tails)) != (2, 1, 1):
+        raise ConfigError(f"{scheme} needs two jointly served users and one single-cell user per cell")
     full = interference_mode == "full"
     if scheme in (JT_OMA, CS_OMA):
         if scheme == CS_OMA:  # the 50/50 plan: cell b serves edge user b and its own single-cell user

@@ -112,13 +112,13 @@ def oracle_agreement(problem: Instance, grid_points: int = 1000):
     return False, f"sum-rate gap {gap:.3e} (closed {closed_sum}, oracle {oracle.sum_rate_bps})"
 
 
-def draw_edge_position(rng, radius, law):
+def draw_edge_position(rng, radius):
     """Reference edge-user placement, independent of draw_block: a uniform
-    point in the midpoint disc (on its rim for the ring law), redrawn while
-    it falls inside either cell's coverage disc."""
+    point in the midpoint disc of radius, redrawn while it falls inside
+    either cell's coverage disc."""
     while True:
         theta = 2.0 * math.pi * rng.random()
-        r = radius if law == "ring" else radius * math.sqrt(rng.random())
+        r = radius * math.sqrt(rng.random())
         x, y = r * math.cos(theta), r * math.sin(theta)
         if all(math.hypot(x - cx, y - cy) > COVERAGE_M for cx, cy in SITES):
             return (x, y)

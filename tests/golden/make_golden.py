@@ -37,7 +37,6 @@ SWEEPS = {
     "s1-reference-tolerance": ("fig4", {"schemes": ALL_SCHEMES[1], "radio": {"sic_tolerance": 100.0}}),
     "s2-all-full": ("fig5", {"schemes": ALL_SCHEMES[2], "interference_mode": "full"}),
     "s2-all-received": ("fig5", {"schemes": ALL_SCHEMES[2], "jt_split": "equal_received"}),
-    "s2-ring": ("fig5", {"schemes": ALL_SCHEMES[2], "edge_region_law": "ring"}),
     "s3-dps": ("fig6", {"schemes": ALL_SCHEMES[3]}),
     # both decode cases, as every scenario-3 sweep; "case2" names the series
     # it was first captured with, whose rows are its JT-NOMA-case2 rows

@@ -115,7 +115,8 @@ def test_schema_rejections():
         {"schemes": ["TDMA"]},
         {"interference_mode": "sometimes"},
         {"jt_split": "thirds"},
-        {"edge_region_law": "square"},
+        {"edge_region_law": "disc"},  # every edge user is drawn uniformly in the disc
+        {"edge_region_law": "ring"},
         {"decode_case": "caseX"},
         {"seed": -1},
         {"seed": 2**64},
@@ -147,7 +148,7 @@ def test_schema_rejections():
     "path, value",
     [
         ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
-        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("edge_region_law", None),
+        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("jt_split", None),
         ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
         ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"),
     ],
@@ -265,6 +266,16 @@ UNUSABLE = {
         '{"scenario_id": 3, "decode_case": "case2"}',
         "unknown key 'decode_case' in config root",
     ),
+    # every edge user is drawn uniformly in the disc, so no config picks a
+    # placement law; a sidecar written before the law went holds the key
+    "an edge-region law": (
+        '{"scenario_id": 2, "edge_region_law": "ring"}',
+        "unknown key 'edge_region_law' in config root",
+    ),
+    "a sidecar with an edge-region law": (
+        json.dumps({**config_to_dict(PRESETS["fig5"]()), "edge_region_law": "disc"}),
+        "unknown key 'edge_region_law' in config root",
+    ),
     # the two sites and their coverage are fixed, so no placement section exists
     "a placement section": (
         '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
@@ -319,7 +330,7 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
         with pytest.raises(DomainError, match=key):
             RadioParams(**{key: bad})
     with pytest.raises(DomainError):
-        SweepPoint(2, bad, RadioParams(), "disc")
+        SweepPoint(2, bad, RadioParams())
     for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
         with pytest.raises(DomainError):
             sweep_values(*grid)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from compnoma import (
     PRESETS,
@@ -62,7 +63,7 @@ def test_trial_seeds_are_deterministic_distinct_and_masked_to_64_bits():
     # on the other trials of the call (test_channel pins every link of a
     # draw to a generator seeded with trial_seed)
     mask = (1 << 64) - 1
-    point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio, scenarios.DISC)
+    point = scenarios.SweepPoint(1, 200.0, PRESETS["fig4"]().radio)
     for s, w, t in ((0, 0, 0), (2026, 3, 99), (-1, 2**64 + 5, 2**63)):
         masked = [draw_block(s & mask, [(point, w & mask, [u & mask])]).tolist()[0] for u in (t - 1, t)]
         assert draw_block(s, [(point, w, [t - 1, t])]).tolist() == masked
@@ -122,7 +123,7 @@ def test_scheme_rows_split_decode_cases():
 def test_single_trial_matches_direct_evaluation():
     config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
     result = run_sweep(config)
-    point = scenarios.SweepPoint(1, 200.0, config.radio, config.edge_region_law)
+    point = scenarios.SweepPoint(1, 200.0, config.radio)
     gains = draw_block(config.seed, [(point, 0, [0])])
     base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
@@ -349,10 +350,12 @@ def test_reduce_point_ci_squares_each_deviation_with_libm_pow(scale, units):
 def test_row_sums_are_math_fsum_of_each_listed_row(rows, cols, data):
     # run_chunk sums each trial's row by math.fsum over the columns'
     # memoryviews; that must equal fsum over tolist(), bit for bit, on whole
-    # arrays and on views such as out[ok] or a column slice
+    # arrays and on views such as out[ok] or a column slice.  arrays() draws
+    # a fill value and then some entries one by one, a fraction of the cost
+    # of a list of elements
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150), st.floats(-1e-150, 1e-150))
-    full = np.reshape(data.draw(st.lists(value, min_size=2 * rows * cols, max_size=2 * rows * cols)), (rows, 2 * cols))
-    ok = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool)
+    full = data.draw(arrays(float, (rows, 2 * cols), elements=value))
+    ok = data.draw(arrays(bool, rows))
     for a in (full[:, :cols], full[:, 1::2], full[ok, cols:], np.asfortranarray(full[:, :cols])):
         want = np.array([math.fsum(r) for r in a.tolist()])
         assert harness._row_sums(a).tobytes() == want.tobytes()
@@ -366,7 +369,7 @@ def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
     config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), sweep_start=50.0, sweep_stop=400.0,
                           sweep_step=50.0, trials=1024)
     run_chunk(config, 0, 1024)  # the first call fills lazy caches outside the trace
-    gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio, scenarios.DISC), 1, range(1024))])
+    gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio), 1, range(1024))])
     tracemalloc.start()
     try:
         run_chunk(config, 1024, 2048)  # point 1's trials: the block of gains
@@ -391,7 +394,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
     config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
     se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio, config.edge_region_law) for v in values[:3]]
+    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio) for v in values[:3]]
     gains = draw_block(config.seed, [(p, i, range(config.trials)) for i, p in enumerate(points)])
     base = scenarios.orthogonal_rates(points[0].layout, gains)
     mixed = []

@@ -21,8 +21,6 @@ from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
 from compnoma.config import ALLOWED_SCHEMES, PRESETS, config_from_dict
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
 from compnoma.scenarios import (
-    DISC,
-    RING,
     SweepPoint,
     _draw_trials,
     _edge_order,
@@ -69,8 +67,7 @@ def by_user(point: SweepPoint, row: np.ndarray) -> dict:
 
 def edge_positions(point: SweepPoint, rng) -> list:
     """The jointly served users' positions, drawn as draw_block does."""
-    radius, law = point.edge_region
-    return [draw_edge_position(rng, radius, law) for _ in point.layout.comp]
+    return [draw_edge_position(rng, point.radius) for _ in point.layout.comp]
 
 
 def run(point, g, scheme, interference_mode="negligible", case="case1"):
@@ -82,7 +79,7 @@ def run(point, g, scheme, interference_mode="negligible", case="case1"):
 
 
 def test_scenario_1_shape():
-    point = SweepPoint(1, 350.0, RadioParams(), DISC)
+    point = SweepPoint(1, 350.0, RadioParams())
     lay = point.layout
     assert lay.user_ids == (1, 11, 12, 21, 22)
     assert [lay.user_ids[c] for c in lay.comp] == [1]
@@ -92,7 +89,7 @@ def test_scenario_1_shape():
     for uid, (d1, d2) in distances.items():
         assert point.terms[:, lay.user_ids.index(uid)].tolist() == [d1 ** -4.0, d2 ** -4.0]
     assert point.terms[:, lay.comp].tolist() == [[0.0], [0.0]]
-    assert point.edge_region == (200.0, DISC)
+    assert point.radius == 200.0
     # edge user: inside the midpoint disc, outside both coverage discs
     [(x, y)] = edge_positions(point, random.Random(5))
     assert math.hypot(x, y) <= 200.0
@@ -102,17 +99,17 @@ def test_scenario_1_shape():
 
 def test_scenario_2_and_3_shapes():
     rng = random.Random(6)
-    s2 = SweepPoint(2, 120.0, RadioParams(), DISC)
+    s2 = SweepPoint(2, 120.0, RadioParams())
     assert s2.layout.user_ids == (1, 2, 11, 21)
     assert s2.layout.comp == (0, 1)
     assert s2.layout.tails == ((2,), (3,))
     assert s2.terms[:, 2].tolist() == [250.0 ** -4.0, 1250.0 ** -4.0]
     assert s2.terms[:, 3].tolist() == [1250.0 ** -4.0, 250.0 ** -4.0]
-    s3 = SweepPoint(3, 120.0, RadioParams(), DISC)
+    s3 = SweepPoint(3, 120.0, RadioParams())
     assert s3.layout.user_ids == (1, 2, 11)
     assert s3.layout.tails == ((2,), ())
     for point in (s2, s3):
-        assert point.edge_region[0] == 120.0
+        assert point.radius == 120.0
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= 120.0
 
@@ -124,26 +121,19 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
     # segment's radio: both need every point of a config to have an equal
     # Layout, its radio included
     radio = RadioParams(tx_power_mw=5e3, bandwidth_hz=2e6, pathloss_exponent=3.5, sic_tolerance=1.0)
-    for law in (DISC, RING):
-        config = replace(PRESETS[preset](), radio=radio, edge_region_law=law)
-        values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-        layouts = {SweepPoint(config.scenario_id, v, config.radio, config.edge_region_law).layout for v in values}
-        assert len(values) == 8 and len(layouts) == 1, (law, layouts)
-        assert layouts.pop().radio == radio
+    config = replace(PRESETS[preset](), radio=radio)
+    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+    layouts = {SweepPoint(config.scenario_id, v, config.radio).layout for v in values}
+    assert len(values) == 8 and len(layouts) == 1, layouts
+    assert layouts.pop().radio == radio
 
 
 def test_edge_region_laws():
     rng = random.Random(7)
     for sweep in (50.0, 175.0, 400.0):
-        point = SweepPoint(2, sweep, RadioParams(), DISC)
+        point = SweepPoint(2, sweep, RadioParams())
         for x, y in edge_positions(point, rng):
             assert math.hypot(x, y) <= sweep + 1e-9
-    for sweep in (50.0, 300.0):
-        point = SweepPoint(2, sweep, RadioParams(), RING)
-        for x, y in edge_positions(point, rng):
-            assert math.hypot(x, y) == pytest.approx(sweep, rel=1e-12)
-            for cx, cy in SITES:
-                assert math.hypot(x - cx, y - cy) > 400.0
 
 
 def ks_distance(samples, cdf) -> float:
@@ -156,25 +146,17 @@ def ks_distance(samples, cdf) -> float:
 
 def test_edge_placement_follows_the_closed_form_laws():
     # The admissible region is the midpoint disc minus two lenses, so the
-    # disc law's radius has the closed-form F of reference.edge_radius_cdf;
-    # on the ring, cos(theta) < c excludes a site's coverage disc, so
-    # arccos|cos theta| is uniform on [arccos min(1, c), pi/2].  Seed, sample
-    # size and radii were fixed before the first run; 1.95 / sqrt(n) is about
-    # the 0.1% critical value.  The reference draw is SweepPoint.draw's, bit
-    # for bit (test_channel).
+    # radius has the closed-form F of reference.edge_radius_cdf.  Seed,
+    # sample size and radii were fixed before the first run; 1.95 / sqrt(n)
+    # is about the 0.1% critical value.  The reference draw is draw_block's,
+    # bit for bit (test_channel).
     n, h, rho = 20_000, SITES[1][0], COVERAGE_M
     limit = 1.95 / math.sqrt(n)
     rng = random.Random(1703)
     for radius in (80.0, 200.0, 300.0, 400.0):  # 80 m lies inside h - rho: no rejection
-        r = [math.hypot(*draw_edge_position(rng, radius, DISC)) for _ in range(n)]
+        r = [math.hypot(*draw_edge_position(rng, radius)) for _ in range(n)]
         d = ks_distance(r, lambda x: edge_radius_cdf(x, radius, rho, h))
         assert d < limit, ("disc", radius, d)
-    for radius in (50.0, 200.0, 300.0, 400.0):
-        lo = math.acos(min(1.0, (radius ** 2 + h * h - rho * rho) / (2.0 * radius * h)))
-        x = [draw_edge_position(rng, radius, RING)[0] for _ in range(n)]
-        phi = [math.acos(min(1.0, abs(v) / radius)) for v in x]
-        d = ks_distance(phi, lambda a: (a - lo) / (math.pi / 2.0 - lo))
-        assert d < limit, ("ring", radius, d)
 
 
 def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
@@ -190,7 +172,7 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
     for radius in (80.0, 200.0, 300.0, 400.0):
         rng, v = random.Random(1703), []
         for _ in range(n):
-            x, y = draw_edge_position(rng, radius, DISC)
+            x, y = draw_edge_position(rng, radius)
             r = math.hypot(x, y)
             lo = math.acos(min(1.0, (r * r + h * h - rho * rho) / (2.0 * r * h)))
             v.append((math.acos(min(1.0, abs(x) / r)) - lo) / (math.pi / 2.0 - lo))
@@ -201,26 +183,22 @@ def test_edge_angle_given_radius_is_uniform_on_the_disc_law():
 def test_every_edge_region_admits_a_fixed_share_of_draws():
     # draw_block redraws an edge user, with no bound on the tries, until it
     # lands outside both coverage discs.  That ends because at the fixed
-    # geometry every edge-region radius admits at least 0.409 of the ring
-    # law's draws (the least, 1 - 2 arccos(0.6) / pi, at 300 m) and 0.470 of
-    # the disc law's (its midpoint disc minus two lenses; the least near
-    # 489 m).  Both bounds were fixed before the first run.
+    # geometry every edge-region radius admits at least 0.470 of the draws
+    # (its midpoint disc minus two lenses; the least near 489 m).  The bound
+    # was fixed before the first run.
     h, rho = SITES[1][0], COVERAGE_M
     for radius in [10.0 ** (k / 20.0) for k in range(-40, 121)] + [300.0, 489.1]:
-        c = (radius ** 2 + h * h - rho * rho) / (2.0 * radius * h)
-        ring = 1.0 - 2.0 * math.acos(min(1.0, c)) / math.pi
         disc = 1.0 - 2.0 * lens_area(radius, rho, h) / (math.pi * radius ** 2)
-        assert ring >= 0.409, (radius, ring)
         assert disc >= 0.470, (radius, disc)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([DISC, RING]), st.floats(-3.0, 6.0), st.integers(0, 2**64 - 1))
-def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, law, exponent, seed):
+@given(st.sampled_from([2, 3]), st.floats(-3.0, 6.0), st.integers(0, 2**64 - 1))
+def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, exponent, seed):
     # edge-region radii log-uniform on [1e-3, 1e6] m: the draw ends, and
     # every edge user's distance terms are those of a point beyond both
     # coverage discs
-    point = SweepPoint(scenario, 10.0 ** exponent, RadioParams(), law)
+    point = SweepPoint(scenario, 10.0 ** exponent, RadioParams())
     _, terms = _draw_trials(seed, [(point, 0, range(8))])
     edge = terms[:, :, list(point.layout.comp)]
     assert (edge > 0.0).all()
@@ -229,23 +207,19 @@ def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, law, expone
 
 def test_builder_validation():
     with pytest.raises(ConfigError):
-        SweepPoint(4, 100.0, RadioParams(), DISC)
+        SweepPoint(4, 100.0, RadioParams())
     with pytest.raises(DomainError):
-        SweepPoint(1, 0.0, RadioParams(), DISC)
+        SweepPoint(1, 0.0, RadioParams())
     with pytest.raises(DomainError):
-        SweepPoint(1, -5.0, RadioParams(), DISC)
+        SweepPoint(1, -5.0, RadioParams())
     # swept single-cell distance is capped by the coverage radius, inclusive
-    SweepPoint(1, 400.0, RadioParams(), DISC)
+    SweepPoint(1, 400.0, RadioParams())
     with pytest.raises(DomainError, match="^single-cell user distance 400.0001 exceeds coverage 400.0$"):
-        SweepPoint(1, 400.0001, RadioParams(), DISC)
-    with pytest.raises(DomainError, match="^edge_region_law must be 'disc' or 'ring', got 'square'$"):
-        SweepPoint(2, 300.0, RadioParams(), "square")
-    with pytest.raises(DomainError):
-        SweepPoint(2, 300.0, RadioParams(), "Ring")
+        SweepPoint(1, 400.0001, RadioParams())
 
 
 def test_oma_identities_scenario_1():
-    point = SweepPoint(1, 350.0, UNIT_RADIO, DISC)
+    point = SweepPoint(1, 350.0, UNIT_RADIO)
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # each cell serves three users on thirds of the band at SNR 3
     for uid in (11, 12, 21, 22):
@@ -257,7 +231,7 @@ def test_oma_identities_scenario_1():
 
 
 def test_oma_identities_scenario_3():
-    point = SweepPoint(3, 120.0, UNIT_RADIO, DISC)
+    point = SweepPoint(3, 120.0, UNIT_RADIO)
     rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
     # cell 1 splits into thirds, cell 2 into halves; the aligned share is a
     # third and cell 2 contributes its leftover sixth at single-cell SNR
@@ -268,7 +242,7 @@ def test_oma_identities_scenario_3():
 
 
 def test_cs_oma_halves():
-    point = SweepPoint(2, 120.0, UNIT_RADIO, DISC)
+    point = SweepPoint(2, 120.0, UNIT_RADIO)
     out, _, _, _ = run(point, all_ones_gains(point), "CS-OMA")
     rates = by_user(point, out[0])
     for uid in (1, 2, 11, 21):
@@ -279,7 +253,7 @@ def test_edge_decode_order_reference_cell():
     table = {(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2, (2, 2): 0.9}  # other links 1.0
 
     def order(scenario, decode_case):
-        lay = SweepPoint(scenario, 120.0, RadioParams(), DISC).layout
+        lay = SweepPoint(scenario, 120.0, RadioParams()).layout
         g = np.array([[[table.get((c, u), 1.0) for u in lay.user_ids] for c in (1, 2)]])
         return tuple(lay.user_ids[int(np.ravel(col)[0])] for col in _edge_order(lay, g, decode_case))
 
@@ -293,7 +267,7 @@ def test_evaluate_rejects_an_unknown_choice():
     # and has no decode case: the sweep runs each of its scenario's cases;
     # a library caller of evaluate gets an error naming the value, not a
     # default, and a decode case is one string, never a sequence of them
-    s3 = SweepPoint(3, 150.0, RadioParams(), DISC)
+    s3 = SweepPoint(3, 150.0, RadioParams())
     g = draw_block(14, [(s3, 0, [0])])
     base = orthogonal_rates(s3.layout, g)
     good = ("JT-NOMA", "negligible", EQUAL_TRANSMIT, "case1")
@@ -308,12 +282,21 @@ def test_evaluate_rejects_an_unknown_choice():
         with pytest.raises(ConfigError, match=f"^unknown {re.escape(name)}$"):
             evaluate(s3.layout, g, base, *args)
     evaluate(s3.layout, g, base, *good)
+    # the 50/50 band plan of CS-NOMA and CS-OMA needs scenario 2's layout:
+    # two jointly served users and one single-cell user per cell
+    for scenario in (1, 3):
+        point = SweepPoint(scenario, 150.0, RadioParams())
+        g = draw_block(14, [(point, 0, range(4))])
+        for scheme in ("CS-NOMA", "CS-OMA"):
+            message = f"^{scheme} needs two jointly served users and one single-cell user per cell$"
+            with pytest.raises(ConfigError, match=message):
+                evaluate(point.layout, g, orthogonal_rates(point.layout, g), scheme, *good[1:])
 
 
 def test_infeasible_trial_falls_back_to_baseline():
     # an unreachable decodability tolerance forces every trial infeasible
     harsh = RadioParams(sic_tolerance=1e12)
-    point = SweepPoint(1, 350.0, harsh, DISC)
+    point = SweepPoint(1, 350.0, harsh)
     out, base, feasible, reason = run(point, draw_block(16, [(point, 0, [0])]), "JT-NOMA")
     assert not feasible[0]
     assert reason[0] != FEASIBLE
@@ -323,7 +306,7 @@ def test_infeasible_trial_falls_back_to_baseline():
 
 def test_feasible_trials_meet_guarantees():
     for scenario, schemes in ALLOWED_SCHEMES.items():
-        point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
+        point = SweepPoint(scenario, 200.0, RadioParams())
         lay, g = point.layout, draw_block(17, [(point, 0, range(60))])
         for scheme in [s for s in schemes if s.endswith("NOMA")]:
             owed = guaranteed_users(lay.comp, lay.tails, g, scheme)
@@ -343,7 +326,7 @@ def test_spectral_efficiency_is_sum_over_band():
         {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
     )
     se, _ = run_chunk(config, 0, 4)
-    point = SweepPoint(3, 150.0, config.radio, config.edge_region_law)
+    point = SweepPoint(3, 150.0, config.radio)
     g = draw_block(config.seed, [(point, 0, range(4))])
     case1, case2 = (run(point, g, "JT-NOMA", case=case)[0] for case in ("case1", "case2"))
     base = orthogonal_rates(point.layout, g)
@@ -353,7 +336,7 @@ def test_spectral_efficiency_is_sum_over_band():
 
 
 def test_interference_mode_full_never_exceeds_negligible():
-    point = SweepPoint(2, 200.0, RadioParams(), DISC)
+    point = SweepPoint(2, 200.0, RadioParams())
     g = draw_block(19, [(point, 0, range(40))])
     lower_seen = False
     for scheme in ("JT-NOMA", "DPS-NOMA", "CS-NOMA"):
@@ -419,7 +402,7 @@ def per_cell_reference(lay, g, base, scheme, full):
 @pytest.mark.parametrize("mode", ["negligible", "full"])
 @pytest.mark.parametrize("scenario, scheme", [(2, "CS-NOMA"), (2, "DPS-NOMA"), (3, "DPS-NOMA")])
 def test_per_cell_schemes_match_scalar_clusters(scenario, scheme, mode):
-    point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
+    point = SweepPoint(scenario, 200.0, RadioParams())
     g = draw_block(41, [(point, 0, range(200))])
     out, base, feasible, _ = run(point, g, scheme, interference_mode=mode)
     lay = point.layout
@@ -557,7 +540,7 @@ def test_evaluate_rows_are_independent(scenario, scheme):
     # modes and splits and (scenario 3) both decode cases: what stacks
     # trials (DPS-NOMA's -1 idle column, CS-NOMA's two bands) must not let
     # one trial's row reach another's
-    point = SweepPoint(scenario, 200.0, RadioParams(), DISC)
+    point = SweepPoint(scenario, 200.0, RadioParams())
     n = 96
     g = draw_block(23, [(point, 0, range(n))])
     perm = np.random.default_rng(5).permutation(n)
@@ -586,7 +569,7 @@ def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, cases):
     expected = ["case1", "case2"] if cases == "both" else ["case1"]
     assert [case for _, _, case in scheme_rows(config)] == expected
     assert len(jt_calls) == len(expected)  # one solve per decode case
-    point = SweepPoint(scenario, 200.0, config.radio, config.edge_region_law)
+    point = SweepPoint(scenario, 200.0, config.radio)
     g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
     shared = set()
