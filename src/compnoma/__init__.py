@@ -10,19 +10,19 @@ from .config import (
     config_to_dict,
     parse_config,
 )
-from .errors import ConfigError, DomainError, ParseError, SweepError, ValidationError
+from .errors import ConfigError, SweepError
 from .harness import SweepResult, SweepRow, run_sweep, sweep_values
 from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DomainError",
+    "ConfigError",
     "EQUAL_RECEIVED", "EQUAL_TRANSMIT", "ExperimentConfig",
-    "PRESETS", "ParseError",
+    "PRESETS",
     "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
-    "ValidationError", "config_from_dict", "config_to_dict",
+    "config_from_dict", "config_to_dict",
     "dbm_to_mw", "parse_config", "run_sweep",
     "sweep_values",
     "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA", "JT_OMA",

@@ -4,6 +4,7 @@ All gains in this package are normalized against the in-band noise power
 (noise density x full system bandwidth), so a user's received SNR over the
 full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
 Powers run in linear units (mW); ``dbm_to_mw`` converts at the config boundary.
+A value out of range raises ``ConfigError`` naming it, as every rejected input does.
 """
 
 from __future__ import annotations
@@ -11,15 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, check_kinds
+from .errors import ConfigError, check_kinds
 
 
 def dbm_to_mw(value_dbm: float) -> float:
-    """Milliwatts of value_dbm; raises DomainError naming a value whose milliwatts overflow a float."""
+    """Milliwatts of value_dbm; raises ConfigError naming a value whose milliwatts overflow a float."""
     try:
         return 10.0 ** (value_dbm / 10.0)
     except OverflowError as e:
-        raise DomainError(f"{value_dbm} dB above 1 mW overflows a float") from e
+        raise ConfigError(f"{value_dbm} dB above 1 mW overflows a float") from e
 
 
 REFERENCE_TX_POWER_DBM = 43.0
@@ -40,7 +41,7 @@ class RadioParams:
     sic_tolerance:      minimum noise-normalized received-power gap between a
                         decoded signal and the not-yet-decoded rest (linear
                         ratio, dimensionless)
-    Construction raises DomainError naming a field that breaks config.py's kind rule or a range,
+    Construction raises ConfigError naming a field that breaks config.py's kind rule or a range,
     or both fields of a noise power that underflows to 0 or overflows to inf.
     """
 
@@ -51,13 +52,13 @@ class RadioParams:
     sic_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        check_kinds(self, DomainError)
+        check_kinds(self)
         for f in fields(self):
             value, zero_ok = getattr(self, f.name), f.name == "sic_tolerance"
             if not (value >= 0.0 if zero_ok else value > 0.0):
-                raise DomainError(f"{f.name} must be {'non-negative' if zero_ok else 'positive'}, got {value}")
+                raise ConfigError(f"{f.name} must be {'non-negative' if zero_ok else 'positive'}, got {value}")
         if not 0.0 < self.noise_power_mw < math.inf:
-            raise DomainError(
+            raise ConfigError(
                 f"noise_density_mw_hz * bandwidth_hz must be a positive, finite noise power, got {self.noise_power_mw}"
             )
 
@@ -80,12 +81,12 @@ def gain_array(fading, distance_terms, params: RadioParams):
 
 def distance_term(a: tuple[float, float], b: tuple[float, float], alpha: float) -> float:
     """d^(-alpha) between two positions; computed with math, not numpy, so it
-    is bit-identical wherever it is evaluated.  Raises DomainError naming a
+    is bit-identical wherever it is evaluated.  Raises ConfigError naming a
     distance that is 0 or whose d^(-alpha) overflows a float."""
     d = math.hypot(a[0] - b[0], a[1] - b[1])
     if d <= 0.0:
-        raise DomainError(f"user at {a} is on top of a cell at {b}")
+        raise ConfigError(f"user at {a} is on top of a cell at {b}")
     try:
         return d ** (-alpha)
     except OverflowError as e:
-        raise DomainError(f"distance {d} m to the power {-alpha} overflows a float") from e
+        raise ConfigError(f"distance {d} m to the power {-alpha} overflows a float") from e

@@ -1,6 +1,6 @@
 """Command-line front end: resolve a config, run the sweep, emit CSV.
 
-Exit codes: 0 success, 1 configuration rejected, 2 runtime failure.
+Exit codes: 0 success, 1 input rejected (``ConfigError``), 2 runtime failure.
 """
 
 from __future__ import annotations

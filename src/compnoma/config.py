@@ -4,17 +4,18 @@ The dataclasses are the schema, and constructing one checks it, however it is
 built.  Each field must be of its annotation's kind (``errors.KINDS``): a bool
 is never a number, an int stands for a float, numbers are finite, ``radio``
 is a ``RadioParams``, and ``schemes`` is a tuple (a list in JSON).
-``ExperimentConfig`` raises ``ValidationError`` naming the key path
-(``sweep.step``); ``RadioParams`` raises ``DomainError`` naming the field,
-which the reader re-raises as ``radio.bandwidth_hz``.  JSON sections hold
-only their dataclass's fields (``sweep_*`` nest under ``sweep``).  The
-reader converts, each only on a value of its JSON kind, a scheme list to an
-upper-cased tuple, a dBm key to its milliwatt field and a sweep number to a
-float; a dBm key is no field, so the reader itself rejects one that is not a
-finite number, by its name.  Every sweep point is built at construction, so
-any config can run.  No setting picks JT-NOMA's decode case: scenario 3
-always reports both (``scenarios.decode_cases``).  So each preset, named for
-the paper figure it reproduces, is its scenario's defaults.
+Every rejection is a ``ConfigError``: ``ExperimentConfig`` names the key
+path (``sweep.step``), ``RadioParams`` names the field, which the reader
+re-raises as ``radio.bandwidth_hz``, and ``parse_config`` names the file.
+JSON sections hold only their dataclass's fields (``sweep_*`` nest under
+``sweep``), each key once.  The reader converts, each only on a value of
+its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
+milliwatt field and a sweep number to a float; a dBm key is no field, so the
+reader itself rejects one that is not a finite number, by its name.  Every
+sweep point is built at construction, so any config can run.  No setting
+picks JT-NOMA's decode case: scenario 3 always reports both
+(``scenarios.decode_cases``).  So each preset, named for the paper figure it
+reproduces, is its scenario's defaults.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 
 from .allocation import EQUAL_TRANSMIT
 from .channel import RadioParams, dbm_to_mw
-from .errors import KINDS, ConfigError, DomainError, ParseError, ValidationError, check_kinds, finite_number
+from .errors import KINDS, ConfigError, check_kinds, finite_number
 from .harness import sweep_values
 from .scenarios import CHOICES, CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
 
@@ -58,12 +59,12 @@ class ExperimentConfig:
     radio: RadioParams = RadioParams()
 
     def __post_init__(self) -> None:
-        check_kinds(self, ValidationError, lambda key: key.replace("sweep_", "sweep."))
+        check_kinds(self, lambda key: key.replace("sweep_", "sweep."))
         scenario = self.scenario_id
         if scenario not in ALLOWED_SCHEMES:
-            raise ValidationError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
+            raise ConfigError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
         if not self.schemes:
-            raise ValidationError("schemes must not be empty")
+            raise ConfigError("schemes must not be empty")
         for s in self.schemes:
             if s in _REJECTED_SCHEMES:
                 raise ConfigError(
@@ -71,29 +72,29 @@ class ExperimentConfig:
                     "degrees of freedom to null a co-scheduled superposed user"
                 )
             if s not in ALLOWED_SCHEMES[scenario]:
-                raise ValidationError(
+                raise ConfigError(
                     f"scheme {s!r} not available in scenario {scenario}; "
                     f"choose from {ALLOWED_SCHEMES[scenario]}"
                 )
         if len(set(self.schemes)) != len(self.schemes):
-            raise ValidationError("duplicate scheme in schemes list")
+            raise ConfigError("duplicate scheme in schemes list")
         if self.trials < 1:
-            raise ValidationError("trials must be positive")
+            raise ConfigError("trials must be positive")
         if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
-                raise ValidationError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
+                raise ConfigError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
             _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio)
 
 
 def _ranged(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a range error it raises re-raised as a ValidationError after where."""
+    """make(*args, **kwargs), a ConfigError it raises re-raised with where before its message."""
     try:
         return make(*args, **kwargs)
-    except DomainError as e:
-        raise ValidationError(f"{where}{e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"{where}{e}") from e
 
 
 _SWEEP = ("start", "stop", "step")
@@ -103,10 +104,10 @@ _CONFIG = {f.name for f in fields(ExperimentConfig)} - {f"sweep_{key}" for key i
 def _read(d, where: str, keys) -> dict:
     """A copy of JSON object d, each of whose keys is in keys."""
     if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be an object")
+        raise ConfigError(f"{where} must be an object")
     for key in d:
         if key not in keys:
-            raise ValidationError(f"unknown key {key!r} in {where}")
+            raise ConfigError(f"unknown key {key!r} in {where}")
     return dict(d)
 
 
@@ -122,24 +123,32 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for alias, key in _DBM.items():
         if alias in radio:
             if key in radio:
-                raise ValidationError(f"radio: give {key} or {alias}, not both")
+                raise ConfigError(f"radio: give {key} or {alias}, not both")
             value = radio.pop(alias)
             if not finite_number(value):
-                raise ValidationError(f"radio.{alias} must be {KINDS['float'][0]}, got {value!r}")
+                raise ConfigError(f"radio.{alias} must be {KINDS['float'][0]}, got {value!r}")
             radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value)
     return ExperimentConfig(scenario, schemes, radio=_ranged("radio.", RadioParams, **radio), **d)
 
 
 def parse_config(path: str) -> ExperimentConfig:
+    def unique(pairs: list) -> dict:  # json.loads alone keeps the last of duplicate keys
+        d = {}
+        for key, value in pairs:
+            if key in d:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            d[key] = value
+        return d
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     return config_from_dict(data)
 
 

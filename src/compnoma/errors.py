@@ -1,4 +1,4 @@
-"""Exception vocabulary, and the kind rule of every config field, shared across the package."""
+"""The package's two exceptions, one per failing exit code, and the kind rule of every config field."""
 
 from __future__ import annotations
 
@@ -20,29 +20,18 @@ KINDS = {
 }
 
 
-def check_kinds(obj, error: type, path=lambda name: name) -> None:
-    """Raise error naming path(field) at the first field of dataclass obj not of its kind: KINDS'
+def check_kinds(obj, path=lambda name: name) -> None:
+    """Raise ConfigError naming path(field) at the first field of dataclass obj not of its kind: KINDS'
     for its annotation or, for a nested dataclass, an instance of the class of its default."""
     for f in fields(obj):
         what, ok = KINDS.get(f.type) or (f"a {f.type}", lambda v: isinstance(v, type(f.default)))
         if not ok(getattr(obj, f.name)):
-            raise error(f"{path(f.name)} must be {what}, got {getattr(obj, f.name)!r}")
-
-
-class DomainError(ValueError):
-    """A domain object was constructed or used outside its invariants."""
+            raise ConfigError(f"{path(f.name)} must be {what}, got {getattr(obj, f.name)!r}")
 
 
 class ConfigError(ValueError):
-    """An experiment configuration is unusable as given."""
-
-
-class ParseError(ConfigError):
-    """Config file could not be parsed; message carries line/key context."""
-
-
-class ValidationError(ConfigError):
-    """Config parsed but failed schema or range validation."""
+    """An input was rejected (the CLI's exit 1): an unreadable config file, a value
+    of the wrong kind or out of range, or an unknown choice; the message names it."""
 
 
 class SweepError(RuntimeError):

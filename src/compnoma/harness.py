@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import FEASIBLE
-from .errors import DomainError, SweepError
+from .errors import ConfigError, SweepError
 from .scenarios import JT_NOMA, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
 
 log = logging.getLogger("compnoma")
@@ -35,14 +35,14 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; float drift short of stop is forgiven and
     drift past it is clamped, so no value exceeds stop."""
     if not all(map(math.isfinite, (start, stop, step))):
-        raise DomainError("sweep start, stop and step must be finite")
+        raise ConfigError("sweep start, stop and step must be finite")
     if step <= 0.0:
-        raise DomainError("sweep step must be positive")
+        raise ConfigError("sweep step must be positive")
     if stop < start:
-        raise DomainError("sweep stop below start")
+        raise ConfigError("sweep stop below start")
     span = (stop - start) / step * (1.0 + 1e-9)  # inf if the grid overflows
     if span >= _MAX_POINTS:
-        raise DomainError(f"sweep has more than {_MAX_POINTS} points")
+        raise ConfigError(f"sweep has more than {_MAX_POINTS} points")
     return tuple(min(start + i * step, stop) for i in range(int(span) + 1))
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
 from .channel import RadioParams, distance_term, gain_array
-from .errors import ConfigError, DomainError, SweepError
+from .errors import ConfigError, SweepError
 
 # the scheme names, which evaluate dispatches on
 JT_NOMA = "JT-NOMA"
@@ -95,10 +95,10 @@ class SweepPoint:
         if scenario_id not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {scenario_id}")
         if not 0.0 < sweep_value < math.inf:
-            raise DomainError(f"sweep value must be positive and finite, got {sweep_value}")
+            raise ConfigError(f"sweep value must be positive and finite, got {sweep_value}")
         if scenario_id == 1:  # the sweep sets the first single-cell user's distance
             if sweep_value > COVERAGE_M:
-                raise DomainError(f"single-cell user distance {sweep_value} exceeds coverage {COVERAGE_M}")
+                raise ConfigError(f"single-cell user distance {sweep_value} exceeds coverage {COVERAGE_M}")
             radius = 200.0
             distances = (sweep_value, 300.0)
             comp_ids = (1,)

@@ -29,7 +29,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from compnoma.channel import RadioParams
-from compnoma.errors import ConfigError, DomainError
+from compnoma.errors import ConfigError
+
+
+class DomainError(ValueError):
+    """A reference object was built or used outside its invariants."""
+
 
 # --- domain objects ----------------------------------------------------------
 

@@ -7,12 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from compnoma import DomainError, RadioParams, SweepError, dbm_to_mw
+from compnoma import ConfigError, RadioParams, SweepError, dbm_to_mw
 from compnoma import scenarios
 from compnoma.scenarios import SweepPoint, draw_block
 
 from conftest import SITES, draw_edge_position
-from reference import ChannelRealization, normalized_gain, trial_seed
+from reference import ChannelRealization, DomainError, normalized_gain, trial_seed
 
 
 def test_reference_radio_constants():
@@ -72,11 +72,11 @@ def test_invalid_inputs_rejected():
         normalized_gain(-5.0, 1.0, RadioParams())
     with pytest.raises(DomainError):
         normalized_gain(100.0, -0.1, RadioParams())
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         RadioParams(tx_power_mw=0.0, noise_density_mw_hz=1.0, bandwidth_hz=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, bandwidth_hz=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, bandwidth_hz=1.0, sic_tolerance=-1.0)
 
 
@@ -84,7 +84,7 @@ def test_dbm_conversion_round_trip():
     assert dbm_to_mw(0.0) == 1.0
     assert dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
     assert dbm_to_mw(43.0) == pytest.approx(19952.62314968879, rel=1e-12)
-    with pytest.raises(DomainError, match="^4000.0 dB above 1 mW overflows a float$"):
+    with pytest.raises(ConfigError, match="^4000.0 dB above 1 mW overflows a float$"):
         dbm_to_mw(4000.0)
 
 

@@ -16,22 +16,20 @@ from hypothesis import given, settings, strategies as st
 from compnoma import (
     PRESETS,
     ConfigError,
-    DomainError,
     ExperimentConfig,
-    ParseError,
     RadioParams,
     SweepResult,
     SweepRow,
-    ValidationError,
     config_from_dict,
     config_to_dict,
+    dbm_to_mw,
     parse_config,
     run_sweep,
     sweep_values,
 )
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
 from compnoma.config import CHOICES
-from compnoma.scenarios import SweepPoint
+from compnoma.scenarios import SweepPoint, draw_block, evaluate, orthogonal_rates
 
 
 def rows_result(*rows) -> SweepResult:
@@ -85,7 +83,7 @@ def test_dbm_and_linear_power_keys_agree():
     )
     dbm = config_from_dict({"scenario_id": 1, "radio": {"tx_power_dbm": 43.0}})
     assert linear.radio.tx_power_mw == pytest.approx(dbm.radio.tx_power_mw, rel=1e-12)
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         config_from_dict(
             {"scenario_id": 1, "radio": {"tx_power_mw": 1.0, "tx_power_dbm": 0.0}}
         )
@@ -93,21 +91,21 @@ def test_dbm_and_linear_power_keys_agree():
 
 
 def test_schema_rejections():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         config_from_dict({})
     assert "scenario_id" in str(err.value)
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         config_from_dict({"scenario_id": 1, "sweep_start": 50})
     assert "sweep_start" in str(err.value)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 4})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "trials": 0})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "trials": 10.5})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "schemes": []})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "schemes": ["JT-NOMA", "jt-noma"]})
     for rejected in (
         {"schemes": ["CS-NOMA"]},
@@ -122,24 +120,24 @@ def test_schema_rejections():
         {"seed": 2**64},
         {"output_path": "run.csv"},  # the CSV path is the --out flag, not part of the experiment
     ):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             config_from_dict({"scenario_id": 1, **rejected})
     for seed in (0, 2**64 - 1):
         assert config_from_dict({"scenario_id": 1, "seed": seed}).seed == seed
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "sweep": {"start": 300, "stop": 100}})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
     # json.loads accepts NaN and Infinity; the schema does not
     for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
                                ("radio", "bandwidth_hz", "Infinity")):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(ConfigError) as err:
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
     # a dBm key is no field, yet a bad value is reported under its own name
     for key in ("tx_power_dbm", "noise_density_dbm_hz"):
         for text in ('"43"', "NaN", "true"):
-            with pytest.raises(ValidationError) as err:
+            with pytest.raises(ConfigError) as err:
                 config_from_dict(json.loads(f'{{"scenario_id": 1, "radio": {{"{key}": {text}}}}}'))
             assert str(err.value) == f"radio.{key} must be a finite number, exact as a float, got {json.loads(text)!r}"
 
@@ -161,21 +159,21 @@ def test_config_built_in_code_rejects_what_the_json_reader_rejects(path, value):
     section, _, key = path.rpartition(".")
     fig4 = PRESETS["fig4"]()
     if section == "radio":
-        with pytest.raises(DomainError, match=key):
+        with pytest.raises(ConfigError, match=key):
             RadioParams(**{key: value})
-        with pytest.raises(DomainError, match=key):
+        with pytest.raises(ConfigError, match=key):
             replace(fig4.radio, **{key: value})
     else:
         field = path.replace(".", "_")
-        with pytest.raises(ValidationError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match=re.escape(path)):
             ExperimentConfig(**{"scenario_id": 1, "schemes": ("JT-NOMA", "JT-OMA"), field: value})
-        with pytest.raises(ValidationError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match=re.escape(path)):
             replace(fig4, **{field: value})
     if isinstance(value, list):
         return
     data = config_to_dict(fig4)
     (data[section] if section else data)[key] = value
-    with pytest.raises(ValidationError, match=re.escape(path)):
+    with pytest.raises(ConfigError, match=re.escape(path)):
         config_from_dict(data)
 
 
@@ -209,10 +207,9 @@ PLAUSIBLE = {
 def test_every_config_is_rejected_by_a_config_error_or_round_trips():
     """Draw each field of RadioParams and ExperimentConfig from its
     plausible values or, for up to two fields, from bools, ints, floats (nan
-    and inf included), strings, None, lists and tuples.  Building them raises
-    DomainError (RadioParams) or ConfigError (ExperimentConfig), never
-    another error, or the config hashes and its dict and JSON forms read
-    back as an equal config."""
+    and inf included), strings, None, lists and tuples.  Building either
+    raises ConfigError, never another error, or the config hashes and its
+    dict and JSON forms read back as an equal config."""
     built = []
 
     @settings(max_examples=300, deadline=None)
@@ -228,7 +225,7 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
 
         try:
             radio = RadioParams(**draw(RadioParams))
-        except DomainError:
+        except ConfigError:
             return
         try:
             config = ExperimentConfig(**draw(ExperimentConfig, radio=st.just(radio)))
@@ -317,7 +314,7 @@ UNUSABLE = {
 
 
 def test_unusable_geometry_is_rejected_without_the_parser():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         ExperimentConfig(1, ("JT-NOMA", "JT-OMA"), sweep_stop=500.0)
     assert "sweep value 450" in str(err.value)
 
@@ -327,15 +324,38 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
     # the parser rejects non-finite JSON numbers itself; objects built in
     # code are held to finite values by their own range checks
     for key in ("tx_power_mw", "noise_density_mw_hz", "bandwidth_hz", "pathloss_exponent", "sic_tolerance"):
-        with pytest.raises(DomainError, match=key):
+        with pytest.raises(ConfigError, match=key):
             RadioParams(**{key: bad})
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SweepPoint(2, bad, RadioParams())
     for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             sweep_values(*grid)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             ExperimentConfig(2, ("JT-NOMA",), *grid)
+
+
+def test_every_library_rejection_is_a_config_error(tmp_path):
+    # what the command line rejects with exit 1, a library caller catches as
+    # one class, with the message the command line would print
+    radio = RadioParams()
+    point = SweepPoint(2, 150.0, radio)
+    g = draw_block(14, [(point, 0, [0])])
+    missing = str(tmp_path / "nope.json")
+    for call, message in (
+        (lambda: RadioParams(bandwidth_hz=0), "bandwidth_hz must be positive, got 0"),
+        (lambda: sweep_values(1.0, 0.0, 1.0), "sweep stop below start"),
+        (lambda: SweepPoint(1, 500.0, radio), "single-cell user distance 500.0 exceeds coverage 400.0"),
+        (lambda: SweepPoint(4, 100.0, radio), "unknown scenario 4"),
+        (lambda: dbm_to_mw(4000.0), "4000.0 dB above 1 mW overflows a float"),
+        (lambda: parse_config(missing),
+         f"cannot read config {missing}: [Errno 2] No such file or directory: {missing!r}"),
+        (lambda: evaluate(point.layout, g, orthogonal_rates(point.layout, g), "JT-NOMA", "negligible", "thirds",
+                          "case1"), "unknown jt_split 'thirds'"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [1e-200, 1e200], ids=["underflows", "overflows"])
@@ -343,9 +363,9 @@ def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
     # each field is in range, but their product, the noise power, is 0.0 or
     # inf: the sweep would then divide gains by it
     fields = {"noise_density_mw_hz": value, "bandwidth_hz": value}
-    with pytest.raises(DomainError, match="noise_density_mw_hz \\* bandwidth_hz"):
+    with pytest.raises(ConfigError, match="noise_density_mw_hz \\* bandwidth_hz"):
         RadioParams(**fields)
-    with pytest.raises(ValidationError, match="^radio.noise_density_mw_hz \\* bandwidth_hz must be"):
+    with pytest.raises(ConfigError, match="^radio.noise_density_mw_hz \\* bandwidth_hz must be"):
         config_from_dict({"scenario_id": 2, "radio": fields})
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenario_id": 2, "radio": fields}))
@@ -358,7 +378,7 @@ def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
 def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, capsys):
     # each is rejected with a message that says what is wrong, by the reader
     # and by the command line, never run or left to escape as a traceback
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         config_from_dict(json.loads(text))
     assert str(err.value) == message
     path = tmp_path / "c.json"
@@ -374,7 +394,7 @@ def test_fixed_scenario_distances_are_unknown_placement_keys():
     for scenario in (1, 2, 3):
         for key in ("inter_site_m", "coverage_m", "edge_region_radius_m", "primary_distance_m",
                     "secondary_distance_m"):
-            with pytest.raises(ValidationError) as err:
+            with pytest.raises(ConfigError) as err:
                 config_from_dict({"scenario_id": scenario, key: 150.0})
             assert str(err.value) == f"unknown key {key!r} in config root"
 
@@ -386,7 +406,7 @@ def test_decode_case_applies_to_scenario_3_only(capsys):
     for preset, scenario, jt in (("fig4", 1, ["JT-NOMA"]), ("fig5", 2, ["JT-NOMA"]),
                                  ("fig6", 3, ["JT-NOMA-case1", "JT-NOMA-case2"])):
         for case in ("case1", "case2", "both"):
-            with pytest.raises(ValidationError, match="^unknown key 'decode_case' in config root$"):
+            with pytest.raises(ConfigError, match="^unknown key 'decode_case' in config root$"):
                 config_from_dict({"scenario_id": scenario, "decode_case": case})
         config = replace(PRESETS[preset](), schemes=("JT-NOMA", "JT-OMA"), trials=1)
         assert sorted({row.scheme for row in run_sweep(config).rows}) == [*jt, "JT-OMA"]
@@ -404,7 +424,7 @@ def test_beamforming_is_rejected_with_reason():
 
 
 def test_config_root_must_be_an_object(tmp_path, capsys):
-    with pytest.raises(ValidationError, match="^config root must be an object$"):
+    with pytest.raises(ConfigError, match="^config root must be an object$"):
         config_from_dict([1])
     path = tmp_path / "list.json"
     path.write_text("[1]\n")
@@ -414,11 +434,11 @@ def test_config_root_must_be_an_object(tmp_path, capsys):
 
 def test_parse_config_errors(tmp_path):
     missing = tmp_path / "nope.json"
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         parse_config(str(missing))
     bad = tmp_path / "bad.json"
     bad.write_text('{"scenario_id": 1,,}\n')
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ConfigError) as err:
         parse_config(str(bad))
     assert str(bad) in str(err.value)
     assert ":1:" in str(err.value)
@@ -428,6 +448,37 @@ def test_parse_config_errors(tmp_path):
     assert config.scenario_id == 2
     assert config.trials == 5
     assert config.schemes == ("JT-NOMA", "CS-NOMA", "JT-OMA")
+
+
+def test_a_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"scenario_id": 1}\n')
+    message = f"cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(str(path))
+    assert main(["--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"scenario_id": 2, "trials": 1, "scenario_id": 1}', "scenario_id"),
+        ('{"scenario_id": 2, "radio": {"tx_power_dbm": 30.0}, "radio": {"sic_tolerance": 0.0}}', "radio"),
+        ('{"scenario_id": 2, "radio": {"sic_tolerance": 1.0, "sic_tolerance": 0.0}}', "sic_tolerance"),
+    ],
+    ids=["root key", "radio section", "radio field"],
+)
+def test_a_duplicate_key_is_rejected(text, key, tmp_path, capsys):
+    # json.loads alone keeps the last value of a duplicate key and drops the
+    # others unseen; a config file holds each key of an object once
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    message = f"{path}: duplicate key {key!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(str(path))
+    assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- CSV rendering ------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from compnoma import (
     PRESETS,
-    DomainError,
+    ConfigError,
     ExperimentConfig,
     SweepError,
     config_from_dict,
@@ -86,7 +86,7 @@ def test_sweep_values_grid():
         sweep_values(2.0, 1.0, 0.5)
     # grids whose point count overflows a float are too long, not an OverflowError
     for grid in ((0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0)):
-        with pytest.raises(DomainError, match="^sweep has more than 10000 points$"):
+        with pytest.raises(ConfigError, match="^sweep has more than 10000 points$"):
             sweep_values(*grid)
 
 

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from compnoma import DomainError
 from compnoma.allocation import FEASIBLE
 
 from conftest import Instance, as_cluster, oracle_agreement, random_problem, solve_one
-from reference import brute_force_oracle, sum_rate_single_cell
+from reference import DomainError, brute_force_oracle, sum_rate_single_cell
 
 
 def test_oracle_matches_frozen_two_user_example():

@@ -6,12 +6,11 @@ import random
 
 import pytest
 
-from compnoma import DomainError
-
 from reference import (
     Band,
     ChannelRealization,
     ConditionViolation,
+    DomainError,
     NomaCluster,
     PowerAllocation,
     comp_user_rate_jt,

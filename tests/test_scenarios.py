@@ -13,7 +13,6 @@ from compnoma import (
     EQUAL_RECEIVED,
     EQUAL_TRANSMIT,
     ConfigError,
-    DomainError,
     RadioParams,
 )
 from compnoma import harness, scenarios
@@ -208,13 +207,13 @@ def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, exponent, s
 def test_builder_validation():
     with pytest.raises(ConfigError):
         SweepPoint(4, 100.0, RadioParams())
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SweepPoint(1, 0.0, RadioParams())
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SweepPoint(1, -5.0, RadioParams())
     # swept single-cell distance is capped by the coverage radius, inclusive
     SweepPoint(1, 400.0, RadioParams())
-    with pytest.raises(DomainError, match="^single-cell user distance 400.0001 exceeds coverage 400.0$"):
+    with pytest.raises(ConfigError, match="^single-cell user distance 400.0001 exceeds coverage 400.0$"):
         SweepPoint(1, 400.0001, RadioParams())
 
 
