@@ -25,30 +25,28 @@ def dbm_to_mw(value_dbm: float) -> float:
 
 REFERENCE_TX_POWER_DBM = 43.0
 REFERENCE_NOISE_DENSITY_DBM_HZ = -139.0
+BANDWIDTH_HZ = 8.64e6
+PATHLOSS_EXPONENT = 4.0
 
 
 @dataclass(frozen=True)
 class RadioParams:
     """Link-budget constants shared by every cell of a coordination set.
     ``RadioParams()`` is the reference radio: 43 dBm per cell, -139 dBm/Hz
-    noise density, an 8.64 MHz band, fourth-power distance loss and no
-    decodability margin.
+    noise density and no decodability margin.  Every radio has the
+    ``BANDWIDTH_HZ`` band and ``PATHLOSS_EXPONENT`` distance loss.
 
     tx_power_mw:        per-cell transmit power budget, mW
     noise_density_mw_hz: noise power spectral density, mW/Hz
-    bandwidth_hz:       full system (multiplexing) bandwidth, Hz
-    pathloss_exponent:  distance power-law exponent
     sic_tolerance:      minimum noise-normalized received-power gap between a
                         decoded signal and the not-yet-decoded rest (linear
                         ratio, dimensionless)
     Construction raises ConfigError naming a field that breaks config.py's kind rule or a range,
-    or both fields of a noise power that underflows to 0 or overflows to inf.
+    or the density of a noise power that overflows to inf.
     """
 
     tx_power_mw: float = dbm_to_mw(REFERENCE_TX_POWER_DBM)
     noise_density_mw_hz: float = dbm_to_mw(REFERENCE_NOISE_DENSITY_DBM_HZ)
-    bandwidth_hz: float = 8.64e6
-    pathloss_exponent: float = 4.0
     sic_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
@@ -57,19 +55,17 @@ class RadioParams:
             value, zero_ok = getattr(self, f.name), f.name == "sic_tolerance"
             if not (value >= 0.0 if zero_ok else value > 0.0):
                 raise ConfigError(f"{f.name} must be {'non-negative' if zero_ok else 'positive'}, got {value}")
-        if not 0.0 < self.noise_power_mw < math.inf:
-            raise ConfigError(
-                f"noise_density_mw_hz * bandwidth_hz must be a positive, finite noise power, got {self.noise_power_mw}"
-            )
+        if self.noise_power_mw == math.inf:
+            raise ConfigError(f"noise_density_mw_hz * BANDWIDTH_HZ must be a finite noise power, got {math.inf}")
 
     @property
     def noise_power_mw(self) -> float:
         """In-band noise power over the full system bandwidth, mW."""
-        return self.noise_density_mw_hz * self.bandwidth_hz
+        return self.noise_density_mw_hz * BANDWIDTH_HZ
 
 
 def gain_array(fading, distance_terms, params: RadioParams):
-    """Noise-normalized gains, 1/mW, elementwise: fading * d^(-alpha) / noise.
+    """Noise-normalized gains, 1/mW, elementwise: fading * d^(-PATHLOSS_EXPONENT) / noise.
 
     fading is the squared fading envelope (unit mean under Rayleigh); zero
     fading gives a zero gain.  Works on floats and arrays.  The operation
@@ -79,14 +75,12 @@ def gain_array(fading, distance_terms, params: RadioParams):
     return fading * distance_terms / params.noise_power_mw
 
 
-def distance_term(a: tuple[float, float], b: tuple[float, float], alpha: float) -> float:
-    """d^(-alpha) between two positions; computed with math, not numpy, so it
-    is bit-identical wherever it is evaluated.  Raises ConfigError naming a
-    distance that is 0 or whose d^(-alpha) overflows a float."""
+def distance_term(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """d^(-PATHLOSS_EXPONENT) between two positions; computed with math, not numpy, so it is
+    bit-identical wherever it is evaluated.  Raises ConfigError naming a distance that is 0.  No
+    sweep position overflows it: the nearest to a site without rounding onto it, one ulp of
+    500 m (about 5.7e-14 m) away, gives about 9.6e52."""
     d = math.hypot(a[0] - b[0], a[1] - b[1])
     if d <= 0.0:
         raise ConfigError(f"user at {a} is on top of a cell at {b}")
-    try:
-        return d ** (-alpha)
-    except OverflowError as e:
-        raise ConfigError(f"distance {d} m to the power {-alpha} overflows a float") from e
+    return d ** (-PATHLOSS_EXPONENT)

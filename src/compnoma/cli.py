@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import traceback
 from dataclasses import fields
@@ -131,9 +132,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except ConfigError as e:  # a bad flag, flag value or config
+    except ConfigError as e:  # a bad flag, flag value or config; an unwritable --out before a sweep it would waste
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,7 @@ is never a number, an int stands for a float, numbers are finite, ``radio``
 is a ``RadioParams``, and ``schemes`` is a tuple (a list in JSON).
 Every rejection is a ``ConfigError``: ``ExperimentConfig`` names the key
 path (``sweep.step``), ``RadioParams`` names the field, which the reader
-re-raises as ``radio.bandwidth_hz``, and ``parse_config`` names the file.
+re-raises as ``radio.sic_tolerance``, and ``parse_config`` names the file.
 JSON sections hold only their dataclass's fields (``sweep_*`` nest under
 ``sweep``), each key once.  The reader converts, each only on a value of
 its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
@@ -149,6 +149,8 @@ def parse_config(path: str) -> ExperimentConfig:
         data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError as e:  # the decoder recurses once per nested array or object
+        raise ConfigError(f"{path}: nested too deeply to parse") from e
     return config_from_dict(data)
 
 

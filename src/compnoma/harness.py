@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import FEASIBLE
+from .channel import BANDWIDTH_HZ
 from .errors import ConfigError, SweepError
 from .scenarios import JT_NOMA, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
 
@@ -109,7 +110,7 @@ def run_chunk(config, start: int, stop: int):
             f"seed={seed} from sweep_index={p0} trial={t0} to sweep_index={p1} trial={t1}"
             f" series={label}: {type(e).__name__}: {e}"
         ) from e
-    return se / config.radio.bandwidth_hz, feasible
+    return se / BANDWIDTH_HZ, feasible
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT, FEASIBLE, rates, solve_jt
-from .channel import RadioParams, distance_term, gain_array
+from .channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT, RadioParams, distance_term, gain_array
 from .errors import ConfigError, SweepError
 
 # the scheme names, which evaluate dispatches on
@@ -86,7 +86,7 @@ class SweepPoint:
 
     The jointly served users are 1 (and 2); cell c's single-cell users are
     10c+1 (and 10c+2), on the ray pointing away from the other site.
-    ``terms`` holds d^(-alpha) per (cell, user): fixed for single-cell users,
+    ``terms`` holds d^(-4) per (cell, user): fixed for single-cell users,
     0 in the edge users' columns, which ``draw_block`` fills from each
     trial's positions in the disc of ``radius`` around the midpoint.
     """
@@ -116,12 +116,11 @@ class SweepPoint:
             radio,
         )
         self.radius = radius
-        alpha = radio.pathloss_exponent
         self.terms = np.zeros((2, len(ids)))
         for c, u, d in tails:
             x = SITES[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
-            self.terms[:, ids.index(u)] = [distance_term(position, site, alpha) for site in SITES]
+            self.terms[:, ids.index(u)] = [distance_term(position, site) for site in SITES]
 
 
 def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:
@@ -130,12 +129,12 @@ def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int
     points share one Layout, radio included.  Trial t of point i reseeds one
     generator (as random.Random would) with the blake2b hash of (seed, i, t),
     each masked to 64 bits: (seed, i) is hashed (then copied per trial), and
-    the point's radius and path-loss exponent read, once per segment.  A
-    trial draws the edge users' positions in user-id order, each uniform in
-    the point's midpoint disc and redrawn while inside either coverage disc
-    (tested with math, not numpy: it decides how many draws a trial
-    consumes), then one fading uniform per (cell, user) link, cells outer,
-    as one getrandbits word block (least significant word first).
+    the point's radius read, once per segment.  A trial draws the edge
+    users' positions in user-id order, each uniform in the point's midpoint
+    disc and redrawn while inside either coverage disc (tested with math, not
+    numpy: it decides how many draws a trial consumes), then one fading
+    uniform per (cell, user) link, cells outer, as one getrandbits word block
+    (least significant word first).
     No block-sized list of Python objects is built: the edge users' distance
     terms go to one array("d") and the word blocks, little-endian, to one
     bytearray, which numpy reads in place, turning each word pair into
@@ -154,14 +153,14 @@ def _draw_trials(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[i
     rng = _random.Random(0)  # a seed spares reading OS entropy; every trial reseeds it
     reseed, random, getrandbits = _random.Random.seed, rng.random, rng.getrandbits
     edge, words = array("d"), bytearray()
-    put, half, coverage = edge.append, SITES[1][0], COVERAGE_M
+    put, half, coverage, power = edge.append, SITES[1][0], COVERAGE_M, -PATHLOSS_EXPONENT
     for point, sweep_index, trials in segments:
         t = None
         try:
             prefix = struct.pack(">QQ", seed & _MASK64, sweep_index & _MASK64)
             copy = hashlib.blake2b(prefix, digest_size=16).copy
             radius = point.radius
-            users, power, size = point.layout.comp, -point.layout.radio.pathloss_exponent, 8 * point.terms.size
+            users, size = point.layout.comp, 8 * point.terms.size
             for t in trials:
                 h = copy()
                 h.update(pack(t & _MASK64))
@@ -218,7 +217,7 @@ def orthogonal_rates(lay: Layout, g: np.ndarray) -> np.ndarray:
     budget-times-gain product is used directly.
     """
     p = lay.radio.tx_power_mw
-    width = [lay.radio.bandwidth_hz / (len(lay.tails[ci]) + len(lay.comp)) for ci in (0, 1)]
+    width = [BANDWIDTH_HZ / (len(lay.tails[ci]) + len(lay.comp)) for ci in (0, 1)]
     out = np.empty((len(g), len(lay.user_ids)))
     cells = [ci for ci in (0, 1) for _ in lay.tails[ci]]
     cols = [c for ci in (0, 1) for c in lay.tails[ci]]
@@ -284,7 +283,7 @@ def _jt_noma(lay, g, base, full, split, case):
     edge = _edge_order(lay, g, case)
     orders = [edge + _by_gain(g[:, ci, lay.tails[ci]], lay.tails[ci]) for ci in (0, 1)]
     r = lay.radio
-    return _noma_clusters(g, base, edge, orders, [r.tx_power_mw] * 2, r.bandwidth_hz, r.sic_tolerance, split, full)
+    return _noma_clusters(g, base, edge, orders, [r.tx_power_mw] * 2, BANDWIDTH_HZ, r.sic_tolerance, split, full)
 
 
 def _dps_noma(lay, g, base, full):
@@ -303,7 +302,7 @@ def _dps_noma(lay, g, base, full):
         orders.append(_by_gain(key, cols))
         idle.append(np.count_nonzero(away, axis=1))
         budgets.append(np.where(idle[ci] < len(cols), r.tx_power_mw, 0.0))
-    return _noma_clusters(g, base, [], orders, budgets, r.bandwidth_hz, r.sic_tolerance, EQUAL_TRANSMIT, full, idle)
+    return _noma_clusters(g, base, [], orders, budgets, BANDWIDTH_HZ, r.sic_tolerance, EQUAL_TRANSMIT, full, idle)
 
 
 def _cs_noma(lay, g, base, full):
@@ -324,7 +323,7 @@ def _cs_noma(lay, g, base, full):
     orders = [[np.where(swap, own, edge), np.where(swap, edge, own)], [own[::-1]]]
     r = lay.radio
     out, reason = _noma_clusters(
-        g, np.concatenate([base, base]), [], orders, [r.tx_power_mw] * 2, r.bandwidth_hz / 2.0, r.sic_tolerance,
+        g, np.concatenate([base, base]), [], orders, [r.tx_power_mw] * 2, BANDWIDTH_HZ / 2.0, r.sic_tolerance,
         EQUAL_TRANSMIT, full,
     )
     (out0, out1), (reason0, reason1) = np.split(out, 2), np.split(reason, 2)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from compnoma.channel import RadioParams
+from compnoma.channel import PATHLOSS_EXPONENT, RadioParams
 from compnoma.errors import ConfigError
 
 
@@ -183,7 +183,7 @@ def trial_seed(master_seed: int, sweep_index: int, trial: int) -> int:
 def normalized_gain(distance_m: float, fading_power: float, params: RadioParams) -> float:
     """Noise-normalized channel power gain, 1/mW.
 
-    gain = fading_power * distance^(-alpha) / (noise_density * bandwidth)
+    gain = fading_power * distance^(-PATHLOSS_EXPONENT) / (noise_density * BANDWIDTH_HZ)
 
     fading_power is the squared fading envelope (unit mean under Rayleigh);
     fading_power = 0 degenerates to a zero gain, not an error.
@@ -192,7 +192,7 @@ def normalized_gain(distance_m: float, fading_power: float, params: RadioParams)
         raise DomainError(f"distance must be positive, got {distance_m}")
     if fading_power < 0.0:
         raise DomainError(f"fading power cannot be negative, got {fading_power}")
-    return fading_power * distance_m ** (-params.pathloss_exponent) / params.noise_power_mw
+    return fading_power * distance_m ** (-PATHLOSS_EXPONENT) / params.noise_power_mw
 
 
 def lens_area(r: float, rho: float, h: float) -> float:

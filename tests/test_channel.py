@@ -9,6 +9,7 @@ import pytest
 
 from compnoma import ConfigError, RadioParams, SweepError, dbm_to_mw
 from compnoma import scenarios
+from compnoma.channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT
 from compnoma.scenarios import SweepPoint, draw_block
 
 from conftest import SITES, draw_edge_position
@@ -20,8 +21,8 @@ def test_reference_radio_constants():
     assert radio.tx_power_mw == pytest.approx(19952.623, rel=1e-6)
     assert radio.noise_density_mw_hz == pytest.approx(1.2589254e-14, rel=1e-6)
     assert radio.noise_power_mw == pytest.approx(1.0877e-7, rel=1e-4)
-    assert radio.bandwidth_hz == 8.64e6
-    assert radio.pathloss_exponent == 4.0
+    assert BANDWIDTH_HZ == 8.64e6
+    assert PATHLOSS_EXPONENT == 4.0
     assert radio.sic_tolerance == 0.0
 
 
@@ -73,11 +74,11 @@ def test_invalid_inputs_rejected():
     with pytest.raises(DomainError):
         normalized_gain(100.0, -0.1, RadioParams())
     with pytest.raises(ConfigError):
-        RadioParams(tx_power_mw=0.0, noise_density_mw_hz=1.0, bandwidth_hz=1.0)
+        RadioParams(tx_power_mw=0.0, noise_density_mw_hz=1.0)
     with pytest.raises(ConfigError):
-        RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, bandwidth_hz=0.0)
+        RadioParams(tx_power_mw=1.0, noise_density_mw_hz=0.0)
     with pytest.raises(ConfigError):
-        RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, bandwidth_hz=1.0, sic_tolerance=-1.0)
+        RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, sic_tolerance=-1.0)
 
 
 def test_dbm_conversion_round_trip():
@@ -134,7 +135,7 @@ def test_sweep_draw_matches_scalar_gain_formula(scenario):
     # order, then one -log(1 - U) fading draw per (cell, user) link, cells
     # outer; 512 trials per block, so a transcendental that is off on a small
     # share of inputs shows
-    radio = RadioParams(pathloss_exponent=3.7)
+    radio = RadioParams()
     sweep = (80.0, 260.0, 400.0)
     block = 512
     for seed, point_index, first in ((0, 0, 0), (11, 1, 7), (1703, 2, 123), (2**40, 1, 99_999)):

@@ -130,7 +130,7 @@ def test_schema_rejections():
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
     # json.loads accepts NaN and Infinity; the schema does not
     for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
-                               ("radio", "bandwidth_hz", "Infinity")):
+                               ("radio", "tx_power_mw", "Infinity")):
         with pytest.raises(ConfigError) as err:
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
@@ -148,7 +148,7 @@ def test_schema_rejections():
         ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
         ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("jt_split", None),
         ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
-        ("radio.bandwidth_hz", True), ("radio.tx_power_mw", "43"),
+        ("radio.noise_density_mw_hz", True), ("radio.tx_power_mw", "43"),
     ],
 )
 def test_config_built_in_code_rejects_what_the_json_reader_rejects(path, value):
@@ -189,8 +189,6 @@ def _number(lo, hi):
 PLAUSIBLE = {
     "tx_power_mw": _number(1.0, 1e5),
     "noise_density_mw_hz": st.floats(1e-18, 1e-12),
-    "bandwidth_hz": _number(1e5, 1e8),
-    "pathloss_exponent": _number(2.0, 5.0),
     "sic_tolerance": _number(0.0, 10.0),
     "scenario_id": st.integers(1, 3),
     "schemes": st.lists(st.sampled_from(["JT-NOMA", "DPS-NOMA", "JT-OMA"]), min_size=1, max_size=3, unique=True)
@@ -240,6 +238,14 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
     assert len(built) >= 10, len(built)  # not vacuous: 32-82 of 300 over 20 seeds
 
 
+def parent_format_sidecar() -> str:
+    """The fig5 sidecar as written while the radio still had a band and a
+    path-loss exponent: every radio field, those two included, keys sorted."""
+    d = config_to_dict(PRESETS["fig5"]())
+    d["radio"].update(bandwidth_hz=8640000.0, pathloss_exponent=4.0)
+    return json.dumps(d, indent=2, sort_keys=True)
+
+
 # each config's JSON and its error message
 UNUSABLE = {
     "non-finite tolerance": (
@@ -250,9 +256,9 @@ UNUSABLE = {
         '{"scenario_id": 1, "sweep": {"start": NaN}}',
         "sweep.start must be a finite number, exact as a float, got nan",
     ),
-    "non-finite bandwidth": (
-        '{"scenario_id": 1, "radio": {"bandwidth_hz": Infinity}}',
-        "radio.bandwidth_hz must be a finite number, exact as a float, got inf",
+    "non-finite noise density": (
+        '{"scenario_id": 1, "radio": {"noise_density_mw_hz": Infinity}}',
+        "radio.noise_density_mw_hz must be a finite number, exact as a float, got inf",
     ),
     "an output path": (
         '{"scenario_id": 1, "output_path": "run.csv"}',
@@ -272,6 +278,16 @@ UNUSABLE = {
     "a sidecar with an edge-region law": (
         json.dumps({**config_to_dict(PRESETS["fig5"]()), "edge_region_law": "disc"}),
         "unknown key 'edge_region_law' in config root",
+    ),
+    # the band and the path-loss law are fixed, so no config sets them; a
+    # sidecar written before they went holds both keys
+    "a sidecar with a band and a path-loss exponent": (
+        parent_format_sidecar(),
+        "unknown key 'bandwidth_hz' in radio",
+    ),
+    "a path-loss exponent": (
+        '{"scenario_id": 1, "radio": {"pathloss_exponent": 4.0}}',
+        "unknown key 'pathloss_exponent' in radio",
     ),
     # the two sites and their coverage are fixed, so no placement section exists
     "a placement section": (
@@ -304,12 +320,6 @@ UNUSABLE = {
         '{"scenario_id": 1, "radio": {"noise_density_dbm_hz": 4000}}',
         "radio.noise_density_dbm_hz: 4000 dB above 1 mW overflows a float",
     ),
-    # the swept user sits about 1e-10 m from its site, and d^-40 passes float range
-    "distance term overflows": (
-        '{"scenario_id": 1, "sweep": {"start": 1e-10, "stop": 1e-10, "step": 1},'
-        ' "radio": {"pathloss_exponent": 40.0}}',
-        "sweep value 1e-10: distance 9.99875737761613e-11 m to the power -40.0 overflows a float",
-    ),
 }
 
 
@@ -323,7 +333,7 @@ def test_unusable_geometry_is_rejected_without_the_parser():
 def test_non_finite_numbers_are_rejected_without_the_parser(bad):
     # the parser rejects non-finite JSON numbers itself; objects built in
     # code are held to finite values by their own range checks
-    for key in ("tx_power_mw", "noise_density_mw_hz", "bandwidth_hz", "pathloss_exponent", "sic_tolerance"):
+    for key in ("tx_power_mw", "noise_density_mw_hz", "sic_tolerance"):
         with pytest.raises(ConfigError, match=key):
             RadioParams(**{key: bad})
     with pytest.raises(ConfigError):
@@ -343,7 +353,7 @@ def test_every_library_rejection_is_a_config_error(tmp_path):
     g = draw_block(14, [(point, 0, [0])])
     missing = str(tmp_path / "nope.json")
     for call, message in (
-        (lambda: RadioParams(bandwidth_hz=0), "bandwidth_hz must be positive, got 0"),
+        (lambda: RadioParams(noise_density_mw_hz=0), "noise_density_mw_hz must be positive, got 0"),
         (lambda: sweep_values(1.0, 0.0, 1.0), "sweep stop below start"),
         (lambda: SweepPoint(1, 500.0, radio), "single-cell user distance 500.0 exceeds coverage 400.0"),
         (lambda: SweepPoint(4, 100.0, radio), "unknown scenario 4"),
@@ -358,20 +368,21 @@ def test_every_library_rejection_is_a_config_error(tmp_path):
         assert str(err.value) == message
 
 
-@pytest.mark.parametrize("value", [1e-200, 1e200], ids=["underflows", "overflows"])
+@pytest.mark.parametrize("value", [1e302], ids=["overflows"])
 def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
-    # each field is in range, but their product, the noise power, is 0.0 or
-    # inf: the sweep would then divide gains by it
-    fields = {"noise_density_mw_hz": value, "bandwidth_hz": value}
-    with pytest.raises(ConfigError, match="noise_density_mw_hz \\* bandwidth_hz"):
+    # the density is finite, but the noise power, density times the band,
+    # is inf: the sweep would then divide gains by it.  A positive density
+    # cannot underflow it, the band being more than 1
+    fields = {"noise_density_mw_hz": value}
+    with pytest.raises(ConfigError, match="noise_density_mw_hz \\* BANDWIDTH_HZ"):
         RadioParams(**fields)
-    with pytest.raises(ConfigError, match="^radio.noise_density_mw_hz \\* bandwidth_hz must be"):
+    with pytest.raises(ConfigError, match="^radio.noise_density_mw_hz \\* BANDWIDTH_HZ must be"):
         config_from_dict({"scenario_id": 2, "radio": fields})
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenario_id": 2, "radio": fields}))
     assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: radio.noise_density_mw_hz * bandwidth_hz"), err
+    assert err == "error: radio.noise_density_mw_hz * BANDWIDTH_HZ must be a finite noise power, got inf\n", err
 
 
 @pytest.mark.parametrize("text, message", UNUSABLE.values(), ids=UNUSABLE.keys())
@@ -454,6 +465,17 @@ def test_a_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff{"scenario_id": 1}\n')
     message = f"cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(str(path))
+    assert main(["--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_config_nested_too_deeply_is_rejected(tmp_path, capsys):
+    # json.loads recurses once per nesting level and raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    message = f"{path}: nested too deeply to parse"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(str(path))
     assert main(["--config", str(path), "--quiet"]) == 1
@@ -582,12 +604,25 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["fig5", "--scheme", "CB"]) == 1
     assert "beamforming" in capsys.readouterr().err
-    out = tmp_path / "missing-dir" / "o.csv"
-    code = main(
-        ["fig4", "--trials", "1", "--quiet",
-         "--out", str(out)]
-    )
-    assert code == 2
+    # a failure after the sweep is a runtime failure: here the CSV is
+    # written, but a directory stands where its sidecar goes
+    out = tmp_path / "o.csv"
+    (tmp_path / "o.csv.config.json").mkdir()
+    assert main(["fig4", "--trials", "1", "--quiet", "--out", str(out)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_an_unwritable_out_path_is_rejected_before_the_sweep(where, tmp_path, capsys, monkeypatch):
+    # the sweep's result would be thrown away, so the path is checked first:
+    # no sweep runs, and nothing is created or truncated
+    swept = []
+    monkeypatch.setattr("compnoma.cli.run_sweep", lambda *a, **k: swept.append(a))
+    out = tmp_path / "nodir" / "x.csv" if where == "missing directory" else tmp_path
+    assert main(["fig5", "--trials", "200", "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: not a file path in an existing directory\n"
+    assert swept == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_writes_csv_and_sidecar(tmp_path, capsys):

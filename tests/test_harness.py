@@ -22,6 +22,7 @@ from compnoma import (
     run_sweep,
 )
 from compnoma.allocation import FEASIBLE
+from compnoma.channel import BANDWIDTH_HZ
 from compnoma.cli import format_csv
 from compnoma.config import ALLOWED_SCHEMES
 from compnoma import allocation, harness, scenarios
@@ -131,7 +132,7 @@ def test_single_trial_matches_direct_evaluation():
         out, reason = scenarios.evaluate(
             point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
-        direct[label] = (math.fsum(out[0].tolist()) / config.radio.bandwidth_hz, reason[0] == FEASIBLE)
+        direct[label] = (math.fsum(out[0].tolist()) / BANDWIDTH_HZ, reason[0] == FEASIBLE)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.trials == 1
@@ -403,7 +404,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
             points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
         ok = reason == FEASIBLE
-        want = np.array([math.fsum(row) for row in out.tolist()]) / config.radio.bandwidth_hz
+        want = np.array([math.fsum(row) for row in out.tolist()]) / BANDWIDTH_HZ
         assert se[:, r_i].tobytes() == want.tobytes(), label
         assert feasible[:, r_i].tolist() == ok.tolist(), label
         if scheme.endswith("NOMA"):

@@ -17,6 +17,7 @@ from compnoma import (
 )
 from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
+from compnoma.channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT
 from compnoma.config import ALLOWED_SCHEMES, PRESETS, config_from_dict
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
 from compnoma.scenarios import (
@@ -45,12 +46,11 @@ from reference import (
 )
 from golden.make_golden import TRIAL_CONFIGS, TRIAL_POINTS, TRIALS_PER_POINT, golden_config
 
-# unit band and unit gains make rate identities exact by hand
+# unit noise power and unit gains make rate identities, per hertz of the
+# band, exact by hand; (1 / 8.64e6) * 8.64e6 is exactly 1.0
 UNIT_RADIO = RadioParams(
     tx_power_mw=3.0,
-    noise_density_mw_hz=1.0,
-    bandwidth_hz=1.0,
-    pathloss_exponent=4.0,
+    noise_density_mw_hz=1.0 / BANDWIDTH_HZ,
     sic_tolerance=0.0,
 )
 
@@ -119,7 +119,7 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
     # Layout, and draw_block forms every segment's gains with the first
     # segment's radio: both need every point of a config to have an equal
     # Layout, its radio included
-    radio = RadioParams(tx_power_mw=5e3, bandwidth_hz=2e6, pathloss_exponent=3.5, sic_tolerance=1.0)
+    radio = RadioParams(tx_power_mw=5e3, sic_tolerance=1.0)
     config = replace(PRESETS[preset](), radio=radio)
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     layouts = {SweepPoint(config.scenario_id, v, config.radio).layout for v in values}
@@ -201,7 +201,7 @@ def test_edge_placement_ends_beyond_coverage_at_any_radius(scenario, exponent, s
     _, terms = _draw_trials(seed, [(point, 0, range(8))])
     edge = terms[:, :, list(point.layout.comp)]
     assert (edge > 0.0).all()
-    assert (edge <= COVERAGE_M ** -point.layout.radio.pathloss_exponent).all()
+    assert (edge <= COVERAGE_M ** -PATHLOSS_EXPONENT).all()
 
 
 def test_builder_validation():
@@ -219,7 +219,7 @@ def test_builder_validation():
 
 def test_oma_identities_scenario_1():
     point = SweepPoint(1, 350.0, UNIT_RADIO)
-    rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
+    rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0] / BANDWIDTH_HZ)
     # each cell serves three users on thirds of the band at SNR 3
     for uid in (11, 12, 21, 22):
         assert rates[uid] == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -231,7 +231,7 @@ def test_oma_identities_scenario_1():
 
 def test_oma_identities_scenario_3():
     point = SweepPoint(3, 120.0, UNIT_RADIO)
-    rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0])
+    rates = by_user(point, orthogonal_rates(point.layout, all_ones_gains(point))[0] / BANDWIDTH_HZ)
     # cell 1 splits into thirds, cell 2 into halves; the aligned share is a
     # third and cell 2 contributes its leftover sixth at single-cell SNR
     assert rates[11] == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -243,7 +243,7 @@ def test_oma_identities_scenario_3():
 def test_cs_oma_halves():
     point = SweepPoint(2, 120.0, UNIT_RADIO)
     out, _, _, _ = run(point, all_ones_gains(point), "CS-OMA")
-    rates = by_user(point, out[0])
+    rates = by_user(point, out[0] / BANDWIDTH_HZ)
     for uid in (1, 2, 11, 21):
         assert rates[uid] == pytest.approx(0.5 * math.log2(4.0), rel=1e-12)
 
@@ -370,7 +370,7 @@ def per_cell_reference(lay, g, base, scheme, full):
     rates = np.zeros(len(lay.user_ids))
     feasible = True
     for band_id, (fraction, members) in enumerate(bands):
-        band = Band(band_id, fraction * lay.radio.bandwidth_hz)
+        band = Band(band_id, fraction * BANDWIDTH_HZ)
         budget = fraction * lay.radio.tx_power_mw
         eff = g / fraction
         table = ChannelRealization({(ci, c): eff[ci, c] for ci in (0, 1) for c in range(eff.shape[1])})
