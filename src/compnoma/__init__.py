@@ -2,7 +2,7 @@
 orthogonal access, rate-guaranteed power allocation, and Monte-Carlo sweeps."""
 
 from .allocation import EQUAL_RECEIVED, EQUAL_TRANSMIT
-from .channel import RadioParams, dbm_to_mw
+from .channel import RadioParams
 from .config import (
     PRESETS,
     ExperimentConfig,
@@ -23,7 +23,7 @@ __all__ = [
     "RadioParams",
     "SweepError", "SweepResult", "SweepRow",
     "config_from_dict", "config_to_dict",
-    "dbm_to_mw", "parse_config", "run_sweep",
+    "parse_config", "run_sweep",
     "sweep_values",
     "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA", "JT_OMA",
 ]

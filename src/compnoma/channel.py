@@ -3,7 +3,7 @@
 All gains in this package are normalized against the in-band noise power
 (noise density x full system bandwidth), so a user's received SNR over the
 full band is simply transmit_power_mW x gain.  Gains carry units of 1/mW.
-Powers run in linear units (mW); ``dbm_to_mw`` converts at the config boundary.
+Powers run in linear units (mW), in configs and sidecars as in the code.
 A value out of range raises ``ConfigError`` naming it, as every rejected input does.
 """
 
@@ -13,14 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, check_kinds
-
-
-def dbm_to_mw(value_dbm: float) -> float:
-    """Milliwatts of value_dbm; raises ConfigError naming a value whose milliwatts overflow a float."""
-    try:
-        return 10.0 ** (value_dbm / 10.0)
-    except OverflowError as e:
-        raise ConfigError(f"{value_dbm} dB above 1 mW overflows a float") from e
 
 
 REFERENCE_TX_POWER_DBM = 43.0
@@ -45,8 +37,8 @@ class RadioParams:
     or the density of a noise power that overflows to inf.
     """
 
-    tx_power_mw: float = dbm_to_mw(REFERENCE_TX_POWER_DBM)
-    noise_density_mw_hz: float = dbm_to_mw(REFERENCE_NOISE_DENSITY_DBM_HZ)
+    tx_power_mw: float = 10.0 ** (REFERENCE_TX_POWER_DBM / 10.0)
+    noise_density_mw_hz: float = 10.0 ** (REFERENCE_NOISE_DENSITY_DBM_HZ / 10.0)
     sic_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
@@ -77,10 +69,12 @@ def gain_array(fading, distance_terms, params: RadioParams):
 
 def distance_term(a: tuple[float, float], b: tuple[float, float]) -> float:
     """d^(-PATHLOSS_EXPONENT) between two positions; computed with math, not numpy, so it is
-    bit-identical wherever it is evaluated.  Raises ConfigError naming a distance that is 0.  No
-    sweep position overflows it: the nearest to a site without rounding onto it, one ulp of
-    500 m (about 5.7e-14 m) away, gives about 9.6e52."""
+    bit-identical wherever it is evaluated.  Raises ConfigError naming the positions when the
+    distance is 0 or so small that the term overflows.  No sweep position overflows it: the
+    nearest to a site without rounding onto it, one ulp of 500 m (about 5.7e-14 m) away,
+    gives about 9.6e52."""
     d = math.hypot(a[0] - b[0], a[1] - b[1])
-    if d <= 0.0:
-        raise ConfigError(f"user at {a} is on top of a cell at {b}")
-    return d ** (-PATHLOSS_EXPONENT)
+    try:
+        return d ** (-PATHLOSS_EXPONENT)
+    except (ZeroDivisionError, OverflowError) as e:
+        raise ConfigError(f"user at {a} is on top of a cell at {b}") from e

@@ -132,11 +132,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
+        sidecar = args.out and args.out + ".config.json"
         if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
+        if sidecar and os.path.isdir(sidecar):
+            raise ConfigError(f"--out {args.out}: its sidecar {sidecar} is a directory")
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except ConfigError as e:  # a bad flag, flag value or config; an unwritable --out before a sweep it would waste
+    except ConfigError as e:  # a bad flag, flag value or config; an unwritable --out or sidecar, before the sweep
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -155,8 +158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "those of the orthogonal baseline (JT-OMA)", row.sweep_value, row.scheme, row.trials,
                 )
         emit_csv(result, args.out)
-        if args.out:
-            sidecar = args.out + ".config.json"
+        if sidecar:
             with open(sidecar, "w", encoding="utf-8") as fh:
                 json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
             log.info("wrote %s and %s", args.out, sidecar)

@@ -8,14 +8,13 @@ Every rejection is a ``ConfigError``: ``ExperimentConfig`` names the key
 path (``sweep.step``), ``RadioParams`` names the field, which the reader
 re-raises as ``radio.sic_tolerance``, and ``parse_config`` names the file.
 JSON sections hold only their dataclass's fields (``sweep_*`` nest under
-``sweep``), each key once.  The reader converts, each only on a value of
-its JSON kind, a scheme list to an upper-cased tuple, a dBm key to its
-milliwatt field and a sweep number to a float; a dBm key is no field, so the
-reader itself rejects one that is not a finite number, by its name.  Every
-sweep point is built at construction, so any config can run.  No setting
-picks JT-NOMA's decode case: scenario 3 always reports both
-(``scenarios.decode_cases``).  So each preset, named for the paper figure it
-reproduces, is its scenario's defaults.
+``sweep``), each key once, so every key names one field.  The reader
+converts, each only on a value of its JSON kind, a scheme list to an
+upper-cased tuple and a sweep number to a float.  Every sweep point is
+built at construction, so any config can run.  No setting picks JT-NOMA's
+decode case: scenario 3 always reports both (``scenarios.decode_cases``).
+So each preset, named for the paper figure it reproduces, is its
+scenario's defaults.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from .allocation import EQUAL_TRANSMIT
-from .channel import RadioParams, dbm_to_mw
-from .errors import KINDS, ConfigError, check_kinds, finite_number
+from .channel import RadioParams
+from .errors import ConfigError, check_kinds, finite_number
 from .harness import sweep_values
 from .scenarios import CHOICES, CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
 
@@ -41,8 +40,6 @@ DEFAULT_SCHEMES = {
     3: (JT_NOMA, JT_OMA),
 }
 _REJECTED_SCHEMES = ("CB", "CB-NOMA")
-# dBm spelling of each power-like radio field
-_DBM = {"tx_power_dbm": "tx_power_mw", "noise_density_dbm_hz": "noise_density_mw_hz"}
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         schemes = tuple(s.upper() for s in schemes)
     for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
         d[f"sweep_{key}"] = float(value) if finite_number(value) else value
-    radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)} | set(_DBM))
-    for alias, key in _DBM.items():
-        if alias in radio:
-            if key in radio:
-                raise ConfigError(f"radio: give {key} or {alias}, not both")
-            value = radio.pop(alias)
-            if not finite_number(value):
-                raise ConfigError(f"radio.{alias} must be {KINDS['float'][0]}, got {value!r}")
-            radio[key] = _ranged(f"radio.{alias}: ", dbm_to_mw, value)
+    radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)})
     return ExperimentConfig(scenario, schemes, radio=_ranged("radio.", RadioParams, **radio), **d)
 
 
@@ -156,7 +145,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form; feeding it back through config_from_dict yields an
-    equal config (linear radio keys round-trip exactly)."""
+    equal config (radio keys, in mW, round-trip exactly)."""
     out = {}
     for key, value in asdict(config).items():
         if key.startswith("sweep_"):

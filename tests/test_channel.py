@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from compnoma import ConfigError, RadioParams, SweepError, dbm_to_mw
+from compnoma import ConfigError, RadioParams, SweepError
 from compnoma import scenarios
 from compnoma.channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT
 from compnoma.scenarios import SweepPoint, draw_block
@@ -17,9 +17,10 @@ from reference import ChannelRealization, DomainError, normalized_gain, trial_se
 
 
 def test_reference_radio_constants():
+    # 43 dBm and -139 dBm/Hz, bit for bit as a sidecar writes them
     radio = RadioParams()
-    assert radio.tx_power_mw == pytest.approx(19952.623, rel=1e-6)
-    assert radio.noise_density_mw_hz == pytest.approx(1.2589254e-14, rel=1e-6)
+    assert radio.tx_power_mw == 10.0 ** 4.3 == 19952.62314968879
+    assert radio.noise_density_mw_hz == 10.0 ** -13.9 == 1.2589254117941662e-14
     assert radio.noise_power_mw == pytest.approx(1.0877e-7, rel=1e-4)
     assert BANDWIDTH_HZ == 8.64e6
     assert PATHLOSS_EXPONENT == 4.0
@@ -79,14 +80,6 @@ def test_invalid_inputs_rejected():
         RadioParams(tx_power_mw=1.0, noise_density_mw_hz=0.0)
     with pytest.raises(ConfigError):
         RadioParams(tx_power_mw=1.0, noise_density_mw_hz=1.0, sic_tolerance=-1.0)
-
-
-def test_dbm_conversion_round_trip():
-    assert dbm_to_mw(0.0) == 1.0
-    assert dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
-    assert dbm_to_mw(43.0) == pytest.approx(19952.62314968879, rel=1e-12)
-    with pytest.raises(ConfigError, match="^4000.0 dB above 1 mW overflows a float$"):
-        dbm_to_mw(4000.0)
 
 
 def test_realization_covers_every_link_and_is_seed_deterministic():

@@ -18,15 +18,16 @@ from compnoma import (
     ConfigError,
     ExperimentConfig,
     RadioParams,
+    SweepError,
     SweepResult,
     SweepRow,
     config_from_dict,
     config_to_dict,
-    dbm_to_mw,
     parse_config,
     run_sweep,
     sweep_values,
 )
+from compnoma.channel import distance_term
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
 from compnoma.config import CHOICES
 from compnoma.scenarios import SweepPoint, draw_block, evaluate, orthogonal_rates
@@ -77,19 +78,6 @@ def test_readme_library_example_runs(capsys):
     assert reason == "0"
 
 
-def test_dbm_and_linear_power_keys_agree():
-    linear = config_from_dict(
-        {"scenario_id": 1, "radio": {"tx_power_mw": 19952.62314968879}}
-    )
-    dbm = config_from_dict({"scenario_id": 1, "radio": {"tx_power_dbm": 43.0}})
-    assert linear.radio.tx_power_mw == pytest.approx(dbm.radio.tx_power_mw, rel=1e-12)
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(
-            {"scenario_id": 1, "radio": {"tx_power_mw": 1.0, "tx_power_dbm": 0.0}}
-        )
-    assert "not both" in str(err.value)
-
-
 def test_schema_rejections():
     with pytest.raises(ConfigError) as err:
         config_from_dict({})
@@ -134,12 +122,6 @@ def test_schema_rejections():
         with pytest.raises(ConfigError) as err:
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
-    # a dBm key is no field, yet a bad value is reported under its own name
-    for key in ("tx_power_dbm", "noise_density_dbm_hz"):
-        for text in ('"43"', "NaN", "true"):
-            with pytest.raises(ConfigError) as err:
-                config_from_dict(json.loads(f'{{"scenario_id": 1, "radio": {{"{key}": {text}}}}}'))
-            assert str(err.value) == f"radio.{key} must be a finite number, exact as a float, got {json.loads(text)!r}"
 
 
 @pytest.mark.parametrize(
@@ -312,13 +294,14 @@ UNUSABLE = {
         '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
         "sweep value 1e-20: user at (-500.0, 0.0) is on top of a cell at (-500.0, 0.0)",
     ),
-    "dBm power overflows": (
-        '{"scenario_id": 1, "radio": {"tx_power_dbm": 1e6}}',
-        "radio.tx_power_dbm: 1000000.0 dB above 1 mW overflows a float",
+    # radio powers are given in mW only, so a dBm key names no field
+    "a dBm power": (
+        '{"scenario_id": 1, "radio": {"tx_power_dbm": 43.0}}',
+        "unknown key 'tx_power_dbm' in radio",
     ),
-    "dBm noise density overflows": (
-        '{"scenario_id": 1, "radio": {"noise_density_dbm_hz": 4000}}',
-        "radio.noise_density_dbm_hz: 4000 dB above 1 mW overflows a float",
+    "a dBm noise density": (
+        '{"scenario_id": 1, "radio": {"noise_density_dbm_hz": -139.0}}',
+        "unknown key 'noise_density_dbm_hz' in radio",
     ),
 }
 
@@ -357,7 +340,7 @@ def test_every_library_rejection_is_a_config_error(tmp_path):
         (lambda: sweep_values(1.0, 0.0, 1.0), "sweep stop below start"),
         (lambda: SweepPoint(1, 500.0, radio), "single-cell user distance 500.0 exceeds coverage 400.0"),
         (lambda: SweepPoint(4, 100.0, radio), "unknown scenario 4"),
-        (lambda: dbm_to_mw(4000.0), "4000.0 dB above 1 mW overflows a float"),
+        (lambda: distance_term((0.0, 0.0), (1e-100, 0.0)), "user at (0.0, 0.0) is on top of a cell at (1e-100, 0.0)"),
         (lambda: parse_config(missing),
          f"cannot read config {missing}: [Errno 2] No such file or directory: {missing!r}"),
         (lambda: evaluate(point.layout, g, orthogonal_rates(point.layout, g), "JT-NOMA", "negligible", "thirds",
@@ -486,7 +469,7 @@ def test_a_config_nested_too_deeply_is_rejected(tmp_path, capsys):
     "text, key",
     [
         ('{"scenario_id": 2, "trials": 1, "scenario_id": 1}', "scenario_id"),
-        ('{"scenario_id": 2, "radio": {"tx_power_dbm": 30.0}, "radio": {"sic_tolerance": 0.0}}', "radio"),
+        ('{"scenario_id": 2, "radio": {"tx_power_mw": 1000.0}, "radio": {"sic_tolerance": 0.0}}', "radio"),
         ('{"scenario_id": 2, "radio": {"sic_tolerance": 1.0, "sic_tolerance": 0.0}}', "sic_tolerance"),
     ],
     ids=["root key", "radio section", "radio field"],
@@ -584,7 +567,7 @@ def test_every_preset_is_its_scenarios_defaults():
     assert sorted(PRESETS) == ["fig4", "fig5", "fig6"]
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(capsys, monkeypatch):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main([]) == 1
@@ -604,25 +587,32 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["fig5", "--scheme", "CB"]) == 1
     assert "beamforming" in capsys.readouterr().err
-    # a failure after the sweep is a runtime failure: here the CSV is
-    # written, but a directory stands where its sidecar goes
-    out = tmp_path / "o.csv"
-    (tmp_path / "o.csv.config.json").mkdir()
-    assert main(["fig4", "--trials", "1", "--quiet", "--out", str(out)]) == 2
-    capsys.readouterr()
+    # a failure once the sweep has started is a runtime failure
+    def fail(*args, **kwargs):
+        raise SweepError("worker died")
+
+    monkeypatch.setattr("compnoma.cli.run_sweep", fail)
+    assert main(["fig4", "--trials", "1", "--quiet"]) == 2
+    assert "SweepError: worker died" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "a sidecar directory"])
 def test_an_unwritable_out_path_is_rejected_before_the_sweep(where, tmp_path, capsys, monkeypatch):
-    # the sweep's result would be thrown away, so the path is checked first:
-    # no sweep runs, and nothing is created or truncated
+    # the sweep's result would be thrown away, so the path and its sidecar's
+    # are checked first: no sweep runs, and nothing is created or truncated
     swept = []
     monkeypatch.setattr("compnoma.cli.run_sweep", lambda *a, **k: swept.append(a))
-    out = tmp_path / "nodir" / "x.csv" if where == "missing directory" else tmp_path
+    out = {"missing directory": tmp_path / "nodir" / "x.csv", "a directory": tmp_path}.get(where, tmp_path / "x.csv")
+    message = f"--out {out}: not a file path in an existing directory"
+    if where == "a sidecar directory":
+        sidecar = tmp_path / "x.csv.config.json"
+        sidecar.mkdir()
+        message = f"--out {out}: its sidecar {sidecar} is a directory"
+    before = sorted(tmp_path.rglob("*"))
     assert main(["fig5", "--trials", "200", "--quiet", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: --out {out}: not a file path in an existing directory\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert swept == []
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_main_writes_csv_and_sidecar(tmp_path, capsys):
