@@ -1,5 +1,7 @@
 """Command-line front end: resolve a config, run the sweep, emit CSV.
 
+A preset or a config file states what is modeled; ``--trials`` and ``--seed``
+override its keys, and the other flags only decide where the run goes.
 Exit codes: 0 success, 1 input rejected (``ConfigError``), 2 runtime failure.
 """
 
@@ -14,7 +16,7 @@ import traceback
 from dataclasses import fields
 from typing import Sequence
 
-from .config import CHOICES, PRESETS, ExperimentConfig, config_from_dict, config_to_dict, parse_config
+from .config import PRESETS, ExperimentConfig, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .harness import SweepResult, run_sweep
 
@@ -85,27 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PRESETS),
         help="paper figure to reproduce: fig4-fig6 run scenarios 1-3 at their defaults; omit when using --config",
     )
-    parser.add_argument("--config", help="JSON config path")
-    parser.add_argument(
-        "--scheme",
-        action="append",
-        help="scheme to run (repeatable or comma separated); overrides the config",
-    )
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--config", help="JSON config path; it states the schemes, interference model and power split")
+    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point; overrides the config")
+    parser.add_argument("--seed", type=int, help="master seed; overrides the config")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument(
-        "--interference",
-        dest="interference_mode",
-        choices=CHOICES["interference_mode"],
-        help="cross-cell interference model",
-    )
-    parser.add_argument(
-        "--split",
-        dest="jt_split",
-        choices=CHOICES["jt_split"],
-        help="how coordinated cells share an edge user's power demand",
-    )
     parser.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
     return parser
@@ -120,8 +105,6 @@ def _resolve_config(args: argparse.Namespace):
         base = config_to_dict(parse_config(args.config))
     else:
         raise ConfigError("a preset or --config is required")
-    if args.scheme:
-        base["schemes"] = [s.strip() for chunk in args.scheme for s in chunk.split(",") if s.strip()]
     # every flag whose dest is a config field overrides that key
     keys = {f.name for f in fields(ExperimentConfig)}
     base.update((key, value) for key, value in vars(args).items() if key in keys and value is not None)
@@ -133,10 +116,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         sidecar = args.out and args.out + ".config.json"
-        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
-            raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
-        if sidecar and os.path.isdir(sidecar):
-            raise ConfigError(f"--out {args.out}: its sidecar {sidecar} is a directory")
+        for path in filter(None, (args.out, sidecar)):  # a symlink is checked where it leads; a loop leads nowhere
+            real = os.path.realpath(path)
+            if os.path.isdir(real) or os.path.islink(real) or not os.path.isdir(os.path.dirname(real)):
+                raise ConfigError(f"--out {args.out}: {path} is not a file path in an existing directory")
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except ConfigError as e:  # a bad flag, flag value or config; an unwritable --out or sidecar, before the sweep

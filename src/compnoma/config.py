@@ -9,12 +9,12 @@ path (``sweep.step``), ``RadioParams`` names the field, which the reader
 re-raises as ``radio.sic_tolerance``, and ``parse_config`` names the file.
 JSON sections hold only their dataclass's fields (``sweep_*`` nest under
 ``sweep``), each key once, so every key names one field.  The reader
-converts, each only on a value of its JSON kind, a scheme list to an
-upper-cased tuple and a sweep number to a float.  Every sweep point is
-built at construction, so any config can run.  No setting picks JT-NOMA's
-decode case: scenario 3 always reports both (``scenarios.decode_cases``).
-So each preset, named for the paper figure it reproduces, is its
-scenario's defaults.
+converts, each only on a value of its JSON kind, a scheme list to a tuple
+of the names as written and a sweep number to a float.  Every sweep point
+is built at construction, so any config can run.  No setting picks
+JT-NOMA's decode case: scenario 3 always reports both
+(``scenarios.decode_cases``).  So each preset, named for the paper figure
+it reproduces, is its scenario's defaults.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     scenario = d.pop("scenario_id", None)
     schemes = d.pop("schemes", DEFAULT_SCHEMES.get(scenario, ()) if isinstance(scenario, int) else ())
     if isinstance(schemes, list) and all(isinstance(s, str) for s in schemes):
-        schemes = tuple(s.upper() for s in schemes)
+        schemes = tuple(schemes)
     for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
         d[f"sweep_{key}"] = float(value) if finite_number(value) else value
     radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)})

@@ -93,7 +93,8 @@ def test_schema_rejections():
         config_from_dict({"scenario_id": 1, "trials": 10.5})
     with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "schemes": []})
-    with pytest.raises(ConfigError):
+    # a scheme has one name, in the case scenarios define and sidecars write
+    with pytest.raises(ConfigError, match="^scheme 'jt-noma' not available in scenario 1"):
         config_from_dict({"scenario_id": 1, "schemes": ["JT-NOMA", "jt-noma"]})
     for rejected in (
         {"schemes": ["CS-NOMA"]},
@@ -393,7 +394,7 @@ def test_fixed_scenario_distances_are_unknown_placement_keys():
             assert str(err.value) == f"unknown key {key!r} in config root"
 
 
-def test_decode_case_applies_to_scenario_3_only(capsys):
+def test_decode_case_applies_to_scenario_3_only(tmp_path, capsys):
     # scenario 3 reports JT-NOMA once per decode case, through the CLI as
     # through run_sweep; scenarios 1-2 report one JT-NOMA series; no config
     # of any scenario picks a case
@@ -404,13 +405,15 @@ def test_decode_case_applies_to_scenario_3_only(capsys):
                 config_from_dict({"scenario_id": scenario, "decode_case": case})
         config = replace(PRESETS[preset](), schemes=("JT-NOMA", "JT-OMA"), trials=1)
         assert sorted({row.scheme for row in run_sweep(config).rows}) == [*jt, "JT-OMA"]
-        assert main([preset, "--scheme", "JT-NOMA", "--trials", "1", "--quiet"]) == 0
+        path = tmp_path / f"{preset}.json"
+        path.write_text(json.dumps({"scenario_id": scenario, "schemes": ["JT-NOMA"]}))
+        assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 0
         assert sorted({line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]}) == jt
 
 
 def test_beamforming_is_rejected_with_reason():
     with pytest.raises(ConfigError) as err:
-        config_from_dict({"scenario_id": 2, "schemes": ["cb"]})
+        config_from_dict({"scenario_id": 2, "schemes": ["CB"]})
     assert "beamforming" in str(err.value)
     assert "single-antenna" in str(err.value)
     with pytest.raises(ConfigError):
@@ -529,27 +532,16 @@ def test_emit_csv_targets(tmp_path, capsys):
 # --- command line -------------------------------------------------------------
 
 
-def test_choice_flags_accept_every_config_value():
-    parser = build_parser()
-    flags = {"interference_mode": "--interference", "jt_split": "--split"}
-    for key, flag in flags.items():
-        for value in CHOICES[key]:
-            args = parser.parse_args(["fig6", flag, value])
-            assert getattr(_resolve_config(args), key) == value
-
-
-def test_scheme_flag_accepts_commas_and_repeats():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["fig5", "--scheme", "jt-noma,cs-noma", "--scheme", "JT-OMA"]
-    )
-    assert _resolve_config(args).schemes == ("JT-NOMA", "CS-NOMA", "JT-OMA")
-
-
-def test_case_and_scenario_flags_are_rejected(capsys):
-    # a run starts from a preset or a config file: no flag picks a decode
-    # case, and none a scenario, which only a preset's name would restate
-    for argv in (["fig6", "--case", "2"], ["fig6", "--case", "both"], ["fig5", "--scenario", "1"]):
+def test_case_and_scenario_flags_are_rejected(capsys, monkeypatch):
+    # a run starts from a preset or a config file, which states what is
+    # modeled: no flag picks a decode case, a scenario (which only a
+    # preset's name would restate), the schemes, the interference model or
+    # the power split.  A stub sweep keeps an accepted flag from running a
+    # full preset
+    monkeypatch.setattr("compnoma.cli.run_sweep", lambda *a, **k: SweepResult(()))
+    for argv in (["fig6", "--case", "2"], ["fig6", "--case", "both"], ["fig5", "--scenario", "1"],
+                 ["fig6", "--interference", "full"], ["fig6", "--split", "equal_received"],
+                 ["fig5", "--scheme", "JT-OMA"]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
     # without a preset, the flag's value is read as one, and refused
@@ -567,7 +559,7 @@ def test_every_preset_is_its_scenarios_defaults():
     assert sorted(PRESETS) == ["fig4", "fig5", "fig6"]
 
 
-def test_main_exit_codes(capsys, monkeypatch):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main([]) == 1
@@ -580,12 +572,13 @@ def test_main_exit_codes(capsys, monkeypatch):
         assert main(["fig4", "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
     # parser-level rejections must use the same clean error line, no traceback
-    for argv in (["--split", "thirds"], ["--interference", "sometimes"], ["--seed", "-1"]):
-        assert main(["fig4", *argv]) == 1, argv
-        assert capsys.readouterr().err.startswith("error:")
+    assert main(["fig4", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert main(["fig4", "--no-such-flag"]) == 1
     assert capsys.readouterr().err.startswith("error:")
-    assert main(["fig5", "--scheme", "CB"]) == 1
+    cb = tmp_path / "cb.json"
+    cb.write_text(json.dumps({"scenario_id": 2, "schemes": ["CB"]}))
+    assert main(["--config", str(cb)]) == 1
     assert "beamforming" in capsys.readouterr().err
     # a failure once the sweep has started is a runtime failure
     def fail(*args, **kwargs):
@@ -596,23 +589,43 @@ def test_main_exit_codes(capsys, monkeypatch):
     assert "SweepError: worker died" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing directory", "a directory", "a sidecar directory"])
+@pytest.mark.parametrize(
+    "where",
+    ["missing directory", "a directory", "a sidecar directory", "a dangling symlink", "a dangling sidecar symlink",
+     "a symlink loop"],
+)
 def test_an_unwritable_out_path_is_rejected_before_the_sweep(where, tmp_path, capsys, monkeypatch):
     # the sweep's result would be thrown away, so the path and its sidecar's
-    # are checked first: no sweep runs, and nothing is created or truncated
+    # are checked first, a symlink where it leads: no sweep runs, and
+    # nothing is created or truncated
     swept = []
     monkeypatch.setattr("compnoma.cli.run_sweep", lambda *a, **k: swept.append(a))
     out = {"missing directory": tmp_path / "nodir" / "x.csv", "a directory": tmp_path}.get(where, tmp_path / "x.csv")
-    message = f"--out {out}: not a file path in an existing directory"
+    bad = tmp_path / "x.csv.config.json" if "sidecar" in where else out
     if where == "a sidecar directory":
-        sidecar = tmp_path / "x.csv.config.json"
-        sidecar.mkdir()
-        message = f"--out {out}: its sidecar {sidecar} is a directory"
+        bad.mkdir()
+    if "dangling" in where:
+        bad.symlink_to(tmp_path / "missing" / "target")
+    if where == "a symlink loop":
+        bad.symlink_to(bad)
+    message = f"--out {out}: {bad} is not a file path in an existing directory"
     before = sorted(tmp_path.rglob("*"))
     assert main(["fig5", "--trials", "200", "--quiet", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert swept == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_through_a_symlink_writes_where_it_leads(tmp_path, capsys):
+    # a symlink into an existing directory passes the --out check, and the
+    # CSV is written through it
+    (tmp_path / "real").mkdir()
+    out = tmp_path / "x.csv"
+    out.symlink_to(tmp_path / "real" / "y.csv")
+    assert main(["fig4", "--trials", "1", "--quiet", "--out", str(out)]) == 0
+    assert (tmp_path / "real" / "y.csv").read_text().startswith(CSV_HEADER)
+    assert (tmp_path / "x.csv.config.json").is_file()
+    capsys.readouterr()
 
 
 def test_main_writes_csv_and_sidecar(tmp_path, capsys):
@@ -663,7 +676,7 @@ def test_main_streams_to_stdout(capsys):
 def test_quiet_is_read_on_every_call(caplog, capsys):
     # logging is already configured here (pytest's handlers sit on the root
     # logger), as in a host application, so main must set the level itself
-    argv = ["fig5", "--scheme", "JT-OMA", "--trials", "1"]
+    argv = ["fig5", "--trials", "1"]
 
     def resolved():
         return [
