@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .config import PRESETS, ExperimentConfig, config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
-from .harness import SweepResult, run_sweep
+from .harness import CSV_NUMBER, SweepResult, run_sweep
 
 log = logging.getLogger("compnoma")
 
@@ -45,8 +45,8 @@ def format_csv(result: SweepResult) -> str:
                     f"(sweep={row.sweep_value}, scheme={row.scheme})"
                 )
         lines.append(
-            f"{row.sweep_value:.9g},{row.scheme},{row.mean_se_bps_hz:.9g},"
-            f"{row.ci95:.9g},{row.infeasible_frac:.9g},{row.trials}"
+            f"{row.sweep_value:{CSV_NUMBER}},{row.scheme},{row.mean_se_bps_hz:{CSV_NUMBER}},"
+            f"{row.ci95:{CSV_NUMBER}},{row.infeasible_frac:{CSV_NUMBER}},{row.trials}"
         )
     return "\n".join(lines) + "\n"
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import FEASIBLE
+from .allocation import FEASIBLE, seq_sum
 from .channel import BANDWIDTH_HZ
 from .errors import ConfigError, SweepError
 from .scenarios import JT_NOMA, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
@@ -30,11 +30,14 @@ _Z95 = 1.96  # two-sided 95% normal quantile
 # decode cases) is 663 KiB, reached in DPS-NOMA's evaluate
 _BLOCK = 1024
 _MAX_POINTS = 10_000  # most values per sweep grid; a config builds each point's geometry
+CSV_NUMBER = ".9g"  # format spec of every number the CSV prints
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; float drift short of stop is forgiven and
-    drift past it is clamped, so no value exceeds stop."""
+    drift past it is clamped, so no value exceeds stop.  A grid whose
+    neighbours print alike in the CSV, which would key two rows alike, is
+    rejected."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError("sweep start, stop and step must be finite")
     if step <= 0.0:
@@ -44,7 +47,11 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     span = (stop - start) / step * (1.0 + 1e-9)  # inf if the grid overflows
     if span >= _MAX_POINTS:
         raise ConfigError(f"sweep has more than {_MAX_POINTS} points")
-    return tuple(min(start + i * step, stop) for i in range(int(span) + 1))
+    values = tuple(min(start + i * step, stop) for i in range(int(span) + 1))
+    for a, b in zip(values, values[1:]):  # the grid and its printing are monotone
+        if f"{a:{CSV_NUMBER}}" == f"{b:{CSV_NUMBER}}":
+            raise ConfigError(f"values {a!r} and {b!r} both print as {a:{CSV_NUMBER}} in the CSV")
+    return values
 
 
 def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
@@ -74,11 +81,12 @@ def run_chunk(config, start: int, stop: int):
     draws the block's (trials, cells, users) gain array, one segment per
     point, and every series is evaluated on it, one ``evaluate`` call per
     ``scheme_rows`` row.  Module-level so process pools can pickle it.
-    Returns (spectral efficiency, feasible), each of shape (trials, series).
-    A failure is re-raised as a SweepError naming the seed, the block's
-    first and last (sweep index, trial) and the one series label (``draw``
-    for the draw); the draw's own SweepError, which names a trial, passes
-    unchanged.
+    Returns (spectral efficiency, feasible), each of shape (trials, series);
+    a trial's spectral efficiency is the ``seq_sum`` of its user rates over
+    the band.  A failure is re-raised as a SweepError naming the seed, the
+    block's first and last (sweep index, trial) and the one series label
+    (``draw`` for the draw); the draw's own SweepError, which names a trial,
+    passes unchanged.
     """
     rows = scheme_rows(config)
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
@@ -94,14 +102,10 @@ def run_chunk(config, start: int, stop: int):
         gains = draw_block(seed, segments)
         label = "orthogonal baseline"
         base = orthogonal_rates(point.layout, gains)
-        base_sums = _row_sums(base)
         for r_i, (label, scheme, case) in enumerate(rows):
             out, reason = evaluate(point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case)
-            ok = feasible[:, r_i] = reason == FEASIBLE
-            # infeasible trials' rows, and JT-OMA's, are the baseline's bits
-            se[:, r_i] = base_sums
-            if out is not base:
-                se[ok, r_i] = _row_sums(out[ok])
+            feasible[:, r_i] = reason == FEASIBLE
+            se[:, r_i] = seq_sum(out.T)  # each trial's user rates, left to right
     except SweepError:
         raise
     except Exception as e:
@@ -111,12 +115,6 @@ def run_chunk(config, start: int, stop: int):
             f" series={label}: {type(e).__name__}: {e}"
         ) from e
     return se / BANDWIDTH_HZ, feasible
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D float array, streamed from its columns'
-    memoryviews, so no list of Python floats per row is built."""
-    return np.fromiter(map(math.fsum, zip(*map(memoryview, np.ascontiguousarray(a.T)))), float, len(a))
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,13 @@ UNUSABLE = {
         '{"scenario_id": 1, "sweep": {"start": 0, "stop": 1e308, "step": 1e-300}}',
         "sweep: sweep has more than 10000 points",
     ),
+    # the CSV keys a row by its sweep value at 9 significant digits, so
+    # values closer than that would write rows keyed alike
+    "sweep step finer than the CSV prints": (
+        '{"scenario_id": 2, "schemes": ["JT-OMA"], "sweep": {"start": 100, "stop": 100.0000005, "step": 1e-7},'
+        ' "trials": 1}',
+        "sweep: values 100.0 and 100.0000001 both print as 100 in the CSV",
+    ),
     # 1e-20 is below half an ULP of 500, so the swept user sits on its own site
     "single-cell user on its site": (
         '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
@@ -339,6 +346,8 @@ def test_every_library_rejection_is_a_config_error(tmp_path):
     for call, message in (
         (lambda: RadioParams(noise_density_mw_hz=0), "noise_density_mw_hz must be positive, got 0"),
         (lambda: sweep_values(1.0, 0.0, 1.0), "sweep stop below start"),
+        # half an ULP of 1e20: 17 values, 9 of them distinct
+        (lambda: sweep_values(1e20, 1e20 + 16 * 8192, 8192), "values 1e+20 and 1e+20 both print as 1e+20 in the CSV"),
         (lambda: SweepPoint(1, 500.0, radio), "single-cell user distance 500.0 exceeds coverage 400.0"),
         (lambda: SweepPoint(4, 100.0, radio), "unknown scenario 4"),
         (lambda: distance_term((0.0, 0.0), (1e-100, 0.0)), "user at (0.0, 0.0) is on top of a cell at (1e-100, 0.0)"),

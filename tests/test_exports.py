@@ -47,17 +47,17 @@ def test_references_import_nothing_from_the_engine():
     assert not sources & ENGINE, sorted(sources & ENGINE)
 
 
-def log2_scopes(path: Path) -> list:
+def mention_scopes(path: Path, name: str) -> list:
     """Qualified name of the function (or module) around every mention of
-    log2 in path: an attribute such as np.log2, a bare name or an import."""
+    name in path: an attribute such as np.log2, a bare name or an import."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if (
-                isinstance(child, ast.Attribute) and child.attr == "log2"
-                or isinstance(child, ast.Name) and child.id == "log2"
-                or isinstance(child, ast.alias) and child.name == "log2"
+                isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.alias) and child.name == name
             ):
                 found.append(scope)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -71,20 +71,32 @@ def test_only_allocation_rates_takes_a_log2():
     # every rate in the package, orthogonal baselines included, goes through
     # the one formula width * log2(1 + num/den)
     package = Path(compnoma.__file__).parent
-    scopes = [scope for path in sorted(package.glob("*.py")) for scope in log2_scopes(path)]
+    scopes = [scope for path in sorted(package.glob("*.py")) for scope in mention_scopes(path, "log2")]
     assert scopes == ["allocation.rates"], scopes
 
 
 def test_no_builtin_sum_in_the_package():
-    # from Python 3.12 on, sum() adds floats with compensated summation, so
-    # its result would depend on the interpreter; the package sums in a fixed
-    # order (allocation.seq_sum, math.fsum), which decides floor-bound
-    # verdicts.  An array's own .sum(...) is an attribute, not this name.
+    # every sum inside a trial (powers, interference, a trial's rates over
+    # its users) is allocation.seq_sum, left to right, which decides
+    # floor-bound verdicts; the per-point mean and variance over trials are
+    # math.fsum, in _reduce_point alone.  From Python 3.12 on, sum() adds
+    # floats with compensated summation, and numpy's reductions (.sum,
+    # np.sum, np.add.reduce, .cumsum, .mean) add in a pairwise or SIMD order:
+    # either would make a trial's sum depend on the interpreter or the host
     package = Path(compnoma.__file__).parent
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
-    ]
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (
+                isinstance(f, ast.Name) and f.id == "sum"
+                or isinstance(f, ast.Attribute) and f.attr in ("sum", "cumsum", "mean")
+                or isinstance(f, ast.Attribute) and f.attr == "reduce"
+                and isinstance(f.value, ast.Attribute) and f.value.attr == "add"
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
     assert not calls, calls
+    scopes = {scope for path in sorted(package.glob("*.py")) for scope in mention_scopes(path, "fsum")}
+    assert scopes == {"harness._reduce_point"}, scopes

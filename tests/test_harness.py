@@ -11,7 +11,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from compnoma import (
     PRESETS,
@@ -21,7 +20,7 @@ from compnoma import (
     config_from_dict,
     run_sweep,
 )
-from compnoma.allocation import FEASIBLE
+from compnoma.allocation import FEASIBLE, seq_sum
 from compnoma.channel import BANDWIDTH_HZ
 from compnoma.cli import format_csv
 from compnoma.config import ALLOWED_SCHEMES
@@ -132,7 +131,7 @@ def test_single_trial_matches_direct_evaluation():
         out, reason = scenarios.evaluate(
             point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
-        direct[label] = (math.fsum(out[0].tolist()) / BANDWIDTH_HZ, reason[0] == FEASIBLE)
+        direct[label] = (seq_sum(out[0].tolist()) / BANDWIDTH_HZ, reason[0] == FEASIBLE)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row.trials == 1
@@ -346,22 +345,6 @@ def test_reduce_point_ci_squares_each_deviation_with_libm_pow(scale, units):
     assert harness._reduce_point(1.0, "x", ses, 0).ci95.hex() == ci.hex()
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 5), st.data())
-def test_row_sums_are_math_fsum_of_each_listed_row(rows, cols, data):
-    # run_chunk sums each trial's row by math.fsum over the columns'
-    # memoryviews; that must equal fsum over tolist(), bit for bit, on whole
-    # arrays and on views such as out[ok] or a column slice.  arrays() draws
-    # a fill value and then some entries one by one, a fraction of the cost
-    # of a list of elements
-    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150), st.floats(-1e-150, 1e-150))
-    full = data.draw(arrays(float, (rows, 2 * cols), elements=value))
-    ok = data.draw(arrays(bool, rows))
-    for a in (full[:, :cols], full[:, 1::2], full[ok, cols:], np.asfortranarray(full[:, :cols])):
-        want = np.array([math.fsum(r) for r in a.tolist()])
-        assert harness._row_sums(a).tobytes() == want.tobytes()
-
-
 def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
     # one 1,024-trial oma-baselines block (scenario 2, JT-OMA and CS-OMA)
     # peaks at 5.1x its gain array's bytes under tracemalloc; block-sized
@@ -388,10 +371,10 @@ FIG6_FULL = {
 
 
 @pytest.mark.parametrize("preset, overrides", [("fig5", {}), ("fig6", FIG6_FULL)], ids=("fig5", "fig6-full"))
-def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
-    # run_chunk sums the baseline's rows once per block and reuses those sums
-    # for the rows that are bit copies of them (infeasible NOMA trials, and
-    # JT-OMA); every other row is summed on its own
+def test_chunk_se_is_the_seq_sum_of_each_evaluated_row(preset, overrides):
+    # every series' trial is its evaluated row, the baseline's bits where
+    # the trial is infeasible and for JT-OMA, summed left to right in user
+    # order as one scalar seq_sum of the listed row would sum it
     config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
     se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
     values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
@@ -404,7 +387,7 @@ def test_chunk_se_is_the_exact_sum_of_each_evaluated_row(preset, overrides):
             points[0].layout, gains, base, scheme, config.interference_mode, config.jt_split, case
         )
         ok = reason == FEASIBLE
-        want = np.array([math.fsum(row) for row in out.tolist()]) / BANDWIDTH_HZ
+        want = np.array([seq_sum(row) for row in out.tolist()]) / BANDWIDTH_HZ
         assert se[:, r_i].tobytes() == want.tobytes(), label
         assert feasible[:, r_i].tolist() == ok.tolist(), label
         if scheme.endswith("NOMA"):

@@ -16,7 +16,7 @@ from compnoma import (
     RadioParams,
 )
 from compnoma import harness, scenarios
-from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP
+from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP, seq_sum
 from compnoma.channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT
 from compnoma.config import ALLOWED_SCHEMES, PRESETS, config_from_dict
 from compnoma.harness import run_chunk, scheme_rows, sweep_values
@@ -319,8 +319,9 @@ def test_feasible_trials_meet_guarantees():
 
 def test_spectral_efficiency_is_sum_over_band():
     # the sweep's per-trial spectral efficiency is the scheme's rates summed
-    # over users and divided by the band; JT-OMA is the orthogonal baseline,
-    # and scenario 3's JT-NOMA series are its two decode cases
+    # over users, left to right, and divided by the band; JT-OMA is the
+    # orthogonal baseline, and scenario 3's JT-NOMA series are its two decode
+    # cases
     config = config_from_dict(
         {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
     )
@@ -331,7 +332,7 @@ def test_spectral_efficiency_is_sum_over_band():
     base = orthogonal_rates(point.layout, g)
     for t in range(4):
         for r_i, out in enumerate((case1, case2, base)):
-            assert se[t, r_i] == math.fsum(out[t].tolist()) / 8.64e6, (t, r_i)
+            assert se[t, r_i] == seq_sum(out[t].tolist()) / BANDWIDTH_HZ, (t, r_i)
 
 
 def test_interference_mode_full_never_exceeds_negligible():
