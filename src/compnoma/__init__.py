@@ -11,7 +11,7 @@ from .config import (
     parse_config,
 )
 from .errors import ConfigError, SweepError
-from .harness import SweepResult, SweepRow, run_sweep, sweep_values
+from .harness import SweepResult, SweepRow, run_sweep
 from .scenarios import CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA
 
 __version__ = "0.1.0"
@@ -24,6 +24,5 @@ __all__ = [
     "SweepError", "SweepResult", "SweepRow",
     "config_from_dict", "config_to_dict",
     "parse_config", "run_sweep",
-    "sweep_values",
     "CS_NOMA", "CS_OMA", "DPS_NOMA", "JT_NOMA", "JT_OMA",
 ]

@@ -5,14 +5,13 @@ built.  Each field must be of its annotation's kind (``errors.KINDS``): a bool
 is never a number, an int stands for a float, numbers are finite, ``radio``
 is a ``RadioParams``, and ``schemes`` is a tuple (a list in JSON).
 Every rejection is a ``ConfigError``: ``ExperimentConfig`` names the key
-path (``sweep.step``), ``RadioParams`` names the field, which the reader
-re-raises as ``radio.sic_tolerance``, and ``parse_config`` names the file.
-JSON sections hold only their dataclass's fields (``sweep_*`` nest under
-``sweep``), each key once, so every key names one field.  The reader
-converts, each only on a value of its JSON kind, a scheme list to a tuple
-of the names as written and a sweep number to a float.  Every sweep point
-is built at construction, so any config can run.  No setting picks
-JT-NOMA's decode case: scenario 3 always reports both
+(``trials``), ``RadioParams`` names the field, which the reader re-raises
+as ``radio.sic_tolerance``, and ``parse_config`` names the file.  JSON
+sections hold only their dataclass's fields, each key once, so every key
+names one field.  The reader converts a list of scheme names to a tuple of
+the names as written.  Every run sweeps ``scenarios.SWEEP_M``, and each of
+its points is built at construction, so any config can run.  No setting
+picks JT-NOMA's decode case: scenario 3 always reports both
 (``scenarios.decode_cases``).  So each preset, named for the paper figure
 it reproduces, is its scenario's defaults.
 """
@@ -25,9 +24,8 @@ from functools import partial
 
 from .allocation import EQUAL_TRANSMIT
 from .channel import RadioParams
-from .errors import ConfigError, check_kinds, finite_number
-from .harness import sweep_values
-from .scenarios import CHOICES, CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, SweepPoint
+from .errors import ConfigError, check_kinds
+from .scenarios import CHOICES, CS_NOMA, CS_OMA, DPS_NOMA, JT_NOMA, JT_OMA, SWEEP_M, SweepPoint
 
 ALLOWED_SCHEMES = {
     1: (JT_NOMA, DPS_NOMA, JT_OMA),
@@ -46,9 +44,6 @@ _REJECTED_SCHEMES = ("CB", "CB-NOMA")
 class ExperimentConfig:
     scenario_id: int
     schemes: tuple[str, ...]
-    sweep_start: float = 50.0
-    sweep_stop: float = 400.0
-    sweep_step: float = 50.0
     trials: int = 50_000
     seed: int = 2026
     interference_mode: str = "negligible"
@@ -56,7 +51,7 @@ class ExperimentConfig:
     radio: RadioParams = RadioParams()
 
     def __post_init__(self) -> None:
-        check_kinds(self, lambda key: key.replace("sweep_", "sweep."))
+        check_kinds(self)
         scenario = self.scenario_id
         if scenario not in ALLOWED_SCHEMES:
             raise ConfigError(f"scenario_id must be 1, 2 or 3, got {scenario!r}")
@@ -82,7 +77,7 @@ class ExperimentConfig:
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
-        for value in _ranged("sweep: ", sweep_values, self.sweep_start, self.sweep_stop, self.sweep_step):
+        for value in SWEEP_M:
             _ranged(f"sweep value {value:g}: ", SweepPoint, scenario, value, self.radio)
 
 
@@ -94,8 +89,7 @@ def _ranged(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}{e}") from e
 
 
-_SWEEP = ("start", "stop", "step")
-_CONFIG = {f.name for f in fields(ExperimentConfig)} - {f"sweep_{key}" for key in _SWEEP} | {"sweep"}
+_CONFIG = {f.name for f in fields(ExperimentConfig)}
 
 
 def _read(d, where: str, keys) -> dict:
@@ -114,8 +108,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     schemes = d.pop("schemes", DEFAULT_SCHEMES.get(scenario, ()) if isinstance(scenario, int) else ())
     if isinstance(schemes, list) and all(isinstance(s, str) for s in schemes):
         schemes = tuple(schemes)
-    for key, value in _read(d.pop("sweep", {}), "sweep", _SWEEP).items():
-        d[f"sweep_{key}"] = float(value) if finite_number(value) else value
     radio = _read(d.pop("radio", {}), "radio", {f.name for f in fields(RadioParams)})
     return ExperimentConfig(scenario, schemes, radio=_ranged("radio.", RadioParams, **radio), **d)
 
@@ -146,14 +138,7 @@ def parse_config(path: str) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form; feeding it back through config_from_dict yields an
     equal config (radio keys, in mW, round-trip exactly)."""
-    out = {}
-    for key, value in asdict(config).items():
-        if key.startswith("sweep_"):
-            out.setdefault("sweep", {})[key[len("sweep_"):]] = value
-        else:
-            out[key] = value
-    out["schemes"] = list(config.schemes)
-    return out
+    return {**asdict(config), "schemes": list(config.schemes)}
 
 
 PRESETS = {

@@ -20,13 +20,13 @@ KINDS = {
 }
 
 
-def check_kinds(obj, path=lambda name: name) -> None:
-    """Raise ConfigError naming path(field) at the first field of dataclass obj not of its kind: KINDS'
+def check_kinds(obj) -> None:
+    """Raise ConfigError naming the first field of dataclass obj not of its kind: KINDS'
     for its annotation or, for a nested dataclass, an instance of the class of its default."""
     for f in fields(obj):
         what, ok = KINDS.get(f.type) or (f"a {f.type}", lambda v: isinstance(v, type(f.default)))
         if not ok(getattr(obj, f.name)):
-            raise ConfigError(f"{path(f.name)} must be {what}, got {getattr(obj, f.name)!r}")
+            raise ConfigError(f"{f.name} must be {what}, got {getattr(obj, f.name)!r}")
 
 
 class ConfigError(ValueError):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .allocation import FEASIBLE, seq_sum
 from .channel import BANDWIDTH_HZ
-from .errors import ConfigError, SweepError
-from .scenarios import JT_NOMA, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
+from .errors import SweepError
+from .scenarios import JT_NOMA, SWEEP_M, SweepPoint, decode_cases, draw_block, evaluate, orthogonal_rates
 
 log = logging.getLogger("compnoma")
 
@@ -29,29 +29,7 @@ _Z95 = 1.96  # two-sided 95% normal quantile
 # of one run_chunk block of scenario 3 (every scheme, full interference, both
 # decode cases) is 663 KiB, reached in DPS-NOMA's evaluate
 _BLOCK = 1024
-_MAX_POINTS = 10_000  # most values per sweep grid; a config builds each point's geometry
 CSV_NUMBER = ".9g"  # format spec of every number the CSV prints
-
-
-def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid; float drift short of stop is forgiven and
-    drift past it is clamped, so no value exceeds stop.  A grid whose
-    neighbours print alike in the CSV, which would key two rows alike, is
-    rejected."""
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError("sweep start, stop and step must be finite")
-    if step <= 0.0:
-        raise ConfigError("sweep step must be positive")
-    if stop < start:
-        raise ConfigError("sweep stop below start")
-    span = (stop - start) / step * (1.0 + 1e-9)  # inf if the grid overflows
-    if span >= _MAX_POINTS:
-        raise ConfigError(f"sweep has more than {_MAX_POINTS} points")
-    values = tuple(min(start + i * step, stop) for i in range(int(span) + 1))
-    for a, b in zip(values, values[1:]):  # the grid and its printing are monotone
-        if f"{a:{CSV_NUMBER}}" == f"{b:{CSV_NUMBER}}":
-            raise ConfigError(f"values {a!r} and {b!r} both print as {a:{CSV_NUMBER}} in the CSV")
-    return values
 
 
 def scheme_rows(config) -> tuple[tuple[str, str, str], ...]:
@@ -89,11 +67,10 @@ def run_chunk(config, start: int, stop: int):
     passes unchanged.
     """
     rows = scheme_rows(config)
-    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
     seed, n = config.seed, config.trials
     segments = []
     for s_i in range(start // n, (stop - 1) // n + 1):
-        point = SweepPoint(config.scenario_id, values[s_i], config.radio)
+        point = SweepPoint(config.scenario_id, SWEEP_M[s_i], config.radio)
         segments.append((point, s_i, range(max(start - s_i * n, 0), min(stop - s_i * n, n))))
     shape = (stop - start, len(rows))
     se, feasible = np.empty(shape), np.empty(shape, bool)
@@ -163,7 +140,8 @@ def _reduce_point(
 
 
 def run_sweep(config, workers: int = 1) -> SweepResult:
-    """Run the configured sweep; identical output for any worker count.
+    """Run the configured sweep over ``SWEEP_M``; identical output for any
+    worker count.
 
     The sweep's trials are numbered point by point (see run_chunk) and cut
     into contiguous ranges that may cross points, each one kernel block of
@@ -172,29 +150,28 @@ def run_sweep(config, workers: int = 1) -> SweepResult:
     at most one process per range and per CPU, a task per range.  Each
     point is reduced in trial order once all its trials are back.
     """
-    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    total = config.trials * len(values)
+    total = config.trials * len(SWEEP_M)
     span = min(_BLOCK, -(-total // max(workers, 1)))
     ranges = [(lo, min(lo + span, total)) for lo in range(0, total, span)]
     if workers <= 1:
-        return _reduce(config, values, (run_chunk(config, lo, hi) for lo, hi in ranges))
+        return _reduce(config, (run_chunk(config, lo, hi) for lo, hi in ranges))
     from concurrent.futures import ProcessPoolExecutor  # only pools pay for importing it
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(run_chunk, config, lo, hi) for lo, hi in ranges]
         try:
-            return _reduce(config, values, (f.result() for f in futures))
+            return _reduce(config, (f.result() for f in futures))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-def _reduce(config, values, parts) -> SweepResult:
+def _reduce(config, parts) -> SweepResult:
     """Reduce consecutive flat ranges' (se, feasible) arrays, one point at a
     time, as soon as the point's last trial arrives."""
     rows = scheme_rows(config)
     n = config.trials
     out_rows: list[SweepRow] = []
-    points = iter(values)
+    points = iter(SWEEP_M)
     pending, have = [], 0
     for part in parts:
         pending.append(part)

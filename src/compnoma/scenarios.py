@@ -60,6 +60,9 @@ CHOICES = {
 # midpoint, so edge users can be placed
 SITES = ((-500.0, 0.0), (500.0, 0.0))
 COVERAGE_M = 400.0
+# the swept distance of every run, m: the paper's 50-400 m in 50 m steps
+SWEEP_M = tuple(50.0 * i for i in range(1, 9))
+_MAX_FADING = -log(2.0**-53)  # -log(1 - U) at the largest uniform draw_block forms, 1 - 2^-53
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 
@@ -89,6 +92,9 @@ class SweepPoint:
     ``terms`` holds d^(-4) per (cell, user): fixed for single-cell users,
     0 in the edge users' columns, which ``draw_block`` fills from each
     trial's positions in the disc of ``radius`` around the midpoint.
+    Construction raises ConfigError if the radio can overflow a received
+    power: twice (an edge user's two links) the transmit power times the
+    largest fading and distance term over the noise power must be finite.
     """
 
     def __init__(self, scenario_id: int, sweep_value: float, radio: RadioParams):
@@ -121,6 +127,12 @@ class SweepPoint:
             x = SITES[c - 1][0]
             position = (x + math.copysign(d, x), 0.0)
             self.terms[:, ids.index(u)] = [distance_term(position, site) for site in SITES]
+        term = float(self.terms.max())  # single-cell users are within coverage, edge users beyond it
+        if 2.0 * (radio.tx_power_mw * (_MAX_FADING * term / radio.noise_power_mw)) == math.inf:
+            raise ConfigError(
+                f"2 x tx_power_mw x the largest fading ({_MAX_FADING:.4g}) x d^-4 ({term:.4g}) over the noise"
+                f" power ({radio.noise_power_mw:.4g} mW) overflows to inf"
+            )
 
 
 def draw_block(seed: int, segments: Sequence[tuple[SweepPoint, int, Sequence[int]]]) -> np.ndarray:

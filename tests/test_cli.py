@@ -25,7 +25,6 @@ from compnoma import (
     config_to_dict,
     parse_config,
     run_sweep,
-    sweep_values,
 )
 from compnoma.channel import distance_term
 from compnoma.cli import CSV_HEADER, build_parser, emit_csv, format_csv, main, _resolve_config
@@ -114,12 +113,9 @@ def test_schema_rejections():
     for seed in (0, 2**64 - 1):
         assert config_from_dict({"scenario_id": 1, "seed": seed}).seed == seed
     with pytest.raises(ConfigError):
-        config_from_dict({"scenario_id": 1, "sweep": {"start": 300, "stop": 100}})
-    with pytest.raises(ConfigError):
         config_from_dict({"scenario_id": 1, "radio": {"sic_tolerance": -1}})
     # json.loads accepts NaN and Infinity; the schema does not
-    for section, key, text in (("radio", "sic_tolerance", "NaN"), ("sweep", "start", "NaN"),
-                               ("radio", "tx_power_mw", "Infinity")):
+    for section, key, text in (("radio", "sic_tolerance", "NaN"), ("radio", "tx_power_mw", "Infinity")):
         with pytest.raises(ConfigError) as err:
             config_from_dict(json.loads(f'{{"scenario_id": 1, "{section}": {{"{key}": {text}}}}}'))
         assert f"{section}.{key}" in str(err.value)
@@ -129,9 +125,9 @@ def test_schema_rejections():
     "path, value",
     [
         ("trials", 20.0), ("seed", 3.5), ("trials", True), ("scenario_id", True),
-        ("sweep.step", True), ("interference_mode", 3), ("radio", None), ("jt_split", None),
-        ("schemes", "JT-OMA"), ("schemes", ["JT-OMA"]),
-        ("radio.noise_density_mw_hz", True), ("radio.tx_power_mw", "43"),
+        ("interference_mode", 3), ("radio", None), ("jt_split", None),
+        ("schemes", "JT-OMA"), ("radio.noise_density_mw_hz", True),
+        ("schemes", ["JT-OMA"]), ("radio.tx_power_mw", "43"),
     ],
 )
 def test_config_built_in_code_rejects_what_the_json_reader_rejects(path, value):
@@ -176,9 +172,6 @@ PLAUSIBLE = {
     "scenario_id": st.integers(1, 3),
     "schemes": st.lists(st.sampled_from(["JT-NOMA", "DPS-NOMA", "JT-OMA"]), min_size=1, max_size=3, unique=True)
     .map(tuple),
-    "sweep_start": _number(50.0, 150.0),
-    "sweep_stop": _number(150.0, 300.0),
-    "sweep_step": _number(10.0, 100.0),
     "trials": st.integers(1, 10**6),
     "seed": st.integers(0, 2**64 - 1),
     **{key: st.sampled_from(choices) for key, choices in CHOICES.items()},
@@ -222,8 +215,9 @@ def test_every_config_is_rejected_by_a_config_error_or_round_trips():
 
 
 def parent_format_sidecar() -> str:
-    """The fig5 sidecar as written while the radio still had a band and a
-    path-loss exponent: every radio field, those two included, keys sorted."""
+    """The fig5 sidecar with the radio keys it held while the radio still had
+    a band and a path-loss exponent: every radio field, those two included,
+    keys sorted."""
     d = config_to_dict(PRESETS["fig5"]())
     d["radio"].update(bandwidth_hz=8640000.0, pathloss_exponent=4.0)
     return json.dumps(d, indent=2, sort_keys=True)
@@ -234,10 +228,6 @@ UNUSABLE = {
     "non-finite tolerance": (
         '{"scenario_id": 1, "radio": {"sic_tolerance": NaN}}',
         "radio.sic_tolerance must be a finite number, exact as a float, got nan",
-    ),
-    "non-finite sweep start": (
-        '{"scenario_id": 1, "sweep": {"start": NaN}}',
-        "sweep.start must be a finite number, exact as a float, got nan",
     ),
     "non-finite noise density": (
         '{"scenario_id": 1, "radio": {"noise_density_mw_hz": Infinity}}',
@@ -277,30 +267,18 @@ UNUSABLE = {
         '{"scenario_id": 1, "placement": {"inter_site_m": 500}}',
         "unknown key 'placement' in config root",
     ),
-    "single-cell user outside coverage": (
-        '{"scenario_id": 1, "sweep": {"start": 401, "stop": 401, "step": 1}}',
-        "sweep value 401: single-cell user distance 401.0 exceeds coverage 400.0",
+    # every run sweeps scenarios.SWEEP_M, so no config sets a grid; a sidecar
+    # written before the grid became fixed holds this section
+    "a sweep section": (
+        '{"scenario_id": 1, "sweep": {"start": 50.0, "stop": 400.0, "step": 50.0}}',
+        "unknown key 'sweep' in config root",
     ),
-    "sweep leaves coverage": (
-        '{"scenario_id": 1, "sweep": {"stop": 500}}',
-        "sweep value 450: single-cell user distance 450.0 exceeds coverage 400.0",
-    ),
-    # (1e308 - 0) / 1e-300 points overflow a float
-    "sweep point count overflows": (
-        '{"scenario_id": 1, "sweep": {"start": 0, "stop": 1e308, "step": 1e-300}}',
-        "sweep: sweep has more than 10000 points",
-    ),
-    # the CSV keys a row by its sweep value at 9 significant digits, so
-    # values closer than that would write rows keyed alike
-    "sweep step finer than the CSV prints": (
-        '{"scenario_id": 2, "schemes": ["JT-OMA"], "sweep": {"start": 100, "stop": 100.0000005, "step": 1e-7},'
-        ' "trials": 1}',
-        "sweep: values 100.0 and 100.0000001 both print as 100 in the CSV",
-    ),
-    # 1e-20 is below half an ULP of 500, so the swept user sits on its own site
-    "single-cell user on its site": (
-        '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
-        "sweep value 1e-20: user at (-500.0, 0.0) is on top of a cell at (-500.0, 0.0)",
+    # the noise power, 8.64e-314 mW, is positive and finite, but the 50 m
+    # user's gain times the transmit power overflows to inf
+    "a radio that overflows a gain": (
+        '{"scenario_id": 1, "trials": 2, "schemes": ["JT-OMA"], "radio": {"noise_density_mw_hz": 1e-320}}',
+        "sweep value 50: 2 x tx_power_mw x the largest fading (36.74) x d^-4 (1.6e-07) over the noise power"
+        " (8.64e-314 mW) overflows to inf",
     ),
     # radio powers are given in mW only, so a dBm key names no field
     "a dBm power": (
@@ -315,9 +293,10 @@ UNUSABLE = {
 
 
 def test_unusable_geometry_is_rejected_without_the_parser():
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(1, ("JT-NOMA", "JT-OMA"), sweep_stop=500.0)
-    assert "sweep value 450" in str(err.value)
+    # every point of the grid is built with the config's radio, under which
+    # the 50 m single-cell user's gain overflows
+    with pytest.raises(ConfigError, match="^sweep value 50: 2 x tx_power_mw x the largest fading"):
+        ExperimentConfig(1, ("JT-NOMA", "JT-OMA"), radio=RadioParams(noise_density_mw_hz=1e-320))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -329,11 +308,6 @@ def test_non_finite_numbers_are_rejected_without_the_parser(bad):
             RadioParams(**{key: bad})
     with pytest.raises(ConfigError):
         SweepPoint(2, bad, RadioParams())
-    for grid in ((bad, 400.0, 50.0), (50.0, bad, 50.0), (50.0, 400.0, bad)):
-        with pytest.raises(ConfigError):
-            sweep_values(*grid)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(2, ("JT-NOMA",), *grid)
 
 
 def test_every_library_rejection_is_a_config_error(tmp_path):
@@ -345,10 +319,13 @@ def test_every_library_rejection_is_a_config_error(tmp_path):
     missing = str(tmp_path / "nope.json")
     for call, message in (
         (lambda: RadioParams(noise_density_mw_hz=0), "noise_density_mw_hz must be positive, got 0"),
-        (lambda: sweep_values(1.0, 0.0, 1.0), "sweep stop below start"),
-        # half an ULP of 1e20: 17 values, 9 of them distinct
-        (lambda: sweep_values(1e20, 1e20 + 16 * 8192, 8192), "values 1e+20 and 1e+20 both print as 1e+20 in the CSV"),
         (lambda: SweepPoint(1, 500.0, radio), "single-cell user distance 500.0 exceeds coverage 400.0"),
+        # 1e-20 is below half an ULP of 500, so the user sits on its own site
+        (lambda: SweepPoint(1, 1e-20, radio), "user at (-500.0, 0.0) is on top of a cell at (-500.0, 0.0)"),
+        # the 250 m single-cell users' gains overflow
+        (lambda: SweepPoint(2, 400.0, RadioParams(noise_density_mw_hz=1e-320)),
+         "2 x tx_power_mw x the largest fading (36.74) x d^-4 (2.56e-10) over the noise power (8.64e-314 mW)"
+         " overflows to inf"),
         (lambda: SweepPoint(4, 100.0, radio), "unknown scenario 4"),
         (lambda: distance_term((0.0, 0.0), (1e-100, 0.0)), "user at (0.0, 0.0) is on top of a cell at (1e-100, 0.0)"),
         (lambda: parse_config(missing),
@@ -379,9 +356,12 @@ def test_noise_power_must_be_positive_and_finite(value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", UNUSABLE.values(), ids=UNUSABLE.keys())
-def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, capsys):
+def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, capsys, monkeypatch):
     # each is rejected with a message that says what is wrong, by the reader
-    # and by the command line, never run or left to escape as a traceback
+    # and by the command line, before any sweep runs, never left to escape
+    # as a traceback
+    swept = []
+    monkeypatch.setattr("compnoma.cli.run_sweep", lambda *a, **k: swept.append(a))
     with pytest.raises(ConfigError) as err:
         config_from_dict(json.loads(text))
     assert str(err.value) == message
@@ -389,6 +369,7 @@ def test_unusable_configs_are_rejected_when_parsed(text, message, tmp_path, caps
     path.write_text(text)
     assert main(["--config", str(path), "--trials", "1", "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert swept == []
 
 
 def test_fixed_scenario_distances_are_unknown_placement_keys():

@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from compnoma import (
     PRESETS,
-    ConfigError,
     ExperimentConfig,
     SweepError,
     config_from_dict,
@@ -25,8 +25,8 @@ from compnoma.channel import BANDWIDTH_HZ
 from compnoma.cli import format_csv
 from compnoma.config import ALLOWED_SCHEMES
 from compnoma import allocation, harness, scenarios
-from compnoma.harness import run_chunk, scheme_rows, sweep_values
-from compnoma.scenarios import draw_block
+from compnoma.harness import run_chunk, scheme_rows
+from compnoma.scenarios import SWEEP_M, draw_block
 
 from reference import trial_seed
 
@@ -35,9 +35,6 @@ def small_config(**overrides) -> ExperimentConfig:
     base = dict(
         scenario_id=1,
         schemes=("JT-NOMA", "JT-OMA"),
-        sweep_start=100.0,
-        sweep_stop=300.0,
-        sweep_step=100.0,
         trials=40,
         seed=2026,
     )
@@ -69,35 +66,17 @@ def test_trial_seeds_are_deterministic_distinct_and_masked_to_64_bits():
         assert draw_block(s, [(point, w, [t - 1, t])]).tolist() == masked
 
 
-def test_sweep_values_grid():
-    assert sweep_values(50.0, 400.0, 50.0) == (
-        50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0
-    )
-    # drift-prone decimal steps still land on the closed endpoint
-    pts = sweep_values(0.1, 0.3, 0.1)
-    assert len(pts) == 3
-    assert pts[-1] == pytest.approx(0.3, rel=1e-12)
-    assert sweep_values(5.0, 5.0, 2.0) == (5.0,)
-    # an off-grid stop is never passed
-    assert sweep_values(50.0, 430.0, 50.0)[-1] == 400.0
-    with pytest.raises(ValueError):
-        sweep_values(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        sweep_values(2.0, 1.0, 0.5)
-    # grids whose point count overflows a float are too long, not an OverflowError
-    for grid in ((0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0)):
-        with pytest.raises(ConfigError, match="^sweep has more than 10000 points$"):
-            sweep_values(*grid)
-
-
-def test_sweep_values_clamp_drift_past_stop():
-    # 1.3 + 3987 * 0.1 is 400.00000000000006: the last value is clamped to
-    # stop, so a grid that ends at the coverage radius is accepted
-    assert 1.3 + 3987 * 0.1 > 400.0
-    config = config_from_dict({"scenario_id": 1, "sweep": {"start": 1.3, "stop": 400.0, "step": 0.1}})
-    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    assert len(values) == 3988 and values[-1] == 400.0
-    assert max(values[:-1]) < 400.0
+def test_sweep_grid_is_the_papers_50_to_400_m():
+    # every run sweeps the grid of the paper's Figs. 4-6, bit for bit, and
+    # the CSV prints its values as the golden files key their rows
+    assert [v.hex() for v in SWEEP_M] == [
+        "0x1.9000000000000p+5", "0x1.9000000000000p+6", "0x1.2c00000000000p+7", "0x1.9000000000000p+7",
+        "0x1.f400000000000p+7", "0x1.2c00000000000p+8", "0x1.5e00000000000p+8", "0x1.9000000000000p+8",
+    ]
+    assert SWEEP_M == (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0)
+    golden = (Path(__file__).parent / "golden" / "fig5.csv").read_text(encoding="utf-8")
+    keys = dict.fromkeys(line.split(",")[0] for line in golden.splitlines()[1:])
+    assert [f"{v:{harness.CSV_NUMBER}}" for v in SWEEP_M] == list(keys)
 
 
 def test_scheme_rows_split_decode_cases():
@@ -121,23 +100,25 @@ def test_scheme_rows_split_decode_cases():
 
 
 def test_single_trial_matches_direct_evaluation():
-    config = small_config(trials=1, sweep_start=200.0, sweep_stop=200.0)
+    config = small_config(trials=1)
     result = run_sweep(config)
-    point = scenarios.SweepPoint(1, 200.0, config.radio)
-    gains = draw_block(config.seed, [(point, 0, [0])])
-    base = scenarios.orthogonal_rates(point.layout, gains)
     direct = {}
-    for label, scheme, case in scheme_rows(config):
-        out, reason = scenarios.evaluate(
-            point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
-        )
-        direct[label] = (seq_sum(out[0].tolist()) / BANDWIDTH_HZ, reason[0] == FEASIBLE)
-    assert len(result.rows) == 2
+    for s_i, value in enumerate(SWEEP_M):
+        point = scenarios.SweepPoint(1, value, config.radio)
+        gains = draw_block(config.seed, [(point, s_i, [0])])
+        base = scenarios.orthogonal_rates(point.layout, gains)
+        for label, scheme, case in scheme_rows(config):
+            out, reason = scenarios.evaluate(
+                point.layout, gains, base, scheme, config.interference_mode, config.jt_split, case
+            )
+            direct[value, label] = (seq_sum(out[0].tolist()) / BANDWIDTH_HZ, reason[0] == FEASIBLE)
+    assert len(result.rows) == len(direct) == 2 * 8
     for row in result.rows:
         assert row.trials == 1
         assert row.ci95 == 0.0
-        assert row.mean_se_bps_hz == direct[row.scheme][0]
-        assert row.infeasible_frac == (0.0 if direct[row.scheme][1] else 1.0)
+        se, feasible = direct[row.sweep_value, row.scheme]
+        assert row.mean_se_bps_hz == se
+        assert row.infeasible_frac == (0.0 if feasible else 1.0)
 
 
 def test_worker_count_does_not_change_output():
@@ -160,9 +141,9 @@ def test_pool_starts_no_more_workers_than_ranges(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    config = small_config(trials=1, sweep_stop=200.0)  # 2 trials, so 2 one-trial ranges
+    config = small_config(trials=1)  # 8 trials over 6 workers: 4 two-trial ranges
     parallel = run_sweep(config, workers=6)
-    assert started == [2]
+    assert started == [4]
     assert format_csv(parallel) == format_csv(run_sweep(config, workers=1))
 
 
@@ -185,7 +166,7 @@ def test_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus, processes):
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Capped)
-    config = small_config(trials=8)  # 24 trials, cut by the 64 workers asked for, not by the CPUs
+    config = small_config(trials=3)  # 24 trials, cut by the 64 workers asked for, not by the CPUs
     parallel = run_sweep(config, workers=64)
     assert asked == [processes]
     assert ranges == [(t, t + 1) for t in range(24)]
@@ -221,13 +202,13 @@ def handed_out_ranges(monkeypatch, config, workers):
 @pytest.mark.parametrize(
     "make, workers, block, expected",
     [
-        (lambda: small_config(trials=40), 1, None, [(0, 120)]),
-        (lambda: small_config(trials=400), 1, None, [(0, 1024), (1024, 1200)]),
-        (lambda: small_config(trials=40), 1, 64, [(0, 64), (64, 120)]),
+        (lambda: small_config(trials=15), 1, None, [(0, 120)]),
+        (lambda: small_config(trials=150), 1, None, [(0, 1024), (1024, 1200)]),
+        (lambda: small_config(trials=15), 1, 64, [(0, 64), (64, 120)]),
         # the benchmark's pool sweep: fig6-full, 75 trials per point, 2 workers
         (lambda: replace(PRESETS["fig6"](), trials=75, **FIG6_FULL), 2, None, [(0, 300), (300, 600)]),
-        (lambda: small_config(trials=50), 4, None, [(0, 38), (38, 76), (76, 114), (114, 150)]),
-        (lambda: small_config(trials=200), 2, 64, [(lo, min(lo + 64, 600)) for lo in range(0, 600, 64)]),
+        (lambda: small_config(trials=19), 4, None, [(0, 38), (38, 76), (76, 114), (114, 152)]),
+        (lambda: small_config(trials=75), 2, 64, [(lo, min(lo + 64, 600)) for lo in range(0, 600, 64)]),
     ],
     ids=(
         "serial-one-range", "serial-block-binds", "serial-small-block",
@@ -242,7 +223,7 @@ def test_sweep_is_cut_into_blocks_of_at_most_a_workers_share(monkeypatch, make, 
     if block is not None:
         monkeypatch.setattr(harness, "_BLOCK", block)
     ranges = handed_out_ranges(monkeypatch, config, workers)
-    total = config.trials * len(sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step))
+    total = config.trials * len(SWEEP_M)
     share = -(-total // workers)
     assert ranges[0][0] == 0 and ranges[-1][1] == total
     assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
@@ -252,20 +233,22 @@ def test_sweep_is_cut_into_blocks_of_at_most_a_workers_share(monkeypatch, make, 
 
 
 def test_mean_is_exact_sum_over_trials():
-    config = small_config(trials=32, sweep_stop=100.0)
+    config = small_config(trials=32)
     result = run_sweep(config)
-    se, _ = run_chunk(config, 0, 32)
-    for r_i, row in enumerate(result.rows):
-        ses = se[:, r_i].tolist()
+    se, _ = run_chunk(config, 0, 32 * 8)
+    for i, row in enumerate(result.rows):
+        s_i, r_i = divmod(i, 2)
+        ses = se[32 * s_i:32 * (s_i + 1), r_i].tolist()
         assert row.mean_se_bps_hz == math.fsum(ses) / 32
 
 
 def test_ci_shrinks_with_sqrt_of_trials():
-    base = small_config(schemes=("JT-OMA",), sweep_stop=100.0)
+    # JT-OMA at 100 m, sweep index 1, reduced as run_sweep reduces a point
+    base = small_config(schemes=("JT-OMA",))
     ci = {}
     for trials in (400, 800):
-        result = run_sweep(replace(base, trials=trials))
-        ci[trials] = result.rows[0].ci95
+        se, _ = run_chunk(replace(base, trials=trials), trials, 2 * trials)
+        ci[trials] = harness._reduce_point(100.0, "JT-OMA", se[:, 0], 0).ci95
     assert ci[800] / ci[400] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.10)
 
 
@@ -274,30 +257,23 @@ def test_series_accessors_and_counts():
     result = run_sweep(config)
     schemes = tuple(dict.fromkeys(r.scheme for r in result.rows))
     assert schemes == ("JT-NOMA", "JT-OMA")
-    assert len(result.rows) == 6
+    assert len(result.rows) == 16
     for scheme in schemes:
         series = result.series(scheme)
-        assert [r.sweep_value for r in series] == [100.0, 200.0, 300.0]
+        assert [r.sweep_value for r in series] == list(SWEEP_M)
         for row in series:
             assert row.trials == 40
             assert 0.0 <= row.infeasible_frac <= 1.0
 
 
 def test_reference_tolerance_is_all_infeasible_at_sweep_geometry():
-    config = config_from_dict(
-        {
-            "scenario_id": 1,
-            "trials": 10,
-            "sweep": {"start": 100.0, "stop": 100.0, "step": 50.0},
-            "radio": {"sic_tolerance": 100.0},
-        }
-    )
+    config = config_from_dict({"scenario_id": 1, "trials": 10, "radio": {"sic_tolerance": 100.0}})
     assert config.radio.sic_tolerance == 100.0
-    result = run_sweep(config)
-    jt = result.series("JT-NOMA")[0]
-    assert jt.infeasible_frac == 1.0
+    se, feasible = run_chunk(config, 10, 20)  # the 100 m point, sweep index 1
+    assert scheme_rows(config)[0][0] == "JT-NOMA"
+    assert not feasible[:, 0].any()
     # fallback rates are the orthogonal baseline, so means still exist
-    assert jt.mean_se_bps_hz > 0.0
+    assert math.fsum(se[:, 0].tolist()) / 10 > 0.0
 
 
 @pytest.mark.parametrize("scenario", (1, 2, 3))
@@ -350,8 +326,7 @@ def test_block_traced_peak_is_a_small_multiple_of_its_gain_array():
     # peaks at 5.1x its gain array's bytes under tracemalloc; block-sized
     # lists of Python objects (the draw's words, fading inputs or edge terms,
     # or per-row floats for the sums) take it past the 8x bound, to 11.7x
-    config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), sweep_start=50.0, sweep_stop=400.0,
-                          sweep_step=50.0, trials=1024)
+    config = small_config(scenario_id=2, schemes=("JT-OMA", "CS-OMA"), trials=1024)
     run_chunk(config, 0, 1024)  # the first call fills lazy caches outside the trace
     gains = draw_block(config.seed, [(scenarios.SweepPoint(2, 100.0, config.radio), 1, range(1024))])
     tracemalloc.start()
@@ -377,8 +352,7 @@ def test_chunk_se_is_the_seq_sum_of_each_evaluated_row(preset, overrides):
     # order as one scalar seq_sum of the listed row would sum it
     config = replace(PRESETS[preset](), trials=200, seed=9, **overrides)
     se, feasible = run_chunk(config, 0, 3 * config.trials)  # one block over points 0-2
-    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio) for v in values[:3]]
+    points = [scenarios.SweepPoint(config.scenario_id, v, config.radio) for v in SWEEP_M[:3]]
     gains = draw_block(config.seed, [(p, i, range(config.trials)) for i, p in enumerate(points)])
     base = scenarios.orthogonal_rates(points[0].layout, gains)
     mixed = []
@@ -426,10 +400,9 @@ def test_block_placement_does_not_change_results(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
 
 
-def scaling_configs(scenario, trials, **grid):
+def scaling_configs(scenario, trials):
     """Every series of the scenario (scenario 3 with both decode cases) under
-    both interference modes, both splits and sic_tolerance 0 and 1, seed 5;
-    grid, if given, is the sweep section."""
+    both interference modes, both splits and sic_tolerance 0 and 1, seed 5."""
     for mode in ("negligible", "full"):
         for split in ("equal_transmit", "equal_received"):
             for tolerance in (0.0, 1.0):
@@ -442,7 +415,6 @@ def scaling_configs(scenario, trials, **grid):
                         "trials": trials,
                         "seed": 5,
                         "radio": {"sic_tolerance": tolerance},
-                        **({"sweep": grid} if grid else {}),
                     }
                 )
 
@@ -463,14 +435,15 @@ def test_power_and_noise_scaled_together_change_no_bit(scenario):
     # and gain exactly: every noise-normalized SNR, and so every rate and
     # verdict, is the same double
     verdicts = set()
-    for config in scaling_configs(scenario, 100, start=100.0, stop=400.0, step=300.0):
-        se, feasible = run_chunk(config, 0, 200)
-        verdicts.update(feasible.ravel().tolist())
-        where = (config.interference_mode, config.jt_split, config.radio.sic_tolerance)
-        for k in (4.0, 0.25):
-            got = run_chunk(scaled(config, k), 0, 200)
-            assert got[0].tobytes() == se.tobytes(), (*where, k)
-            assert got[1].tobytes() == feasible.tobytes(), (*where, k)
+    for config in scaling_configs(scenario, 100):
+        for lo in (100, 700):  # the 100 m and 400 m points
+            se, feasible = run_chunk(config, lo, lo + 100)
+            verdicts.update(feasible.ravel().tolist())
+            where = (lo, config.interference_mode, config.jt_split, config.radio.sic_tolerance)
+            for k in (4.0, 0.25):
+                got = run_chunk(scaled(config, k), lo, lo + 100)
+                assert got[0].tobytes() == se.tobytes(), (*where, k)
+                assert got[1].tobytes() == feasible.tobytes(), (*where, k)
     assert verdicts == {True, False}
 
 
@@ -482,7 +455,7 @@ def test_power_and_noise_scaled_by_other_factors_keep_every_verdict(scenario):
     trials, rel_bound = 200, 1e-11
     verdicts, moved = set(), False
     for config in scaling_configs(scenario, trials):
-        total = len(sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)) * trials
+        total = len(SWEEP_M) * trials
         labels = [label for label, _, _ in scheme_rows(config)]
         se, feasible = run_chunk(config, 0, total)
         verdicts.update(feasible.ravel().tolist())
@@ -565,8 +538,8 @@ def test_failures_name_seed_point_trials_and_series(monkeypatch, workers):
 
     config = small_config(trials=40)
     both = small_config(trials=40, scenario_id=3)
-    # serially one block spans all three points; a pool worker gets a shorter range
-    last = "sweep_index=2 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
+    # serially one block spans all eight points; a pool worker gets a shorter range
+    last = "sweep_index=7 trial=39" if workers == 1 else r"sweep_index=\d+ trial=\d+"
     for conf, name, label in (
         (config, "_jt_noma", "JT-NOMA"), (config, "gain_array", "draw"), (both, "_jt_noma", "JT-NOMA-case1"),
     ):

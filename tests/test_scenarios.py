@@ -19,8 +19,9 @@ from compnoma import harness, scenarios
 from compnoma.allocation import FEASIBLE, REL_SLACK, SIC_GAP, seq_sum
 from compnoma.channel import BANDWIDTH_HZ, PATHLOSS_EXPONENT
 from compnoma.config import ALLOWED_SCHEMES, PRESETS, config_from_dict
-from compnoma.harness import run_chunk, scheme_rows, sweep_values
+from compnoma.harness import run_chunk, scheme_rows
 from compnoma.scenarios import (
+    SWEEP_M,
     SweepPoint,
     _draw_trials,
     _edge_order,
@@ -121,9 +122,8 @@ def test_every_point_of_a_grid_shares_one_layout(preset):
     # Layout, its radio included
     radio = RadioParams(tx_power_mw=5e3, sic_tolerance=1.0)
     config = replace(PRESETS[preset](), radio=radio)
-    values = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
-    layouts = {SweepPoint(config.scenario_id, v, config.radio).layout for v in values}
-    assert len(values) == 8 and len(layouts) == 1, layouts
+    layouts = {SweepPoint(config.scenario_id, v, config.radio).layout for v in SWEEP_M}
+    assert len(layouts) == 1, layouts
     assert layouts.pop().radio == radio
 
 
@@ -322,12 +322,10 @@ def test_spectral_efficiency_is_sum_over_band():
     # over users, left to right, and divided by the band; JT-OMA is the
     # orthogonal baseline, and scenario 3's JT-NOMA series are its two decode
     # cases
-    config = config_from_dict(
-        {"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "sweep": {"start": 150, "stop": 150}}
-    )
-    se, _ = run_chunk(config, 0, 4)
+    config = config_from_dict({"scenario_id": 3, "schemes": ["JT-NOMA", "JT-OMA"], "trials": 4})
+    se, _ = run_chunk(config, 8, 12)  # the 150 m point, sweep index 2
     point = SweepPoint(3, 150.0, config.radio)
-    g = draw_block(config.seed, [(point, 0, range(4))])
+    g = draw_block(config.seed, [(point, 2, range(4))])
     case1, case2 = (run(point, g, "JT-NOMA", case=case)[0] for case in ("case1", "case2"))
     base = orthogonal_rates(point.layout, g)
     for t in range(4):
@@ -562,15 +560,13 @@ def test_sweep_decode_orders_pass_the_jt_conditions(jt_calls, scenario, cases):
     # gate's decode-order rules in every trial, under each decode case: case
     # 1 alone in scenarios 1-2, both in scenario 3
     n = 200
-    config = config_from_dict(
-        {"scenario_id": scenario, "schemes": ["JT-NOMA"], "trials": n, "sweep": {"start": 200, "stop": 200}}
-    )
-    run_chunk(config, 0, n)
+    config = config_from_dict({"scenario_id": scenario, "schemes": ["JT-NOMA"], "trials": n})
+    run_chunk(config, 3 * n, 4 * n)  # the 200 m point, sweep index 3
     expected = ["case1", "case2"] if cases == "both" else ["case1"]
     assert [case for _, _, case in scheme_rows(config)] == expected
     assert len(jt_calls) == len(expected)  # one solve per decode case
     point = SweepPoint(scenario, 200.0, config.radio)
-    g, lay = draw_block(config.seed, [(point, 0, range(n))]), point.layout
+    g, lay = draw_block(config.seed, [(point, 3, range(n))]), point.layout
     comp = [lay.user_ids[c] for c in lay.comp]
     shared = set()
     for k, ((raw, tails, *_), _) in enumerate(jt_calls):
