@@ -273,6 +273,18 @@ UNUSABLE = {
         '{"scenario_id": 1, "sweep": {"start": 50.0, "stop": 400.0, "step": 50.0}}',
         "unknown key 'sweep' in config root",
     ),
+    # sidecars that swept the single-cell user past coverage or, 1e-20 being
+    # below half an ULP of 500, onto its own site are still refused before
+    # any sweep runs, now for their sweep section; SweepPoint itself still
+    # rejects both distances (test_every_library_rejection_is_a_config_error)
+    "single-cell user outside coverage": (
+        '{"scenario_id": 1, "sweep": {"start": 401, "stop": 401, "step": 1}}',
+        "unknown key 'sweep' in config root",
+    ),
+    "single-cell user on its site": (
+        '{"scenario_id": 1, "sweep": {"start": 1e-20, "stop": 1e-20, "step": 1}}',
+        "unknown key 'sweep' in config root",
+    ),
     # the noise power, 8.64e-314 mW, is positive and finite, but the 50 m
     # user's gain times the transmit power overflows to inf
     "a radio that overflows a gain": (
